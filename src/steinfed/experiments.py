@@ -18,6 +18,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -818,12 +819,18 @@ def _parametric_record(problem: MixtureProblem, mean, variance, phase: str, roun
     return record, {}
 
 
-def _transcript_event(record: MetricRecord, agent, extra: dict) -> dict:
+def _ms_since(start: float) -> float:
+    return (time.perf_counter() - start) * 1000.0
+
+
+def _transcript_event(record: MetricRecord, agent, eval_ms: float, extra: dict) -> dict:
     event = {
         "round": record.round,
         "phase": record.phase,
         "agent": agent,
         "wall_ms": record.wall_ms,
+        "round_ms": record.wall_ms,
+        "eval_ms": eval_ms,
         "metrics": {
             "forgotten_acc": record.forgotten_acc,
             "retained_acc": record.retained_acc,
@@ -836,17 +843,24 @@ def _transcript_event(record: MetricRecord, agent, extra: dict) -> dict:
 
 
 class _Emitter:
-    """Shared per-round record bookkeeping for all run loops."""
+    """Shared per-round record bookkeeping for all run loops.
+
+    ``wall_ms`` (and the transcript's ``round_ms``) times the round alone;
+    the transcript's ``eval_ms`` times the evaluation that builds its record.
+    """
 
     def __init__(self, metrics_path: str, transcript_path: str):
         self.records: list[MetricRecord] = []
         self._metrics = MetricsWriter(metrics_path)
         self._transcript = TranscriptWriter(transcript_path)
 
-    def emit(self, record: MetricRecord, agent, extra: dict) -> None:
+    def emit(self, agent, evaluate: Callable[[], tuple[MetricRecord, dict]]) -> None:
+        start = time.perf_counter()
+        record, extra = evaluate()
+        eval_ms = _ms_since(start)
         self.records.append(record)
         self._metrics.append(record)
-        self._transcript.append(_transcript_event(record, agent, extra))
+        self._transcript.append(_transcript_event(record, agent, eval_ms, extra))
 
     def error(self, phase: str, round_index: int, err: Exception) -> None:
         self._transcript.append({"round": round_index, "phase": phase, "error": str(err)})
@@ -896,17 +910,15 @@ def _run_particle_learn(cfg: ExperimentConfig) -> RunResult:
     os.makedirs(cfg.out_dir, exist_ok=True)
     emitter = _Emitter(paths.metrics, paths.transcript)
     try:
-        record, extra = _particle_record(problem, server.global_particles, PHASE_LEARN, 0, 0.0,
-                                         retained_only=False)
-        emitter.emit(record, None, extra)
+        emitter.emit(None, lambda: _particle_record(
+            problem, server.global_particles, PHASE_LEARN, 0, 0.0, retained_only=False))
         for r in range(cfg.learn.rounds):
             start = time.perf_counter()
             k = fed.schedule(pcfg, r, problem.losses.keys())
             server, agents[k] = fed.learning_round(server, agents, k, pcfg)
-            wall = (time.perf_counter() - start) * 1000.0
-            record, extra = _particle_record(problem, server.global_particles, PHASE_LEARN,
-                                             r + 1, wall, retained_only=False)
-            emitter.emit(record, k, extra)
+            wall = _ms_since(start)
+            emitter.emit(k, lambda: _particle_record(
+                problem, server.global_particles, PHASE_LEARN, r + 1, wall, retained_only=False))
     except Exception as err:
         emitter.error(PHASE_LEARN, len(emitter.records), err)
         raise
@@ -943,17 +955,15 @@ def _run_particle_unlearn(cfg: ExperimentConfig) -> RunResult:
     os.makedirs(cfg.out_dir, exist_ok=True)
     emitter = _Emitter(paths.metrics, paths.transcript)
     try:
-        record, extra = _particle_record(problem, server.global_particles, PHASE_UNLEARN, 0, 0.0,
-                                         retained_only=True)
-        emitter.emit(record, None, extra)
+        emitter.emit(None, lambda: _particle_record(
+            problem, server.global_particles, PHASE_UNLEARN, 0, 0.0, retained_only=True))
         for r in range(cfg.unlearn.rounds):
             start = time.perf_counter()
             k = fed.schedule(pcfg, r, problem.forget_ids)
             server, agents[k] = fed.unlearning_round(server, agents, k, pcfg)
-            wall = (time.perf_counter() - start) * 1000.0
-            record, extra = _particle_record(problem, server.global_particles, PHASE_UNLEARN,
-                                             r + 1, wall, retained_only=True)
-            emitter.emit(record, k, extra)
+            wall = _ms_since(start)
+            emitter.emit(k, lambda: _particle_record(
+                problem, server.global_particles, PHASE_UNLEARN, r + 1, wall, retained_only=True))
             if _unlearn_should_stop(cfg, problem, emitter.records):
                 break
     except Exception as err:
@@ -991,9 +1001,8 @@ def _run_retrain(cfg: ExperimentConfig) -> RunResult:
     os.makedirs(cfg.out_dir, exist_ok=True)
     emitter = _Emitter(paths.metrics, paths.transcript)
     try:
-        record, extra = _particle_record(problem, server.global_particles, PHASE_RETRAIN, 0, 0.0,
-                                         retained_only=True)
-        emitter.emit(record, None, extra)
+        emitter.emit(None, lambda: _particle_record(
+            problem, server.global_particles, PHASE_RETRAIN, 0, 0.0, retained_only=True))
         for r in range(cfg.retrain.rounds):
             start = time.perf_counter()
             if agents is None:
@@ -1002,10 +1011,9 @@ def _run_retrain(cfg: ExperimentConfig) -> RunResult:
             else:
                 k = fed.schedule(pcfg, r, retained.keys())
                 server, agents[k] = fed.learning_round(server, agents, k, pcfg)
-            wall = (time.perf_counter() - start) * 1000.0
-            record, extra = _particle_record(problem, server.global_particles, PHASE_RETRAIN,
-                                             r + 1, wall, retained_only=True)
-            emitter.emit(record, k, extra)
+            wall = _ms_since(start)
+            emitter.emit(k, lambda: _particle_record(
+                problem, server.global_particles, PHASE_RETRAIN, r + 1, wall, retained_only=True))
     except Exception as err:
         emitter.error(PHASE_RETRAIN, len(emitter.records), err)
         raise
@@ -1068,19 +1076,15 @@ def _run_pvi_learn(cfg: ExperimentConfig) -> RunResult:
     os.makedirs(cfg.out_dir, exist_ok=True)
     emitter = _Emitter(paths.metrics, paths.transcript)
     try:
-        mean, variance = nat_to_moment(eta)
-        record, extra = _parametric_record(problem, mean, variance, PHASE_LEARN, 0, 0.0,
-                                           retained_only=False)
-        emitter.emit(record, None, extra)
+        emitter.emit(None, lambda: _parametric_record(
+            problem, *nat_to_moment(eta), PHASE_LEARN, 0, 0.0, retained_only=False))
         for r in range(cfg.learn.rounds):
             start = time.perf_counter()
             k = fed.schedule(pcfg, r, problem.losses.keys())
             eta, locals_nat[k] = pvi_round(eta, locals_nat[k], problem.losses[k], pvicfg, rng)
-            wall = (time.perf_counter() - start) * 1000.0
-            mean, variance = nat_to_moment(eta)
-            record, extra = _parametric_record(problem, mean, variance, PHASE_LEARN, r + 1,
-                                               wall, retained_only=False)
-            emitter.emit(record, k, extra)
+            wall = _ms_since(start)
+            emitter.emit(k, lambda: _parametric_record(
+                problem, *nat_to_moment(eta), PHASE_LEARN, r + 1, wall, retained_only=False))
     except Exception as err:
         emitter.error(PHASE_LEARN, len(emitter.records), err)
         raise
@@ -1109,20 +1113,16 @@ def _run_pvi_unlearn(cfg: ExperimentConfig) -> RunResult:
     emitter = _Emitter(paths.metrics, paths.transcript)
     rounds_run = 0
     try:
-        mean, variance = nat_to_moment(eta)
-        record, extra = _parametric_record(problem, mean, variance, PHASE_UNLEARN, 0, 0.0,
-                                           retained_only=True)
-        emitter.emit(record, None, extra)
+        emitter.emit(None, lambda: _parametric_record(
+            problem, *nat_to_moment(eta), PHASE_UNLEARN, 0, 0.0, retained_only=True))
         for r in range(cfg.unlearn.rounds):
             start = time.perf_counter()
             k = fed.schedule(pcfg, r, problem.forget_ids)
             eta, locals_nat[k] = ulpvi_round(eta, locals_nat[k], problem.losses[k], pvicfg, rng)
             rounds_run = r + 1
-            wall = (time.perf_counter() - start) * 1000.0
-            mean, variance = nat_to_moment(eta)
-            record, extra = _parametric_record(problem, mean, variance, PHASE_UNLEARN, r + 1,
-                                               wall, retained_only=True)
-            emitter.emit(record, k, extra)
+            wall = _ms_since(start)
+            emitter.emit(k, lambda: _parametric_record(
+                problem, *nat_to_moment(eta), PHASE_UNLEARN, r + 1, wall, retained_only=True))
             if _unlearn_should_stop(cfg, problem, emitter.records):
                 break
     except Exception as err:

@@ -7,6 +7,10 @@ isotropic Gaussian kernel density estimate with a fixed per-dimension
 standard deviation, which turns a particle set into a differentiable
 log density so that particle-based distributions can appear inside other
 update targets.
+
+The transport kernel matrix and the KDE share one pairwise squared-distance
+helper written as a matrix product, so no ``(Q, N, d)`` difference tensor
+is ever formed.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist
-from scipy.special import logsumexp, softmax
 
 BANDWIDTH_FLOOR = 1e-8
 
@@ -102,6 +105,32 @@ def _query_matrix(query: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     return q, single
 
 
+def pairwise_sq_dists(x: np.ndarray, y: np.ndarray, row_norms: bool = True) -> np.ndarray:
+    """Squared distances ||x_i - y_j||^2 between rows, in expanded-square GEMM form.
+
+    ``row_norms=False`` leaves out the ||x_i||^2 term, constant along each row;
+    otherwise round-off below zero is floored at 0.
+    """
+    sq = (y ** 2).sum(axis=1) - 2.0 * x @ y.T
+    if row_norms:
+        sq += (x ** 2).sum(axis=1)[:, None]
+        np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def _kde_logits(theta: np.ndarray, q: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log kernel weights of each query over the particles, less each row's maximum.
+
+    The weights lack the ||q_i||^2 / (2 lam^2) term; a softmax over a row
+    does not need it.  The row maxima are returned as the second value.
+    """
+    logits = pairwise_sq_dists(q, theta, row_norms=False)
+    logits /= -2.0 * lam * lam
+    peak = logits.max(axis=1, keepdims=True)
+    logits -= peak
+    return logits, peak[:, 0]
+
+
 def kde_log_density(particles: np.ndarray, query: np.ndarray, lam: float) -> float | np.ndarray:
     """Log density of an isotropic Gaussian KDE centred on the particles.
 
@@ -112,19 +141,24 @@ def kde_log_density(particles: np.ndarray, query: np.ndarray, lam: float) -> flo
     theta = _as_particle_matrix(particles)
     n, d = theta.shape
     q, single = _query_matrix(query, d)
-    sq = ((q[:, None, :] - theta[None, :, :]) ** 2).sum(axis=2)
+    shifted, peak = _kde_logits(theta, q, lam)
     log_norm = 0.5 * d * np.log(2.0 * np.pi * lam * lam) + np.log(n)
-    out = logsumexp(-sq / (2.0 * lam * lam), axis=1) - log_norm
+    peak -= (q ** 2).sum(axis=1) / (2.0 * lam * lam)
+    out = peak + np.log(np.exp(shifted).sum(axis=1)) - log_norm
     return float(out[0]) if single else out
 
 
 def kde_log_density_grad(particles: np.ndarray, query: np.ndarray, lam: float) -> np.ndarray:
-    """Gradient of the KDE log density with respect to the query point(s)."""
+    """Gradient of the KDE log density with respect to the query point(s).
+
+    It is ``(W @ theta - q) / lam^2`` with ``W`` the row-normalised kernel
+    weights of each query over the particles.
+    """
     theta = _as_particle_matrix(particles)
     d = theta.shape[1]
     q, single = _query_matrix(query, d)
-    diff = theta[None, :, :] - q[:, None, :]
-    sq = (diff ** 2).sum(axis=2)
-    weights = softmax(-sq / (2.0 * lam * lam), axis=1)
-    grad = (weights[:, :, None] * diff).sum(axis=1) / (lam * lam)
+    weights, _ = _kde_logits(theta, q, lam)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=1, keepdims=True)
+    grad = (weights @ theta - q) / (lam * lam)
     return grad[0] if single else grad

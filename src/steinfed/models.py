@@ -196,6 +196,34 @@ class GaussianMixtureLoss:
         return out[0] if single else out
 
 
+def _with_bias(features: np.ndarray) -> np.ndarray:
+    """Design matrix: the features with a trailing column of ones for the bias."""
+    return np.hstack([features, np.ones((features.shape[0], 1))])
+
+
+def _head_logits(design: np.ndarray, heads: np.ndarray, num_classes: int) -> np.ndarray:
+    """Logits ``(n, C, Q)`` of every head on every design row, as one GEMM.
+
+    Each row of ``heads`` is a flattened ``(f + 1, C)`` head matrix; the Q
+    heads are laid side by side into one ``(f + 1, C * Q)`` matrix.  Classes
+    sit on the middle axis so that reductions over them are vectorised
+    across heads.
+    """
+    q = heads.shape[0]
+    rows = design.shape[1]
+    side_by_side = heads.reshape(q, rows, num_classes).transpose(1, 2, 0).reshape(rows, -1)
+    return (design @ side_by_side).reshape(design.shape[0], num_classes, q)
+
+
+def _head_probs(design: np.ndarray, heads: np.ndarray, num_classes: int) -> np.ndarray:
+    """Softmax class probabilities ``(n, C, Q)`` of every head on every design row."""
+    probs = _head_logits(design, heads, num_classes)
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
 class SoftmaxHeadLoss:
     """Mean cross-entropy of a linear softmax head on frozen features.
 
@@ -222,24 +250,22 @@ class SoftmaxHeadLoss:
         self.num_classes = num_classes
         self.num_features = features.shape[1]
         self.dim = (self.num_features + 1) * num_classes
-        self._design = np.hstack([features, np.ones((features.shape[0], 1))])
+        self._design = _with_bias(features)
         self._onehot = np.zeros((features.shape[0], num_classes))
         if labels.size:
             self._onehot[np.arange(labels.size), self.labels] = 1.0
-
-    def _logits(self, arr: np.ndarray) -> np.ndarray:
-        mats = arr.reshape(arr.shape[0], self.num_features + 1, self.num_classes)
-        return np.einsum("nf,qfc->qnc", self._design, mats)
 
     def loss(self, theta: np.ndarray) -> float | np.ndarray:
         arr, single = _as_rows(theta, self.dim)
         if self.labels.size == 0:
             out = np.zeros(arr.shape[0])
             return float(out[0]) if single else out
-        logits = self._logits(arr)
-        log_probs = logits - logsumexp(logits, axis=2, keepdims=True)
-        picked = log_probs[:, np.arange(self.labels.size), self.labels]
-        out = -picked.mean(axis=1)
+        logits = _head_logits(self._design, arr, self.num_classes)
+        picked = logits[np.arange(self.labels.size), self.labels, :]
+        peak = logits.max(axis=1)
+        logits -= peak[:, None, :]
+        np.exp(logits, out=logits)
+        out = (peak + np.log(logits.sum(axis=1)) - picked).mean(axis=0)
         return float(out[0]) if single else out
 
     def neg_loss_grad(self, theta: np.ndarray, alpha: float = 1.0) -> np.ndarray:
@@ -247,19 +273,19 @@ class SoftmaxHeadLoss:
         if self.labels.size == 0:
             out = np.zeros_like(arr)
             return out[0] if single else out
-        probs = softmax(self._logits(arr), axis=2)
-        resid = (probs - self._onehot[None, :, :]) / self.labels.size
-        grad = np.einsum("nf,qnc->qfc", self._design, resid)
-        out = -grad.reshape(arr.shape[0], self.dim) / alpha
+        q = arr.shape[0]
+        resid = _head_probs(self._design, arr, self.num_classes)
+        resid -= self._onehot[:, :, None]
+        grad = self._design.T @ resid.reshape(self.labels.size, -1)
+        grad = grad.reshape(-1, self.num_classes, q).transpose(2, 0, 1).reshape(q, self.dim)
+        out = grad / (-alpha * self.labels.size)
         return out[0] if single else out
 
     def predict_proba(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
         """Class probabilities of a single parameter vector on new features."""
         arr, _ = _as_rows(theta, self.dim)
-        design = np.hstack([np.asarray(features, dtype=float), np.ones((len(features), 1))])
-        mats = arr.reshape(arr.shape[0], self.num_features + 1, self.num_classes)
-        logits = np.einsum("nf,qfc->qnc", design, mats)
-        return softmax(logits, axis=2)
+        design = _with_bias(np.asarray(features, dtype=float))
+        return _head_probs(design, arr, self.num_classes).transpose(2, 0, 1)
 
 
 # --- model-averaged prediction ----------------------------------------------
@@ -279,10 +305,7 @@ def averaged_class_probabilities(
             f"particle dimension {theta.shape[1]} does not match head layout "
             f"({num_features} features, {num_classes} classes)"
         )
-    design = np.hstack([features, np.ones((features.shape[0], 1))])
-    mats = theta.reshape(theta.shape[0], num_features + 1, num_classes)
-    logits = np.einsum("nf,qfc->qnc", design, mats)
-    return softmax(logits, axis=2).mean(axis=0)
+    return _head_probs(_with_bias(features), theta, num_classes).mean(axis=2)
 
 
 def per_class_accuracy(

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelConfig
+from .kernels import KernelConfig, pairwise_sq_dists
 
 # Row-wise score function: maps an (N, d) particle array to (N, d) gradients.
 TargetGradient = Callable[[np.ndarray], np.ndarray]
@@ -40,13 +40,6 @@ class AdaGradState:
             raise ValueError(f"master step size must be nonnegative, got {self.epsilon}")
         if not self.fudge > 0:
             raise ValueError(f"fudge factor must be positive, got {self.fudge}")
-
-
-def _pairwise_sq_dists(theta: np.ndarray) -> np.ndarray:
-    sq_norms = (theta ** 2).sum(axis=1)
-    sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * theta @ theta.T
-    np.maximum(sq, 0.0, out=sq)
-    return sq
 
 
 def svgd_direction(
@@ -76,7 +69,7 @@ def svgd_direction(
         return grads.copy()
 
     h = kernel.resolve(theta)
-    kmat = np.exp(-_pairwise_sq_dists(theta) / h)
+    kmat = np.exp(-pairwise_sq_dists(theta, theta) / h)
     attract = kmat.T @ grads
     repulse = (2.0 / h) * (theta * kmat.sum(axis=0)[:, None] - kmat.T @ theta)
     return (attract + repulse) / n

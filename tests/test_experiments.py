@@ -3,6 +3,10 @@
 import copy
 import json
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,8 @@ from steinfed.experiments import (
 )
 from steinfed.metrics import MetricRecord, read_metrics_csv, read_transcript, load_snapshot
 from steinfed.models import GaussianPrior, UniformPrior
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def mixture_dict(out_dir):
@@ -403,6 +409,22 @@ class TestParticleRuns:
         with pytest.raises(ConfigError, match="retained"):
             run_experiment(cfg, "retrain")
 
+    def test_transcript_splits_round_and_evaluation_time(self, tmp_path):
+        pvi = mixture_dict(tmp_path / "p")
+        pvi.update(method="pvi", pvi={"local_iters": 3, "epsilon": 0.05, "mc_samples": 64})
+        for method, data in (("dsvgd", mixture_dict(tmp_path / "m")), ("pvi", pvi)):
+            cfg = config_from_dict(data)
+            start = time.perf_counter()
+            result = run_experiment(cfg, "learn")
+            phase_ms = (time.perf_counter() - start) * 1000.0
+            events = read_transcript(result.paths.transcript)
+            assert [e["round"] for e in events] == list(range(5)), method
+            for event, record in zip(events, result.records):
+                assert event["round_ms"] == event["wall_ms"] == record.wall_ms
+                assert event["eval_ms"] > 0.0
+            assert events[0]["round_ms"] == 0.0
+            assert sum(e["round_ms"] + e["eval_ms"] for e in events) < phase_ms
+
     def test_failed_run_leaves_error_in_transcript(self, tmp_path):
         data = mixture_dict(tmp_path / "runs")
         data["protocol"]["schedule"] = "fixed_sequence"
@@ -532,3 +554,25 @@ class TestPlotExport:
         assert first[0] == "0"
         assert first[1] == "" and first[2] == ""
         assert float(first[3]) == result.records[0].kl
+
+
+class TestBlasThreadDeterminism:
+    def test_desk_snapshot_bytes_independent_of_blas_threads(self, tmp_path):
+        # Every GEMM must give the same bits whatever the BLAS thread count.
+        data = json.loads((REPO_ROOT / "configs" / "classification_desk.json").read_text())
+        data["learn"]["rounds"] = 40
+        script = (
+            "import json, sys\n"
+            "from steinfed.experiments import config_from_dict, run_experiment\n"
+            "run_experiment(config_from_dict(json.loads(sys.argv[1])), 'learn')\n"
+        )
+        snapshots = []
+        for threads in ("1", "2"):
+            data["out_dir"] = str(tmp_path / f"threads{threads}")
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": str(REPO_ROOT / "src")}
+            subprocess.run([sys.executable, "-c", script, json.dumps(data)], env=env,
+                           check=True, timeout=300)
+            cfg = config_from_dict(data)
+            snapshots.append(Path(run_paths(cfg, "dsvgd").snapshot).read_bytes())
+        assert snapshots[0] == snapshots[1]

@@ -1,6 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from helpers import fd_gradient, relative_error
+from helpers import (
+    fd_gradient,
+    kde_log_density_broadcast,
+    kde_log_density_grad_broadcast,
+    max_relative_deviation,
+    relative_error,
+)
 
 from steinfed.kernels import (
     BANDWIDTH_FLOOR,
@@ -211,3 +219,89 @@ class TestKdeLogDensityGrad:
         batch = kde_log_density_grad(particles, queries, lam=0.8)
         singles = np.stack([kde_log_density_grad(particles, q, lam=0.8) for q in queries])
         np.testing.assert_allclose(batch, singles, rtol=1e-14)
+
+
+# The three shapes of the simulator: the 1-D mixture (its KL grid as the
+# queries), the desk classifier head and an MNIST-shaped head.  Queries other
+# than the grid are particles of a second set, as in the tilted targets.
+NORTH_STAR_SHAPES = {
+    "mixture": dict(n=100, d=1, scale=3.0, lam=0.55),
+    "desk": dict(n=30, d=104, scale=3.0, lam=10.0),
+    "wide": dict(n=100, d=1010, scale=1.0, lam=10.0),
+}
+
+
+def north_star_case(name):
+    shape = NORTH_STAR_SHAPES[name]
+    rng = np.random.default_rng(11)
+    particles = rng.normal(scale=shape["scale"], size=(shape["n"], shape["d"]))
+    if name == "mixture":
+        query = np.linspace(-10.0, 10.0, 2001)[:, None]
+    else:
+        query = particles + rng.normal(scale=0.5 * shape["scale"], size=particles.shape)
+    return particles, query, shape["lam"]
+
+
+class TestKdeMatchesBroadcastOracle:
+    """The GEMM-form KDE agrees with the literal (Q, N, d) broadcast formulas."""
+
+    @pytest.mark.parametrize("name", sorted(NORTH_STAR_SHAPES))
+    def test_north_star_shapes(self, name):
+        particles, query, lam = north_star_case(name)
+        assert max_relative_deviation(
+            kde_log_density_grad(particles, query, lam),
+            kde_log_density_grad_broadcast(particles, query, lam),
+        ) < 1e-12
+        assert max_relative_deviation(
+            kde_log_density(particles, query, lam),
+            kde_log_density_broadcast(particles, query, lam),
+        ) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(NORTH_STAR_SHAPES))
+    def test_single_query(self, name):
+        particles, query, lam = north_star_case(name)
+        point = query[len(query) // 3]
+        grad = kde_log_density_grad(particles, point, lam)
+        value = kde_log_density(particles, point, lam)
+        assert grad.shape == point.shape
+        assert isinstance(value, float)
+        assert max_relative_deviation(
+            grad, kde_log_density_grad_broadcast(particles, point[None, :], lam)[0]
+        ) < 1e-12
+        assert max_relative_deviation(
+            value, kde_log_density_broadcast(particles, point[None, :], lam)[0]
+        ) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(NORTH_STAR_SHAPES))
+    def test_query_far_from_every_particle(self, name):
+        # every kernel weight exp(-||q - theta||^2 / 2 lam^2) underflows to 0
+        # unless the weights are max-shifted before exponentiation
+        particles, _, lam = north_star_case(name)
+        far = particles.mean(axis=0) + 1e3
+        grad = kde_log_density_grad(particles, far, lam)
+        value = kde_log_density(particles, far, lam)
+        assert np.all(np.isfinite(grad)) and np.isfinite(value)
+        assert max_relative_deviation(
+            grad, kde_log_density_grad_broadcast(particles, far[None, :], lam)[0]
+        ) < 1e-12
+        assert max_relative_deviation(
+            value, kde_log_density_broadcast(particles, far[None, :], lam)[0]
+        ) < 1e-12
+
+
+class TestKdeMemory:
+    def test_score_never_builds_the_pairwise_difference_tensor(self):
+        # At Q = N = 100, d = 1010 a (Q, N, d) float tensor is 80 MB; the GEMM
+        # form needs a few (Q, d) and (Q, N) arrays, well under 8 MB.
+        rng = np.random.default_rng(5)
+        particles = rng.standard_normal((100, 1010))
+        query = rng.standard_normal((100, 1010))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            kde_log_density_grad(particles, query, lam=10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 8e6

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 from steinfed.models import (
     CLAMP_MARGIN,
@@ -19,7 +20,14 @@ from steinfed.models import (
     pretrain_feature_map,
 )
 
-from helpers import fd_gradient, relative_error
+from helpers import (
+    fd_gradient,
+    head_logits_einsum,
+    head_loss_einsum,
+    head_neg_loss_grad_einsum,
+    max_relative_deviation,
+    relative_error,
+)
 
 
 class TestUniformPrior:
@@ -253,6 +261,55 @@ class TestSoftmaxHeadLoss:
             SoftmaxHeadLoss(np.zeros((3, 2)), np.zeros(3, dtype=int), num_classes=1)
         with pytest.raises(ValueError):
             self.head.loss(np.zeros(self.head.dim + 1))
+
+
+class TestHeadMatchesEinsumOracle:
+    """The GEMM-form softmax head agrees with the literal einsum formulas.
+
+    The logits themselves are private; they enter ``loss`` and, through the
+    softmax, ``predict_proba``, so the loss pins them at the labels.
+    """
+
+    # (examples per shard, features, classes, particles): desk and MNIST-shaped
+    SHAPES = {"desk": (200, 25, 4, 30), "wide": (2000, 100, 10, 100)}
+
+    def case(self, name):
+        n, f, c, q = self.SHAPES[name]
+        rng = np.random.default_rng(41)
+        features = np.maximum(rng.normal(size=(n, f)), 0.0)
+        test_features = np.maximum(rng.normal(size=(n // 2, f)), 0.0)
+        labels = rng.integers(0, c, size=n)
+        heads = rng.normal(scale=3.0 / np.sqrt(f), size=(q, (f + 1) * c))
+        return SoftmaxHeadLoss(features, labels, c), heads, test_features
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_loss_and_gradient(self, name):
+        head, heads, _ = self.case(name)
+        args = (heads, head.features, head.labels, head.num_classes)
+        assert max_relative_deviation(head.loss(heads), head_loss_einsum(*args)) < 1e-12
+        assert max_relative_deviation(
+            head.neg_loss_grad(heads, alpha=0.7), head_neg_loss_grad_einsum(*args) / 0.7
+        ) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_probabilities(self, name):
+        head, heads, test_features = self.case(name)
+        want = softmax(head_logits_einsum(heads, test_features, head.num_classes), axis=2)
+        probs = head.predict_proba(heads, test_features)
+        assert probs.shape == want.shape
+        assert max_relative_deviation(probs, want) < 1e-12
+        assert max_relative_deviation(
+            averaged_class_probabilities(heads, test_features, head.num_classes), want.mean(axis=0)
+        ) < 1e-12
+
+    def test_single_parameter_vector(self):
+        head, heads, _ = self.case("desk")
+        args = (heads[:1], head.features, head.labels, head.num_classes)
+        assert isinstance(head.loss(heads[0]), float)
+        assert max_relative_deviation(head.loss(heads[0]), head_loss_einsum(*args)[0]) < 1e-12
+        assert max_relative_deviation(
+            head.neg_loss_grad(heads[0]), head_neg_loss_grad_einsum(*args)[0]
+        ) < 1e-12
 
 
 class TestModelAveraging:
