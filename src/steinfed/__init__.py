@@ -37,7 +37,6 @@ from .federation import (
     learning_round,
     pooled_target,
     reinitialize_forget_agents,
-    retrain_from_scratch,
     schedule,
     tilted_grad_learning,
     tilted_grad_unlearning,

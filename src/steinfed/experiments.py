@@ -1,4 +1,4 @@
-"""Experiment assembly: typed configuration, run loops, evaluation, export.
+"""Experiment assembly: typed configuration, the phase loop, evaluation, export.
 
 A run is described by one JSON config naming the method, the experiment
 (a one-dimensional mixture density benchmark or a non-iid label-split
@@ -18,7 +18,6 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -75,73 +74,183 @@ class MissingStateError(RuntimeError):
 
 # --- config schema --------------------------------------------------------------
 
-
-def _expect_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "true/false", str: "a string",
+               dict: "an object"}
 
 
-def _check_keys(data: dict, allowed, path: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
+@dataclass(frozen=True)
+class _Field:
+    """One config key: its JSON type and the rule its value must meet.
+
+    ``float`` accepts any JSON number, ``list[int]`` a list of integers and
+    ``object`` any value; a JSON boolean is never a number.  ``nullable``
+    lets ``null`` stand for the unset default.
+    """
+
+    kind: object
+    required: bool = False
+    nullable: bool = False
+    rule: str | None = None  # "positive" or "nonnegative"
+    minimum: int | None = None
+    choices: tuple[str, ...] | None = None
+
+
+def _read(data, path: str, table: dict[str, _Field]) -> dict:
+    """Validate one config object against its table.
+
+    Returns the keys present, converted (numbers to float, lists to
+    tuples); absent optional keys are left out, so the dataclass the
+    values are passed to supplies its own defaults.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(table))
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {unknown}")
+    out = {}
+    for key, field in table.items():
+        where = f"{path}.{key}"
+        if key not in data:
+            if field.required:
+                raise ConfigError(f"{where}: required")
+            continue
+        value = data[key]
+        if value is None and field.nullable:
+            out[key] = None
+            continue
+        if field.kind == list[int]:
+            if not isinstance(value, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in value
+            ):
+                raise ConfigError(f"{where}: expected a list of integers")
+            value = tuple(value)
+        else:
+            accepted = (int, float) if field.kind is float else field.kind
+            if not isinstance(value, accepted) or (
+                field.kind in (int, float) and isinstance(value, bool)
+            ):
+                raise ConfigError(
+                    f"{where}: expected {_KIND_NAMES[field.kind]}, got {type(value).__name__}"
+                )
+            if field.kind is float:
+                value = float(value)
+        if field.rule == "positive" and not value > 0:
+            raise ConfigError(f"{where}: must be positive, got {value}")
+        if field.rule == "nonnegative" and value < 0:
+            raise ConfigError(f"{where}: must be nonnegative, got {value}")
+        if field.minimum is not None and value < field.minimum:
+            raise ConfigError(f"{where}: must be at least {field.minimum}, got {value}")
+        if field.choices is not None and value not in field.choices:
+            raise ConfigError(f"{where}: expected one of {sorted(field.choices)}, got {value!r}")
+        out[key] = value
+    return out
 
 
-def _get_number(data: dict, key: str, path: str, default=None, required=False) -> float | None:
-    if key not in data:
-        if required:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {type(value).__name__}")
-    return float(value)
+def _kind(data: dict, path: str, field: _Field, default=None):
+    """Read ``kind`` alone, before its value picks the table for the other keys."""
+    return _read({"kind": data["kind"]} if "kind" in data else {}, path,
+                 {"kind": field}).get("kind", default)
 
 
-def _get_int(data: dict, key: str, path: str, default=None, required=False) -> int | None:
-    if key not in data:
-        if required:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {type(value).__name__}")
-    return value
+def _section(cls, data, path: str, table: dict[str, _Field]):
+    """Build ``cls`` from one config object; the class's own range errors get the path."""
+    values = _read(data, path, table)
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
-def _get_bool(data: dict, key: str, path: str, default: bool) -> bool:
-    if key not in data:
-        return default
-    value = data[key]
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected true/false, got {type(value).__name__}")
-    return value
+_POSITIVE = _Field(float, rule="positive")
+_COUNT = _Field(int, rule="nonnegative")
 
-
-def _get_str(data: dict, key: str, path: str, default=None, choices=None, required=False):
-    if key not in data:
-        if required:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    value = data[key]
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {type(value).__name__}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{path}.{key}: expected one of {sorted(choices)}, got {value!r}")
-    return value
-
-
-def _positive(value: float, path: str) -> float:
-    if not value > 0:
-        raise ConfigError(f"{path}: must be positive, got {value}")
-    return value
-
-
-def _nonnegative_int(value: int, path: str) -> int:
-    if value < 0:
-        raise ConfigError(f"{path}: must be nonnegative, got {value}")
-    return value
+_CONFIG = {
+    "method": _Field(str, required=True, choices=METHODS),
+    "seed": _Field(int),
+    "out_dir": _Field(str),
+    "particles": _Field(int, minimum=1),
+    "experiment": _Field(dict, required=True),
+    "protocol": _Field(dict),
+    "learn": _Field(dict),
+    "unlearn": _Field(dict),
+    "retrain": _Field(dict),
+    "pvi": _Field(dict),
+    "grid": _Field(dict),
+    "forget_agents": _Field(list[int]),
+}
+_PROTOCOL = {
+    "alpha": _POSITIVE,
+    "update_steps": _COUNT,
+    "distill_steps": _COUNT,
+    "epsilon": _Field(float),
+    "epsilon_local": _Field(float),
+    "fudge": _POSITIVE,
+    "schedule": _Field(str, choices=("round_robin", "fixed_sequence")),
+    "sequence": _Field(list[int], nullable=True),
+    "include_prior_score": _Field(bool),
+    "persist_adagrad": _Field(bool),
+    "kde_lam": _POSITIVE,
+    "bandwidth": _Field(float, nullable=True, rule="positive"),
+}
+_LEARN = {"rounds": _COUNT}
+_UNLEARN = {
+    "rounds": _COUNT,
+    "epsilon": _Field(float, nullable=True),
+    "epsilon_local": _Field(float, nullable=True),
+    "update_steps": _Field(int, nullable=True, rule="nonnegative"),
+    "distill_steps": _Field(int, nullable=True, rule="nonnegative"),
+    "early_stop": _Field(bool),
+    "patience": _Field(int, minimum=1),
+    "margin": _Field(float),
+    "loss_window": _Field(int, minimum=1),
+}
+_RETRAIN = {"rounds": _COUNT, "mode": _Field(str, choices=("centralized", "federated"))}
+_PVI = {
+    "local_iters": _COUNT,
+    "epsilon": _POSITIVE,
+    "mc_samples": _Field(int, minimum=1),
+    "prior_mean": _Field(float),
+    "prior_variance": _POSITIVE,
+}
+_GRID = {"lo": _Field(float), "hi": _Field(float), "points": _Field(int)}
+_PRIOR_KIND = _Field(str, choices=("uniform", "gaussian"))
+_PRIORS = {
+    "uniform": {"kind": _PRIOR_KIND, "lo": _Field(float), "hi": _Field(float)},
+    "gaussian": {"kind": _PRIOR_KIND, "mean": _Field(float), "variance": _POSITIVE},
+}
+_COMPONENT = {
+    "weight": _POSITIVE,
+    "mean": _Field(float, required=True),
+    "variance": _Field(float, required=True, rule="positive"),
+}
+_EXPERIMENT_KIND = _Field(str, required=True, choices=("mixture", "classification"))
+_MIXTURE = {
+    "kind": _EXPERIMENT_KIND,
+    "prior": _Field(dict, nullable=True),
+    "agents": _Field(object),  # a list of component lists, checked by _parse_mixture
+}
+_CLASSIFICATION = {
+    "kind": _EXPERIMENT_KIND,
+    "source": _Field(str, choices=("synthetic", "idx")),
+    "synthetic": _Field(dict),
+    "idx": _Field(object),  # read only when the source is idx
+    "labels_per_agent": _Field(int, minimum=1),
+    "examples_per_agent": _Field(int, minimum=1),
+    "feature_map": _Field(dict),
+    "prior": _Field(dict, nullable=True),
+}
+_SYNTHETIC = {
+    "num_classes": _Field(int, minimum=2),
+    "dim": _Field(int),
+    "n_train": _Field(int),
+    "n_test": _Field(int),
+    "center_scale": _Field(float),
+    "noise": _Field(float),
+}
+_PATH = _Field(str, required=True)
+_IDX = {"train_images": _PATH, "train_labels": _PATH, "test_images": _PATH, "test_labels": _PATH,
+        "num_classes": _Field(int)}
+_FEATURE_MAP = {"hidden_units": _Field(int), "epochs": _Field(int), "step_size": _Field(float)}
 
 
 @dataclass(frozen=True)
@@ -161,19 +270,11 @@ class PriorSpec:
 def _parse_prior(data, path: str, default_kind: str) -> PriorSpec:
     if data is None:
         return PriorSpec(kind=default_kind)
-    data = _expect_mapping(data, path)
-    kind = _get_str(data, "kind", path, default=default_kind, choices=("uniform", "gaussian"))
-    if kind == "uniform":
-        _check_keys(data, ("kind", "lo", "hi"), path)
-        lo = _get_number(data, "lo", path, default=-10.0)
-        hi = _get_number(data, "hi", path, default=10.0)
-        if not lo < hi:
-            raise ConfigError(f"{path}: lo must be below hi, got [{lo}, {hi}]")
-        return PriorSpec(kind="uniform", lo=lo, hi=hi)
-    _check_keys(data, ("kind", "mean", "variance"), path)
-    mean = _get_number(data, "mean", path, default=0.0)
-    variance = _positive(_get_number(data, "variance", path, default=1.0), f"{path}.variance")
-    return PriorSpec(kind="gaussian", mean=mean, variance=variance)
+    kind = _kind(data, path, _PRIOR_KIND, default_kind)
+    spec = PriorSpec(**{"kind": kind, **_read(data, path, _PRIORS[kind])})
+    if spec.kind == "uniform" and not spec.lo < spec.hi:
+        raise ConfigError(f"{path}: lo must be below hi, got [{spec.lo}, {spec.hi}]")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -205,126 +306,51 @@ class IdxSpec:
 @dataclass(frozen=True)
 class ClassificationSpec:
     kind = "classification"
-    source: str
     synthetic: SyntheticSpec
     idx: IdxSpec | None
-    labels_per_agent: int
-    examples_per_agent: int
     feature_map: FeatureMapConfig
     prior: PriorSpec
-
-
-def _parse_component(data, path: str) -> MixtureComponent:
-    data = _expect_mapping(data, path)
-    _check_keys(data, ("weight", "mean", "variance"), path)
-    weight = _get_number(data, "weight", path, default=1.0)
-    mean = _get_number(data, "mean", path, required=True)
-    variance = _positive(_get_number(data, "variance", path, required=True), f"{path}.variance")
-    if not weight > 0:
-        raise ConfigError(f"{path}.weight: must be positive, got {weight}")
-    return MixtureComponent(weight=weight, mean=mean, variance=variance)
+    source: str = "synthetic"
+    labels_per_agent: int = 2
+    examples_per_agent: int = 100
 
 
 def _parse_mixture(data: dict, path: str) -> MixtureSpec:
-    _check_keys(data, ("kind", "prior", "agents"), path)
-    prior = _parse_prior(data.get("prior"), f"{path}.prior", default_kind="uniform")
-    raw_agents = data.get("agents")
+    values = _read(data, path, _MIXTURE)
+    prior = _parse_prior(values.get("prior"), f"{path}.prior", default_kind="uniform")
+    raw_agents = values.get("agents")
     if not isinstance(raw_agents, list) or not raw_agents:
         raise ConfigError(f"{path}.agents: expected a nonempty list")
     agents = []
     for i, raw in enumerate(raw_agents):
         if not isinstance(raw, list) or not raw:
             raise ConfigError(f"{path}.agents[{i}]: expected a nonempty list of components")
-        agents.append(
-            tuple(_parse_component(c, f"{path}.agents[{i}].components[{j}]") for j, c in enumerate(raw))
-        )
+        agents.append(tuple(
+            MixtureComponent(**{"weight": 1.0,
+                                **_read(c, f"{path}.agents[{i}].components[{j}]", _COMPONENT)})
+            for j, c in enumerate(raw)
+        ))
     return MixtureSpec(prior=prior, agents=tuple(agents))
 
 
 def _parse_classification(data: dict, path: str) -> ClassificationSpec:
-    _check_keys(
-        data,
-        ("kind", "source", "synthetic", "idx", "labels_per_agent", "examples_per_agent",
-         "feature_map", "prior"),
-        path,
-    )
-    source = _get_str(data, "source", path, default="synthetic", choices=("synthetic", "idx"))
-
-    syn = _expect_mapping(data.get("synthetic", {}), f"{path}.synthetic")
-    _check_keys(syn, ("num_classes", "dim", "n_train", "n_test", "center_scale", "noise"),
-                f"{path}.synthetic")
-    synthetic = SyntheticSpec(
-        num_classes=_get_int(syn, "num_classes", f"{path}.synthetic", default=4),
-        dim=_get_int(syn, "dim", f"{path}.synthetic", default=10),
-        n_train=_get_int(syn, "n_train", f"{path}.synthetic", default=400),
-        n_test=_get_int(syn, "n_test", f"{path}.synthetic", default=400),
-        center_scale=_get_number(syn, "center_scale", f"{path}.synthetic", default=4.0),
-        noise=_get_number(syn, "noise", f"{path}.synthetic", default=1.0),
-    )
-    if synthetic.num_classes < 2:
-        raise ConfigError(f"{path}.synthetic.num_classes: must be at least 2")
-
+    values = _read(data, path, _CLASSIFICATION)
+    del values["kind"]
+    synthetic = _section(SyntheticSpec, values.pop("synthetic", {}), f"{path}.synthetic",
+                         _SYNTHETIC)
     idx = None
-    if source == "idx":
-        raw = _expect_mapping(data.get("idx"), f"{path}.idx") if "idx" in data else None
-        if raw is None:
+    if values.get("source") == "idx":
+        if "idx" not in values:
             raise ConfigError(f"{path}.idx: required when source is 'idx'")
-        _check_keys(raw, ("train_images", "train_labels", "test_images", "test_labels",
-                          "num_classes"), f"{path}.idx")
-        idx = IdxSpec(
-            train_images=_get_str(raw, "train_images", f"{path}.idx", required=True),
-            train_labels=_get_str(raw, "train_labels", f"{path}.idx", required=True),
-            test_images=_get_str(raw, "test_images", f"{path}.idx", required=True),
-            test_labels=_get_str(raw, "test_labels", f"{path}.idx", required=True),
-            num_classes=_get_int(raw, "num_classes", f"{path}.idx", default=10),
-        )
-
-    fm = _expect_mapping(data.get("feature_map", {}), f"{path}.feature_map")
-    _check_keys(fm, ("hidden_units", "epochs", "step_size"), f"{path}.feature_map")
-    try:
-        feature_map = FeatureMapConfig(
-            hidden_units=_get_int(fm, "hidden_units", f"{path}.feature_map", default=100),
-            epochs=_get_int(fm, "epochs", f"{path}.feature_map", default=500),
-            step_size=_get_number(fm, "step_size", f"{path}.feature_map", default=0.1),
-        )
-    except ValueError as err:
-        raise ConfigError(f"{path}.feature_map: {err}") from None
-
-    prior = _parse_prior(data.get("prior"), f"{path}.prior", default_kind="gaussian")
+        idx = _section(IdxSpec, values["idx"], f"{path}.idx", _IDX)
+    values.pop("idx", None)
+    feature_map = _section(FeatureMapConfig, values.pop("feature_map", {}),
+                           f"{path}.feature_map", _FEATURE_MAP)
+    prior = _parse_prior(values.pop("prior", None), f"{path}.prior", default_kind="gaussian")
     if prior.kind != "gaussian":
         raise ConfigError(f"{path}.prior.kind: classification uses a gaussian prior")
-
-    labels_per_agent = _get_int(data, "labels_per_agent", path, default=2)
-    examples_per_agent = _get_int(data, "examples_per_agent", path, default=100)
-    if labels_per_agent < 1:
-        raise ConfigError(f"{path}.labels_per_agent: must be at least 1")
-    if examples_per_agent < 1:
-        raise ConfigError(f"{path}.examples_per_agent: must be at least 1")
-    return ClassificationSpec(
-        source=source,
-        synthetic=synthetic,
-        idx=idx,
-        labels_per_agent=labels_per_agent,
-        examples_per_agent=examples_per_agent,
-        feature_map=feature_map,
-        prior=prior,
-    )
-
-
-@dataclass(frozen=True)
-class ProtocolSettings:
-    alpha: float = 1.0
-    update_steps: int = 10
-    distill_steps: int = 10
-    epsilon: float = 0.05
-    epsilon_local: float = 0.05
-    fudge: float = 1e-6
-    schedule: str = "round_robin"
-    sequence: tuple[int, ...] | None = None
-    include_prior_score: bool = False
-    persist_adagrad: bool = False
-    kde_lam: float = 0.55
-    bandwidth: float | None = None
+    return ClassificationSpec(synthetic=synthetic, idx=idx, feature_map=feature_map,
+                              prior=prior, **values)
 
 
 @dataclass(frozen=True)
@@ -362,24 +388,27 @@ class PviSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated run config.
+
+    ``protocol`` carries no prior; each phase adds the problem's prior.  The
+    JSON keys ``protocol.kde_lam`` and ``protocol.bandwidth`` fill ``kde``
+    and ``kernel``.
+    """
+
     method: str
-    seed: int
-    out_dir: str
-    particles: int
     experiment: MixtureSpec | ClassificationSpec
-    protocol: ProtocolSettings
+    protocol: fed.ProtocolConfig
+    kde: KdeConfig
+    kernel: KernelConfig
     learn: LearnSettings
     unlearn: UnlearnSettings
     retrain: RetrainSettings
     pvi: PviSettings
     grid: GridConfig
     forget_agents: tuple[int, ...]
-
-
-TOP_LEVEL_KEYS = (
-    "method", "seed", "out_dir", "particles", "experiment", "protocol",
-    "learn", "unlearn", "retrain", "pvi", "grid", "forget_agents",
-)
+    seed: int = 0
+    out_dir: str = "runs"
+    particles: int = 100
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -388,161 +417,35 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     Every rejected field is reported with its full path, and unknown keys
     are errors at every level.
     """
-    data = _expect_mapping(data, "config")
-    _check_keys(data, TOP_LEVEL_KEYS, "config")
-
-    method = _get_str(data, "method", "config", required=True, choices=METHODS)
-    seed = _get_int(data, "seed", "config", default=0)
-    out_dir = _get_str(data, "out_dir", "config", default="runs")
-    particles = _get_int(data, "particles", "config", default=100)
-    if particles < 1:
-        raise ConfigError(f"config.particles: must be at least 1, got {particles}")
-
-    exp_raw = _expect_mapping(data.get("experiment"), "config.experiment") \
-        if "experiment" in data else None
-    if exp_raw is None:
-        raise ConfigError("config.experiment: required")
-    kind = _get_str(exp_raw, "kind", "config.experiment", required=True,
-                    choices=("mixture", "classification"))
-    if kind == "mixture":
-        experiment = _parse_mixture(exp_raw, "config.experiment")
-    else:
-        experiment = _parse_classification(exp_raw, "config.experiment")
-
-    if method in PARAMETRIC_METHODS and kind != "mixture":
+    top = _read(data, "config", _CONFIG)
+    exp = top.pop("experiment")
+    mixture = _kind(exp, "config.experiment", _EXPERIMENT_KIND) == "mixture"
+    experiment = (_parse_mixture if mixture else _parse_classification)(exp, "config.experiment")
+    if top["method"] in PARAMETRIC_METHODS and not mixture:
         raise ConfigError("config.method: parametric methods support the mixture experiment only")
 
-    proto = _expect_mapping(data.get("protocol", {}), "config.protocol")
-    _check_keys(proto, ("alpha", "update_steps", "distill_steps", "epsilon", "epsilon_local",
-                        "fudge", "schedule", "sequence", "include_prior_score",
-                        "persist_adagrad", "kde_lam", "bandwidth"), "config.protocol")
-    sequence = proto.get("sequence")
-    if sequence is not None:
-        if not isinstance(sequence, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in sequence
-        ):
-            raise ConfigError("config.protocol.sequence: expected a list of integers")
-        sequence = tuple(sequence)
-    bandwidth = _get_number(proto, "bandwidth", "config.protocol", default=None)
-    if bandwidth is not None:
-        _positive(bandwidth, "config.protocol.bandwidth")
-    protocol = ProtocolSettings(
-        alpha=_positive(_get_number(proto, "alpha", "config.protocol", default=1.0),
-                        "config.protocol.alpha"),
-        update_steps=_nonnegative_int(
-            _get_int(proto, "update_steps", "config.protocol", default=10),
-            "config.protocol.update_steps"),
-        distill_steps=_nonnegative_int(
-            _get_int(proto, "distill_steps", "config.protocol", default=10),
-            "config.protocol.distill_steps"),
-        epsilon=_get_number(proto, "epsilon", "config.protocol", default=0.05),
-        epsilon_local=_get_number(proto, "epsilon_local", "config.protocol", default=0.05),
-        fudge=_positive(_get_number(proto, "fudge", "config.protocol", default=1e-6),
-                        "config.protocol.fudge"),
-        schedule=_get_str(proto, "schedule", "config.protocol", default="round_robin",
-                          choices=("round_robin", "fixed_sequence")),
-        sequence=sequence,
-        include_prior_score=_get_bool(proto, "include_prior_score", "config.protocol", False),
-        persist_adagrad=_get_bool(proto, "persist_adagrad", "config.protocol", False),
-        kde_lam=_positive(_get_number(proto, "kde_lam", "config.protocol", default=0.55),
-                          "config.protocol.kde_lam"),
-        bandwidth=bandwidth,
-    )
+    proto = _read(top.pop("protocol", {}), "config.protocol", _PROTOCOL)
+    kde = KdeConfig(proto.pop("kde_lam", KdeConfig.lam))
+    kernel = KernelConfig(proto.pop("bandwidth", KernelConfig.h))
+    protocol = fed.ProtocolConfig(**proto)
     if protocol.epsilon < 0 or protocol.epsilon_local < 0:
         raise ConfigError("config.protocol: step sizes must be nonnegative")
 
-    learn_raw = _expect_mapping(data.get("learn", {}), "config.learn")
-    _check_keys(learn_raw, ("rounds",), "config.learn")
-    learn = LearnSettings(
-        rounds=_nonnegative_int(_get_int(learn_raw, "rounds", "config.learn", default=100),
-                                "config.learn.rounds"),
-    )
-
-    un_raw = _expect_mapping(data.get("unlearn", {}), "config.unlearn")
-    _check_keys(un_raw, ("rounds", "epsilon", "epsilon_local", "update_steps", "distill_steps",
-                         "early_stop", "patience", "margin", "loss_window"), "config.unlearn")
-    un_update = _get_int(un_raw, "update_steps", "config.unlearn", default=None)
-    un_distill = _get_int(un_raw, "distill_steps", "config.unlearn", default=None)
-    unlearn = UnlearnSettings(
-        rounds=_nonnegative_int(_get_int(un_raw, "rounds", "config.unlearn", default=100),
-                                "config.unlearn.rounds"),
-        epsilon=_get_number(un_raw, "epsilon", "config.unlearn", default=None),
-        epsilon_local=_get_number(un_raw, "epsilon_local", "config.unlearn", default=None),
-        update_steps=None if un_update is None
-        else _nonnegative_int(un_update, "config.unlearn.update_steps"),
-        distill_steps=None if un_distill is None
-        else _nonnegative_int(un_distill, "config.unlearn.distill_steps"),
-        early_stop=_get_bool(un_raw, "early_stop", "config.unlearn", True),
-        patience=_get_int(un_raw, "patience", "config.unlearn", default=5),
-        margin=_get_number(un_raw, "margin", "config.unlearn", default=0.05),
-        loss_window=_get_int(un_raw, "loss_window", "config.unlearn", default=5),
-    )
-    if unlearn.patience < 1:
-        raise ConfigError(f"config.unlearn.patience: must be at least 1, got {unlearn.patience}")
-    if unlearn.loss_window < 1:
-        raise ConfigError(
-            f"config.unlearn.loss_window: must be at least 1, got {unlearn.loss_window}"
-        )
-
-    re_raw = _expect_mapping(data.get("retrain", {}), "config.retrain")
-    _check_keys(re_raw, ("rounds", "mode"), "config.retrain")
-    retrain = RetrainSettings(
-        rounds=_nonnegative_int(_get_int(re_raw, "rounds", "config.retrain", default=200),
-                                "config.retrain.rounds"),
-        mode=_get_str(re_raw, "mode", "config.retrain", default="centralized",
-                      choices=("centralized", "federated")),
-    )
-
-    pvi_raw = _expect_mapping(data.get("pvi", {}), "config.pvi")
-    _check_keys(pvi_raw, ("local_iters", "epsilon", "mc_samples", "prior_mean",
-                          "prior_variance"), "config.pvi")
-    pvi = PviSettings(
-        local_iters=_nonnegative_int(_get_int(pvi_raw, "local_iters", "config.pvi", default=10),
-                                     "config.pvi.local_iters"),
-        epsilon=_positive(_get_number(pvi_raw, "epsilon", "config.pvi", default=0.05),
-                          "config.pvi.epsilon"),
-        mc_samples=_get_int(pvi_raw, "mc_samples", "config.pvi", default=200),
-        prior_mean=_get_number(pvi_raw, "prior_mean", "config.pvi", default=0.0),
-        prior_variance=_positive(
-            _get_number(pvi_raw, "prior_variance", "config.pvi", default=100.0 / 3.0),
-            "config.pvi.prior_variance"),
-    )
-    if pvi.mc_samples < 1:
-        raise ConfigError(f"config.pvi.mc_samples: must be at least 1, got {pvi.mc_samples}")
-
-    grid_raw = _expect_mapping(data.get("grid", {}), "config.grid")
-    _check_keys(grid_raw, ("lo", "hi", "points"), "config.grid")
-    try:
-        grid = GridConfig(
-            lo=_get_number(grid_raw, "lo", "config.grid", default=-10.0),
-            hi=_get_number(grid_raw, "hi", "config.grid", default=10.0),
-            points=_get_int(grid_raw, "points", "config.grid", default=2001),
-        )
-    except ValueError as err:
-        raise ConfigError(f"config.grid: {err}") from None
-
-    forget_raw = data.get("forget_agents", [])
-    if not isinstance(forget_raw, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in forget_raw
-    ):
-        raise ConfigError("config.forget_agents: expected a list of integers")
-    forget_agents = tuple(sorted(set(forget_raw)))
+    forget_agents = tuple(sorted(set(top.pop("forget_agents", ()))))
     if any(k < 1 for k in forget_agents):
         raise ConfigError("config.forget_agents: agent ids are 1-based")
-
     return ExperimentConfig(
-        method=method,
-        seed=seed,
-        out_dir=out_dir,
-        particles=particles,
         experiment=experiment,
         protocol=protocol,
-        learn=learn,
-        unlearn=unlearn,
-        retrain=retrain,
-        pvi=pvi,
-        grid=grid,
+        kde=kde,
+        kernel=kernel,
+        learn=_section(LearnSettings, top.pop("learn", {}), "config.learn", _LEARN),
+        unlearn=_section(UnlearnSettings, top.pop("unlearn", {}), "config.unlearn", _UNLEARN),
+        retrain=_section(RetrainSettings, top.pop("retrain", {}), "config.retrain", _RETRAIN),
+        pvi=_section(PviSettings, top.pop("pvi", {}), "config.pvi", _PVI),
+        grid=_section(GridConfig, top.pop("grid", {}), "config.grid", _GRID),
         forget_agents=forget_agents,
+        **top,
     )
 
 
@@ -671,7 +574,7 @@ def build_problem(cfg: ExperimentConfig):
             prior=spec.prior.build(dim=1),
             forget_ids=cfg.forget_agents,
             grid=cfg.grid,
-            kde_lam=cfg.protocol.kde_lam,
+            kde_lam=cfg.kde.lam,
         )
 
     spec = cfg.experiment
@@ -724,7 +627,7 @@ def build_problem(cfg: ExperimentConfig):
         test_features=feature_map(test.features),
         test_labels=test.labels,
         num_classes=num_classes,
-        kde_lam=cfg.protocol.kde_lam,
+        kde_lam=cfg.kde.lam,
     )
 
 
@@ -735,7 +638,7 @@ def _validate_forget_ids(forget_ids, known) -> None:
         raise ConfigError(f"config.forget_agents: unknown agent ids {unknown}")
 
 
-# --- run loops ------------------------------------------------------------------
+# --- phase loop -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -764,45 +667,21 @@ class RunResult:
     rounds_run: int
 
 
+_UNLEARN_OVERRIDES = ("epsilon", "epsilon_local", "update_steps", "distill_steps")
+
+
 def _protocol_config(cfg: ExperimentConfig, prior, phase: str) -> fed.ProtocolConfig:
-    s = cfg.protocol
-    epsilon = s.epsilon
-    epsilon_local = s.epsilon_local
-    update_steps = s.update_steps
-    distill_steps = s.distill_steps
+    """The configured protocol with the problem's prior and, when unlearning, the overrides."""
+    overrides = {}
     if phase == PHASE_UNLEARN:
-        u = cfg.unlearn
-        epsilon = u.epsilon if u.epsilon is not None else epsilon
-        epsilon_local = u.epsilon_local if u.epsilon_local is not None else epsilon_local
-        update_steps = u.update_steps if u.update_steps is not None else update_steps
-        distill_steps = u.distill_steps if u.distill_steps is not None else distill_steps
-    return fed.ProtocolConfig(
-        alpha=s.alpha,
-        update_steps=update_steps,
-        distill_steps=distill_steps,
-        epsilon=epsilon,
-        epsilon_local=epsilon_local,
-        fudge=s.fudge,
-        schedule=s.schedule,
-        sequence=s.sequence,
-        include_prior_score=s.include_prior_score,
-        persist_adagrad=s.persist_adagrad,
-        prior=prior,
-    )
+        overrides = {key: getattr(cfg.unlearn, key) for key in _UNLEARN_OVERRIDES
+                     if getattr(cfg.unlearn, key) is not None}
+    return dataclasses.replace(cfg.protocol, prior=prior, **overrides)
 
 
-def _kde_kernel(cfg: ExperimentConfig) -> tuple[KdeConfig, KernelConfig]:
-    return KdeConfig(lam=cfg.protocol.kde_lam), KernelConfig(h=cfg.protocol.bandwidth)
-
-
-def _particle_record(problem, particles, phase: str, round_index: int, wall_ms: float,
-                     retained_only: bool) -> tuple[MetricRecord, dict]:
-    if isinstance(problem, MixtureProblem):
-        fields = problem.particle_metrics(particles, retained_only)
-        extra: dict = {}
-    else:
-        fields = problem.particle_metrics(particles)
-        extra = {"per_class": fields.pop("per_class")}
+def _record(fields: dict, phase: str, round_index: int, wall_ms: float) -> tuple[MetricRecord, dict]:
+    """Split a problem's metric fields into the CSV record and the transcript extras."""
+    extra = {"per_class": fields.pop("per_class")} if "per_class" in fields else {}
     record = MetricRecord(round=round_index, phase=phase, wall_ms=wall_ms,
                           forgotten_acc=fields.get("forgotten_acc"),
                           retained_acc=fields.get("retained_acc"),
@@ -811,63 +690,8 @@ def _particle_record(problem, particles, phase: str, round_index: int, wall_ms: 
     return record, extra
 
 
-def _parametric_record(problem: MixtureProblem, mean, variance, phase: str, round_index: int,
-                       wall_ms: float, retained_only: bool) -> tuple[MetricRecord, dict]:
-    fields = problem.parametric_metrics(mean, variance, retained_only)
-    record = MetricRecord(round=round_index, phase=phase, wall_ms=wall_ms,
-                          kl=fields.get("kl"), forgot_loss=fields.get("forgot_loss"))
-    return record, {}
-
-
 def _ms_since(start: float) -> float:
     return (time.perf_counter() - start) * 1000.0
-
-
-def _transcript_event(record: MetricRecord, agent, eval_ms: float, extra: dict) -> dict:
-    event = {
-        "round": record.round,
-        "phase": record.phase,
-        "agent": agent,
-        "wall_ms": record.wall_ms,
-        "round_ms": record.wall_ms,
-        "eval_ms": eval_ms,
-        "metrics": {
-            "forgotten_acc": record.forgotten_acc,
-            "retained_acc": record.retained_acc,
-            "kl": record.kl,
-            "forgot_loss": record.forgot_loss,
-        },
-    }
-    event.update(extra)
-    return event
-
-
-class _Emitter:
-    """Shared per-round record bookkeeping for all run loops.
-
-    ``wall_ms`` (and the transcript's ``round_ms``) times the round alone;
-    the transcript's ``eval_ms`` times the evaluation that builds its record.
-    """
-
-    def __init__(self, metrics_path: str, transcript_path: str):
-        self.records: list[MetricRecord] = []
-        self._metrics = MetricsWriter(metrics_path)
-        self._transcript = TranscriptWriter(transcript_path)
-
-    def emit(self, agent, evaluate: Callable[[], tuple[MetricRecord, dict]]) -> None:
-        start = time.perf_counter()
-        record, extra = evaluate()
-        eval_ms = _ms_since(start)
-        self.records.append(record)
-        self._metrics.append(record)
-        self._transcript.append(_transcript_event(record, agent, eval_ms, extra))
-
-    def error(self, phase: str, round_index: int, err: Exception) -> None:
-        self._transcript.append({"round": round_index, "phase": phase, "error": str(err)})
-
-    def close(self) -> None:
-        self._metrics.close()
-        self._transcript.close()
 
 
 def _forgetting_achieved(records: list[MetricRecord], num_classes: int, margin: float,
@@ -898,133 +722,110 @@ def _unlearn_should_stop(cfg: ExperimentConfig, problem, records: list[MetricRec
     return _forgot_loss_plateaued(records, cfg.unlearn.loss_window)
 
 
-def _run_particle_learn(cfg: ExperimentConfig) -> RunResult:
-    problem = build_problem(cfg)
-    pcfg = _protocol_config(cfg, problem.prior, PHASE_LEARN)
-    kde, kernel = _kde_kernel(cfg)
-    server, agents = fed.initialize_states(
-        problem.losses, pcfg, cfg.particles, cfg.seed, kde=kde, kernel=kernel,
-        forget_ids=problem.forget_ids,
+_METHOD_PHASE = {"dsvgd": PHASE_LEARN, "pvi": PHASE_LEARN, "forget_svgd": PHASE_UNLEARN,
+                 "ulpvi": PHASE_UNLEARN, "retrain": PHASE_RETRAIN}
+
+
+def _run_phase(cfg: ExperimentConfig, problem, method: str, state, step, measure,
+               save) -> RunResult:
+    """Run one phase's rounds and write its metrics, transcript and final state.
+
+    ``step(state, r)`` runs round ``r`` and returns the new state and the
+    scheduled agent; ``measure(state, retained_only)`` returns the problem's
+    metric fields; ``save(state, rounds_run)`` writes the final state.
+    ``wall_ms`` (and the transcript's ``round_ms``) times the round alone;
+    the transcript's ``eval_ms`` times the evaluation that builds its record.
+    """
+    phase = _METHOD_PHASE[method]
+    rounds = {PHASE_LEARN: cfg.learn, PHASE_UNLEARN: cfg.unlearn,
+              PHASE_RETRAIN: cfg.retrain}[phase].rounds
+    paths = run_paths(cfg, method)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    records: list[MetricRecord] = []
+    rounds_run = 0
+    with MetricsWriter(paths.metrics) as metrics, TranscriptWriter(paths.transcript) as transcript:
+
+        def emit(agent, wall_ms: float) -> None:
+            start = time.perf_counter()
+            record, extra = _record(measure(state, phase != PHASE_LEARN), phase, rounds_run,
+                                    wall_ms)
+            eval_ms = _ms_since(start)
+            records.append(record)
+            metrics.append(record)
+            transcript.append({
+                "round": record.round,
+                "phase": record.phase,
+                "agent": agent,
+                "wall_ms": record.wall_ms,
+                "round_ms": record.wall_ms,
+                "eval_ms": eval_ms,
+                "metrics": {
+                    "forgotten_acc": record.forgotten_acc,
+                    "retained_acc": record.retained_acc,
+                    "kl": record.kl,
+                    "forgot_loss": record.forgot_loss,
+                },
+                **extra,
+            })
+
+        try:
+            emit(None, 0.0)
+            for r in range(rounds):
+                start = time.perf_counter()
+                state, agent = step(state, r)
+                wall = _ms_since(start)
+                rounds_run = r + 1
+                emit(agent, wall)
+                if phase == PHASE_UNLEARN and _unlearn_should_stop(cfg, problem, records):
+                    break
+        except Exception as err:
+            transcript.append({"round": len(records), "phase": phase, "error": str(err)})
+            raise
+    save(state, rounds_run)
+    return RunResult(method, records, paths, rounds_run)
+
+
+def _run_particles(cfg: ExperimentConfig, problem, method: str) -> RunResult:
+    """DSVGD learning, Forget-SVGD unlearning, or retraining on the retained agents."""
+    phase = _METHOD_PHASE[method]
+    pcfg = _protocol_config(cfg, problem.prior, phase)
+    losses, forget_ids = problem.losses, problem.forget_ids
+    if phase == PHASE_RETRAIN:
+        losses = {k: v for k, v in losses.items() if k not in forget_ids}
+        forget_ids = ()
+        if cfg.retrain.mode == "federated" and not losses:
+            raise ConfigError("config.retrain.mode: federated retraining needs a retained agent")
+    if phase == PHASE_UNLEARN:
+        learned = run_paths(cfg, "dsvgd").snapshot
+        if not os.path.exists(learned):
+            raise MissingStateError(f"no learned state found at {learned}; run learn first")
+        particles, _, _ = load_snapshot(learned)
+    server, agents = fed.initialize_states(losses, pcfg, cfg.particles, cfg.seed, kde=cfg.kde,
+                                           kernel=cfg.kernel, forget_ids=forget_ids)
+    if phase == PHASE_UNLEARN:
+        server = dataclasses.replace(server, global_particles=particles)
+        agents = fed.reinitialize_forget_agents(agents, pcfg, cfg.seed)
+    eligible = forget_ids if phase == PHASE_UNLEARN else tuple(agents)
+    pooled = tuple(losses[k] for k in sorted(losses))
+
+    def step(server, r):
+        if phase == PHASE_RETRAIN and cfg.retrain.mode == "centralized":
+            return fed.centralized_round(server, pooled, pcfg), None
+        k = fed.schedule(pcfg, r, eligible)
+        play = fed.unlearning_round if phase == PHASE_UNLEARN else fed.learning_round
+        server, agents[k] = play(server, agents, k, pcfg)
+        return server, k
+
+    def save(server, rounds_run):
+        save_snapshot(run_paths(cfg, method).snapshot, server.global_particles,
+                      server.round_index, cfg.seed)
+
+    return _run_phase(
+        cfg, problem, method, server, step,
+        lambda server, retained_only: problem.particle_metrics(server.global_particles,
+                                                               retained_only),
+        save,
     )
-    paths = run_paths(cfg, "dsvgd")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    emitter = _Emitter(paths.metrics, paths.transcript)
-    try:
-        emitter.emit(None, lambda: _particle_record(
-            problem, server.global_particles, PHASE_LEARN, 0, 0.0, retained_only=False))
-        for r in range(cfg.learn.rounds):
-            start = time.perf_counter()
-            k = fed.schedule(pcfg, r, problem.losses.keys())
-            server, agents[k] = fed.learning_round(server, agents, k, pcfg)
-            wall = _ms_since(start)
-            emitter.emit(k, lambda: _particle_record(
-                problem, server.global_particles, PHASE_LEARN, r + 1, wall, retained_only=False))
-    except Exception as err:
-        emitter.error(PHASE_LEARN, len(emitter.records), err)
-        raise
-    finally:
-        emitter.close()
-    save_snapshot(paths.snapshot, server.global_particles, server.round_index, cfg.seed)
-    return RunResult("dsvgd", emitter.records, paths, server.round_index)
-
-
-def _run_particle_unlearn(cfg: ExperimentConfig) -> RunResult:
-    problem = build_problem(cfg)
-    if not problem.forget_ids:
-        raise ConfigError("config.forget_agents: unlearning needs a nonempty forget set")
-    learned = run_paths(cfg, "dsvgd").snapshot
-    if not os.path.exists(learned):
-        raise MissingStateError(f"no learned state found at {learned}; run learn first")
-    particles, _, _ = load_snapshot(learned)
-
-    pcfg = _protocol_config(cfg, problem.prior, PHASE_UNLEARN)
-    kde, kernel = _kde_kernel(cfg)
-    server = fed.ServerState(global_particles=particles, round_index=0, kde=kde, kernel=kernel)
-    agents = {
-        k: fed.AgentState(
-            agent_id=k,
-            loss=loss,
-            local_particles=fed.init_local_particles(problem.prior, cfg.particles, cfg.seed, k),
-            role=fed.ROLE_FORGET if k in problem.forget_ids else fed.ROLE_RETAIN,
-        )
-        for k, loss in problem.losses.items()
-    }
-    agents = fed.reinitialize_forget_agents(agents, pcfg, cfg.seed)
-
-    paths = run_paths(cfg, "forget_svgd")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    emitter = _Emitter(paths.metrics, paths.transcript)
-    try:
-        emitter.emit(None, lambda: _particle_record(
-            problem, server.global_particles, PHASE_UNLEARN, 0, 0.0, retained_only=True))
-        for r in range(cfg.unlearn.rounds):
-            start = time.perf_counter()
-            k = fed.schedule(pcfg, r, problem.forget_ids)
-            server, agents[k] = fed.unlearning_round(server, agents, k, pcfg)
-            wall = _ms_since(start)
-            emitter.emit(k, lambda: _particle_record(
-                problem, server.global_particles, PHASE_UNLEARN, r + 1, wall, retained_only=True))
-            if _unlearn_should_stop(cfg, problem, emitter.records):
-                break
-    except Exception as err:
-        emitter.error(PHASE_UNLEARN, len(emitter.records), err)
-        raise
-    finally:
-        emitter.close()
-    save_snapshot(paths.snapshot, server.global_particles, server.round_index, cfg.seed)
-    return RunResult("forget_svgd", emitter.records, paths, server.round_index)
-
-
-def _run_retrain(cfg: ExperimentConfig) -> RunResult:
-    problem = build_problem(cfg)
-    retained = {k: v for k, v in problem.losses.items() if k not in problem.forget_ids}
-    pcfg = _protocol_config(cfg, problem.prior, PHASE_RETRAIN)
-    kde, kernel = _kde_kernel(cfg)
-
-    if cfg.retrain.mode == "federated" and not retained:
-        raise ConfigError("config.retrain.mode: federated retraining needs a retained agent")
-
-    server = fed.ServerState(
-        global_particles=fed.init_global_particles(problem.prior, cfg.particles, cfg.seed),
-        round_index=0, kde=kde, kernel=kernel,
-    )
-    agents = None
-    pooled = None
-    if cfg.retrain.mode == "federated":
-        server, agents = fed.initialize_states(
-            retained, pcfg, cfg.particles, cfg.seed, kde=kde, kernel=kernel
-        )
-    else:
-        pooled = tuple(retained[k] for k in sorted(retained))
-
-    paths = run_paths(cfg, "retrain")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    emitter = _Emitter(paths.metrics, paths.transcript)
-    try:
-        emitter.emit(None, lambda: _particle_record(
-            problem, server.global_particles, PHASE_RETRAIN, 0, 0.0, retained_only=True))
-        for r in range(cfg.retrain.rounds):
-            start = time.perf_counter()
-            if agents is None:
-                k = None
-                server = fed.centralized_round(server, pooled, pcfg)
-            else:
-                k = fed.schedule(pcfg, r, retained.keys())
-                server, agents[k] = fed.learning_round(server, agents, k, pcfg)
-            wall = _ms_since(start)
-            emitter.emit(k, lambda: _particle_record(
-                problem, server.global_particles, PHASE_RETRAIN, r + 1, wall, retained_only=True))
-    except Exception as err:
-        emitter.error(PHASE_RETRAIN, len(emitter.records), err)
-        raise
-    finally:
-        emitter.close()
-    save_snapshot(paths.snapshot, server.global_particles, server.round_index, cfg.seed)
-    return RunResult("retrain", emitter.records, paths, server.round_index)
-
-
-def _pvi_prior_nat(cfg: ExperimentConfig) -> GaussianNatParams:
-    return moment_to_nat([cfg.pvi.prior_mean], [cfg.pvi.prior_variance])
 
 
 def _nat_to_json(nat: GaussianNatParams) -> dict:
@@ -1063,90 +864,46 @@ def _load_pvi_state(path: str) -> tuple[GaussianNatParams, dict[int, GaussianNat
     return eta, locals_nat
 
 
-def _run_pvi_learn(cfg: ExperimentConfig) -> RunResult:
-    problem = build_problem(cfg)
+def _run_parametric(cfg: ExperimentConfig, problem, method: str) -> RunResult:
+    """PVI learning or ULPVI unlearning of diagonal-Gaussian factors."""
+    phase = _METHOD_PHASE[method]
+    if phase == PHASE_UNLEARN:
+        eta, locals_nat = _load_pvi_state(run_paths(cfg, "pvi").locals_json)
+        missing = [k for k in problem.forget_ids if k not in locals_nat]
+        if missing:
+            raise MissingStateError(f"learned state lacks factors for forget agents {missing}")
+        eligible = problem.forget_ids
+    else:
+        eta = moment_to_nat([cfg.pvi.prior_mean], [cfg.pvi.prior_variance])
+        locals_nat = {k: GaussianNatParams.zeros(eta.dim) for k in problem.losses}
+        eligible = tuple(problem.losses)
     pvicfg = PviConfig(alpha=cfg.protocol.alpha, local_iters=cfg.pvi.local_iters,
                        epsilon=cfg.pvi.epsilon, mc_samples=cfg.pvi.mc_samples)
-    pcfg = _protocol_config(cfg, problem.prior, PHASE_LEARN)
-    eta = _pvi_prior_nat(cfg)
-    locals_nat = {k: GaussianNatParams.zeros(eta.dim) for k in problem.losses}
-    rng = np.random.default_rng([cfg.seed, 2])
+    pcfg = _protocol_config(cfg, problem.prior, phase)
+    rng = np.random.default_rng([cfg.seed, 3 if phase == PHASE_UNLEARN else 2])
 
-    paths = run_paths(cfg, "pvi")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    emitter = _Emitter(paths.metrics, paths.transcript)
-    try:
-        emitter.emit(None, lambda: _parametric_record(
-            problem, *nat_to_moment(eta), PHASE_LEARN, 0, 0.0, retained_only=False))
-        for r in range(cfg.learn.rounds):
-            start = time.perf_counter()
-            k = fed.schedule(pcfg, r, problem.losses.keys())
-            eta, locals_nat[k] = pvi_round(eta, locals_nat[k], problem.losses[k], pvicfg, rng)
-            wall = _ms_since(start)
-            emitter.emit(k, lambda: _parametric_record(
-                problem, *nat_to_moment(eta), PHASE_LEARN, r + 1, wall, retained_only=False))
-    except Exception as err:
-        emitter.error(PHASE_LEARN, len(emitter.records), err)
-        raise
-    finally:
-        emitter.close()
-    _save_pvi_state(paths, eta, locals_nat, cfg.learn.rounds, cfg.seed)
-    return RunResult("pvi", emitter.records, paths, cfg.learn.rounds)
+    def step(eta, r):
+        k = fed.schedule(pcfg, r, eligible)
+        play = ulpvi_round if phase == PHASE_UNLEARN else pvi_round
+        eta, locals_nat[k] = play(eta, locals_nat[k], problem.losses[k], pvicfg, rng)
+        return eta, k
 
-
-def _run_pvi_unlearn(cfg: ExperimentConfig) -> RunResult:
-    problem = build_problem(cfg)
-    if not problem.forget_ids:
-        raise ConfigError("config.forget_agents: unlearning needs a nonempty forget set")
-    eta, locals_nat = _load_pvi_state(run_paths(cfg, "pvi").locals_json)
-    missing = [k for k in problem.forget_ids if k not in locals_nat]
-    if missing:
-        raise MissingStateError(f"learned state lacks factors for forget agents {missing}")
-
-    pvicfg = PviConfig(alpha=cfg.protocol.alpha, local_iters=cfg.pvi.local_iters,
-                       epsilon=cfg.pvi.epsilon, mc_samples=cfg.pvi.mc_samples)
-    pcfg = _protocol_config(cfg, problem.prior, PHASE_UNLEARN)
-    rng = np.random.default_rng([cfg.seed, 3])
-
-    paths = run_paths(cfg, "ulpvi")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    emitter = _Emitter(paths.metrics, paths.transcript)
-    rounds_run = 0
-    try:
-        emitter.emit(None, lambda: _parametric_record(
-            problem, *nat_to_moment(eta), PHASE_UNLEARN, 0, 0.0, retained_only=True))
-        for r in range(cfg.unlearn.rounds):
-            start = time.perf_counter()
-            k = fed.schedule(pcfg, r, problem.forget_ids)
-            eta, locals_nat[k] = ulpvi_round(eta, locals_nat[k], problem.losses[k], pvicfg, rng)
-            rounds_run = r + 1
-            wall = _ms_since(start)
-            emitter.emit(k, lambda: _parametric_record(
-                problem, *nat_to_moment(eta), PHASE_UNLEARN, r + 1, wall, retained_only=True))
-            if _unlearn_should_stop(cfg, problem, emitter.records):
-                break
-    except Exception as err:
-        emitter.error(PHASE_UNLEARN, len(emitter.records), err)
-        raise
-    finally:
-        emitter.close()
-    _save_pvi_state(paths, eta, locals_nat, rounds_run, cfg.seed)
-    return RunResult("ulpvi", emitter.records, paths, rounds_run)
-
-
-_RUNNERS = {
-    "dsvgd": _run_particle_learn,
-    "forget_svgd": _run_particle_unlearn,
-    "retrain": _run_retrain,
-    "pvi": _run_pvi_learn,
-    "ulpvi": _run_pvi_unlearn,
-}
+    return _run_phase(
+        cfg, problem, method, eta, step,
+        lambda eta, retained_only: problem.parametric_metrics(*nat_to_moment(eta), retained_only),
+        lambda eta, rounds_run: _save_pvi_state(run_paths(cfg, method), eta, locals_nat,
+                                                rounds_run, cfg.seed),
+    )
 
 
 def run_experiment(cfg: ExperimentConfig, command: str) -> RunResult:
     """Run one phase of the configured experiment and write its artifacts."""
     method = resolve_method(cfg.method, command)
-    return _RUNNERS[method](cfg)
+    problem = build_problem(cfg)
+    if _METHOD_PHASE[method] == PHASE_UNLEARN and not problem.forget_ids:
+        raise ConfigError("config.forget_agents: unlearning needs a nonempty forget set")
+    run = _run_parametric if method in PARAMETRIC_METHODS else _run_particles
+    return run(cfg, problem, method)
 
 
 # --- evaluation and export --------------------------------------------------------
@@ -1155,7 +912,7 @@ def run_experiment(cfg: ExperimentConfig, command: str) -> RunResult:
 def evaluate_snapshot(cfg: ExperimentConfig, method: str) -> dict:
     """Recompute the metric fields of a saved snapshot.
 
-    Uses the same measurement code as the run loops, so the result matches
+    Uses the same measurement code as the phase loop, so the result matches
     the final metrics row of the run that wrote the snapshot exactly.
     """
     if method not in METHODS:
@@ -1164,9 +921,7 @@ def evaluate_snapshot(cfg: ExperimentConfig, method: str) -> dict:
     if not os.path.exists(paths.snapshot):
         raise MissingStateError(f"no saved state found at {paths.snapshot}; run {method} first")
     problem = build_problem(cfg)
-    retained_only = method in ("forget_svgd", "retrain", "ulpvi")
-    phase = {"dsvgd": PHASE_LEARN, "pvi": PHASE_LEARN, "forget_svgd": PHASE_UNLEARN,
-             "ulpvi": PHASE_UNLEARN, "retrain": PHASE_RETRAIN}[method]
+    phase = _METHOD_PHASE[method]
     array, round_index, seed = load_snapshot(paths.snapshot)
 
     if method in PARAMETRIC_METHODS:
@@ -1176,10 +931,10 @@ def evaluate_snapshot(cfg: ExperimentConfig, method: str) -> dict:
             raise MissingStateError(
                 f"{paths.snapshot}: parametric snapshot must hold mean and variance rows"
             )
-        record, extra = _parametric_record(problem, array[0], array[1], phase, round_index,
-                                           0.0, retained_only)
+        fields = problem.parametric_metrics(array[0], array[1], phase != PHASE_LEARN)
     else:
-        record, extra = _particle_record(problem, array, phase, round_index, 0.0, retained_only)
+        fields = problem.particle_metrics(array, phase != PHASE_LEARN)
+    record, extra = _record(fields, phase, round_index, 0.0)
 
     out = {
         "method": method,

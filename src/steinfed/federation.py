@@ -175,6 +175,25 @@ def reinitialize_forget_agents(
 # --- tilted targets -----------------------------------------------------------
 
 
+def _tilted_grad(
+    server: ServerState, agent: AgentState, alpha: float, prior, sign: float
+) -> TargetGradient:
+    global_ref = server.global_particles.copy()
+    local_ref = agent.local_particles.copy()
+    lam = server.kde.lam
+    loss = agent.loss
+
+    def target(theta: np.ndarray) -> np.ndarray:
+        grad = kde_log_density_grad(global_ref, theta, lam)
+        grad = grad - kde_log_density_grad(local_ref, theta, lam)
+        grad = grad + sign * loss.neg_loss_grad(theta, alpha)
+        if prior is not None:
+            grad = grad + prior.score(theta)
+        return grad
+
+    return target
+
+
 def tilted_grad_learning(
     server: ServerState, agent: AgentState, alpha: float, prior=None
 ) -> TargetGradient:
@@ -183,20 +202,7 @@ def tilted_grad_learning(
     The returned closure captures copies of the current global and local
     particle sets, so later moves of either set do not leak into the target.
     """
-    global_ref = server.global_particles.copy()
-    local_ref = agent.local_particles.copy()
-    lam = server.kde.lam
-    loss = agent.loss
-
-    def target(theta: np.ndarray) -> np.ndarray:
-        grad = kde_log_density_grad(global_ref, theta, lam)
-        grad = grad - kde_log_density_grad(local_ref, theta, lam)
-        grad = grad + loss.neg_loss_grad(theta, alpha)
-        if prior is not None:
-            grad = grad + prior.score(theta)
-        return grad
-
-    return target
+    return _tilted_grad(server, agent, alpha, prior, sign=1.0)
 
 
 def tilted_grad_unlearning(
@@ -205,20 +211,7 @@ def tilted_grad_unlearning(
     """Unlearning variant: the loss gradient enters with flipped sign."""
     if agent.role != ROLE_FORGET:
         raise ProtocolError(f"agent {agent.agent_id} is not in the forget set")
-    global_ref = server.global_particles.copy()
-    local_ref = agent.local_particles.copy()
-    lam = server.kde.lam
-    loss = agent.loss
-
-    def target(theta: np.ndarray) -> np.ndarray:
-        grad = kde_log_density_grad(global_ref, theta, lam)
-        grad = grad - kde_log_density_grad(local_ref, theta, lam)
-        grad = grad - loss.neg_loss_grad(theta, alpha)
-        if prior is not None:
-            grad = grad + prior.score(theta)
-        return grad
-
-    return target
+    return _tilted_grad(server, agent, alpha, prior, sign=-1.0)
 
 
 def distill_target_grad(
@@ -382,50 +375,3 @@ def centralized_round(
         round_index=server.round_index + 1,
         global_opt=global_opt if config.persist_adagrad else None,
     )
-
-
-def retrain_from_scratch(
-    retained_losses: Mapping[int, object],
-    config: ProtocolConfig,
-    n_particles: int,
-    rounds: int,
-    seed: int,
-    kde: KdeConfig | None = None,
-    kernel: KernelConfig | None = None,
-    mode: str = "centralized",
-) -> ServerState:
-    """Retrain on the retained losses only, from fresh prior draws.
-
-    ``centralized`` pools all retained losses into one target; ``federated``
-    replays the learning protocol over the retained agents.  Federated
-    retraining with an empty retained set cannot schedule anyone and is a
-    protocol error; centralized retraining then samples the prior.
-    """
-    if config.prior is None:
-        raise ProtocolError("retraining requires a prior in the protocol config")
-    if mode not in ("centralized", "federated"):
-        raise ValueError(f"unknown retrain mode {mode!r}")
-    if rounds < 0:
-        raise ValueError(f"round count must be nonnegative, got {rounds}")
-
-    if mode == "centralized":
-        server = ServerState(
-            global_particles=init_global_particles(config.prior, n_particles, seed),
-            round_index=0,
-            kde=kde or KdeConfig(),
-            kernel=kernel or KernelConfig(),
-        )
-        losses = tuple(retained_losses[k] for k in sorted(retained_losses))
-        for _ in range(rounds):
-            server = centralized_round(server, losses, config)
-        return server
-
-    if not retained_losses:
-        raise ProtocolError("federated retraining needs at least one retained agent")
-    server, agents = initialize_states(
-        retained_losses, config, n_particles, seed, kde=kde, kernel=kernel
-    )
-    for r in range(rounds):
-        k = schedule(config, r, agents.keys())
-        server, agents[k] = learning_round(server, agents, k, config)
-    return server

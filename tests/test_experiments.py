@@ -1,6 +1,8 @@
 """Tests for config validation, run loops, evaluation, and plot export."""
 
+import collections
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -28,6 +30,14 @@ from steinfed.experiments import (
     resolve_method,
     run_experiment,
     run_paths,
+)
+from steinfed.federation import (
+    ProtocolConfig,
+    ProtocolError,
+    init_global_particles,
+    initialize_states,
+    learning_round,
+    schedule,
 )
 from steinfed.metrics import MetricRecord, read_metrics_csv, read_transcript, load_snapshot
 from steinfed.models import GaussianPrior, UniformPrior
@@ -206,6 +216,226 @@ class TestConfigParsing:
         cfg = load_config(path)
         assert isinstance(cfg, ExperimentConfig)
         assert cfg.out_dir == str(tmp_path)
+
+
+DELETE = object()
+
+
+def idx_dict(out_dir):
+    data = classification_dict(out_dir)
+    data["experiment"]["source"] = "idx"
+    data["experiment"]["idx"] = {"train_images": "a", "train_labels": "b", "test_images": "c",
+                                 "test_labels": "d", "num_classes": 4}
+    return data
+
+
+BASES = {"mix": mixture_dict, "cls": classification_dict, "idx": idx_dict}
+EXP = ("experiment",)
+COMP = EXP + ("agents", 0, 0)
+FMAP = EXP + ("feature_map",)
+# One fault per case: (base config, path to the changed value, new value, full message).
+CONFIG_ERRORS = [
+    ("mix", (), [], "config: expected an object, got list"),
+    ("mix", ("typo",), 1, "config: unknown key(s) ['typo']"),
+    ("mix", ("method",), DELETE, "config.method: required"),
+    ("mix", ("method",), 3, "config.method: expected a string, got int"),
+    ("mix", ("method",), "sgd", "config.method: expected one of "
+     "['dsvgd', 'forget_svgd', 'pvi', 'retrain', 'ulpvi'], got 'sgd'"),
+    ("mix", ("seed",), 1.5, "config.seed: expected an integer, got float"),
+    ("mix", ("seed",), True, "config.seed: expected an integer, got bool"),
+    ("mix", ("seed",), None, "config.seed: expected an integer, got NoneType"),
+    ("mix", ("out_dir",), ["a"], "config.out_dir: expected a string, got list"),
+    ("mix", ("particles",), 0, "config.particles: must be at least 1, got 0"),
+    ("mix", EXP, DELETE, "config.experiment: required"),
+    ("mix", EXP, [], "config.experiment: expected an object, got list"),
+    ("mix", EXP, None, "config.experiment: expected an object, got NoneType"),
+    ("mix", EXP + ("kind",), DELETE, "config.experiment.kind: required"),
+    ("mix", EXP + ("kind",), "grid",
+     "config.experiment.kind: expected one of ['classification', 'mixture'], got 'grid'"),
+    ("cls", ("method",), "pvi",
+     "config.method: parametric methods support the mixture experiment only"),
+    ("mix", ("forget_agents",), "1", "config.forget_agents: expected a list of integers"),
+    ("mix", ("forget_agents",), [True], "config.forget_agents: expected a list of integers"),
+    ("mix", ("forget_agents",), None, "config.forget_agents: expected a list of integers"),
+    ("mix", ("forget_agents",), [0], "config.forget_agents: agent ids are 1-based"),
+    # mixture experiment, prior and components
+    ("mix", EXP + ("typo",), 1, "config.experiment: unknown key(s) ['typo']"),
+    ("mix", EXP + ("prior",), [], "config.experiment.prior: expected an object, got list"),
+    ("mix", EXP + ("prior", "kind"), "beta",
+     "config.experiment.prior.kind: expected one of ['gaussian', 'uniform'], got 'beta'"),
+    ("mix", EXP + ("prior", "kind"), 1, "config.experiment.prior.kind: expected a string, got int"),
+    ("mix", EXP + ("prior", "mean"), 0.0, "config.experiment.prior: unknown key(s) ['mean']"),
+    ("mix", EXP + ("prior", "lo"), "a", "config.experiment.prior.lo: expected a number, got str"),
+    ("mix", EXP + ("prior", "hi"), -10,
+     "config.experiment.prior: lo must be below hi, got [-10.0, -10.0]"),
+    ("mix", EXP + ("prior",), {"kind": "gaussian", "variance": 0},
+     "config.experiment.prior.variance: must be positive, got 0.0"),
+    ("mix", EXP + ("prior",), {"kind": "gaussian", "lo": 0},
+     "config.experiment.prior: unknown key(s) ['lo']"),
+    ("mix", EXP + ("agents",), DELETE, "config.experiment.agents: expected a nonempty list"),
+    ("mix", EXP + ("agents",), [], "config.experiment.agents: expected a nonempty list"),
+    ("mix", EXP + ("agents",), {}, "config.experiment.agents: expected a nonempty list"),
+    ("mix", EXP + ("agents", 0), [],
+     "config.experiment.agents[0]: expected a nonempty list of components"),
+    ("mix", EXP + ("agents", 1, 1), 3,
+     "config.experiment.agents[1].components[1]: expected an object, got int"),
+    ("mix", COMP + ("skew",), 1,
+     "config.experiment.agents[0].components[0]: unknown key(s) ['skew']"),
+    ("mix", COMP + ("mean",), DELETE, "config.experiment.agents[0].components[0].mean: required"),
+    ("mix", COMP + ("variance",), DELETE,
+     "config.experiment.agents[0].components[0].variance: required"),
+    ("mix", COMP + ("variance",), -1,
+     "config.experiment.agents[0].components[0].variance: must be positive, got -1.0"),
+    ("mix", COMP + ("weight",), 0,
+     "config.experiment.agents[0].components[0].weight: must be positive, got 0.0"),
+    ("mix", COMP + ("weight",), False,
+     "config.experiment.agents[0].components[0].weight: expected a number, got bool"),
+    # classification experiment
+    ("cls", EXP + ("typo",), 1, "config.experiment: unknown key(s) ['typo']"),
+    ("cls", EXP + ("source",), 3, "config.experiment.source: expected a string, got int"),
+    ("cls", EXP + ("source",), "csv",
+     "config.experiment.source: expected one of ['idx', 'synthetic'], got 'csv'"),
+    ("cls", EXP + ("synthetic",), [], "config.experiment.synthetic: expected an object, got list"),
+    ("cls", EXP + ("synthetic", "typo"), 1, "config.experiment.synthetic: unknown key(s) ['typo']"),
+    ("cls", EXP + ("synthetic", "num_classes"), 1,
+     "config.experiment.synthetic.num_classes: must be at least 2, got 1"),
+    ("cls", EXP + ("synthetic", "dim"), 2.0,
+     "config.experiment.synthetic.dim: expected an integer, got float"),
+    ("cls", EXP + ("synthetic", "n_train"), None,
+     "config.experiment.synthetic.n_train: expected an integer, got NoneType"),
+    ("cls", EXP + ("synthetic", "noise"), "x",
+     "config.experiment.synthetic.noise: expected a number, got str"),
+    ("cls", EXP + ("source",), "idx", "config.experiment.idx: required when source is 'idx'"),
+    ("idx", EXP + ("idx",), [], "config.experiment.idx: expected an object, got list"),
+    ("idx", EXP + ("idx", "typo"), 1, "config.experiment.idx: unknown key(s) ['typo']"),
+    ("idx", EXP + ("idx", "train_images"), DELETE, "config.experiment.idx.train_images: required"),
+    ("idx", EXP + ("idx", "train_labels"), DELETE, "config.experiment.idx.train_labels: required"),
+    ("idx", EXP + ("idx", "test_images"), DELETE, "config.experiment.idx.test_images: required"),
+    ("idx", EXP + ("idx", "test_labels"), DELETE, "config.experiment.idx.test_labels: required"),
+    ("idx", EXP + ("idx", "test_labels"), 5,
+     "config.experiment.idx.test_labels: expected a string, got int"),
+    ("idx", EXP + ("idx", "num_classes"), 1.0,
+     "config.experiment.idx.num_classes: expected an integer, got float"),
+    ("cls", FMAP, [], "config.experiment.feature_map: expected an object, got list"),
+    ("cls", FMAP + ("typo",), 1, "config.experiment.feature_map: unknown key(s) ['typo']"),
+    ("cls", FMAP + ("hidden_units",), 0,
+     "config.experiment.feature_map: hidden_units must be >= 1, got 0"),
+    ("cls", FMAP + ("epochs",), -1, "config.experiment.feature_map: epochs must be >= 0, got -1"),
+    ("cls", FMAP + ("step_size",), 0,
+     "config.experiment.feature_map: step_size must be positive, got 0.0"),
+    ("cls", FMAP + ("hidden_units",), 4.0,
+     "config.experiment.feature_map.hidden_units: expected an integer, got float"),
+    ("cls", FMAP + ("epochs",), True,
+     "config.experiment.feature_map.epochs: expected an integer, got bool"),
+    ("cls", FMAP + ("step_size",), "x",
+     "config.experiment.feature_map.step_size: expected a number, got str"),
+    ("cls", EXP + ("prior",), {"kind": "uniform"},
+     "config.experiment.prior.kind: classification uses a gaussian prior"),
+    ("cls", EXP + ("prior", "variance"), -1,
+     "config.experiment.prior.variance: must be positive, got -1.0"),
+    ("cls", EXP + ("labels_per_agent",), 0,
+     "config.experiment.labels_per_agent: must be at least 1, got 0"),
+    ("cls", EXP + ("labels_per_agent",), 2.5,
+     "config.experiment.labels_per_agent: expected an integer, got float"),
+    ("cls", EXP + ("examples_per_agent",), 0,
+     "config.experiment.examples_per_agent: must be at least 1, got 0"),
+    ("cls", EXP + ("examples_per_agent",), "x",
+     "config.experiment.examples_per_agent: expected an integer, got str"),
+    # protocol
+    ("mix", ("protocol",), [], "config.protocol: expected an object, got list"),
+    ("mix", ("protocol",), None, "config.protocol: expected an object, got NoneType"),
+    ("mix", ("protocol", "momentum"), 0.9, "config.protocol: unknown key(s) ['momentum']"),
+    ("mix", ("protocol", "alpha"), True, "config.protocol.alpha: expected a number, got bool"),
+    ("mix", ("protocol", "alpha"), 0, "config.protocol.alpha: must be positive, got 0.0"),
+    ("mix", ("protocol", "update_steps"), -1,
+     "config.protocol.update_steps: must be nonnegative, got -1"),
+    ("mix", ("protocol", "update_steps"), 2.0,
+     "config.protocol.update_steps: expected an integer, got float"),
+    ("mix", ("protocol", "distill_steps"), -2,
+     "config.protocol.distill_steps: must be nonnegative, got -2"),
+    ("mix", ("protocol", "epsilon"), -0.1, "config.protocol: step sizes must be nonnegative"),
+    ("mix", ("protocol", "epsilon_local"), -0.1, "config.protocol: step sizes must be nonnegative"),
+    ("mix", ("protocol", "epsilon"), "x", "config.protocol.epsilon: expected a number, got str"),
+    ("mix", ("protocol", "fudge"), 0, "config.protocol.fudge: must be positive, got 0.0"),
+    ("mix", ("protocol", "schedule"), "random", "config.protocol.schedule: expected one of "
+     "['fixed_sequence', 'round_robin'], got 'random'"),
+    ("mix", ("protocol", "sequence"), [1, "two"],
+     "config.protocol.sequence: expected a list of integers"),
+    ("mix", ("protocol", "sequence"), 3, "config.protocol.sequence: expected a list of integers"),
+    ("mix", ("protocol", "include_prior_score"), 1,
+     "config.protocol.include_prior_score: expected true/false, got int"),
+    ("mix", ("protocol", "persist_adagrad"), "yes",
+     "config.protocol.persist_adagrad: expected true/false, got str"),
+    ("mix", ("protocol", "kde_lam"), 0, "config.protocol.kde_lam: must be positive, got 0.0"),
+    ("mix", ("protocol", "kde_lam"), None,
+     "config.protocol.kde_lam: expected a number, got NoneType"),
+    ("mix", ("protocol", "bandwidth"), 0, "config.protocol.bandwidth: must be positive, got 0.0"),
+    ("mix", ("protocol", "bandwidth"), "x",
+     "config.protocol.bandwidth: expected a number, got str"),
+    # phases and evaluation
+    ("mix", ("learn",), [], "config.learn: expected an object, got list"),
+    ("mix", ("learn", "typo"), 1, "config.learn: unknown key(s) ['typo']"),
+    ("mix", ("learn", "rounds"), -1, "config.learn.rounds: must be nonnegative, got -1"),
+    ("mix", ("learn", "rounds"), 1.5, "config.learn.rounds: expected an integer, got float"),
+    ("mix", ("unlearn",), "x", "config.unlearn: expected an object, got str"),
+    ("mix", ("unlearn", "typo"), 1, "config.unlearn: unknown key(s) ['typo']"),
+    ("mix", ("unlearn", "rounds"), -1, "config.unlearn.rounds: must be nonnegative, got -1"),
+    ("mix", ("unlearn", "epsilon"), "x", "config.unlearn.epsilon: expected a number, got str"),
+    ("mix", ("unlearn", "epsilon_local"), [],
+     "config.unlearn.epsilon_local: expected a number, got list"),
+    ("mix", ("unlearn", "update_steps"), -1,
+     "config.unlearn.update_steps: must be nonnegative, got -1"),
+    ("mix", ("unlearn", "distill_steps"), 1.5,
+     "config.unlearn.distill_steps: expected an integer, got float"),
+    ("mix", ("unlearn", "early_stop"), 0,
+     "config.unlearn.early_stop: expected true/false, got int"),
+    ("mix", ("unlearn", "patience"), 0, "config.unlearn.patience: must be at least 1, got 0"),
+    ("mix", ("unlearn", "margin"), None, "config.unlearn.margin: expected a number, got NoneType"),
+    ("mix", ("unlearn", "loss_window"), 0, "config.unlearn.loss_window: must be at least 1, got 0"),
+    ("mix", ("retrain",), [], "config.retrain: expected an object, got list"),
+    ("mix", ("retrain", "typo"), 1, "config.retrain: unknown key(s) ['typo']"),
+    ("mix", ("retrain", "rounds"), -1, "config.retrain.rounds: must be nonnegative, got -1"),
+    ("mix", ("retrain", "mode"), "hybrid",
+     "config.retrain.mode: expected one of ['centralized', 'federated'], got 'hybrid'"),
+    ("mix", ("pvi",), [], "config.pvi: expected an object, got list"),
+    ("mix", ("pvi", "typo"), 1, "config.pvi: unknown key(s) ['typo']"),
+    ("mix", ("pvi", "local_iters"), -1, "config.pvi.local_iters: must be nonnegative, got -1"),
+    ("mix", ("pvi", "epsilon"), 0, "config.pvi.epsilon: must be positive, got 0.0"),
+    ("mix", ("pvi", "mc_samples"), 0, "config.pvi.mc_samples: must be at least 1, got 0"),
+    ("mix", ("pvi", "prior_mean"), "x", "config.pvi.prior_mean: expected a number, got str"),
+    ("mix", ("pvi", "prior_variance"), -1, "config.pvi.prior_variance: must be positive, got -1.0"),
+    ("mix", ("grid",), [], "config.grid: expected an object, got list"),
+    ("mix", ("grid", "typo"), 1, "config.grid: unknown key(s) ['typo']"),
+    ("mix", ("grid", "lo"), "x", "config.grid.lo: expected a number, got str"),
+    ("mix", ("grid", "points"), [1], "config.grid.points: expected an integer, got list"),
+    ("mix", ("grid",), {"lo": 1, "hi": 0}, "config.grid: grid range [1.0, 0.0] is empty"),
+    ("mix", ("grid", "points"), 1, "config.grid: grid needs at least 2 points, got 1"),
+]
+
+
+def _with_fault(base, path, value, out_dir):
+    data = BASES[base](out_dir)
+    if not path:
+        return value
+    node = data
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(value)
+    return data
+
+
+@pytest.mark.parametrize("base,path,value,message", CONFIG_ERRORS,
+                         ids=[f"{b}:{'.'.join(map(str, p))}={v!r}" if v is not DELETE
+                              else f"{b}:{'.'.join(map(str, p))}:del"
+                              for b, p, v, _ in CONFIG_ERRORS])
+def test_config_error_messages(tmp_path, base, path, value, message):
+    data = _with_fault(base, path, value, tmp_path)
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(data)
+    assert str(info.value) == message
 
 
 class TestMethodResolution:
@@ -452,6 +682,166 @@ class TestParticleRuns:
         assert unlearn.records[-1].forgotten_acc is not None
         ev = read_transcript(unlearn.paths.transcript)
         assert all(e["agent"] in (None, 2) for e in ev)
+
+
+class TestRetrainRuns:
+    def test_retrain_zero_rounds_returns_prior_draws(self, tmp_path):
+        for mode in ("centralized", "federated"):
+            data = mixture_dict(tmp_path / mode)
+            data["retrain"] = {"rounds": 0, "mode": mode}
+            cfg = config_from_dict(data)
+            result = run_experiment(cfg, "retrain")
+            particles, rnd, _ = load_snapshot(result.paths.snapshot)
+            prior = build_problem(cfg).prior
+            assert np.array_equal(particles, init_global_particles(prior, cfg.particles, cfg.seed))
+            assert rnd == 0 and result.rounds_run == 0
+
+    def test_retrain_centralized_accepts_empty_retained_set(self, tmp_path):
+        data = mixture_dict(tmp_path / "runs")
+        data["forget_agents"] = [1, 2]
+        cfg = config_from_dict(data)
+        result = run_experiment(cfg, "retrain")
+        particles, rnd, _ = load_snapshot(result.paths.snapshot)
+        assert rnd == result.rounds_run == 3
+        assert particles.shape == (12, 1)
+
+    def test_retrain_federated_matches_manual_protocol_loop(self, tmp_path):
+        data = mixture_dict(tmp_path / "runs")
+        data["experiment"]["agents"].append([{"weight": 1.0, "mean": -2.0, "variance": 1.0}])
+        data["retrain"] = {"rounds": 5, "mode": "federated"}
+        cfg = config_from_dict(data)
+        result = run_experiment(cfg, "retrain")
+        got, rnd, _ = load_snapshot(result.paths.snapshot)
+
+        problem = build_problem(cfg)
+        retained = {k: problem.losses[k] for k in (2, 3)}
+        config = dataclasses.replace(cfg.protocol, prior=problem.prior)
+        server, agents = initialize_states(retained, config, cfg.particles, cfg.seed,
+                                           kde=cfg.kde, kernel=cfg.kernel)
+        for r in range(5):
+            k = schedule(config, r, agents.keys())
+            server, agents[k] = learning_round(server, agents, k, config)
+        assert np.array_equal(got, server.global_particles)
+        assert rnd == server.round_index == 5
+        events = read_transcript(result.paths.transcript)
+        assert [e["agent"] for e in events] == [None, 2, 3, 2, 3, 2]
+
+    def test_retrain_invalid_arguments(self, tmp_path):
+        data = mixture_dict(tmp_path)
+        data["retrain"]["mode"] = "hybrid"
+        with pytest.raises(ConfigError, match="config.retrain.mode"):
+            config_from_dict(data)
+        data["retrain"] = {"rounds": -1}
+        with pytest.raises(ConfigError, match="config.retrain.rounds"):
+            config_from_dict(data)
+        with pytest.raises(ProtocolError, match="prior"):
+            initialize_states({}, ProtocolConfig(), 4, seed=0)
+
+
+def _gaussian_prior_dict(out_dir):
+    data = mixture_dict(out_dir)
+    data["experiment"]["prior"] = {"kind": "gaussian", "mean": 0.0, "variance": 9.0}
+    return data
+
+
+# (command, section, key, value): each option must change the phase's snapshot.
+RUN_OPTIONS = [
+    ("learn", "protocol", "include_prior_score", True),
+    ("learn", "protocol", "persist_adagrad", True),
+    ("learn", "protocol", "bandwidth", 0.5),
+    ("learn", "protocol", "kde_lam", 0.9),
+    ("unlearn", "unlearn", "epsilon", 0.5),
+    ("unlearn", "unlearn", "epsilon_local", 0.5),
+    ("unlearn", "unlearn", "update_steps", 4),
+    ("unlearn", "unlearn", "distill_steps", 4),
+    ("retrain", "retrain", "mode", "federated"),
+]
+
+
+class TestRunOptions:
+    def snapshot(self, data, command):
+        cfg = config_from_dict(data)
+        if command == "unlearn":
+            run_experiment(cfg, "learn")
+        return Path(run_experiment(cfg, command).paths.snapshot).read_bytes()
+
+    @pytest.mark.parametrize("command,section,key,value", RUN_OPTIONS,
+                             ids=[f"{s}.{k}" for _, s, k, _ in RUN_OPTIONS])
+    def test_option_reaches_the_rounds(self, tmp_path, command, section, key, value):
+        default = _gaussian_prior_dict(tmp_path / "default")
+        changed = _gaussian_prior_dict(tmp_path / "changed")
+        changed[section][key] = value
+        assert self.snapshot(changed, command) != self.snapshot(default, command)
+
+    @pytest.mark.parametrize("section,key", [
+        ("protocol", "bandwidth"), ("unlearn", "epsilon"), ("unlearn", "epsilon_local"),
+        ("unlearn", "update_steps"), ("unlearn", "distill_steps"),
+    ])
+    def test_null_means_unset(self, tmp_path, section, key):
+        data = mixture_dict(tmp_path)
+        data[section][key] = None
+        cfg = config_from_dict(data)
+        del data[section][key]
+        unset = config_from_dict(data)
+        assert (cfg.kernel, cfg.unlearn, cfg.protocol) == (unset.kernel, unset.unlearn,
+                                                          unset.protocol)
+        prior = UniformPrior(-10.0, 10.0)
+        assert _protocol_config(cfg, prior, "unlearn") == _protocol_config(unset, prior, "unlearn")
+
+
+# Round functions by defining module; each is wrapped in every module that binds it.
+ROUND_FUNCTIONS = {
+    "federation": ("learning_round", "unlearning_round", "centralized_round"),
+    "pvi": ("pvi_round", "ulpvi_round"),
+}
+
+
+def _count_round_calls(monkeypatch) -> collections.Counter:
+    """Wrap the round functions the way ``perfbench/tracer.py`` wraps its layers."""
+    counts = collections.Counter()
+    modules = [m for name, m in list(sys.modules.items())
+               if m is not None and (name == "steinfed" or name.startswith("steinfed."))]
+    for module_name, names in ROUND_FUNCTIONS.items():
+        owner = sys.modules[f"steinfed.{module_name}"]
+        for name in names:
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+    return counts
+
+
+ROUND_CASES = [
+    ("dsvgd", "learn", "centralized", "learning_round", 4),
+    ("dsvgd", "unlearn", "centralized", "unlearning_round", 3),
+    ("dsvgd", "retrain", "centralized", "centralized_round", 3),
+    ("dsvgd", "retrain", "federated", "learning_round", 3),
+    ("pvi", "learn", "centralized", "pvi_round", 4),
+    ("pvi", "unlearn", "centralized", "ulpvi_round", 3),
+]
+
+
+@pytest.mark.parametrize("method,command,mode,name,rounds", ROUND_CASES,
+                         ids=[f"{m}-{c}-{mode}" for m, c, mode, _, _ in ROUND_CASES])
+def test_round_functions_are_looked_up_per_call(tmp_path, monkeypatch, method, command, mode,
+                                                name, rounds):
+    data = mixture_dict(tmp_path)
+    data["method"] = method
+    data["retrain"]["mode"] = mode
+    data["pvi"] = {"local_iters": 3, "epsilon": 0.05, "mc_samples": 64}
+    cfg = config_from_dict(data)
+    if command == "unlearn":
+        run_experiment(cfg, "learn")
+    counts = _count_round_calls(monkeypatch)
+    result = run_experiment(cfg, command)
+    assert result.rounds_run == rounds
+    assert dict(counts) == {name: rounds}
 
 
 class TestParametricRuns:

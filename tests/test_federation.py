@@ -22,7 +22,6 @@ from steinfed.federation import (
     learning_round,
     pooled_target,
     reinitialize_forget_agents,
-    retrain_from_scratch,
     schedule,
     tilted_grad_learning,
     tilted_grad_unlearning,
@@ -347,49 +346,14 @@ class TestRetraining:
         want = prior.score(theta) + l1.neg_loss_grad(theta, 2.0) + l2.neg_loss_grad(theta, 2.0)
         assert np.max(np.abs(target(theta) - want)) < 1e-14
 
+    def test_retrain_federated_rejects_empty_retained_set(self):
+        config = ProtocolConfig(prior=UniformPrior(-1.0, 1.0))
+        server, agents = initialize_states({}, config, 6, seed=2)
+        assert agents == {}
+        with pytest.raises(ProtocolError, match="no eligible agents"):
+            schedule(config, server.round_index, agents.keys())
+
     def test_centralized_requires_prior(self):
         server = ServerState(global_particles=np.zeros((3, 1)))
         with pytest.raises(ProtocolError):
             centralized_round(server, (), ProtocolConfig())
-
-    def test_retrain_zero_rounds_returns_prior_draws(self):
-        prior = UniformPrior(-10.0, 10.0)
-        config = ProtocolConfig(prior=prior)
-        server = retrain_from_scratch({1: gaussian_loss(0.0, 1.0)}, config, 8, rounds=0, seed=9)
-        assert np.array_equal(server.global_particles, init_global_particles(prior, 8, 9))
-        assert server.round_index == 0
-
-    def test_retrain_centralized_accepts_empty_retained_set(self):
-        config = ProtocolConfig(update_steps=2, prior=UniformPrior(-1.0, 1.0))
-        server = retrain_from_scratch({}, config, 6, rounds=3, seed=2)
-        assert server.round_index == 3
-        assert server.global_particles.shape == (6, 1)
-
-    def test_retrain_federated_rejects_empty_retained_set(self):
-        config = ProtocolConfig(prior=UniformPrior(-1.0, 1.0))
-        with pytest.raises(ProtocolError):
-            retrain_from_scratch({}, config, 6, rounds=3, seed=2, mode="federated")
-
-    def test_retrain_federated_matches_manual_protocol_loop(self):
-        prior = UniformPrior(-10.0, 10.0)
-        losses = {1: gaussian_loss(1.0, 4.0), 2: gaussian_loss(-2.0, 1.0)}
-        config = ProtocolConfig(update_steps=3, distill_steps=3, epsilon=0.2,
-                                epsilon_local=0.2, prior=prior)
-        got = retrain_from_scratch(losses, config, 10, rounds=5, seed=21, mode="federated")
-
-        server, agents = initialize_states(losses, config, 10, seed=21)
-        agents = dict(agents)
-        for r in range(5):
-            k = schedule(config, r, agents.keys())
-            server, agents[k] = learning_round(server, agents, k, config)
-        assert np.array_equal(got.global_particles, server.global_particles)
-        assert got.round_index == server.round_index
-
-    def test_retrain_invalid_arguments(self):
-        config = ProtocolConfig(prior=UniformPrior(-1.0, 1.0))
-        with pytest.raises(ValueError):
-            retrain_from_scratch({}, config, 4, rounds=1, seed=0, mode="hybrid")
-        with pytest.raises(ValueError):
-            retrain_from_scratch({}, config, 4, rounds=-1, seed=0)
-        with pytest.raises(ProtocolError):
-            retrain_from_scratch({}, ProtocolConfig(), 4, rounds=1, seed=0)
