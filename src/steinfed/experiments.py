@@ -195,8 +195,8 @@ _PROTOCOL = {
 _LEARN = {"rounds": _COUNT}
 _UNLEARN = {
     "rounds": _COUNT,
-    "epsilon": _Field(float, nullable=True),
-    "epsilon_local": _Field(float, nullable=True),
+    "epsilon": _Field(float, nullable=True, rule="nonnegative"),
+    "epsilon_local": _Field(float, nullable=True, rule="nonnegative"),
     "update_steps": _Field(int, nullable=True, rule="nonnegative"),
     "distill_steps": _Field(int, nullable=True, rule="nonnegative"),
     "early_stop": _Field(bool),
@@ -241,7 +241,7 @@ _CLASSIFICATION = {
 }
 _SYNTHETIC = {
     "num_classes": _Field(int, minimum=2),
-    "dim": _Field(int),
+    "dim": _Field(int, minimum=1),
     "n_train": _Field(int),
     "n_test": _Field(int),
     "center_scale": _Field(float),
@@ -292,6 +292,11 @@ class SyntheticSpec:
     n_test: int = 400
     center_scale: float = 4.0
     noise: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name, count in (("n_train", self.n_train), ("n_test", self.n_test)):
+            if count < self.num_classes:
+                raise ValueError(f"{name} must be at least num_classes ({self.num_classes}), got {count}")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .kernels import KdeConfig, KernelConfig, kde_log_density_grad
+from .kernels import KdeConfig, KernelConfig, _as_particle_matrix, kde_log_density_grad
 from .svgd import AdaGradState, TargetGradient, run_svgd
 
 ROLE_RETAIN = "retain"
@@ -52,10 +52,7 @@ class ServerState:
     global_opt: AdaGradState | None = None
 
     def __post_init__(self) -> None:
-        particles = np.asarray(self.global_particles, dtype=float)
-        if particles.ndim != 2 or particles.shape[0] == 0:
-            raise ValueError(f"expected a nonempty (N, d) particle array, got shape {particles.shape}")
-        object.__setattr__(self, "global_particles", particles)
+        object.__setattr__(self, "global_particles", _as_particle_matrix(self.global_particles))
 
 
 @dataclass

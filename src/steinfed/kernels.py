@@ -8,9 +8,9 @@ standard deviation, which turns a particle set into a differentiable
 log density so that particle-based distributions can appear inside other
 update targets.
 
-The transport kernel matrix and the KDE share one pairwise squared-distance
-helper written as a matrix product, so no ``(Q, N, d)`` difference tensor
-is ever formed.
+The transport kernel matrix, its median bandwidth and the KDE share one
+pairwise squared-distance helper written as a matrix product, so no
+``(Q, N, d)`` difference tensor is ever formed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 BANDWIDTH_FLOOR = 1e-8
 
@@ -37,11 +36,6 @@ class KernelConfig:
         if self.h is not None and not self.h > 0:
             raise ValueError(f"fixed bandwidth must be positive, got {self.h}")
 
-    def resolve(self, particles: np.ndarray) -> float:
-        if self.h is not None:
-            return self.h
-        return median_bandwidth(particles)
-
 
 @dataclass(frozen=True)
 class KdeConfig:
@@ -56,11 +50,25 @@ class KdeConfig:
 
 def _as_particle_matrix(particles: np.ndarray) -> np.ndarray:
     theta = np.asarray(particles, dtype=float)
-    if theta.ndim != 2:
-        raise ValueError(f"expected a (N, d) particle array, got shape {theta.shape}")
-    if theta.shape[0] == 0:
-        raise ValueError("particle set is empty")
+    if theta.ndim != 2 or theta.shape[0] == 0:
+        raise ValueError(f"expected a nonempty (N, d) particle array, got shape {theta.shape}")
     return theta
+
+
+def _softmax(logits: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted softmax along ``axis``, computed in place in ``logits``."""
+    logits -= logits.max(axis=axis, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=axis, keepdims=True)
+    return logits
+
+
+def _logsumexp(logits: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted log-sum-exp along ``axis``; ``logits`` is overwritten."""
+    peak = logits.max(axis=axis, keepdims=True)
+    logits -= peak
+    np.exp(logits, out=logits)
+    return np.squeeze(peak, axis=axis) + np.log(logits.sum(axis=axis))
 
 
 def rbf_kernel(x: np.ndarray, y: np.ndarray, h: float) -> float:
@@ -89,10 +97,15 @@ def median_bandwidth(particles: np.ndarray) -> float:
     a small positive constant so degenerate particle sets stay usable.
     """
     theta = _as_particle_matrix(particles)
-    n = theta.shape[0]
+    return _median_bandwidth(pairwise_sq_dists(theta, theta))
+
+
+def _median_bandwidth(sq_dists: np.ndarray) -> float:
+    """``median_bandwidth`` from the particles' (N, N) squared-distance matrix."""
+    n = sq_dists.shape[0]
     if n < 2:
         raise ValueError("median bandwidth needs at least 2 particles")
-    med = float(np.median(pdist(theta)))
+    med = float(np.median(np.sqrt(sq_dists[np.triu_indices(n, 1)])))
     return max(med * med / np.log(n), BANDWIDTH_FLOOR)
 
 
@@ -118,17 +131,15 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray, row_norms: bool = True) -> n
     return sq
 
 
-def _kde_logits(theta: np.ndarray, q: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Log kernel weights of each query over the particles, less each row's maximum.
+def _kde_logits(theta: np.ndarray, q: np.ndarray, lam: float) -> np.ndarray:
+    """Log kernel weights of each query over the particles.
 
     The weights lack the ||q_i||^2 / (2 lam^2) term; a softmax over a row
-    does not need it.  The row maxima are returned as the second value.
+    does not need it.
     """
     logits = pairwise_sq_dists(q, theta, row_norms=False)
     logits /= -2.0 * lam * lam
-    peak = logits.max(axis=1, keepdims=True)
-    logits -= peak
-    return logits, peak[:, 0]
+    return logits
 
 
 def kde_log_density(particles: np.ndarray, query: np.ndarray, lam: float) -> float | np.ndarray:
@@ -141,10 +152,9 @@ def kde_log_density(particles: np.ndarray, query: np.ndarray, lam: float) -> flo
     theta = _as_particle_matrix(particles)
     n, d = theta.shape
     q, single = _query_matrix(query, d)
-    shifted, peak = _kde_logits(theta, q, lam)
     log_norm = 0.5 * d * np.log(2.0 * np.pi * lam * lam) + np.log(n)
-    peak -= (q ** 2).sum(axis=1) / (2.0 * lam * lam)
-    out = peak + np.log(np.exp(shifted).sum(axis=1)) - log_norm
+    out = _logsumexp(_kde_logits(theta, q, lam), axis=1)
+    out -= (q ** 2).sum(axis=1) / (2.0 * lam * lam) + log_norm
     return float(out[0]) if single else out
 
 
@@ -157,8 +167,6 @@ def kde_log_density_grad(particles: np.ndarray, query: np.ndarray, lam: float) -
     theta = _as_particle_matrix(particles)
     d = theta.shape[1]
     q, single = _query_matrix(query, d)
-    weights, _ = _kde_logits(theta, q, lam)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=1, keepdims=True)
+    weights = _softmax(_kde_logits(theta, q, lam), axis=1)
     grad = (weights @ theta - q) / (lam * lam)
     return grad[0] if single else grad

@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .kernels import _as_particle_matrix, _softmax
+
 METRICS_COLUMNS = ("round", "phase", "forgotten_acc", "retained_acc", "kl", "forgot_loss", "wall_ms")
 
 DENSITY_FLOOR = 1e-300
@@ -61,8 +63,7 @@ def _normalized_density(log_values: np.ndarray, x: np.ndarray, name: str) -> np.
         raise GridError(f"{name} evaluator returned shape {log_values.shape}, expected {x.shape}")
     if np.any(np.isnan(log_values)) or np.any(log_values == np.inf):
         raise GridError(f"{name} evaluator produced invalid log values")
-    shifted = log_values - log_values.max()
-    density = np.exp(shifted)
+    density = _softmax(log_values.copy(), axis=0)
     mass = np.trapezoid(density, x)
     if not mass > 0:
         raise GridError(f"{name} has zero mass on the grid")
@@ -182,9 +183,7 @@ def save_snapshot(path, particles: np.ndarray, round_index: int, seed: int) -> N
     Values use shortest round-trip formatting, so reloading reproduces the
     array bit for bit.
     """
-    theta = np.asarray(particles, dtype=float)
-    if theta.ndim != 2 or theta.shape[0] == 0:
-        raise ValueError(f"expected a nonempty (N, d) particle array, got shape {theta.shape}")
+    theta = _as_particle_matrix(particles)
     lines = [f"{theta.shape[0]} {theta.shape[1]} {round_index} {seed}"]
     lines.extend(" ".join(repr(float(v)) for v in row) for row in theta)
     with open(str(path), "w", encoding="utf-8", newline="\n") as fh:

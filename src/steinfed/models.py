@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+
+from .kernels import _as_particle_matrix, _logsumexp, _softmax
 
 CLAMP_MARGIN = 1e-6
 
@@ -181,7 +182,7 @@ class GaussianMixtureLoss:
 
     def log_mixture_density(self, theta: np.ndarray) -> float | np.ndarray:
         arr, single = _as_rows(theta, self.dim)
-        out = logsumexp(self._component_log_densities(arr), axis=1)
+        out = _logsumexp(self._component_log_densities(arr), axis=1)
         return float(out[0]) if single else out
 
     def loss(self, theta: np.ndarray, alpha: float = 1.0) -> float | np.ndarray:
@@ -190,7 +191,7 @@ class GaussianMixtureLoss:
 
     def neg_loss_grad(self, theta: np.ndarray, alpha: float = 1.0) -> np.ndarray:
         arr, single = _as_rows(theta, self.dim)
-        resp = softmax(self._component_log_densities(arr), axis=1)
+        resp = _softmax(self._component_log_densities(arr), axis=1)
         comp_scores = (self._means[None, :, :] - arr[:, None, :]) / self._variances[None, :, :]
         out = (resp[:, :, None] * comp_scores).sum(axis=1)
         return out[0] if single else out
@@ -217,11 +218,7 @@ def _head_logits(design: np.ndarray, heads: np.ndarray, num_classes: int) -> np.
 
 def _head_probs(design: np.ndarray, heads: np.ndarray, num_classes: int) -> np.ndarray:
     """Softmax class probabilities ``(n, C, Q)`` of every head on every design row."""
-    probs = _head_logits(design, heads, num_classes)
-    probs -= probs.max(axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
+    return _softmax(_head_logits(design, heads, num_classes), axis=1)
 
 
 class SoftmaxHeadLoss:
@@ -262,10 +259,7 @@ class SoftmaxHeadLoss:
             return float(out[0]) if single else out
         logits = _head_logits(self._design, arr, self.num_classes)
         picked = logits[np.arange(self.labels.size), self.labels, :]
-        peak = logits.max(axis=1)
-        logits -= peak[:, None, :]
-        np.exp(logits, out=logits)
-        out = (peak + np.log(logits.sum(axis=1)) - picked).mean(axis=0)
+        out = (_logsumexp(logits, axis=1) - picked).mean(axis=0)
         return float(out[0]) if single else out
 
     def neg_loss_grad(self, theta: np.ndarray, alpha: float = 1.0) -> np.ndarray:
@@ -295,10 +289,8 @@ def averaged_class_probabilities(
     particles: np.ndarray, features: np.ndarray, num_classes: int
 ) -> np.ndarray:
     """Average softmax head probabilities over a particle ensemble."""
-    theta = np.asarray(particles, dtype=float)
+    theta = _as_particle_matrix(particles)
     features = np.asarray(features, dtype=float)
-    if theta.ndim != 2 or theta.shape[0] == 0:
-        raise ValueError(f"expected a nonempty (N, d) particle array, got shape {theta.shape}")
     num_features = features.shape[1]
     if theta.shape[1] != (num_features + 1) * num_classes:
         raise ValueError(
@@ -415,7 +407,7 @@ def pretrain_feature_map(
         pre = x @ w1 + b1
         hidden = np.maximum(pre, 0.0)
         logits = hidden @ w2 + b2
-        log_probs = logits - logsumexp(logits, axis=1, keepdims=True)
+        log_probs = logits - _logsumexp(logits.copy(), axis=1)[:, None]
         loss = -log_probs[np.arange(n), y].mean()
         if not np.isfinite(loss):
             raise FloatingPointError("pretraining loss diverged")

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelConfig, pairwise_sq_dists
+from .kernels import KernelConfig, _as_particle_matrix, _median_bandwidth, pairwise_sq_dists
 
 # Row-wise score function: maps an (N, d) particle array to (N, d) gradients.
 TargetGradient = Callable[[np.ndarray], np.ndarray]
@@ -53,9 +53,7 @@ def svgd_direction(
     distance is 1 and its gradient vanishes, so the direction reduces to the
     particle's own score regardless of bandwidth.
     """
-    theta = np.asarray(particles, dtype=float)
-    if theta.ndim != 2 or theta.shape[0] == 0:
-        raise ValueError(f"expected a nonempty (N, d) particle array, got shape {theta.shape}")
+    theta = _as_particle_matrix(particles)
     kernel = kernel or KernelConfig()
 
     grads = np.asarray(target(theta), dtype=float)
@@ -68,8 +66,9 @@ def svgd_direction(
     if n == 1:
         return grads.copy()
 
-    h = kernel.resolve(theta)
-    kmat = np.exp(-pairwise_sq_dists(theta, theta) / h)
+    sq_dists = pairwise_sq_dists(theta, theta)
+    h = kernel.h if kernel.h is not None else _median_bandwidth(sq_dists)
+    kmat = np.exp(-sq_dists / h)
     attract = kmat.T @ grads
     repulse = (2.0 / h) * (theta * kmat.sum(axis=0)[:, None] - kmat.T @ theta)
     return (attract + repulse) / n
@@ -108,9 +107,7 @@ def run_svgd(
     """
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
-    theta = np.array(particles, dtype=float, copy=True)
-    if theta.ndim != 2 or theta.shape[0] == 0:
-        raise ValueError(f"expected a nonempty (N, d) particle array, got shape {theta.shape}")
+    theta = _as_particle_matrix(particles).copy()
     opt = opt if opt is not None else AdaGradState()
     for _ in range(steps):
         phi = svgd_direction(theta, target, kernel)

@@ -1,6 +1,7 @@
 """Shared numeric oracles for the test suite."""
 
 import numpy as np
+from scipy.spatial.distance import pdist
 from scipy.special import logsumexp, softmax
 
 
@@ -30,6 +31,12 @@ def max_relative_deviation(approx, exact):
     approx = np.asarray(approx, dtype=float)
     exact = np.asarray(exact, dtype=float)
     return float(np.max(np.abs(approx - exact)) / np.max(np.abs(exact)))
+
+
+def median_bandwidth_pdist(particles):
+    """Median-heuristic bandwidth from scipy's exact pairwise distances."""
+    med = np.median(pdist(particles))
+    return med * med / np.log(particles.shape[0])
 
 
 # --- literal broadcast and einsum oracles -------------------------------------

@@ -1,11 +1,15 @@
 """Tests for the command line interface."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import steinfed
 from steinfed.cli import build_parser, main
 from steinfed.metrics import read_metrics_csv
 
@@ -141,3 +145,13 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "learn" in proc.stdout
         assert "unlearn" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only oracle: the package must run on numpy alone
+        probe = ("import sys, steinfed; "
+                 "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        env = dict(os.environ, PYTHONPATH=str(Path(steinfed.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

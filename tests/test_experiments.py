@@ -305,6 +305,12 @@ CONFIG_ERRORS = [
      "config.experiment.synthetic.n_train: expected an integer, got NoneType"),
     ("cls", EXP + ("synthetic", "noise"), "x",
      "config.experiment.synthetic.noise: expected a number, got str"),
+    ("cls", EXP + ("synthetic", "dim"), 0,
+     "config.experiment.synthetic.dim: must be at least 1, got 0"),
+    ("cls", EXP + ("synthetic", "n_train"), 3,
+     "config.experiment.synthetic: n_train must be at least num_classes (4), got 3"),
+    ("cls", EXP + ("synthetic", "n_test"), 1,
+     "config.experiment.synthetic: n_test must be at least num_classes (4), got 1"),
     ("cls", EXP + ("source",), "idx", "config.experiment.idx: required when source is 'idx'"),
     ("idx", EXP + ("idx",), [], "config.experiment.idx: expected an object, got list"),
     ("idx", EXP + ("idx", "typo"), 1, "config.experiment.idx: unknown key(s) ['typo']"),
@@ -383,6 +389,9 @@ CONFIG_ERRORS = [
     ("mix", ("unlearn", "epsilon"), "x", "config.unlearn.epsilon: expected a number, got str"),
     ("mix", ("unlearn", "epsilon_local"), [],
      "config.unlearn.epsilon_local: expected a number, got list"),
+    ("mix", ("unlearn", "epsilon"), -0.1, "config.unlearn.epsilon: must be nonnegative, got -0.1"),
+    ("mix", ("unlearn", "epsilon_local"), -1,
+     "config.unlearn.epsilon_local: must be nonnegative, got -1.0"),
     ("mix", ("unlearn", "update_steps"), -1,
      "config.unlearn.update_steps: must be nonnegative, got -1"),
     ("mix", ("unlearn", "distill_steps"), 1.5,

@@ -7,6 +7,7 @@ from helpers import (
     kde_log_density_broadcast,
     kde_log_density_grad_broadcast,
     max_relative_deviation,
+    median_bandwidth_pdist,
     relative_error,
 )
 
@@ -112,17 +113,17 @@ class TestMedianBandwidth:
         permuted = median_bandwidth(particles[rng.permutation(12)])
         np.testing.assert_allclose([shifted, permuted], [base, base], rtol=1e-12)
 
-
-class TestKernelConfig:
-    def test_fixed_bandwidth_resolution(self):
-        assert KernelConfig(h=2.5).resolve(np.zeros((1, 1))) == 2.5
-
-    def test_median_resolution(self):
-        cfg = KernelConfig()
+    # The mixture, desk and wide particle shapes; the mixture set sits 50
+    # away from the origin, where the GEMM distances lose the most digits.
+    @pytest.mark.parametrize("n,d,offset", [(100, 1, 50.0), (30, 104, 0.0), (100, 1010, 0.0)])
+    def test_matches_pdist_oracle(self, n, d, offset):
+        particles = np.random.default_rng(11).normal(scale=3.0, size=(n, d)) + offset
         np.testing.assert_allclose(
-            cfg.resolve(np.array([[0.0], [2.0]])), 4.0 / np.log(2.0), rtol=1e-15
+            median_bandwidth(particles), median_bandwidth_pdist(particles), rtol=1e-12
         )
 
+
+class TestKernelConfig:
     def test_invalid_fixed_bandwidth(self):
         with pytest.raises(ValueError, match="positive"):
             KernelConfig(h=-1.0)
