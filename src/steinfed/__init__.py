@@ -43,8 +43,6 @@ from .federation import (
     unlearning_round,
 )
 from .kernels import (
-    KdeConfig,
-    KernelConfig,
     kde_log_density,
     kde_log_density_grad,
     median_bandwidth,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import federation as fed
 from .data import load_idx_dataset, make_synthetic_pair, partition_non_iid
-from .kernels import KdeConfig, KernelConfig, kde_log_density
+from .kernels import kde_log_density
 from .metrics import (
     GridConfig,
     MetricRecord,
@@ -383,32 +383,20 @@ class RetrainSettings:
 
 
 @dataclass(frozen=True)
-class PviSettings:
-    local_iters: int = 10
-    epsilon: float = 0.05
-    mc_samples: int = 200
-    prior_mean: float = 0.0
-    prior_variance: float = 100.0 / 3.0
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated run config.
+    """A validated run config; each JSON section fills the type that uses it.
 
-    ``protocol`` carries no prior; each phase adds the problem's prior.  The
-    JSON keys ``protocol.kde_lam`` and ``protocol.bandwidth`` fill ``kde``
-    and ``kernel``.
+    ``protocol`` carries no prior, and ``pvi`` keeps its default ``alpha``:
+    each phase adds the problem's prior and the protocol's ``alpha``.
     """
 
     method: str
     experiment: MixtureSpec | ClassificationSpec
     protocol: fed.ProtocolConfig
-    kde: KdeConfig
-    kernel: KernelConfig
     learn: LearnSettings
     unlearn: UnlearnSettings
     retrain: RetrainSettings
-    pvi: PviSettings
+    pvi: PviConfig
     grid: GridConfig
     forget_agents: tuple[int, ...]
     seed: int = 0
@@ -429,10 +417,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if top["method"] in PARAMETRIC_METHODS and not mixture:
         raise ConfigError("config.method: parametric methods support the mixture experiment only")
 
-    proto = _read(top.pop("protocol", {}), "config.protocol", _PROTOCOL)
-    kde = KdeConfig(proto.pop("kde_lam", KdeConfig.lam))
-    kernel = KernelConfig(proto.pop("bandwidth", KernelConfig.h))
-    protocol = fed.ProtocolConfig(**proto)
+    protocol = fed.ProtocolConfig(**_read(top.pop("protocol", {}), "config.protocol", _PROTOCOL))
     if protocol.epsilon < 0 or protocol.epsilon_local < 0:
         raise ConfigError("config.protocol: step sizes must be nonnegative")
 
@@ -442,12 +427,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(
         experiment=experiment,
         protocol=protocol,
-        kde=kde,
-        kernel=kernel,
         learn=_section(LearnSettings, top.pop("learn", {}), "config.learn", _LEARN),
         unlearn=_section(UnlearnSettings, top.pop("unlearn", {}), "config.unlearn", _UNLEARN),
         retrain=_section(RetrainSettings, top.pop("retrain", {}), "config.retrain", _RETRAIN),
-        pvi=_section(PviSettings, top.pop("pvi", {}), "config.pvi", _PVI),
+        pvi=_section(PviConfig, top.pop("pvi", {}), "config.pvi", _PVI),
         grid=_section(GridConfig, top.pop("grid", {}), "config.grid", _GRID),
         forget_agents=forget_agents,
         **top,
@@ -531,7 +514,6 @@ class ClassificationProblem:
     test_features: np.ndarray
     test_labels: np.ndarray
     num_classes: int
-    kde_lam: float
 
     @property
     def forgotten_classes(self) -> tuple[int, ...]:
@@ -579,7 +561,7 @@ def build_problem(cfg: ExperimentConfig):
             prior=spec.prior.build(dim=1),
             forget_ids=cfg.forget_agents,
             grid=cfg.grid,
-            kde_lam=cfg.kde.lam,
+            kde_lam=cfg.protocol.kde_lam,
         )
 
     spec = cfg.experiment
@@ -632,7 +614,6 @@ def build_problem(cfg: ExperimentConfig):
         test_features=feature_map(test.features),
         test_labels=test.labels,
         num_classes=num_classes,
-        kde_lam=cfg.kde.lam,
     )
 
 
@@ -805,8 +786,8 @@ def _run_particles(cfg: ExperimentConfig, problem, method: str) -> RunResult:
         if not os.path.exists(learned):
             raise MissingStateError(f"no learned state found at {learned}; run learn first")
         particles, _, _ = load_snapshot(learned)
-    server, agents = fed.initialize_states(losses, pcfg, cfg.particles, cfg.seed, kde=cfg.kde,
-                                           kernel=cfg.kernel, forget_ids=forget_ids)
+    server, agents = fed.initialize_states(losses, pcfg, cfg.particles, cfg.seed,
+                                           forget_ids=forget_ids)
     if phase == PHASE_UNLEARN:
         server = dataclasses.replace(server, global_particles=particles)
         agents = fed.reinitialize_forget_agents(agents, pcfg, cfg.seed)
@@ -882,8 +863,7 @@ def _run_parametric(cfg: ExperimentConfig, problem, method: str) -> RunResult:
         eta = moment_to_nat([cfg.pvi.prior_mean], [cfg.pvi.prior_variance])
         locals_nat = {k: GaussianNatParams.zeros(eta.dim) for k in problem.losses}
         eligible = tuple(problem.losses)
-    pvicfg = PviConfig(alpha=cfg.protocol.alpha, local_iters=cfg.pvi.local_iters,
-                       epsilon=cfg.pvi.epsilon, mc_samples=cfg.pvi.mc_samples)
+    pvicfg = dataclasses.replace(cfg.pvi, alpha=cfg.protocol.alpha)
     pcfg = _protocol_config(cfg, problem.prior, phase)
     rng = np.random.default_rng([cfg.seed, 3 if phase == PHASE_UNLEARN else 2])
 

@@ -21,12 +21,12 @@ pooled retained-data target starting from fresh prior draws.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .kernels import KdeConfig, KernelConfig, _as_particle_matrix, kde_log_density_grad
+from .kernels import _as_particle_matrix, kde_log_density_grad
 from .svgd import AdaGradState, TargetGradient, run_svgd
 
 ROLE_RETAIN = "retain"
@@ -47,8 +47,6 @@ class ServerState:
 
     global_particles: np.ndarray
     round_index: int = 0
-    kde: KdeConfig = field(default_factory=KdeConfig)
-    kernel: KernelConfig = field(default_factory=KernelConfig)
     global_opt: AdaGradState | None = None
 
     def __post_init__(self) -> None:
@@ -75,7 +73,13 @@ class AgentState:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Round structure and step-size settings shared by all round types."""
+    """Round structure, step sizes and kernel widths shared by all round types.
+
+    ``kde_lam`` is the per-dimension standard deviation of every KDE in the
+    tilted and distillation targets.  ``bandwidth=None`` picks the RBF
+    transport bandwidth by the median heuristic at every step; a positive
+    float fixes it.
+    """
 
     alpha: float = 1.0
     update_steps: int = 10
@@ -87,6 +91,8 @@ class ProtocolConfig:
     sequence: tuple[int, ...] | None = None
     include_prior_score: bool = False
     persist_adagrad: bool = False
+    kde_lam: float = 0.55
+    bandwidth: float | None = None
     prior: object | None = None
 
     def __post_init__(self) -> None:
@@ -94,6 +100,10 @@ class ProtocolConfig:
             raise ValueError(f"temperature must be positive, got {self.alpha}")
         if self.update_steps < 0 or self.distill_steps < 0:
             raise ValueError("step counts must be nonnegative")
+        if not self.kde_lam > 0:
+            raise ValueError(f"kde standard deviation must be positive, got {self.kde_lam}")
+        if self.bandwidth is not None and not self.bandwidth > 0:
+            raise ValueError(f"fixed bandwidth must be positive, got {self.bandwidth}")
         if self.schedule not in ("round_robin", "fixed_sequence"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.schedule == "fixed_sequence" and self.sequence is not None:
@@ -120,8 +130,6 @@ def initialize_states(
     config: ProtocolConfig,
     n_particles: int,
     seed: int,
-    kde: KdeConfig | None = None,
-    kernel: KernelConfig | None = None,
     forget_ids: tuple[int, ...] = (),
 ) -> tuple[ServerState, dict[int, AgentState]]:
     """Fresh server and agent states for a learning run."""
@@ -133,8 +141,6 @@ def initialize_states(
     server = ServerState(
         global_particles=init_global_particles(config.prior, n_particles, seed),
         round_index=0,
-        kde=kde or KdeConfig(),
-        kernel=kernel or KernelConfig(),
     )
     agents = {
         k: AgentState(
@@ -173,11 +179,12 @@ def reinitialize_forget_agents(
 
 
 def _tilted_grad(
-    server: ServerState, agent: AgentState, alpha: float, prior, sign: float
+    server: ServerState, agent: AgentState, config: ProtocolConfig, sign: float
 ) -> TargetGradient:
     global_ref = server.global_particles.copy()
     local_ref = agent.local_particles.copy()
-    lam = server.kde.lam
+    lam, alpha = config.kde_lam, config.alpha
+    prior = config.prior if config.include_prior_score else None
     loss = agent.loss
 
     def target(theta: np.ndarray) -> np.ndarray:
@@ -192,33 +199,38 @@ def _tilted_grad(
 
 
 def tilted_grad_learning(
-    server: ServerState, agent: AgentState, alpha: float, prior=None
+    server: ServerState, agent: AgentState, config: ProtocolConfig
 ) -> TargetGradient:
     """Score of the learning-round tilted target, frozen at round start.
 
     The returned closure captures copies of the current global and local
     particle sets, so later moves of either set do not leak into the target.
+    The loss is tempered by ``config.alpha``, the KDEs have width
+    ``config.kde_lam``, and the prior score of ``config.prior`` is added when
+    ``config.include_prior_score`` is set.
     """
-    return _tilted_grad(server, agent, alpha, prior, sign=1.0)
+    return _tilted_grad(server, agent, config, sign=1.0)
 
 
 def tilted_grad_unlearning(
-    server: ServerState, agent: AgentState, alpha: float, prior=None
+    server: ServerState, agent: AgentState, config: ProtocolConfig
 ) -> TargetGradient:
     """Unlearning variant: the loss gradient enters with flipped sign."""
     if agent.role != ROLE_FORGET:
         raise ProtocolError(f"agent {agent.agent_id} is not in the forget set")
-    return _tilted_grad(server, agent, alpha, prior, sign=-1.0)
+    return _tilted_grad(server, agent, config, sign=-1.0)
 
 
 def distill_target_grad(
-    new_global: np.ndarray, old_global: np.ndarray, old_local: np.ndarray, kde: KdeConfig
+    new_global: np.ndarray, old_global: np.ndarray, old_local: np.ndarray, lam: float
 ) -> TargetGradient:
-    """Score of the distillation target for the scheduled agent's particles."""
+    """Score of the distillation target for the scheduled agent's particles.
+
+    Every KDE has per-dimension standard deviation ``lam``.
+    """
     new_ref = np.asarray(new_global, dtype=float).copy()
     old_ref = np.asarray(old_global, dtype=float).copy()
     local_ref = np.asarray(old_local, dtype=float).copy()
-    lam = kde.lam
 
     def target(theta: np.ndarray) -> np.ndarray:
         grad = kde_log_density_grad(new_ref, theta, lam)
@@ -245,6 +257,32 @@ def _support_projection(config: ProtocolConfig) -> Callable[[np.ndarray], np.nda
     return config.prior.clamp
 
 
+def _optimizer(
+    config: ProtocolConfig, carried: AdaGradState | None, epsilon: float
+) -> AdaGradState:
+    """The AdaGrad state of one transport run: ``carried`` under ``persist_adagrad``, else fresh."""
+    if config.persist_adagrad and carried is not None:
+        return carried
+    return AdaGradState(epsilon=epsilon, fudge=config.fudge)
+
+
+def _transport(server: ServerState, target: TargetGradient, config: ProtocolConfig) -> ServerState:
+    """Move the global particles ``update_steps`` steps towards ``target``.
+
+    This is the global half of a federated round and the whole of a
+    centralized one; it returns the next server state.
+    """
+    opt = _optimizer(config, server.global_opt, config.epsilon)
+    new_global = run_svgd(server.global_particles, target, config.update_steps, opt,
+                          config.bandwidth, project=_support_projection(config))
+    return dataclasses.replace(
+        server,
+        global_particles=new_global,
+        round_index=server.round_index + 1,
+        global_opt=opt if config.persist_adagrad else None,
+    )
+
+
 def _round(
     server: ServerState,
     agents: Mapping[int, AgentState],
@@ -253,33 +291,13 @@ def _round(
     target_builder,
 ) -> tuple[ServerState, AgentState]:
     agent = _lookup_agent(agents, k)
-    old_global = server.global_particles
-    old_local = agent.local_particles
-    project = _support_projection(config)
+    new_server = _transport(server, target_builder(server, agent, config), config)
 
-    prior = config.prior if config.include_prior_score else None
-    target = target_builder(server, agent, config.alpha, prior)
-    global_opt = server.global_opt
-    if not config.persist_adagrad or global_opt is None:
-        global_opt = AdaGradState(epsilon=config.epsilon, fudge=config.fudge)
-    new_global = run_svgd(
-        old_global, target, config.update_steps, global_opt, server.kernel, project=project
-    )
-
-    distill = distill_target_grad(new_global, old_global, old_local, server.kde)
-    distill_opt = agent.distill_opt
-    if not config.persist_adagrad or distill_opt is None:
-        distill_opt = AdaGradState(epsilon=config.epsilon_local, fudge=config.fudge)
-    new_local = run_svgd(
-        old_local, distill, config.distill_steps, distill_opt, server.kernel, project=project
-    )
-
-    new_server = dataclasses.replace(
-        server,
-        global_particles=new_global,
-        round_index=server.round_index + 1,
-        global_opt=global_opt if config.persist_adagrad else None,
-    )
+    distill = distill_target_grad(new_server.global_particles, server.global_particles,
+                                  agent.local_particles, config.kde_lam)
+    distill_opt = _optimizer(config, agent.distill_opt, config.epsilon_local)
+    new_local = run_svgd(agent.local_particles, distill, config.distill_steps, distill_opt,
+                         config.bandwidth, project=_support_projection(config))
     new_agent = dataclasses.replace(
         agent,
         local_particles=new_local,
@@ -354,21 +372,4 @@ def centralized_round(
     """One retraining round: ``update_steps`` transport steps on the pooled target."""
     if config.prior is None:
         raise ProtocolError("retraining requires a prior in the protocol config")
-    target = pooled_target(losses, config.alpha, config.prior)
-    global_opt = server.global_opt
-    if not config.persist_adagrad or global_opt is None:
-        global_opt = AdaGradState(epsilon=config.epsilon, fudge=config.fudge)
-    new_global = run_svgd(
-        server.global_particles,
-        target,
-        config.update_steps,
-        global_opt,
-        server.kernel,
-        project=_support_projection(config),
-    )
-    return dataclasses.replace(
-        server,
-        global_particles=new_global,
-        round_index=server.round_index + 1,
-        global_opt=global_opt if config.persist_adagrad else None,
-    )
+    return _transport(server, pooled_target(losses, config.alpha, config.prior), config)

@@ -15,37 +15,9 @@ pairwise squared-distance helper written as a matrix product, so no
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 BANDWIDTH_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Bandwidth policy for the RBF kernel.
-
-    ``h=None`` recomputes the bandwidth from the current particles with the
-    median heuristic at every update step; a positive float fixes it.
-    """
-
-    h: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.h is not None and not self.h > 0:
-            raise ValueError(f"fixed bandwidth must be positive, got {self.h}")
-
-
-@dataclass(frozen=True)
-class KdeConfig:
-    """Per-dimension standard deviation of the Gaussian KDE."""
-
-    lam: float = 0.55
-
-    def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValueError(f"kde standard deviation must be positive, got {self.lam}")
 
 
 def _as_particle_matrix(particles: np.ndarray) -> np.ndarray:
@@ -109,13 +81,14 @@ def _median_bandwidth(sq_dists: np.ndarray) -> float:
     return max(med * med / np.log(n), BANDWIDTH_FLOOR)
 
 
-def _query_matrix(query: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    q = np.asarray(query, dtype=float)
-    single = q.ndim == 1
-    q = np.atleast_2d(q)
-    if q.ndim != 2 or q.shape[1] != dim:
-        raise ValueError(f"query shape {np.asarray(query).shape} does not match dimension {dim}")
-    return q, single
+def _as_rows(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
+    """``x`` as a float (M, dim) matrix, and whether it was a single ``(dim,)`` row."""
+    arr = np.asarray(x, dtype=float)
+    single = arr.ndim == 1
+    arr = np.atleast_2d(arr)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(f"input shape {np.asarray(x).shape} does not match dimension {dim}")
+    return arr, single
 
 
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray, row_norms: bool = True) -> np.ndarray:
@@ -151,7 +124,7 @@ def kde_log_density(particles: np.ndarray, query: np.ndarray, lam: float) -> flo
     """
     theta = _as_particle_matrix(particles)
     n, d = theta.shape
-    q, single = _query_matrix(query, d)
+    q, single = _as_rows(query, d)
     log_norm = 0.5 * d * np.log(2.0 * np.pi * lam * lam) + np.log(n)
     out = _logsumexp(_kde_logits(theta, q, lam), axis=1)
     out -= (q ** 2).sum(axis=1) / (2.0 * lam * lam) + log_norm
@@ -166,7 +139,7 @@ def kde_log_density_grad(particles: np.ndarray, query: np.ndarray, lam: float) -
     """
     theta = _as_particle_matrix(particles)
     d = theta.shape[1]
-    q, single = _query_matrix(query, d)
+    q, single = _as_rows(query, d)
     weights = _softmax(_kde_logits(theta, q, lam), axis=1)
     grad = (weights @ theta - q) / (lam * lam)
     return grad[0] if single else grad

@@ -125,28 +125,37 @@ class MetricRecord:
         return out
 
 
-class MetricsWriter:
-    """Append-only CSV writer that emits the fixed metrics header."""
+class _LineWriter:
+    """Append-only text file, truncated on open.
+
+    The file is line-buffered, so each line reaches the operating system as
+    soon as it is written and a run that dies keeps every line it wrote.
+    """
 
     def __init__(self, path):
         self.path = str(path)
-        self._fh = open(self.path, "w", encoding="utf-8", newline="")
-        self._writer = csv.writer(self._fh, lineterminator="\n")
-        self._writer.writerow(METRICS_COLUMNS)
-        self._fh.flush()
-
-    def append(self, record: MetricRecord) -> None:
-        self._writer.writerow(record.row())
-        self._fh.flush()
+        self._fh = open(self.path, "w", encoding="utf-8", newline="", buffering=1)
 
     def close(self) -> None:
         self._fh.close()
 
-    def __enter__(self) -> "MetricsWriter":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class MetricsWriter(_LineWriter):
+    """Append-only CSV writer that emits the fixed metrics header."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self._writer = csv.writer(self._fh, lineterminator="\n")
+        self._writer.writerow(METRICS_COLUMNS)
+
+    def append(self, record: MetricRecord) -> None:
+        self._writer.writerow(record.row())
 
 
 def read_metrics_csv(path) -> list[MetricRecord]:
@@ -222,25 +231,11 @@ def load_snapshot(path) -> tuple[np.ndarray, int, int]:
 # --- transcripts ----------------------------------------------------------------
 
 
-class TranscriptWriter:
+class TranscriptWriter(_LineWriter):
     """Append-only JSON-lines transcript of round events."""
-
-    def __init__(self, path):
-        self.path = str(path)
-        self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
 
     def append(self, event: dict) -> None:
         self._fh.write(json.dumps(event) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self) -> "TranscriptWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def read_transcript(path) -> list[dict]:

@@ -20,22 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _as_particle_matrix, _logsumexp, _softmax
+from .kernels import _as_particle_matrix, _as_rows, _logsumexp, _softmax
 
 CLAMP_MARGIN = 1e-6
 
 
 class OutOfSupportError(ValueError):
     """A point fell outside the open support of a bounded prior."""
-
-
-def _as_rows(theta: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(theta, dtype=float)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(f"parameter shape {np.asarray(theta).shape} does not match dimension {dim}")
-    return arr, single
 
 
 # --- priors -----------------------------------------------------------------

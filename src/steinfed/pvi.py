@@ -138,12 +138,14 @@ def expected_loss_grad_moment(
 
 @dataclass(frozen=True)
 class PviConfig:
-    """Step structure of the parametric rounds."""
+    """Step structure of the parametric rounds and the Gaussian prior they start from."""
 
     alpha: float = 1.0
     local_iters: int = 10
     epsilon: float = 0.05
     mc_samples: int = 200
+    prior_mean: float = 0.0
+    prior_variance: float = 100.0 / 3.0
 
     def __post_init__(self) -> None:
         if not self.alpha > 0:

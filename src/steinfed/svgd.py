@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelConfig, _as_particle_matrix, _median_bandwidth, pairwise_sq_dists
+from .kernels import _as_particle_matrix, _median_bandwidth, pairwise_sq_dists
 
 # Row-wise score function: maps an (N, d) particle array to (N, d) gradients.
 TargetGradient = Callable[[np.ndarray], np.ndarray]
@@ -45,16 +45,19 @@ class AdaGradState:
 def svgd_direction(
     particles: np.ndarray,
     target: TargetGradient,
-    kernel: KernelConfig | None = None,
+    bandwidth: float | None = None,
 ) -> np.ndarray:
     """Transport direction for every particle under the current target.
 
-    A single particle has no interaction terms: the kernel value at zero
-    distance is 1 and its gradient vanishes, so the direction reduces to the
-    particle's own score regardless of bandwidth.
+    ``bandwidth=None`` takes the median-heuristic bandwidth of the current
+    particles at every call; a positive float fixes it.  A single particle
+    has no interaction terms: the kernel value at zero distance is 1 and its
+    gradient vanishes, so the direction reduces to the particle's own score
+    regardless of bandwidth.
     """
     theta = _as_particle_matrix(particles)
-    kernel = kernel or KernelConfig()
+    if bandwidth is not None and not bandwidth > 0:
+        raise ValueError(f"fixed bandwidth must be positive, got {bandwidth}")
 
     grads = np.asarray(target(theta), dtype=float)
     if grads.shape != theta.shape:
@@ -67,7 +70,7 @@ def svgd_direction(
         return grads.copy()
 
     sq_dists = pairwise_sq_dists(theta, theta)
-    h = kernel.h if kernel.h is not None else _median_bandwidth(sq_dists)
+    h = bandwidth if bandwidth is not None else _median_bandwidth(sq_dists)
     kmat = np.exp(-sq_dists / h)
     attract = kmat.T @ grads
     repulse = (2.0 / h) * (theta * kmat.sum(axis=0)[:, None] - kmat.T @ theta)
@@ -95,7 +98,7 @@ def run_svgd(
     target: TargetGradient,
     steps: int,
     opt: AdaGradState | None = None,
-    kernel: KernelConfig | None = None,
+    bandwidth: float | None = None,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Run ``steps`` transport updates and return the final particles.
@@ -110,7 +113,7 @@ def run_svgd(
     theta = _as_particle_matrix(particles).copy()
     opt = opt if opt is not None else AdaGradState()
     for _ in range(steps):
-        phi = svgd_direction(theta, target, kernel)
+        phi = svgd_direction(theta, target, bandwidth)
         theta = adagrad_step(opt, theta, phi)
         if project is not None:
             theta = project(theta)

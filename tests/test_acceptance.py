@@ -17,14 +17,13 @@ from helpers import fd_gradient, relative_error
 from steinfed.experiments import load_config, run_experiment, run_paths
 from steinfed.federation import (
     AgentState,
+    ProtocolConfig,
     ServerState,
     distill_target_grad,
     tilted_grad_learning,
     tilted_grad_unlearning,
 )
 from steinfed.kernels import (
-    KdeConfig,
-    KernelConfig,
     kde_log_density,
     kde_log_density_grad,
     rbf_kernel,
@@ -101,7 +100,7 @@ class TestCriterion2:
             theta = rng.normal(size=(n, d))
             grads = rng.normal(size=(n, d))
             h = float(rng.uniform(0.3, 3.0))
-            got = svgd_direction(theta, lambda t: grads, KernelConfig(h=h))
+            got = svgd_direction(theta, lambda t: grads, h)
             worst = max(worst, float(np.max(np.abs(got - double_loop(theta, grads, h)))))
         elapsed = time.perf_counter() - start
         ok, line = report(
@@ -175,13 +174,13 @@ class TestCriterion3:
 
         glob = rng.normal(0.0, 2.0, size=(10, 1))
         loc = rng.normal(0.0, 2.0, size=(8, 1))
-        kde = KdeConfig(lam=0.9)
-        server = ServerState(global_particles=glob, kde=kde)
+        config = ProtocolConfig(alpha=1.0, kde_lam=0.9)
+        server = ServerState(global_particles=glob)
         learner = AgentState(agent_id=1, loss=mixture, local_particles=loc)
         forgetter = AgentState(agent_id=1, loss=mixture, local_particles=loc,
                                role=fed.ROLE_FORGET)
-        tilt_learn = tilted_grad_learning(server, learner, alpha=1.0)
-        tilt_unlearn = tilted_grad_unlearning(server, forgetter, alpha=1.0)
+        tilt_learn = tilted_grad_learning(server, learner, config)
+        tilt_unlearn = tilted_grad_unlearning(server, forgetter, config)
 
         def tilted_scalar(x, sign):
             val = float(kde_log_density(glob, x[None, :], 0.9)[0])
@@ -202,7 +201,7 @@ class TestCriterion3:
         ))
 
         new_glob = rng.normal(0.0, 2.0, size=(10, 1))
-        distill = distill_target_grad(new_glob, glob, loc, kde)
+        distill = distill_target_grad(new_glob, glob, loc, config.kde_lam)
 
         def distill_scalar(x):
             val = float(kde_log_density(new_glob, x[None, :], 0.9)[0])

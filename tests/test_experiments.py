@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from steinfed.experiments import (
+    _PROTOCOL,
+    _PVI,
     ClassificationProblem,
     ConfigError,
     ExperimentConfig,
@@ -41,6 +43,7 @@ from steinfed.federation import (
 )
 from steinfed.metrics import MetricRecord, read_metrics_csv, read_transcript, load_snapshot
 from steinfed.models import GaussianPrior, UniformPrior
+from steinfed.pvi import PviConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -216,6 +219,14 @@ class TestConfigParsing:
         cfg = load_config(path)
         assert isinstance(cfg, ExperimentConfig)
         assert cfg.out_dir == str(tmp_path)
+
+    def test_each_section_fills_one_type(self):
+        # every protocol key is a ProtocolConfig field and every pvi key a
+        # PviConfig field; the phases add the prior and alpha themselves
+        protocol = {f.name for f in dataclasses.fields(ProtocolConfig)} - {"prior"}
+        assert protocol == set(_PROTOCOL)
+        pvi = {f.name for f in dataclasses.fields(PviConfig)} - {"alpha"}
+        assert pvi == set(_PVI)
 
 
 DELETE = object()
@@ -725,8 +736,7 @@ class TestRetrainRuns:
         problem = build_problem(cfg)
         retained = {k: problem.losses[k] for k in (2, 3)}
         config = dataclasses.replace(cfg.protocol, prior=problem.prior)
-        server, agents = initialize_states(retained, config, cfg.particles, cfg.seed,
-                                           kde=cfg.kde, kernel=cfg.kernel)
+        server, agents = initialize_states(retained, config, cfg.particles, cfg.seed)
         for r in range(5):
             k = schedule(config, r, agents.keys())
             server, agents[k] = learning_round(server, agents, k, config)
@@ -764,6 +774,8 @@ RUN_OPTIONS = [
     ("unlearn", "unlearn", "update_steps", 4),
     ("unlearn", "unlearn", "distill_steps", 4),
     ("retrain", "retrain", "mode", "federated"),
+    ("retrain", "protocol", "persist_adagrad", True),
+    ("retrain", "protocol", "bandwidth", 0.5),
 ]
 
 
@@ -774,8 +786,10 @@ class TestRunOptions:
             run_experiment(cfg, "learn")
         return Path(run_experiment(cfg, command).paths.snapshot).read_bytes()
 
+    # the id names the command too when it is neither learn nor the section's own
     @pytest.mark.parametrize("command,section,key,value", RUN_OPTIONS,
-                             ids=[f"{s}.{k}" for _, s, k, _ in RUN_OPTIONS])
+                             ids=[f"{s}.{k}" if c in ("learn", s) else f"{c}:{s}.{k}"
+                                  for c, s, k, _ in RUN_OPTIONS])
     def test_option_reaches_the_rounds(self, tmp_path, command, section, key, value):
         default = _gaussian_prior_dict(tmp_path / "default")
         changed = _gaussian_prior_dict(tmp_path / "changed")
@@ -792,8 +806,7 @@ class TestRunOptions:
         cfg = config_from_dict(data)
         del data[section][key]
         unset = config_from_dict(data)
-        assert (cfg.kernel, cfg.unlearn, cfg.protocol) == (unset.kernel, unset.unlearn,
-                                                          unset.protocol)
+        assert (cfg.unlearn, cfg.protocol) == (unset.unlearn, unset.protocol)
         prior = UniformPrior(-10.0, 10.0)
         assert _protocol_config(cfg, prior, "unlearn") == _protocol_config(unset, prior, "unlearn")
 

@@ -27,7 +27,7 @@ from steinfed.federation import (
     tilted_grad_unlearning,
     unlearning_round,
 )
-from steinfed.kernels import KdeConfig, KernelConfig, kde_log_density_grad
+from steinfed.kernels import kde_log_density_grad
 from steinfed.models import GaussianMixtureLoss, GaussianPrior, MixtureComponent, UniformPrior
 from steinfed.svgd import AdaGradState, run_svgd
 
@@ -106,10 +106,10 @@ class TestTiltedTargets:
     def test_learning_target_decomposition(self):
         _, _, _, server, agents = two_agent_setup(seed=2)
         agent = agents[1]
-        lam = server.kde.lam
+        lam = ProtocolConfig().kde_lam
         g0 = server.global_particles.copy()
         l0 = agent.local_particles.copy()
-        target = tilted_grad_learning(server, agent, alpha=1.5)
+        target = tilted_grad_learning(server, agent, ProtocolConfig(alpha=1.5))
         theta = np.random.default_rng(3).uniform(-5, 5, size=(9, 1))
         want = (kde_log_density_grad(g0, theta, lam)
                 - kde_log_density_grad(l0, theta, lam)
@@ -119,9 +119,9 @@ class TestTiltedTargets:
     def test_unlearning_flips_only_the_loss_term(self):
         _, _, _, server, agents = two_agent_setup(seed=4, forget=(1,))
         agent = agents[1]
-        lam = server.kde.lam
-        learn = tilted_grad_learning(server, agent, alpha=1.0)
-        unlearn = tilted_grad_unlearning(server, agent, alpha=1.0)
+        lam = ProtocolConfig().kde_lam
+        learn = tilted_grad_learning(server, agent, ProtocolConfig(alpha=1.0))
+        unlearn = tilted_grad_unlearning(server, agent, ProtocolConfig(alpha=1.0))
         theta = np.random.default_rng(5).uniform(-5, 5, size=(7, 1))
         kde_part = (kde_log_density_grad(server.global_particles, theta, lam)
                     - kde_log_density_grad(agent.local_particles, theta, lam))
@@ -130,21 +130,22 @@ class TestTiltedTargets:
     def test_unlearning_requires_forget_role(self):
         _, _, _, server, agents = two_agent_setup()
         with pytest.raises(ProtocolError):
-            tilted_grad_unlearning(server, agents[1], alpha=1.0)
+            tilted_grad_unlearning(server, agents[1], ProtocolConfig(alpha=1.0))
 
     def test_prior_score_added_when_requested(self):
         prior = GaussianPrior(0.0, 4.0)
         _, _, _, server, agents = two_agent_setup(seed=6)
         agent = agents[1]
-        base = tilted_grad_learning(server, agent, alpha=1.0)
-        with_prior = tilted_grad_learning(server, agent, alpha=1.0, prior=prior)
+        base = tilted_grad_learning(server, agent, ProtocolConfig(alpha=1.0))
+        with_prior = tilted_grad_learning(
+            server, agent, ProtocolConfig(alpha=1.0, prior=prior, include_prior_score=True))
         theta = np.array([[2.0], [-3.0]])
         assert np.allclose(with_prior(theta) - base(theta), prior.score(theta), atol=1e-14)
 
     def test_targets_are_frozen_at_build_time(self):
         _, _, _, server, agents = two_agent_setup(seed=7)
         agent = agents[1]
-        target = tilted_grad_learning(server, agent, alpha=1.0)
+        target = tilted_grad_learning(server, agent, ProtocolConfig(alpha=1.0))
         theta = np.array([[0.5], [-0.5]])
         before = target(theta)
         server.global_particles[:] = 9.0
@@ -156,22 +157,22 @@ class TestTiltedTargets:
         new_g = rng.normal(size=(6, 1))
         old_g = rng.normal(size=(6, 1))
         old_l = rng.normal(size=(6, 1))
-        kde = KdeConfig()
-        target = distill_target_grad(new_g, old_g, old_l, kde)
+        lam = ProtocolConfig().kde_lam
+        target = distill_target_grad(new_g, old_g, old_l, lam)
         theta = rng.normal(size=(5, 1))
-        want = (kde_log_density_grad(new_g, theta, kde.lam)
-                - kde_log_density_grad(old_g, theta, kde.lam)
-                + kde_log_density_grad(old_l, theta, kde.lam))
+        want = (kde_log_density_grad(new_g, theta, lam)
+                - kde_log_density_grad(old_g, theta, lam)
+                + kde_log_density_grad(old_l, theta, lam))
         assert np.max(np.abs(target(theta) - want)) < 1e-12
 
     def test_distillation_with_unchanged_global_is_local_score(self):
         rng = np.random.default_rng(9)
         g = rng.normal(size=(6, 1))
         local = rng.normal(size=(6, 1))
-        kde = KdeConfig()
-        target = distill_target_grad(g, g.copy(), local, kde)
+        lam = ProtocolConfig().kde_lam
+        target = distill_target_grad(g, g.copy(), local, lam)
         theta = rng.normal(size=(4, 1))
-        assert np.array_equal(target(theta), kde_log_density_grad(local, theta, kde.lam))
+        assert np.array_equal(target(theta), kde_log_density_grad(local, theta, lam))
 
 
 class TestRounds:
@@ -278,7 +279,7 @@ class TestRounds:
         agents = {1: AgentState(agent_id=1, loss=loss, local_particles=start.copy())}
         new_server, _ = learning_round(server, agents, 1, config)
         direct = run_svgd(start, lambda t: loss.neg_loss_grad(t, config.alpha),
-                          6, AdaGradState(epsilon=0.1, fudge=config.fudge), KernelConfig())
+                          6, AdaGradState(epsilon=0.1, fudge=config.fudge), None)
         assert np.array_equal(new_server.global_particles, direct)
 
 

@@ -11,10 +11,9 @@ from helpers import (
     relative_error,
 )
 
+from steinfed.federation import ProtocolConfig
 from steinfed.kernels import (
     BANDWIDTH_FLOOR,
-    KdeConfig,
-    KernelConfig,
     kde_log_density,
     kde_log_density_grad,
     median_bandwidth,
@@ -123,14 +122,14 @@ class TestMedianBandwidth:
         )
 
 
-class TestKernelConfig:
+class TestWidthValidation:
     def test_invalid_fixed_bandwidth(self):
         with pytest.raises(ValueError, match="positive"):
-            KernelConfig(h=-1.0)
+            ProtocolConfig(bandwidth=-1.0)
 
     def test_kde_config_validation(self):
         with pytest.raises(ValueError, match="positive"):
-            KdeConfig(lam=0.0)
+            ProtocolConfig(kde_lam=0.0)
 
 
 class TestKdeLogDensity:

@@ -180,6 +180,17 @@ class TestSnapshots:
                 load_snapshot(p)
 
 
+def test_writers_put_each_line_on_disk_before_close(tmp_path):
+    metrics_path, transcript_path = tmp_path / "m.csv", tmp_path / "t.jsonl"
+    with MetricsWriter(metrics_path) as metrics, TranscriptWriter(transcript_path) as transcript:
+        assert metrics_path.read_text().count("\n") == 1
+        for r in range(3):
+            metrics.append(MetricRecord(round=r, phase="learn"))
+            transcript.append({"round": r})
+            assert read_metrics_csv(metrics_path)[-1].round == r
+            assert read_transcript(transcript_path)[-1] == {"round": r}
+
+
 class TestTranscript:
     def test_roundtrip(self, tmp_path):
         p = tmp_path / "t.jsonl"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from steinfed.kernels import KernelConfig, median_bandwidth, rbf_kernel, rbf_kernel_grad_first
+from steinfed.kernels import median_bandwidth, rbf_kernel, rbf_kernel_grad_first
 from steinfed.svgd import AdaGradState, adagrad_step, run_svgd, svgd_direction
 
 
@@ -27,7 +27,7 @@ class TestSvgdDirection:
             theta = rng.normal(size=(n, d))
             grads = rng.normal(size=(n, d))
             h = float(rng.uniform(0.3, 3.0))
-            got = svgd_direction(theta, lambda t: grads, KernelConfig(h=h))
+            got = svgd_direction(theta, lambda t: grads, h)
             want = brute_force_direction(theta, grads, h)
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -56,13 +56,13 @@ class TestSvgdDirection:
         # the repulsion cancels, so every row is the mean score
         theta = np.full((4, 2), 1.0)
         grads = np.arange(8, dtype=float).reshape(4, 2)
-        got = svgd_direction(theta, lambda t: grads, KernelConfig(h=2.0))
+        got = svgd_direction(theta, lambda t: grads, 2.0)
         want = np.tile(grads.mean(axis=0), (4, 1))
         assert np.allclose(got, want, atol=1e-12)
 
     def test_zero_gradient_pure_repulsion_spreads(self):
         theta = np.array([[-1.0], [1.0]])
-        direction = svgd_direction(theta, lambda t: np.zeros_like(t), KernelConfig(h=4.0))
+        direction = svgd_direction(theta, lambda t: np.zeros_like(t), 4.0)
         # repulsion pushes the left particle further left, the right one right
         assert direction[0, 0] < 0
         assert direction[1, 0] > 0
@@ -72,7 +72,7 @@ class TestSvgdDirection:
         # theta = {0, 2} in 1D, h = 4: k = exp(-1), grads both zero.
         # phi(0) = (1/2) * grad_x k(x=2, y=0) = (1/2) * (-(2/4)*(2-0)*k) = -k/2
         theta = np.array([[0.0], [2.0]])
-        direction = svgd_direction(theta, lambda t: np.zeros_like(t), KernelConfig(h=4.0))
+        direction = svgd_direction(theta, lambda t: np.zeros_like(t), 4.0)
         assert np.isclose(direction[0, 0], -np.exp(-1.0) / 2.0, atol=1e-14)
         assert np.isclose(direction[1, 0], np.exp(-1.0) / 2.0, atol=1e-14)
 
@@ -89,6 +89,12 @@ class TestSvgdDirection:
         bad = np.array([[np.nan], [0.0]])
         with pytest.raises(FloatingPointError):
             svgd_direction(theta, lambda t: bad)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("h", [0.0, -1.0])
+    def test_rejects_nonpositive_fixed_bandwidth(self, n, h):
+        with pytest.raises(ValueError, match="fixed bandwidth must be positive"):
+            svgd_direction(np.zeros((n, 1)), lambda t: np.zeros_like(t), h)
 
 
 class TestAdaGradStep:
