@@ -76,12 +76,7 @@ def main(argv=None) -> int:
             result = run_experiment(cfg, args.command)
             last = result.records[-1]
             print(f"{result.method}: {result.rounds_run} rounds -> {result.paths.metrics}")
-            summary = {k: v for k, v in (
-                ("forgotten_acc", last.forgotten_acc),
-                ("retained_acc", last.retained_acc),
-                ("kl", last.kl),
-                ("forgot_loss", last.forgot_loss),
-            ) if v is not None}
+            summary = {k: v for k, v in last.metrics().items() if v is not None}
             print(json.dumps(summary))
         elif args.command == "eval":
             method = args.method or resolve_method(cfg.method, "learn")
@@ -92,10 +87,7 @@ def main(argv=None) -> int:
             out = paths.metrics.replace("_metrics.csv", "_plot.csv")
             rows = export_plot_data(paths.metrics, out)
             print(f"{rows} rows -> {out}")
-    except (ConfigError, MissingStateError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
+    except (ConfigError, MissingStateError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:

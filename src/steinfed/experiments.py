@@ -25,6 +25,7 @@ from . import federation as fed
 from .data import load_idx_dataset, make_synthetic_pair, partition_non_iid
 from .kernels import kde_log_density
 from .metrics import (
+    METRICS_COLUMNS,
     GridConfig,
     MetricRecord,
     MetricsWriter,
@@ -488,21 +489,17 @@ class MixtureProblem:
 
         return log_ref
 
-    def metric_fields(self, log_q, loss_points: np.ndarray, retained_only: bool) -> dict:
-        kl = grid_kl(log_q, self.reference_log_density(retained_only), self.grid)
-        forgot_loss = None
-        if self.forget_ids:
-            values = [float(np.mean(self.losses[k].loss(loss_points))) for k in self.forget_ids]
-            forgot_loss = float(np.mean(values))
-        return {"kl": kl, "forgot_loss": forgot_loss}
+    def _fields(self, log_q, loss_points: np.ndarray, retained_only: bool) -> dict:
+        return {"kl": grid_kl(log_q, self.reference_log_density(retained_only), self.grid),
+                "forgot_loss": _forgot_loss(self.losses, self.forget_ids, loss_points)}
 
     def particle_metrics(self, particles: np.ndarray, retained_only: bool) -> dict:
         log_q = lambda x: kde_log_density(particles, np.asarray(x, dtype=float)[:, None], self.kde_lam)
-        return self.metric_fields(log_q, particles, retained_only)
+        return self._fields(log_q, particles, retained_only)
 
     def parametric_metrics(self, mean: np.ndarray, variance: np.ndarray, retained_only: bool) -> dict:
         log_q = lambda x: gaussian_log_density_moments(mean, variance, x)
-        return self.metric_fields(log_q, np.asarray(mean, dtype=float)[None, :], retained_only)
+        return self._fields(log_q, np.asarray(mean, dtype=float)[None, :], retained_only)
 
 
 @dataclass
@@ -534,17 +531,19 @@ class ClassificationProblem:
         )
         forgotten = self.forgotten_classes
         retained = self.retained_classes
-        fields = {
+        return {
             "forgotten_acc": macro_accuracy(acc, forgotten) if forgotten else None,
             "retained_acc": macro_accuracy(acc, retained) if retained else None,
             "per_class": {str(c): acc[c] for c in sorted(acc)},
+            "forgot_loss": _forgot_loss(self.losses, self.forget_ids, particles),
         }
-        if self.forget_ids:
-            values = [float(np.mean(self.losses[k].loss(particles))) for k in self.forget_ids]
-            fields["forgot_loss"] = float(np.mean(values))
-        else:
-            fields["forgot_loss"] = None
-        return fields
+
+
+def _forgot_loss(losses: dict, forget_ids: tuple[int, ...], points: np.ndarray) -> float | None:
+    """Mean over the forgotten shards of each shard's mean loss at ``points``."""
+    if not forget_ids:
+        return None
+    return float(np.mean([float(np.mean(losses[k].loss(points))) for k in forget_ids]))
 
 
 def build_problem(cfg: ExperimentConfig):
@@ -668,12 +667,7 @@ def _protocol_config(cfg: ExperimentConfig, prior, phase: str) -> fed.ProtocolCo
 def _record(fields: dict, phase: str, round_index: int, wall_ms: float) -> tuple[MetricRecord, dict]:
     """Split a problem's metric fields into the CSV record and the transcript extras."""
     extra = {"per_class": fields.pop("per_class")} if "per_class" in fields else {}
-    record = MetricRecord(round=round_index, phase=phase, wall_ms=wall_ms,
-                          forgotten_acc=fields.get("forgotten_acc"),
-                          retained_acc=fields.get("retained_acc"),
-                          kl=fields.get("kl"),
-                          forgot_loss=fields.get("forgot_loss"))
-    return record, extra
+    return MetricRecord(round=round_index, phase=phase, wall_ms=wall_ms, **fields), extra
 
 
 def _ms_since(start: float) -> float:
@@ -712,13 +706,22 @@ _METHOD_PHASE = {"dsvgd": PHASE_LEARN, "pvi": PHASE_LEARN, "forget_svgd": PHASE_
                  "ulpvi": PHASE_UNLEARN, "retrain": PHASE_RETRAIN}
 
 
-def _run_phase(cfg: ExperimentConfig, problem, method: str, state, step, measure,
-               save) -> RunResult:
+def _measure(problem, method: str, array: np.ndarray) -> dict:
+    """The problem's metric fields for a snapshot array: particles, or mean and variance rows."""
+    retained_only = _METHOD_PHASE[method] != PHASE_LEARN
+    if method in PARAMETRIC_METHODS:
+        return problem.parametric_metrics(array[0], array[1], retained_only)
+    return problem.particle_metrics(array, retained_only)
+
+
+def _run_phase(cfg: ExperimentConfig, problem, method: str, state, step, snapshot,
+               save_locals=None) -> RunResult:
     """Run one phase's rounds and write its metrics, transcript and final state.
 
     ``step(state, r)`` runs round ``r`` and returns the new state and the
-    scheduled agent; ``measure(state, retained_only)`` returns the problem's
-    metric fields; ``save(state, rounds_run)`` writes the final state.
+    scheduled agent; ``snapshot(state)`` returns the array that each round
+    measures and the phase saves; ``save_locals(state)``, when given, writes
+    the state the snapshot array leaves out.
     ``wall_ms`` (and the transcript's ``round_ms``) times the round alone;
     the transcript's ``eval_ms`` times the evaluation that builds its record.
     """
@@ -733,8 +736,8 @@ def _run_phase(cfg: ExperimentConfig, problem, method: str, state, step, measure
 
         def emit(agent, wall_ms: float) -> None:
             start = time.perf_counter()
-            record, extra = _record(measure(state, phase != PHASE_LEARN), phase, rounds_run,
-                                    wall_ms)
+            record, extra = _record(_measure(problem, method, snapshot(state)), phase,
+                                    rounds_run, wall_ms)
             eval_ms = _ms_since(start)
             records.append(record)
             metrics.append(record)
@@ -745,12 +748,7 @@ def _run_phase(cfg: ExperimentConfig, problem, method: str, state, step, measure
                 "wall_ms": record.wall_ms,
                 "round_ms": record.wall_ms,
                 "eval_ms": eval_ms,
-                "metrics": {
-                    "forgotten_acc": record.forgotten_acc,
-                    "retained_acc": record.retained_acc,
-                    "kl": record.kl,
-                    "forgot_loss": record.forgot_loss,
-                },
+                "metrics": record.metrics(),
                 **extra,
             })
 
@@ -767,7 +765,9 @@ def _run_phase(cfg: ExperimentConfig, problem, method: str, state, step, measure
         except Exception as err:
             transcript.append({"round": len(records), "phase": phase, "error": str(err)})
             raise
-    save(state, rounds_run)
+    save_snapshot(paths.snapshot, snapshot(state), rounds_run, cfg.seed)
+    if save_locals is not None:
+        save_locals(state)
     return RunResult(method, records, paths, rounds_run)
 
 
@@ -802,16 +802,7 @@ def _run_particles(cfg: ExperimentConfig, problem, method: str) -> RunResult:
         server, agents[k] = play(server, agents, k, pcfg)
         return server, k
 
-    def save(server, rounds_run):
-        save_snapshot(run_paths(cfg, method).snapshot, server.global_particles,
-                      server.round_index, cfg.seed)
-
-    return _run_phase(
-        cfg, problem, method, server, step,
-        lambda server, retained_only: problem.particle_metrics(server.global_particles,
-                                                               retained_only),
-        save,
-    )
+    return _run_phase(cfg, problem, method, server, step, lambda server: server.global_particles)
 
 
 def _nat_to_json(nat: GaussianNatParams) -> dict:
@@ -826,15 +817,13 @@ def _nat_from_json(data: dict, path: str) -> GaussianNatParams:
         raise MissingStateError(f"{path}: malformed factor state ({err})") from None
 
 
-def _save_pvi_state(paths: RunPaths, eta: GaussianNatParams,
-                    locals_nat: dict[int, GaussianNatParams], round_index: int, seed: int) -> None:
-    mean, variance = nat_to_moment(eta)
-    save_snapshot(paths.snapshot, np.vstack([mean, variance]), round_index, seed)
+def _save_pvi_state(path: str, eta: GaussianNatParams,
+                    locals_nat: dict[int, GaussianNatParams]) -> None:
     state = {
         "global": _nat_to_json(eta),
         "agents": {str(k): _nat_to_json(v) for k, v in sorted(locals_nat.items())},
     }
-    with open(paths.locals_json, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(state, sort_keys=True) + "\n")
 
 
@@ -874,10 +863,8 @@ def _run_parametric(cfg: ExperimentConfig, problem, method: str) -> RunResult:
         return eta, k
 
     return _run_phase(
-        cfg, problem, method, eta, step,
-        lambda eta, retained_only: problem.parametric_metrics(*nat_to_moment(eta), retained_only),
-        lambda eta, rounds_run: _save_pvi_state(run_paths(cfg, method), eta, locals_nat,
-                                                rounds_run, cfg.seed),
+        cfg, problem, method, eta, step, lambda eta: np.vstack(nat_to_moment(eta)),
+        lambda eta: _save_pvi_state(run_paths(cfg, method).locals_json, eta, locals_nat),
     )
 
 
@@ -906,9 +893,7 @@ def evaluate_snapshot(cfg: ExperimentConfig, method: str) -> dict:
     if not os.path.exists(paths.snapshot):
         raise MissingStateError(f"no saved state found at {paths.snapshot}; run {method} first")
     problem = build_problem(cfg)
-    phase = _METHOD_PHASE[method]
     array, round_index, seed = load_snapshot(paths.snapshot)
-
     if method in PARAMETRIC_METHODS:
         if not isinstance(problem, MixtureProblem):
             raise ConfigError("config.method: parametric methods support the mixture experiment only")
@@ -916,22 +901,9 @@ def evaluate_snapshot(cfg: ExperimentConfig, method: str) -> dict:
             raise MissingStateError(
                 f"{paths.snapshot}: parametric snapshot must hold mean and variance rows"
             )
-        fields = problem.parametric_metrics(array[0], array[1], phase != PHASE_LEARN)
-    else:
-        fields = problem.particle_metrics(array, phase != PHASE_LEARN)
-    record, extra = _record(fields, phase, round_index, 0.0)
-
-    out = {
-        "method": method,
-        "round": round_index,
-        "seed": seed,
-        "forgotten_acc": record.forgotten_acc,
-        "retained_acc": record.retained_acc,
-        "kl": record.kl,
-        "forgot_loss": record.forgot_loss,
-    }
-    out.update(extra)
-    return out
+    fields = _measure(problem, method, array)
+    record, extra = _record(fields, _METHOD_PHASE[method], round_index, 0.0)
+    return {"method": method, "round": round_index, "seed": seed, **record.metrics(), **extra}
 
 
 PLOT_COLUMNS = ("round", "forgotten_acc", "retained_acc", "kl", "wall_ms")
@@ -940,13 +912,9 @@ PLOT_COLUMNS = ("round", "forgotten_acc", "retained_acc", "kl", "wall_ms")
 def export_plot_data(metrics_path, out_path) -> int:
     """Reduce a metrics CSV to plot-ready columns; returns the row count."""
     records = read_metrics_csv(metrics_path)
+    columns = [METRICS_COLUMNS.index(name) for name in PLOT_COLUMNS]
     lines = [",".join(PLOT_COLUMNS)]
-    for rec in records:
-        cells = [str(rec.round)]
-        for value in (rec.forgotten_acc, rec.retained_acc, rec.kl):
-            cells.append("" if value is None else repr(value))
-        cells.append(repr(rec.wall_ms))
-        lines.append(",".join(cells))
+    lines.extend(",".join(rec.row()[i] for i in columns) for rec in records)
     with open(str(out_path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return len(records)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .kernels import _as_particle_matrix, _softmax
 
-METRICS_COLUMNS = ("round", "phase", "forgotten_acc", "retained_acc", "kl", "forgot_loss", "wall_ms")
+METRIC_FIELDS = ("forgotten_acc", "retained_acc", "kl", "forgot_loss")
+METRICS_COLUMNS = ("round", "phase", *METRIC_FIELDS, "wall_ms")
 
 DENSITY_FLOOR = 1e-300
 EDGE_MASS_LIMIT = 1e-3
@@ -124,6 +125,10 @@ class MetricRecord:
                 out.append(str(value))
         return out
 
+    def metrics(self) -> dict[str, float | None]:
+        """The measured fields, in ``METRIC_FIELDS`` order."""
+        return {name: getattr(self, name) for name in METRIC_FIELDS}
+
 
 class _LineWriter:
     """Append-only text file, truncated on open.
@@ -168,18 +173,11 @@ def read_metrics_csv(path) -> list[MetricRecord]:
         for row in reader:
             if len(row) != len(METRICS_COLUMNS):
                 raise ValueError(f"{path}: row has {len(row)} cells, expected {len(METRICS_COLUMNS)}")
-            rnd, phase, fa, ra, kl, fl, wall = row
-            records.append(
-                MetricRecord(
-                    round=int(rnd),
-                    phase=phase,
-                    forgotten_acc=float(fa) if fa else None,
-                    retained_acc=float(ra) if ra else None,
-                    kl=float(kl) if kl else None,
-                    forgot_loss=float(fl) if fl else None,
-                    wall_ms=float(wall) if wall else 0.0,
-                )
-            )
+            rnd, phase, *values, wall = row
+            records.append(MetricRecord(
+                round=int(rnd), phase=phase, wall_ms=float(wall) if wall else 0.0,
+                **{name: float(cell) if cell else None for name, cell in zip(METRIC_FIELDS, values)},
+            ))
     return records
 
 

@@ -32,22 +32,26 @@ class OutOfSupportError(ValueError):
 # --- priors -----------------------------------------------------------------
 
 
+def _prior_parameters(a, b, dim: int | None, noun: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two scalars filled to ``dim`` (default 1), or two arrays broadcast to one length."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim == 0 and b.ndim == 0:
+        dim = 1 if dim is None else dim
+        return np.full(dim, float(a)), np.full(dim, float(b))
+    a, b = np.broadcast_arrays(a, b)
+    a = np.array(a, dtype=float).ravel()
+    b = np.array(b, dtype=float).ravel()
+    if dim is not None and dim != a.size:
+        raise ValueError(f"dim {dim} conflicts with {noun} length {a.size}")
+    return a, b
+
+
 class UniformPrior:
     """Box-uniform prior on an open axis-aligned support."""
 
     def __init__(self, lo, hi, dim: int | None = None):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if lo.ndim == 0 and hi.ndim == 0:
-            dim = 1 if dim is None else dim
-            lo = np.full(dim, float(lo))
-            hi = np.full(dim, float(hi))
-        else:
-            lo, hi = np.broadcast_arrays(lo, hi)
-            lo = np.array(lo, dtype=float).ravel()
-            hi = np.array(hi, dtype=float).ravel()
-            if dim is not None and dim != lo.size:
-                raise ValueError(f"dim {dim} conflicts with bound length {lo.size}")
+        lo, hi = _prior_parameters(lo, hi, dim, "bound")
         if not np.all(lo < hi):
             raise ValueError("lower bounds must be strictly below upper bounds")
         self.lo = lo
@@ -84,18 +88,7 @@ class GaussianPrior:
     """Diagonal Gaussian prior."""
 
     def __init__(self, mean, variance, dim: int | None = None):
-        mean = np.asarray(mean, dtype=float)
-        variance = np.asarray(variance, dtype=float)
-        if mean.ndim == 0 and variance.ndim == 0:
-            dim = 1 if dim is None else dim
-            mean = np.full(dim, float(mean))
-            variance = np.full(dim, float(variance))
-        else:
-            mean, variance = np.broadcast_arrays(mean, variance)
-            mean = np.array(mean, dtype=float).ravel()
-            variance = np.array(variance, dtype=float).ravel()
-            if dim is not None and dim != mean.size:
-                raise ValueError(f"dim {dim} conflicts with parameter length {mean.size}")
+        mean, variance = _prior_parameters(mean, variance, dim, "parameter")
         if not np.all(variance > 0):
             raise ValueError("variances must be positive")
         self.mean = mean

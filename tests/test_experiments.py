@@ -907,6 +907,14 @@ class TestParametricRuns:
         assert [r.kl for r in ra.records] == [r.kl for r in rb.records]
 
 
+def assert_eval_matches_last_record(ev, result):
+    """The snapshot's measurement, header round and final transcript event agree with the CSV."""
+    last = result.records[-1]
+    assert {k: ev[k] for k in last.metrics()} == last.metrics()
+    assert ev["round"] == result.rounds_run
+    assert read_transcript(result.paths.transcript)[-1]["metrics"] == last.metrics()
+
+
 class TestEvaluation:
     def test_eval_matches_final_learn_record_exactly(self, tmp_path):
         cfg = config_from_dict(mixture_dict(tmp_path / "runs"))
@@ -918,22 +926,28 @@ class TestEvaluation:
         assert ev["round"] == 4
         assert ev["method"] == "dsvgd"
 
-    def test_eval_matches_final_unlearn_record_exactly(self, tmp_path):
+    @pytest.mark.parametrize("command", ["unlearn", "retrain"])
+    def test_eval_matches_final_unlearn_record_exactly(self, tmp_path, command):
         cfg = config_from_dict(mixture_dict(tmp_path / "runs"))
         run_experiment(cfg, "learn")
-        result = run_experiment(cfg, "unlearn")
-        ev = evaluate_snapshot(cfg, "forget_svgd")
+        result = run_experiment(cfg, command)
+        ev = evaluate_snapshot(cfg, result.method)
         assert ev["kl"] == result.records[-1].kl
+        assert_eval_matches_last_record(ev, result)
 
-    def test_eval_matches_parametric_record_exactly(self, tmp_path):
+    @pytest.mark.parametrize("command", ["learn", "unlearn"])
+    def test_eval_matches_parametric_record_exactly(self, tmp_path, command):
         data = mixture_dict(tmp_path / "runs")
         data["method"] = "pvi"
         data["pvi"] = {"local_iters": 3, "epsilon": 0.05, "mc_samples": 64}
         cfg = config_from_dict(data)
         result = run_experiment(cfg, "learn")
-        ev = evaluate_snapshot(cfg, "pvi")
+        if command == "unlearn":
+            result = run_experiment(cfg, "unlearn")
+        ev = evaluate_snapshot(cfg, result.method)
         assert ev["kl"] == result.records[-1].kl
         assert ev["forgot_loss"] == result.records[-1].forgot_loss
+        assert_eval_matches_last_record(ev, result)
 
     def test_eval_without_snapshot_errors(self, tmp_path):
         cfg = config_from_dict(mixture_dict(tmp_path / "runs"))

@@ -1,5 +1,7 @@
 """Tests for the grid KL divergence and the three on-disk formats."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,10 @@ class TestMetricsCsv:
         first = p.read_text().splitlines()[0]
         assert first == "round,phase,forgotten_acc,retained_acc,kl,forgot_loss,wall_ms"
         assert METRICS_COLUMNS == tuple(first.split(","))
+
+    def test_record_fields_follow_the_header(self):
+        # row() writes the fields in dataclass order under the METRICS_COLUMNS header
+        assert tuple(f.name for f in dataclasses.fields(MetricRecord)) == METRICS_COLUMNS
 
     def test_roundtrip_preserves_values_exactly(self, tmp_path):
         p = tmp_path / "m.csv"
