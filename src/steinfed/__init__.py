@@ -36,7 +36,6 @@ from .federation import (
     initialize_states,
     learning_round,
     pooled_target,
-    reinitialize_forget_agents,
     schedule,
     tilted_grad_learning,
     tilted_grad_unlearning,

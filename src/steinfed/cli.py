@@ -84,9 +84,8 @@ def main(argv=None) -> int:
         else:
             method = args.method or resolve_method(cfg.method, "learn")
             paths = run_paths(cfg, method)
-            out = paths.metrics.replace("_metrics.csv", "_plot.csv")
-            rows = export_plot_data(paths.metrics, out)
-            print(f"{rows} rows -> {out}")
+            rows = export_plot_data(paths.metrics, paths.plot)
+            print(f"{rows} rows -> {paths.plot}")
     except (ConfigError, MissingStateError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -34,6 +34,7 @@ from .metrics import (
     load_snapshot,
     read_metrics_csv,
     save_snapshot,
+    write_atomic,
 )
 from .models import (
     FeatureMapConfig,
@@ -280,7 +281,6 @@ def _parse_prior(data, path: str, default_kind: str) -> PriorSpec:
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    kind = "mixture"
     prior: PriorSpec
     agents: tuple[tuple[MixtureComponent, ...], ...]
 
@@ -311,7 +311,6 @@ class IdxSpec:
 
 @dataclass(frozen=True)
 class ClassificationSpec:
-    kind = "classification"
     synthetic: SyntheticSpec
     idx: IdxSpec | None
     feature_map: FeatureMapConfig
@@ -608,7 +607,7 @@ def build_problem(cfg: ExperimentConfig):
     return ClassificationProblem(
         losses=losses,
         shard_classes={s.agent_id: s.classes for s in shards},
-        prior=GaussianPrior(spec.prior.mean, spec.prior.variance, dim=head_dim),
+        prior=spec.prior.build(dim=head_dim),
         forget_ids=cfg.forget_agents,
         test_features=feature_map(test.features),
         test_labels=test.labels,
@@ -632,6 +631,7 @@ class RunPaths:
     transcript: str
     snapshot: str
     locals_json: str
+    plot: str
 
 
 def run_paths(cfg: ExperimentConfig, method: str) -> RunPaths:
@@ -641,6 +641,7 @@ def run_paths(cfg: ExperimentConfig, method: str) -> RunPaths:
         transcript=os.path.join(base, f"{method}_transcript.jsonl"),
         snapshot=os.path.join(base, f"{method}_snapshot.txt"),
         locals_json=os.path.join(base, f"{method}_locals.json"),
+        plot=os.path.join(base, f"{method}_plot.csv"),
     )
 
 
@@ -775,29 +776,29 @@ def _run_particles(cfg: ExperimentConfig, problem, method: str) -> RunResult:
     """DSVGD learning, Forget-SVGD unlearning, or retraining on the retained agents."""
     phase = _METHOD_PHASE[method]
     pcfg = _protocol_config(cfg, problem.prior, phase)
-    losses, forget_ids = problem.losses, problem.forget_ids
+    losses = problem.losses
     if phase == PHASE_RETRAIN:
-        losses = {k: v for k, v in losses.items() if k not in forget_ids}
-        forget_ids = ()
+        losses = {k: v for k, v in losses.items() if k not in problem.forget_ids}
         if cfg.retrain.mode == "federated" and not losses:
             raise ConfigError("config.retrain.mode: federated retraining needs a retained agent")
     if phase == PHASE_UNLEARN:
         learned = run_paths(cfg, "dsvgd").snapshot
         if not os.path.exists(learned):
             raise MissingStateError(f"no learned state found at {learned}; run learn first")
-        particles, _, _ = load_snapshot(learned)
-    server, agents = fed.initialize_states(losses, pcfg, cfg.particles, cfg.seed,
-                                           forget_ids=forget_ids)
-    if phase == PHASE_UNLEARN:
-        server = dataclasses.replace(server, global_particles=particles)
-        agents = fed.reinitialize_forget_agents(agents, pcfg, cfg.seed)
-    eligible = forget_ids if phase == PHASE_UNLEARN else tuple(agents)
+        server = fed.ServerState(load_snapshot(learned)[0])
+        agents = {
+            k: fed.AgentState(losses[k], fed.init_local_particles(
+                problem.prior, cfg.particles, cfg.seed, k, fed.STREAM_UNLEARN))
+            for k in problem.forget_ids
+        }
+    else:
+        server, agents = fed.initialize_states(losses, pcfg, cfg.particles, cfg.seed)
     pooled = tuple(losses[k] for k in sorted(losses))
 
     def step(server, r):
         if phase == PHASE_RETRAIN and cfg.retrain.mode == "centralized":
             return fed.centralized_round(server, pooled, pcfg), None
-        k = fed.schedule(pcfg, r, eligible)
+        k = fed.schedule(pcfg, r, tuple(agents))
         play = fed.unlearning_round if phase == PHASE_UNLEARN else fed.learning_round
         server, agents[k] = play(server, agents, k, pcfg)
         return server, k
@@ -823,8 +824,7 @@ def _save_pvi_state(path: str, eta: GaussianNatParams,
         "global": _nat_to_json(eta),
         "agents": {str(k): _nat_to_json(v) for k, v in sorted(locals_nat.items())},
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(state, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(state, sort_keys=True) + "\n")
 
 
 def _load_pvi_state(path: str) -> tuple[GaussianNatParams, dict[int, GaussianNatParams]]:
@@ -915,6 +915,5 @@ def export_plot_data(metrics_path, out_path) -> int:
     columns = [METRICS_COLUMNS.index(name) for name in PLOT_COLUMNS]
     lines = [",".join(PLOT_COLUMNS)]
     lines.extend(",".join(rec.row()[i] for i in columns) for rec in records)
-    with open(str(out_path), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(out_path, "\n".join(lines) + "\n")
     return len(records)

@@ -29,12 +29,9 @@ import numpy as np
 from .kernels import _as_particle_matrix, kde_log_density_grad
 from .svgd import AdaGradState, TargetGradient, run_svgd
 
-ROLE_RETAIN = "retain"
-ROLE_FORGET = "forget"
-
 # Seed-stream tags separating learning-phase draws from unlearning re-draws.
-PHASE_LEARN = 0
-PHASE_UNLEARN = 1
+STREAM_LEARN = 0
+STREAM_UNLEARN = 1
 
 
 class ProtocolError(RuntimeError):
@@ -43,10 +40,9 @@ class ProtocolError(RuntimeError):
 
 @dataclass(frozen=True)
 class ServerState:
-    """Global particle set plus the round counter, updated functionally."""
+    """Global particle set, updated functionally."""
 
     global_particles: np.ndarray
-    round_index: int = 0
     global_opt: AdaGradState | None = None
 
     def __post_init__(self) -> None:
@@ -55,19 +51,13 @@ class ServerState:
 
 @dataclass
 class AgentState:
-    """One agent: its loss, its local particles, and its role."""
+    """One agent: its loss and its local particles."""
 
-    agent_id: int
     loss: object
     local_particles: np.ndarray
-    role: str = ROLE_RETAIN
     distill_opt: AdaGradState | None = None
 
     def __post_init__(self) -> None:
-        if self.agent_id < 1:
-            raise ValueError(f"agent ids are 1-based, got {self.agent_id}")
-        if self.role not in (ROLE_RETAIN, ROLE_FORGET):
-            raise ValueError(f"unknown role {self.role!r}")
         self.local_particles = np.asarray(self.local_particles, dtype=float)
 
 
@@ -119,60 +109,25 @@ def init_global_particles(prior, n_particles: int, seed: int) -> np.ndarray:
     return prior.sample(rng, n_particles)
 
 
-def init_local_particles(prior, n_particles: int, seed: int, agent_id: int, phase: int = PHASE_LEARN) -> np.ndarray:
-    """Draw one agent's local particles with a per-agent, per-phase stream."""
-    rng = np.random.default_rng([seed, phase, agent_id])
+def init_local_particles(prior, n_particles: int, seed: int, agent_id: int,
+                         stream: int = STREAM_LEARN) -> np.ndarray:
+    """Draw one agent's local particles with a per-agent, per-stream generator."""
+    rng = np.random.default_rng([seed, stream, agent_id])
     return prior.sample(rng, n_particles)
 
 
 def initialize_states(
-    losses: Mapping[int, object],
-    config: ProtocolConfig,
-    n_particles: int,
-    seed: int,
-    forget_ids: tuple[int, ...] = (),
+    losses: Mapping[int, object], config: ProtocolConfig, n_particles: int, seed: int
 ) -> tuple[ServerState, dict[int, AgentState]]:
     """Fresh server and agent states for a learning run."""
     if config.prior is None:
         raise ProtocolError("initialization requires a prior in the protocol config")
-    unknown = [k for k in forget_ids if k not in losses]
-    if unknown:
-        raise ProtocolError(f"forget set names unknown agents {unknown}")
-    server = ServerState(
-        global_particles=init_global_particles(config.prior, n_particles, seed),
-        round_index=0,
-    )
+    server = ServerState(init_global_particles(config.prior, n_particles, seed))
     agents = {
-        k: AgentState(
-            agent_id=k,
-            loss=loss,
-            local_particles=init_local_particles(config.prior, n_particles, seed, k),
-            role=ROLE_FORGET if k in forget_ids else ROLE_RETAIN,
-        )
+        k: AgentState(loss, init_local_particles(config.prior, n_particles, seed, k))
         for k, loss in losses.items()
     }
     return server, agents
-
-
-def reinitialize_forget_agents(
-    agents: Mapping[int, AgentState], config: ProtocolConfig, seed: int
-) -> dict[int, AgentState]:
-    """Redraw the local particles of every forget-role agent from the prior.
-
-    Retained agents are returned unchanged; the unlearning phase never
-    touches their state.
-    """
-    if config.prior is None:
-        raise ProtocolError("reinitialization requires a prior in the protocol config")
-    out: dict[int, AgentState] = {}
-    for k, agent in agents.items():
-        if agent.role == ROLE_FORGET:
-            n = agent.local_particles.shape[0]
-            fresh = init_local_particles(config.prior, n, seed, k, phase=PHASE_UNLEARN)
-            out[k] = dataclasses.replace(agent, local_particles=fresh, distill_opt=None)
-        else:
-            out[k] = agent
-    return out
 
 
 # --- tilted targets -----------------------------------------------------------
@@ -216,8 +171,6 @@ def tilted_grad_unlearning(
     server: ServerState, agent: AgentState, config: ProtocolConfig
 ) -> TargetGradient:
     """Unlearning variant: the loss gradient enters with flipped sign."""
-    if agent.role != ROLE_FORGET:
-        raise ProtocolError(f"agent {agent.agent_id} is not in the forget set")
     return _tilted_grad(server, agent, config, sign=-1.0)
 
 
@@ -275,12 +228,7 @@ def _transport(server: ServerState, target: TargetGradient, config: ProtocolConf
     opt = _optimizer(config, server.global_opt, config.epsilon)
     new_global = run_svgd(server.global_particles, target, config.update_steps, opt,
                           config.bandwidth, project=_support_projection(config))
-    return dataclasses.replace(
-        server,
-        global_particles=new_global,
-        round_index=server.round_index + 1,
-        global_opt=opt if config.persist_adagrad else None,
-    )
+    return ServerState(new_global, opt if config.persist_adagrad else None)
 
 
 def _round(
@@ -320,7 +268,7 @@ def learning_round(
 def unlearning_round(
     server: ServerState, agents: Mapping[int, AgentState], k: int, config: ProtocolConfig
 ) -> tuple[ServerState, AgentState]:
-    """Run one unlearning round; ``k`` must belong to the forget set."""
+    """Run one unlearning round: a learning round with the loss gradient's sign flipped."""
     return _round(server, agents, k, config, tilted_grad_unlearning)
 
 

@@ -1,6 +1,7 @@
 """Run metrics, the grid KL divergence, and the on-disk record formats.
 
-Three file formats live here.  The metrics CSV has the fixed header
+Three file formats live here, plus ``write_atomic``, which every whole-file
+write goes through.  The metrics CSV has the fixed header
 ``round,phase,forgotten_acc,retained_acc,kl,forgot_loss,wall_ms`` with empty
 cells for fields a phase does not produce.  Snapshots are plain text: a
 ``N d round seed`` header line followed by one whitespace-separated particle
@@ -10,8 +11,10 @@ per round.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -181,6 +184,28 @@ def read_metrics_csv(path) -> list[MetricRecord]:
     return records
 
 
+# --- whole files ----------------------------------------------------------------
+
+
+def write_atomic(path, text: str) -> None:
+    """Replace the file at ``path`` with ``text`` in one step.
+
+    The text goes to a temporary file beside the target, which ``os.replace``
+    then moves over it, so a reader or a later run sees either the previous
+    file or the complete new one.  A failed write removes the temporary file.
+    """
+    path = str(path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 # --- snapshots ------------------------------------------------------------------
 
 
@@ -193,8 +218,7 @@ def save_snapshot(path, particles: np.ndarray, round_index: int, seed: int) -> N
     theta = _as_particle_matrix(particles)
     lines = [f"{theta.shape[0]} {theta.shape[1]} {round_index} {seed}"]
     lines.extend(" ".join(repr(float(v)) for v in row) for row in theta)
-    with open(str(path), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_snapshot(path) -> tuple[np.ndarray, int, int]:

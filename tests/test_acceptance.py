@@ -176,11 +176,9 @@ class TestCriterion3:
         loc = rng.normal(0.0, 2.0, size=(8, 1))
         config = ProtocolConfig(alpha=1.0, kde_lam=0.9)
         server = ServerState(global_particles=glob)
-        learner = AgentState(agent_id=1, loss=mixture, local_particles=loc)
-        forgetter = AgentState(agent_id=1, loss=mixture, local_particles=loc,
-                               role=fed.ROLE_FORGET)
-        tilt_learn = tilted_grad_learning(server, learner, config)
-        tilt_unlearn = tilted_grad_unlearning(server, forgetter, config)
+        agent = AgentState(loss=mixture, local_particles=loc)
+        tilt_learn = tilted_grad_learning(server, agent, config)
+        tilt_unlearn = tilted_grad_unlearning(server, agent, config)
 
         def tilted_scalar(x, sign):
             val = float(kde_log_density(glob, x[None, :], 0.9)[0])

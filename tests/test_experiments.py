@@ -33,10 +33,13 @@ from steinfed.experiments import (
     run_experiment,
     run_paths,
 )
+import steinfed.federation as fed
 from steinfed.federation import (
+    STREAM_UNLEARN,
     ProtocolConfig,
     ProtocolError,
     init_global_particles,
+    init_local_particles,
     initialize_states,
     learning_round,
     schedule,
@@ -627,6 +630,45 @@ class TestParticleRuns:
         assert events[1]["agent"] == 1  # only the forget agent is scheduled
         assert all(e["agent"] in (None, 1) for e in events)
 
+    def test_unlearning_starts_from_learned_particles_and_forget_agents(self, tmp_path,
+                                                                       monkeypatch):
+        data = mixture_dict(tmp_path / "runs")
+        data["experiment"]["agents"].append([{"weight": 1.0, "mean": -2.0, "variance": 1.0}])
+        data["forget_agents"] = [1, 3]
+        cfg = config_from_dict(data)
+        learned = run_experiment(cfg, "learn")
+        starts = []
+        original = fed.unlearning_round
+
+        def first_state(server, agents, k, config):
+            if not starts:
+                starts.append((server.global_particles.copy(),
+                               {j: a.local_particles.copy() for j, a in agents.items()},
+                               [a.distill_opt for a in agents.values()]))
+            return original(server, agents, k, config)
+
+        monkeypatch.setattr(fed, "unlearning_round", first_state)
+        run_experiment(cfg, "unlearn")
+        global_start, locals_start, opts = starts[0]
+        assert np.array_equal(global_start, load_snapshot(learned.paths.snapshot)[0])
+        assert list(locals_start) == [1, 3]
+        prior = build_problem(cfg).prior
+        for k, local in locals_start.items():
+            want = init_local_particles(prior, cfg.particles, cfg.seed, k, STREAM_UNLEARN)
+            assert np.array_equal(local, want)
+        assert opts == [None, None]
+
+    def test_retained_agent_never_runs_an_unlearning_round(self, tmp_path):
+        data = mixture_dict(tmp_path / "runs")
+        data["protocol"].update(schedule="fixed_sequence", sequence=[2, 1, 2, 1])
+        cfg = config_from_dict(data)
+        run_experiment(cfg, "learn")
+        with pytest.raises(ProtocolError, match="^scheduled agent 2 is not eligible$"):
+            run_experiment(cfg, "unlearn")
+        events = read_transcript(run_paths(cfg, "forget_svgd").transcript)
+        assert events[-1] == {"round": 1, "phase": "unlearn",
+                              "error": "scheduled agent 2 is not eligible"}
+
     def test_unlearn_needs_forget_agents(self, tmp_path):
         data = mixture_dict(tmp_path / "runs")
         data["forget_agents"] = []
@@ -741,7 +783,7 @@ class TestRetrainRuns:
             k = schedule(config, r, agents.keys())
             server, agents[k] = learning_round(server, agents, k, config)
         assert np.array_equal(got, server.global_particles)
-        assert rnd == server.round_index == 5
+        assert rnd == 5
         events = read_transcript(result.paths.transcript)
         assert [e["agent"] for e in events] == [None, 2, 3, 2, 3, 2]
 

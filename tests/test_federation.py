@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from steinfed.federation import (
-    PHASE_LEARN,
-    PHASE_UNLEARN,
-    ROLE_FORGET,
-    ROLE_RETAIN,
+    STREAM_LEARN,
+    STREAM_UNLEARN,
     AgentState,
     ProtocolConfig,
     ProtocolError,
@@ -21,7 +19,6 @@ from steinfed.federation import (
     initialize_states,
     learning_round,
     pooled_target,
-    reinitialize_forget_agents,
     schedule,
     tilted_grad_learning,
     tilted_grad_unlearning,
@@ -36,12 +33,12 @@ def gaussian_loss(mean, variance):
     return GaussianMixtureLoss([MixtureComponent(1.0, np.array([mean]), np.array([variance]))])
 
 
-def two_agent_setup(n=12, seed=0, forget=()):
+def two_agent_setup(n=12, seed=0):
     prior = UniformPrior(-10.0, 10.0)
     losses = {1: gaussian_loss(1.0, 4.0), 2: gaussian_loss(-2.0, 1.0)}
     config = ProtocolConfig(update_steps=3, distill_steps=3, epsilon=0.2,
                             epsilon_local=0.2, prior=prior)
-    server, agents = initialize_states(losses, config, n, seed, forget_ids=forget)
+    server, agents = initialize_states(losses, config, n, seed)
     return prior, losses, config, server, agents
 
 
@@ -56,44 +53,31 @@ class TestInitialization:
         prior = UniformPrior(-10.0, 10.0)
         a1 = init_local_particles(prior, 5, seed=7, agent_id=1)
         a2 = init_local_particles(prior, 5, seed=7, agent_id=2)
-        a1u = init_local_particles(prior, 5, seed=7, agent_id=1, phase=PHASE_UNLEARN)
+        a1u = init_local_particles(prior, 5, seed=7, agent_id=1, stream=STREAM_UNLEARN)
         assert not np.array_equal(a1, a2)
         assert not np.array_equal(a1, a1u)
-        assert np.array_equal(a1, prior.sample(np.random.default_rng([7, PHASE_LEARN, 1]), 5))
-        assert np.array_equal(a1u, prior.sample(np.random.default_rng([7, PHASE_UNLEARN, 1]), 5))
+        assert np.array_equal(a1, prior.sample(np.random.default_rng([7, STREAM_LEARN, 1]), 5))
+        assert np.array_equal(a1u, prior.sample(np.random.default_rng([7, STREAM_UNLEARN, 1]), 5))
 
-    def test_initialize_states_assigns_roles(self):
-        _, _, _, server, agents = two_agent_setup(forget=(2,))
-        assert server.round_index == 0
-        assert agents[1].role == ROLE_RETAIN
-        assert agents[2].role == ROLE_FORGET
-        assert server.global_particles.shape == (12, 1)
+    def test_initialize_states_draws_each_agent_stream(self):
+        prior, losses, _, server, agents = two_agent_setup(seed=5)
+        assert np.array_equal(server.global_particles, init_global_particles(prior, 12, seed=5))
+        assert server.global_opt is None
+        assert list(agents) == [1, 2]
+        for k, agent in agents.items():
+            assert agent.loss is losses[k]
+            assert np.array_equal(agent.local_particles,
+                                  init_local_particles(prior, 12, seed=5, agent_id=k))
+            assert agent.distill_opt is None
 
-    def test_initialize_states_requires_prior_and_known_forget_ids(self):
+    def test_initialize_states_requires_prior(self):
         losses = {1: gaussian_loss(0.0, 1.0)}
         with pytest.raises(ProtocolError):
             initialize_states(losses, ProtocolConfig(), 4, 0)
-        cfg = ProtocolConfig(prior=UniformPrior(-1.0, 1.0))
-        with pytest.raises(ProtocolError):
-            initialize_states(losses, cfg, 4, 0, forget_ids=(3,))
-
-    def test_reinitialize_redraws_only_forget_agents(self):
-        prior, _, config, _, agents = two_agent_setup(seed=5, forget=(2,))
-        before_1 = agents[1].local_particles.copy()
-        fresh = reinitialize_forget_agents(agents, config, seed=5)
-        assert fresh[1] is agents[1]
-        assert np.array_equal(fresh[1].local_particles, before_1)
-        want = init_local_particles(prior, 12, seed=5, agent_id=2, phase=PHASE_UNLEARN)
-        assert np.array_equal(fresh[2].local_particles, want)
-        assert fresh[2].distill_opt is None
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
             ServerState(global_particles=np.zeros((0, 1)))
-        with pytest.raises(ValueError):
-            AgentState(agent_id=0, loss=None, local_particles=np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            AgentState(agent_id=1, loss=None, local_particles=np.zeros((2, 1)), role="other")
         with pytest.raises(ValueError):
             ProtocolConfig(alpha=0.0)
         with pytest.raises(ValueError):
@@ -117,7 +101,7 @@ class TestTiltedTargets:
         assert np.max(np.abs(target(theta) - want)) < 1e-12
 
     def test_unlearning_flips_only_the_loss_term(self):
-        _, _, _, server, agents = two_agent_setup(seed=4, forget=(1,))
+        _, _, _, server, agents = two_agent_setup(seed=4)
         agent = agents[1]
         lam = ProtocolConfig().kde_lam
         learn = tilted_grad_learning(server, agent, ProtocolConfig(alpha=1.0))
@@ -126,11 +110,6 @@ class TestTiltedTargets:
         kde_part = (kde_log_density_grad(server.global_particles, theta, lam)
                     - kde_log_density_grad(agent.local_particles, theta, lam))
         assert np.max(np.abs(learn(theta) + unlearn(theta) - 2.0 * kde_part)) < 1e-12
-
-    def test_unlearning_requires_forget_role(self):
-        _, _, _, server, agents = two_agent_setup()
-        with pytest.raises(ProtocolError):
-            tilted_grad_unlearning(server, agents[1], ProtocolConfig(alpha=1.0))
 
     def test_prior_score_added_when_requested(self):
         prior = GaussianPrior(0.0, 4.0)
@@ -176,13 +155,12 @@ class TestTiltedTargets:
 
 
 class TestRounds:
-    def test_zero_step_round_only_advances_counter(self):
+    def test_zero_step_round_copies_particles_unchanged(self):
         _, _, _, server, agents = two_agent_setup()
         cfg = dataclasses.replace(
             ProtocolConfig(prior=UniformPrior(-10.0, 10.0)), update_steps=0, distill_steps=0
         )
         new_server, new_agent = learning_round(server, agents, 1, cfg)
-        assert new_server.round_index == 1
         assert np.array_equal(new_server.global_particles, server.global_particles)
         assert new_server.global_particles is not server.global_particles
         assert np.array_equal(new_agent.local_particles, agents[1].local_particles)
@@ -196,7 +174,6 @@ class TestRounds:
         assert np.array_equal(server.global_particles, g_before)
         assert np.array_equal(agents[1].local_particles, l1_before)
         assert np.array_equal(agents[2].local_particles, l2_before)
-        assert server.round_index == 0
 
     def test_round_is_deterministic(self):
         _, _, config, server, agents = two_agent_setup(seed=12)
@@ -223,11 +200,6 @@ class TestRounds:
         _, _, config, server, agents = two_agent_setup()
         with pytest.raises(ProtocolError):
             learning_round(server, agents, 5, config)
-
-    def test_unlearning_round_requires_forget_role(self):
-        _, _, config, server, agents = two_agent_setup()
-        with pytest.raises(ProtocolError):
-            unlearning_round(server, agents, 1, config)
 
     def test_particles_stay_inside_uniform_support(self):
         prior = UniformPrior(-1.0, 1.0)
@@ -276,7 +248,7 @@ class TestRounds:
         config = ProtocolConfig(update_steps=6, distill_steps=0, epsilon=0.1,
                                 prior=GaussianPrior(0.0, 100.0))
         server = ServerState(global_particles=start)
-        agents = {1: AgentState(agent_id=1, loss=loss, local_particles=start.copy())}
+        agents = {1: AgentState(loss=loss, local_particles=start.copy())}
         new_server, _ = learning_round(server, agents, 1, config)
         direct = run_svgd(start, lambda t: loss.neg_loss_grad(t, config.alpha),
                           6, AdaGradState(epsilon=0.1, fudge=config.fudge), None)
@@ -319,13 +291,14 @@ class TestUnlearningBehavior:
         losses = {1: gaussian_loss(1.0, 4.0)}
         config = ProtocolConfig(update_steps=5, distill_steps=5, epsilon=0.3,
                                 epsilon_local=0.3, prior=prior)
-        server, agents = initialize_states(losses, config, 20, seed=1, forget_ids=(1,))
+        server, agents = initialize_states(losses, config, 20, seed=1)
         agents = dict(agents)
         for _ in range(15):
             server, agents[1] = learning_round(server, agents, 1, config)
         learned_loss = float(np.mean(losses[1].loss(server.global_particles)))
 
-        agents = reinitialize_forget_agents(agents, config, seed=1)
+        fresh = init_local_particles(prior, 20, seed=1, agent_id=1, stream=STREAM_UNLEARN)
+        agents = {1: AgentState(loss=losses[1], local_particles=fresh)}
         for _ in range(10):
             server, agents[1] = unlearning_round(server, agents, 1, config)
         unlearned_loss = float(np.mean(losses[1].loss(server.global_particles)))
@@ -352,7 +325,7 @@ class TestRetraining:
         server, agents = initialize_states({}, config, 6, seed=2)
         assert agents == {}
         with pytest.raises(ProtocolError, match="no eligible agents"):
-            schedule(config, server.round_index, agents.keys())
+            schedule(config, 0, agents.keys())
 
     def test_centralized_requires_prior(self):
         server = ServerState(global_particles=np.zeros((3, 1)))

@@ -1,6 +1,7 @@
 """Tests for the grid KL divergence and the three on-disk formats."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from steinfed.metrics import (
     read_metrics_csv,
     read_transcript,
     save_snapshot,
+    write_atomic,
 )
 
 
@@ -184,6 +186,27 @@ class TestSnapshots:
             p.write_text(text)
             with pytest.raises(SnapshotFormatError):
                 load_snapshot(p)
+
+
+def _refuse_replace(src, dst):
+    raise OSError("replace refused")
+
+
+@pytest.mark.parametrize("fail", ["replace", "write"])
+def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch, fail):
+    p = tmp_path / "snap.txt"
+    save_snapshot(p, np.arange(4.0).reshape(2, 2), 1, 7)
+    before = p.read_bytes()
+    if fail == "replace":
+        monkeypatch.setattr(os, "replace", _refuse_replace)
+        with pytest.raises(OSError, match="replace refused"):
+            save_snapshot(p, np.zeros((3, 2)), 2, 7)
+    else:
+        # a lone surrogate cannot be encoded: the write fails after the temp file is opened
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(p, "3 2 2 7\n\ud800")
+    assert p.read_bytes() == before
+    assert os.listdir(tmp_path) == ["snap.txt"]
 
 
 def test_writers_put_each_line_on_disk_before_close(tmp_path):
