@@ -45,8 +45,6 @@ from .kernels import (
     kde_log_density,
     kde_log_density_grad,
     median_bandwidth,
-    rbf_kernel,
-    rbf_kernel_grad_first,
 )
 from .metrics import (
     GridConfig,
@@ -79,7 +77,6 @@ from .pvi import (
     GaussianNatParams,
     PviConfig,
     expected_loss_grad_moment,
-    gaussian_log_density,
     gaussian_log_density_moments,
     moment_to_nat,
     nat_to_moment,

@@ -42,9 +42,6 @@ class Dataset:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
 
 @dataclass(frozen=True)
 class Shard:

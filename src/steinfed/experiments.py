@@ -184,8 +184,8 @@ _PROTOCOL = {
     "alpha": _POSITIVE,
     "update_steps": _COUNT,
     "distill_steps": _COUNT,
-    "epsilon": _Field(float),
-    "epsilon_local": _Field(float),
+    "epsilon": _Field(float, rule="nonnegative"),
+    "epsilon_local": _Field(float, rule="nonnegative"),
     "fudge": _POSITIVE,
     "schedule": _Field(str, choices=("round_robin", "fixed_sequence")),
     "sequence": _Field(list[int], nullable=True),
@@ -418,8 +418,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("config.method: parametric methods support the mixture experiment only")
 
     protocol = fed.ProtocolConfig(**_read(top.pop("protocol", {}), "config.protocol", _PROTOCOL))
-    if protocol.epsilon < 0 or protocol.epsilon_local < 0:
-        raise ConfigError("config.protocol: step sizes must be nonnegative")
 
     forget_agents = tuple(sorted(set(top.pop("forget_agents", ()))))
     if any(k < 1 for k in forget_agents):
@@ -448,17 +446,19 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(data)
 
 
+# Each command's effective method for the particle and the parametric family.
+_COMMAND_METHODS = {
+    "learn": ("dsvgd", "pvi"),
+    "unlearn": ("forget_svgd", "ulpvi"),
+    "retrain": ("retrain", "retrain"),
+}
+
+
 def resolve_method(config_method: str, command: str) -> str:
     """Map the configured method family onto a subcommand's effective method."""
-    if command == "learn":
-        return {"dsvgd": "dsvgd", "forget_svgd": "dsvgd", "retrain": "dsvgd",
-                "pvi": "pvi", "ulpvi": "pvi"}[config_method]
-    if command == "unlearn":
-        return {"dsvgd": "forget_svgd", "forget_svgd": "forget_svgd", "retrain": "forget_svgd",
-                "pvi": "ulpvi", "ulpvi": "ulpvi"}[config_method]
-    if command == "retrain":
-        return "retrain"
-    raise ValueError(f"unknown command {command!r}")
+    if command not in _COMMAND_METHODS:
+        raise ValueError(f"unknown command {command!r}")
+    return _COMMAND_METHODS[command][config_method in PARAMETRIC_METHODS]
 
 
 # --- problem assembly -----------------------------------------------------------
@@ -481,7 +481,7 @@ class MixtureProblem:
 
         def log_ref(x: np.ndarray) -> np.ndarray:
             rows = np.asarray(x, dtype=float)[:, None]
-            total = np.asarray(self.prior.log_density(rows), dtype=float)
+            total = self.prior.log_density(rows)
             for k in ids:
                 total = total + self.losses[k].log_mixture_density(rows)
             return total

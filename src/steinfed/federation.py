@@ -306,7 +306,7 @@ def pooled_target(losses, alpha: float, prior) -> TargetGradient:
     losses = tuple(losses)
 
     def target(theta: np.ndarray) -> np.ndarray:
-        grad = np.asarray(prior.score(theta), dtype=float)
+        grad = prior.score(theta)
         for loss in losses:
             grad = grad + loss.neg_loss_grad(theta, alpha)
         return grad

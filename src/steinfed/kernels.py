@@ -43,24 +43,6 @@ def _logsumexp(logits: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(peak, axis=axis) + np.log(logits.sum(axis=axis))
 
 
-def rbf_kernel(x: np.ndarray, y: np.ndarray, h: float) -> float:
-    """Evaluate kappa(x, y) = exp(-||x - y||^2 / h) for two points."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"point shapes differ: {x.shape} vs {y.shape}")
-    if not h > 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    return float(np.exp(-np.sum((x - y) ** 2) / h))
-
-
-def rbf_kernel_grad_first(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
-    """Gradient of kappa(x, y) with respect to its first argument."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return -(2.0 / h) * (x - y) * rbf_kernel(x, y, h)
-
-
 def median_bandwidth(particles: np.ndarray) -> float:
     """Median-heuristic bandwidth: squared median pairwise distance over ln N.
 
@@ -81,14 +63,12 @@ def _median_bandwidth(sq_dists: np.ndarray) -> float:
     return max(med * med / np.log(n), BANDWIDTH_FLOOR)
 
 
-def _as_rows(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    """``x`` as a float (M, dim) matrix, and whether it was a single ``(dim,)`` row."""
+def _as_rows(x: np.ndarray, dim: int) -> np.ndarray:
+    """``x`` as a float (M, dim) matrix of rows."""
     arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
     if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(f"input shape {np.asarray(x).shape} does not match dimension {dim}")
-    return arr, single
+        raise ValueError(f"expected an (M, {dim}) array, got shape {arr.shape}")
+    return arr
 
 
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray, row_norms: bool = True) -> np.ndarray:
@@ -115,31 +95,30 @@ def _kde_logits(theta: np.ndarray, q: np.ndarray, lam: float) -> np.ndarray:
     return logits
 
 
-def kde_log_density(particles: np.ndarray, query: np.ndarray, lam: float) -> float | np.ndarray:
+def kde_log_density(particles: np.ndarray, query: np.ndarray, lam: float) -> np.ndarray:
     """Log density of an isotropic Gaussian KDE centred on the particles.
 
     Each particle contributes a Gaussian with per-dimension standard
-    deviation ``lam``; mixture weights are uniform.  ``query`` may be a
-    single point ``(d,)`` or a batch ``(Q, d)``.
+    deviation ``lam``; mixture weights are uniform.  ``query`` is a
+    ``(Q, d)`` batch of points.
     """
     theta = _as_particle_matrix(particles)
     n, d = theta.shape
-    q, single = _as_rows(query, d)
+    q = _as_rows(query, d)
     log_norm = 0.5 * d * np.log(2.0 * np.pi * lam * lam) + np.log(n)
     out = _logsumexp(_kde_logits(theta, q, lam), axis=1)
     out -= (q ** 2).sum(axis=1) / (2.0 * lam * lam) + log_norm
-    return float(out[0]) if single else out
+    return out
 
 
 def kde_log_density_grad(particles: np.ndarray, query: np.ndarray, lam: float) -> np.ndarray:
-    """Gradient of the KDE log density with respect to the query point(s).
+    """Gradient of the KDE log density with respect to the ``(Q, d)`` query points.
 
     It is ``(W @ theta - q) / lam^2`` with ``W`` the row-normalised kernel
     weights of each query over the particles.
     """
     theta = _as_particle_matrix(particles)
     d = theta.shape[1]
-    q, single = _as_rows(query, d)
+    q = _as_rows(query, d)
     weights = _softmax(_kde_logits(theta, q, lam), axis=1)
-    grad = (weights @ theta - q) / (lam * lam)
-    return grad[0] if single else grad
+    return (weights @ theta - q) / (lam * lam)

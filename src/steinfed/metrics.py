@@ -57,10 +57,6 @@ class GridConfig:
     def linspace(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.points)
 
-    @property
-    def dx(self) -> float:
-        return (self.hi - self.lo) / (self.points - 1)
-
 
 def _normalized_density(log_values: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:
     if log_values.shape != x.shape:

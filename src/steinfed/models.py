@@ -3,12 +3,11 @@
 Local models expose two methods consumed by the federation layer:
 
 ``loss(theta)``
-    Scalar loss of one parameter vector, batched over rows when given a
-    matrix.
+    Loss of each row of an ``(M, d)`` matrix of parameter vectors.
 
 ``neg_loss_grad(theta, alpha)``
     (1/alpha) times the gradient of minus the loss, i.e. the score of the
-    tempered local likelihood exp(-loss/alpha).  Batched the same way.
+    tempered local likelihood exp(-loss/alpha), one row per parameter row.
 
 Priors additionally expose samples, log densities, scores, and a support
 clamp used to keep particles inside a bounded support.
@@ -62,22 +61,20 @@ class UniformPrior:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
-    def log_density(self, theta: np.ndarray) -> float | np.ndarray:
+    def log_density(self, theta: np.ndarray) -> np.ndarray:
         """Normalized log density; the closed box carries the mass."""
-        arr, single = _as_rows(theta, self.dim)
+        arr = _as_rows(theta, self.dim)
         inside = np.all((arr >= self.lo) & (arr <= self.hi), axis=1)
-        out = np.where(inside, -self._log_volume, -np.inf)
-        return float(out[0]) if single else out
+        return np.where(inside, -self._log_volume, -np.inf)
 
     def score(self, theta: np.ndarray) -> np.ndarray:
         """Gradient of the log density; the support is treated as open."""
-        arr, single = _as_rows(theta, self.dim)
+        arr = _as_rows(theta, self.dim)
         inside = np.all((arr > self.lo) & (arr < self.hi), axis=1)
         if not np.all(inside):
             bad = arr[np.flatnonzero(~inside)[0]]
             raise OutOfSupportError(f"point {bad} is outside the prior support")
-        out = np.zeros_like(arr)
-        return out[0] if single else out
+        return np.zeros_like(arr)
 
     def clamp(self, theta: np.ndarray) -> np.ndarray:
         """Pull escaped particles back to just inside the support boundary."""
@@ -98,17 +95,14 @@ class GaussianPrior:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.mean + np.sqrt(self.variance) * rng.standard_normal((n, self.dim))
 
-    def log_density(self, theta: np.ndarray) -> float | np.ndarray:
-        arr, single = _as_rows(theta, self.dim)
+    def log_density(self, theta: np.ndarray) -> np.ndarray:
+        arr = _as_rows(theta, self.dim)
         quad = ((arr - self.mean) ** 2 / self.variance).sum(axis=1)
         const = float(np.log(2.0 * np.pi * self.variance).sum())
-        out = -0.5 * (quad + const)
-        return float(out[0]) if single else out
+        return -0.5 * (quad + const)
 
     def score(self, theta: np.ndarray) -> np.ndarray:
-        arr, single = _as_rows(theta, self.dim)
-        out = (self.mean - arr) / self.variance
-        return out[0] if single else out
+        return (self.mean - _as_rows(theta, self.dim)) / self.variance
 
     def clamp(self, theta: np.ndarray) -> np.ndarray:
         """Unbounded support: clamping is the identity."""
@@ -164,21 +158,19 @@ class GaussianMixtureLoss:
         const = np.log(2.0 * np.pi * self._variances).sum(axis=1)
         return self._log_weights[None, :] - 0.5 * (quad + const[None, :])
 
-    def log_mixture_density(self, theta: np.ndarray) -> float | np.ndarray:
-        arr, single = _as_rows(theta, self.dim)
-        out = _logsumexp(self._component_log_densities(arr), axis=1)
-        return float(out[0]) if single else out
+    def log_mixture_density(self, theta: np.ndarray) -> np.ndarray:
+        arr = _as_rows(theta, self.dim)
+        return _logsumexp(self._component_log_densities(arr), axis=1)
 
-    def loss(self, theta: np.ndarray, alpha: float = 1.0) -> float | np.ndarray:
+    def loss(self, theta: np.ndarray, alpha: float = 1.0) -> np.ndarray:
         log_mix = self.log_mixture_density(theta)
         return -alpha * log_mix
 
     def neg_loss_grad(self, theta: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-        arr, single = _as_rows(theta, self.dim)
+        arr = _as_rows(theta, self.dim)
         resp = _softmax(self._component_log_densities(arr), axis=1)
         comp_scores = (self._means[None, :, :] - arr[:, None, :]) / self._variances[None, :, :]
-        out = (resp[:, :, None] * comp_scores).sum(axis=1)
-        return out[0] if single else out
+        return (resp[:, :, None] * comp_scores).sum(axis=1)
 
 
 def _with_bias(features: np.ndarray) -> np.ndarray:
@@ -236,34 +228,24 @@ class SoftmaxHeadLoss:
         if labels.size:
             self._onehot[np.arange(labels.size), self.labels] = 1.0
 
-    def loss(self, theta: np.ndarray) -> float | np.ndarray:
-        arr, single = _as_rows(theta, self.dim)
+    def loss(self, theta: np.ndarray) -> np.ndarray:
+        arr = _as_rows(theta, self.dim)
         if self.labels.size == 0:
-            out = np.zeros(arr.shape[0])
-            return float(out[0]) if single else out
+            return np.zeros(arr.shape[0])
         logits = _head_logits(self._design, arr, self.num_classes)
         picked = logits[np.arange(self.labels.size), self.labels, :]
-        out = (_logsumexp(logits, axis=1) - picked).mean(axis=0)
-        return float(out[0]) if single else out
+        return (_logsumexp(logits, axis=1) - picked).mean(axis=0)
 
     def neg_loss_grad(self, theta: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-        arr, single = _as_rows(theta, self.dim)
+        arr = _as_rows(theta, self.dim)
         if self.labels.size == 0:
-            out = np.zeros_like(arr)
-            return out[0] if single else out
+            return np.zeros_like(arr)
         q = arr.shape[0]
         resid = _head_probs(self._design, arr, self.num_classes)
         resid -= self._onehot[:, :, None]
         grad = self._design.T @ resid.reshape(self.labels.size, -1)
         grad = grad.reshape(-1, self.num_classes, q).transpose(2, 0, 1).reshape(q, self.dim)
-        out = grad / (-alpha * self.labels.size)
-        return out[0] if single else out
-
-    def predict_proba(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """Class probabilities of a single parameter vector on new features."""
-        arr, _ = _as_rows(theta, self.dim)
-        design = _with_bias(np.asarray(features, dtype=float))
-        return _head_probs(design, arr, self.num_classes).transpose(2, 0, 1)
+        return grad / (-alpha * self.labels.size)
 
 
 # --- model-averaged prediction ----------------------------------------------

@@ -99,12 +99,6 @@ def gaussian_log_density_moments(mean, variance, x: np.ndarray) -> np.ndarray:
     return -0.5 * (quad + const)
 
 
-def gaussian_log_density(nat: GaussianNatParams, x: np.ndarray) -> np.ndarray:
-    """Log density of the Gaussian at the query rows (or scalar grid points)."""
-    mean, variance = nat_to_moment(nat)
-    return gaussian_log_density_moments(mean, variance, x)
-
-
 def expected_loss_grad_moment(
     nat: GaussianNatParams,
     loss,
@@ -128,7 +122,7 @@ def expected_loss_grad_moment(
     zeta = rng.standard_normal((n_samples, nat.dim))
     theta = mean + root * zeta
     # loss gradient = -alpha * score of the tempered likelihood
-    grads = -alpha * np.asarray(loss.neg_loss_grad(theta, alpha), dtype=float)
+    grads = -alpha * loss.neg_loss_grad(theta, alpha)
     if not np.all(np.isfinite(grads)):
         raise FloatingPointError("loss gradient is not finite")
     grad_mean = grads.mean(axis=0)

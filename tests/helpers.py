@@ -33,6 +33,24 @@ def max_relative_deviation(approx, exact):
     return float(np.max(np.abs(approx - exact)) / np.max(np.abs(exact)))
 
 
+def rbf_kernel(x, y, h):
+    """kappa(x, y) = exp(-||x - y||^2 / h) for two points."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"point shapes differ: {x.shape} vs {y.shape}")
+    if not h > 0:
+        raise ValueError(f"bandwidth must be positive, got {h}")
+    return float(np.exp(-np.sum((x - y) ** 2) / h))
+
+
+def rbf_kernel_grad_first(x, y, h):
+    """Gradient of kappa(x, y) with respect to its first argument."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return -(2.0 / h) * (x - y) * rbf_kernel(x, y, h)
+
+
 def median_bandwidth_pdist(particles):
     """Median-heuristic bandwidth from scipy's exact pairwise distances."""
     med = np.median(pdist(particles))

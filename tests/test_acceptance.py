@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import steinfed.federation as fed
-from helpers import fd_gradient, relative_error
+from helpers import fd_gradient, rbf_kernel, rbf_kernel_grad_first, relative_error
 from steinfed.experiments import load_config, run_experiment, run_paths
 from steinfed.federation import (
     AgentState,
@@ -23,12 +23,7 @@ from steinfed.federation import (
     tilted_grad_learning,
     tilted_grad_unlearning,
 )
-from steinfed.kernels import (
-    kde_log_density,
-    kde_log_density_grad,
-    rbf_kernel,
-    rbf_kernel_grad_first,
-)
+from steinfed.kernels import kde_log_density, kde_log_density_grad
 from steinfed.metrics import GridConfig, grid_kl, read_metrics_csv
 from steinfed.models import (
     GaussianMixtureLoss,

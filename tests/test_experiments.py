@@ -373,8 +373,9 @@ CONFIG_ERRORS = [
      "config.protocol.update_steps: expected an integer, got float"),
     ("mix", ("protocol", "distill_steps"), -2,
      "config.protocol.distill_steps: must be nonnegative, got -2"),
-    ("mix", ("protocol", "epsilon"), -0.1, "config.protocol: step sizes must be nonnegative"),
-    ("mix", ("protocol", "epsilon_local"), -0.1, "config.protocol: step sizes must be nonnegative"),
+    ("mix", ("protocol", "epsilon"), -0.1, "config.protocol.epsilon: must be nonnegative, got -0.1"),
+    ("mix", ("protocol", "epsilon_local"), -0.1,
+     "config.protocol.epsilon_local: must be nonnegative, got -0.1"),
     ("mix", ("protocol", "epsilon"), "x", "config.protocol.epsilon: expected a number, got str"),
     ("mix", ("protocol", "fudge"), 0, "config.protocol.fudge: must be positive, got 0.0"),
     ("mix", ("protocol", "schedule"), "random", "config.protocol.schedule: expected one of "

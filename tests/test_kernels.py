@@ -8,6 +8,8 @@ from helpers import (
     kde_log_density_grad_broadcast,
     max_relative_deviation,
     median_bandwidth_pdist,
+    rbf_kernel,
+    rbf_kernel_grad_first,
     relative_error,
 )
 
@@ -17,8 +19,6 @@ from steinfed.kernels import (
     kde_log_density,
     kde_log_density_grad,
     median_bandwidth,
-    rbf_kernel,
-    rbf_kernel_grad_first,
 )
 
 
@@ -134,7 +134,7 @@ class TestWidthValidation:
 
 class TestKdeLogDensity:
     def test_single_particle_standard_value(self):
-        value = kde_log_density(np.array([[0.0]]), np.array([0.0]), lam=1.0)
+        value = kde_log_density(np.array([[0.0]]), np.array([[0.0]]), lam=1.0)[0]
         np.testing.assert_allclose(value, -0.5 * np.log(2.0 * np.pi), rtol=1e-15)
 
     def test_matches_direct_summation(self):
@@ -153,14 +153,14 @@ class TestKdeLogDensity:
                 )
             )
             np.testing.assert_allclose(
-                kde_log_density(particles, query, lam), direct, rtol=1e-12
+                kde_log_density(particles, query[None], lam)[0], direct, rtol=1e-12
             )
 
     def test_symmetric_pair_mixing_correction(self):
         # two particles symmetric about the query contribute equally
         particles = np.array([[-1.0], [1.0]])
-        value = kde_log_density(particles, np.array([0.0]), lam=0.7)
-        single = kde_log_density(particles[:1], np.array([0.0]), lam=0.7)
+        value = kde_log_density(particles, np.array([[0.0]]), lam=0.7)
+        single = kde_log_density(particles[:1], np.array([[0.0]]), lam=0.7)
         np.testing.assert_allclose(value, single, rtol=1e-14)
 
     def test_grid_integral_is_one(self):
@@ -173,21 +173,21 @@ class TestKdeLogDensity:
 
     def test_empty_particles_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            kde_log_density(np.zeros((0, 1)), np.array([0.0]), lam=1.0)
+            kde_log_density(np.zeros((0, 1)), np.array([[0.0]]), lam=1.0)
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(3)
         particles = rng.standard_normal((5, 2))
         queries = rng.standard_normal((7, 2))
         batch = kde_log_density(particles, queries, lam=0.55)
-        singles = [kde_log_density(particles, q, lam=0.55) for q in queries]
+        singles = [kde_log_density(particles, q[None], lam=0.55)[0] for q in queries]
         np.testing.assert_allclose(batch, singles, rtol=1e-14)
 
 
 class TestKdeLogDensityGrad:
     def test_zero_at_single_particle_mode(self):
-        grad = kde_log_density_grad(np.array([[1.0, -2.0]]), np.array([1.0, -2.0]), lam=0.55)
-        np.testing.assert_array_equal(grad, np.zeros(2))
+        grad = kde_log_density_grad(np.array([[1.0, -2.0]]), np.array([[1.0, -2.0]]), lam=0.55)
+        np.testing.assert_array_equal(grad, np.zeros((1, 2)))
 
     def test_matches_finite_difference(self):
         rng = np.random.default_rng(42)
@@ -195,12 +195,12 @@ class TestKdeLogDensityGrad:
             particles = rng.standard_normal((rng.integers(1, 10), 2))
             query = rng.standard_normal(2)
             lam = float(rng.uniform(0.4, 1.5))
-            grad = kde_log_density_grad(particles, query, lam)
-            fd = fd_gradient(lambda q: kde_log_density(particles, q, lam), query)
+            grad = kde_log_density_grad(particles, query[None], lam)[0]
+            fd = fd_gradient(lambda q: kde_log_density(particles, q[None], lam)[0], query)
             assert relative_error(grad, fd) < 1e-5
 
     def test_duplicate_particle_invariance(self):
-        query = np.array([0.3])
+        query = np.array([[0.3]])
         one = kde_log_density_grad(np.array([[1.0]]), query, lam=0.55)
         two = kde_log_density_grad(np.array([[1.0], [1.0]]), query, lam=0.55)
         np.testing.assert_allclose(two, one, rtol=1e-14)
@@ -208,16 +208,16 @@ class TestKdeLogDensityGrad:
     def test_single_particle_closed_form(self):
         # one Gaussian component: score is (particle - query) / lam^2
         particle = np.array([[2.0, -1.0]])
-        query = np.array([0.5, 0.5])
+        query = np.array([[0.5, 0.5]])
         grad = kde_log_density_grad(particle, query, lam=0.55)
-        np.testing.assert_allclose(grad, (particle[0] - query) / 0.55**2, rtol=1e-14)
+        np.testing.assert_allclose(grad, (particle - query) / 0.55**2, rtol=1e-14)
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(9)
         particles = rng.standard_normal((6, 3))
         queries = rng.standard_normal((5, 3))
         batch = kde_log_density_grad(particles, queries, lam=0.8)
-        singles = np.stack([kde_log_density_grad(particles, q, lam=0.8) for q in queries])
+        singles = np.stack([kde_log_density_grad(particles, q[None], lam=0.8)[0] for q in queries])
         np.testing.assert_allclose(batch, singles, rtol=1e-14)
 
 
@@ -260,16 +260,16 @@ class TestKdeMatchesBroadcastOracle:
     @pytest.mark.parametrize("name", sorted(NORTH_STAR_SHAPES))
     def test_single_query(self, name):
         particles, query, lam = north_star_case(name)
-        point = query[len(query) // 3]
+        point = query[len(query) // 3][None]
         grad = kde_log_density_grad(particles, point, lam)
         value = kde_log_density(particles, point, lam)
         assert grad.shape == point.shape
-        assert isinstance(value, float)
+        assert value.shape == (1,)
         assert max_relative_deviation(
-            grad, kde_log_density_grad_broadcast(particles, point[None, :], lam)[0]
+            grad, kde_log_density_grad_broadcast(particles, point, lam)
         ) < 1e-12
         assert max_relative_deviation(
-            value, kde_log_density_broadcast(particles, point[None, :], lam)[0]
+            value, kde_log_density_broadcast(particles, point, lam)
         ) < 1e-12
 
     @pytest.mark.parametrize("name", sorted(NORTH_STAR_SHAPES))
@@ -277,15 +277,15 @@ class TestKdeMatchesBroadcastOracle:
         # every kernel weight exp(-||q - theta||^2 / 2 lam^2) underflows to 0
         # unless the weights are max-shifted before exponentiation
         particles, _, lam = north_star_case(name)
-        far = particles.mean(axis=0) + 1e3
+        far = particles.mean(axis=0, keepdims=True) + 1e3
         grad = kde_log_density_grad(particles, far, lam)
         value = kde_log_density(particles, far, lam)
-        assert np.all(np.isfinite(grad)) and np.isfinite(value)
+        assert np.all(np.isfinite(grad)) and np.all(np.isfinite(value))
         assert max_relative_deviation(
-            grad, kde_log_density_grad_broadcast(particles, far[None, :], lam)[0]
+            grad, kde_log_density_grad_broadcast(particles, far, lam)
         ) < 1e-12
         assert max_relative_deviation(
-            value, kde_log_density_broadcast(particles, far[None, :], lam)[0]
+            value, kde_log_density_broadcast(particles, far, lam)
         ) < 1e-12
 
 

@@ -86,7 +86,6 @@ class TestGridKl:
         with pytest.raises(ValueError):
             GridConfig(0.0, 1.0, 1)
         grid = GridConfig(0.0, 1.0, 11)
-        assert np.isclose(grid.dx, 0.1)
         assert grid.linspace().shape == (11,)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import softmax
 
+from steinfed.kernels import kde_log_density, kde_log_density_grad
 from steinfed.models import (
     CLAMP_MARGIN,
     FeatureMap,
@@ -33,9 +34,9 @@ from helpers import (
 class TestUniformPrior:
     def test_log_density_inside_and_outside(self):
         prior = UniformPrior(-10.0, 10.0)
-        assert np.isclose(prior.log_density(np.array([0.0])), -np.log(20.0))
-        assert np.isclose(prior.log_density(np.array([10.0])), -np.log(20.0))
-        assert prior.log_density(np.array([10.0001])) == -np.inf
+        assert np.isclose(prior.log_density(np.array([[0.0]]))[0], -np.log(20.0))
+        assert np.isclose(prior.log_density(np.array([[10.0]]))[0], -np.log(20.0))
+        assert prior.log_density(np.array([[10.0001]]))[0] == -np.inf
         batch = prior.log_density(np.array([[0.0], [-11.0]]))
         assert np.isclose(batch[0], -np.log(20.0))
         assert batch[1] == -np.inf
@@ -48,12 +49,12 @@ class TestUniformPrior:
 
     def test_score_zero_inside(self):
         prior = UniformPrior(np.array([-1.0, 0.0]), np.array([1.0, 5.0]))
-        assert np.array_equal(prior.score(np.array([0.5, 2.0])), np.zeros(2))
+        assert np.array_equal(prior.score(np.array([[0.5, 2.0]])), np.zeros((1, 2)))
 
     def test_score_raises_outside_open_support(self):
         prior = UniformPrior(-1.0, 1.0)
         with pytest.raises(OutOfSupportError):
-            prior.score(np.array([1.0]))
+            prior.score(np.array([[1.0]]))
         with pytest.raises(OutOfSupportError):
             prior.score(np.array([[0.0], [2.0]]))
 
@@ -89,17 +90,17 @@ class TestUniformPrior:
 class TestGaussianPrior:
     def test_standard_normal_log_density(self):
         prior = GaussianPrior(0.0, 1.0)
-        assert np.isclose(prior.log_density(np.array([0.0])), -0.5 * np.log(2 * np.pi))
+        assert np.isclose(prior.log_density(np.array([[0.0]]))[0], -0.5 * np.log(2 * np.pi))
 
     def test_score_hand_value_and_fd(self):
         prior = GaussianPrior(np.array([1.0, -2.0]), np.array([4.0, 0.5]))
-        x = np.array([3.0, -1.0])
-        assert np.allclose(prior.score(x), np.array([(1.0 - 3.0) / 4.0, (-2.0 + 1.0) / 0.5]))
+        x = np.array([[3.0, -1.0]])
+        assert np.allclose(prior.score(x), np.array([[(1.0 - 3.0) / 4.0, (-2.0 + 1.0) / 0.5]]))
         rng = np.random.default_rng(5)
         for _ in range(100):
             pt = rng.normal(size=2)
-            fd = fd_gradient(lambda z: prior.log_density(z), pt)
-            assert relative_error(prior.score(pt), fd) < 1e-5
+            fd = fd_gradient(lambda z: prior.log_density(z[None])[0], pt)
+            assert relative_error(prior.score(pt[None])[0], fd) < 1e-5
 
     def test_sample_moments(self):
         prior = GaussianPrior(2.0, 9.0)
@@ -131,10 +132,10 @@ class TestGaussianMixtureLoss:
     def test_single_gaussian_hand_values(self):
         # N(1, 4): score at theta=3 is (1 - 3)/4 = -0.5
         loss = GaussianMixtureLoss([MixtureComponent(1.0, np.array([1.0]), np.array([4.0]))])
-        assert np.isclose(loss.neg_loss_grad(np.array([3.0]))[0], -0.5)
+        assert np.isclose(loss.neg_loss_grad(np.array([[3.0]]))[0, 0], -0.5)
         want = -0.5 * np.log(2 * np.pi * 4.0) - 0.5
-        assert np.isclose(loss.log_mixture_density(np.array([3.0])), want)
-        assert np.isclose(loss.loss(np.array([3.0])), -want)
+        assert np.isclose(loss.log_mixture_density(np.array([[3.0]]))[0], want)
+        assert np.isclose(loss.loss(np.array([[3.0]]))[0], -want)
 
     def test_equal_mixture_hand_value_at_midpoint(self):
         # 0.5 N(-1, 1) + 0.5 N(1, 1) at 0: both components contribute
@@ -144,9 +145,9 @@ class TestGaussianMixtureLoss:
             MixtureComponent(0.5, np.array([1.0]), np.array([1.0])),
         ])
         want = -0.5 * np.log(2 * np.pi) - 0.5
-        assert np.isclose(loss.log_mixture_density(np.array([0.0])), want)
+        assert np.isclose(loss.log_mixture_density(np.array([[0.0]]))[0], want)
         # symmetry: score vanishes at the midpoint
-        assert abs(loss.neg_loss_grad(np.array([0.0]))[0]) < 1e-14
+        assert abs(loss.neg_loss_grad(np.array([[0.0]]))[0, 0]) < 1e-14
 
     def test_score_matches_fd(self):
         loss = GaussianMixtureLoss([
@@ -156,8 +157,8 @@ class TestGaussianMixtureLoss:
         rng = np.random.default_rng(12)
         for _ in range(100):
             pt = rng.normal(scale=2.0, size=2)
-            fd = fd_gradient(lambda z: loss.log_mixture_density(z), pt)
-            assert relative_error(loss.neg_loss_grad(pt), fd) < 1e-5
+            fd = fd_gradient(lambda z: loss.log_mixture_density(z[None])[0], pt)
+            assert relative_error(loss.neg_loss_grad(pt[None])[0], fd) < 1e-5
 
     def test_weight_normalization_invariance(self):
         comps = lambda s: [
@@ -171,8 +172,8 @@ class TestGaussianMixtureLoss:
 
     def test_alpha_scales_loss_not_score(self):
         loss = GaussianMixtureLoss([MixtureComponent(1.0, np.array([0.0]), np.array([1.0]))])
-        pt = np.array([1.3])
-        assert np.isclose(loss.loss(pt, alpha=2.5), 2.5 * loss.loss(pt, alpha=1.0))
+        pt = np.array([[1.3]])
+        assert np.isclose(loss.loss(pt, alpha=2.5)[0], 2.5 * loss.loss(pt, alpha=1.0)[0])
         assert np.allclose(loss.neg_loss_grad(pt, alpha=2.5), loss.neg_loss_grad(pt, alpha=1.0))
 
     def test_batched_matches_single(self):
@@ -184,13 +185,13 @@ class TestGaussianMixtureLoss:
         batch_ld = loss.log_mixture_density(pts)
         batch_g = loss.neg_loss_grad(pts)
         for i in range(7):
-            assert np.isclose(batch_ld[i], loss.log_mixture_density(pts[i]))
-            assert np.allclose(batch_g[i], loss.neg_loss_grad(pts[i]))
+            assert np.isclose(batch_ld[i], loss.log_mixture_density(pts[i][None])[0])
+            assert np.allclose(batch_g[i], loss.neg_loss_grad(pts[i][None])[0])
 
     def test_dimension_mismatch(self):
         loss = GaussianMixtureLoss([MixtureComponent(1.0, np.zeros(2), np.ones(2))])
         with pytest.raises(ValueError):
-            loss.loss(np.zeros(3))
+            loss.loss(np.zeros((1, 3)))
 
 
 class TestSoftmaxHeadLoss:
@@ -201,24 +202,24 @@ class TestSoftmaxHeadLoss:
         self.head = SoftmaxHeadLoss(self.features, self.labels, num_classes=4)
 
     def test_zero_parameters_give_uniform_loss(self):
-        assert np.isclose(self.head.loss(np.zeros(self.head.dim)), np.log(4.0))
+        assert np.isclose(self.head.loss(np.zeros((1, self.head.dim)))[0], np.log(4.0))
 
     def test_zero_parameter_gradient_hand_value(self):
         # one example x = [1], 2 classes, label 0; at theta = 0 every
         # residual entry is +-1/2 and the design column is all ones
         head = SoftmaxHeadLoss(np.array([[1.0]]), np.array([0]), num_classes=2)
-        grad = head.neg_loss_grad(np.zeros(4))
-        assert np.allclose(grad, np.array([0.5, -0.5, 0.5, -0.5]))
+        grad = head.neg_loss_grad(np.zeros((1, 4)))
+        assert np.allclose(grad, np.array([[0.5, -0.5, 0.5, -0.5]]))
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(22)
         for _ in range(100):
             theta = rng.normal(scale=0.5, size=self.head.dim)
-            fd = fd_gradient(lambda z: self.head.loss(z), theta)
-            assert relative_error(self.head.neg_loss_grad(theta), -fd) < 1e-5
+            fd = fd_gradient(lambda z: self.head.loss(z[None])[0], theta)
+            assert relative_error(self.head.neg_loss_grad(theta[None])[0], -fd) < 1e-5
 
     def test_alpha_divides_gradient(self):
-        theta = np.random.default_rng(23).normal(size=self.head.dim)
+        theta = np.random.default_rng(23).normal(size=(1, self.head.dim))
         g1 = self.head.neg_loss_grad(theta, alpha=1.0)
         g2 = self.head.neg_loss_grad(theta, alpha=2.0)
         assert np.allclose(g2, g1 / 2.0)
@@ -226,8 +227,8 @@ class TestSoftmaxHeadLoss:
     def test_empty_shard_is_exactly_zero(self):
         head = SoftmaxHeadLoss(np.zeros((0, 3)), np.zeros(0, dtype=int), num_classes=4)
         theta = np.random.default_rng(24).normal(size=head.dim)
-        assert head.loss(theta) == 0.0
-        assert np.array_equal(head.neg_loss_grad(theta), np.zeros(head.dim))
+        assert head.loss(theta[None])[0] == 0.0
+        assert np.array_equal(head.neg_loss_grad(theta[None]), np.zeros((1, head.dim)))
         batch = np.stack([theta, 2 * theta])
         assert np.array_equal(head.loss(batch), np.zeros(2))
 
@@ -236,21 +237,15 @@ class TestSoftmaxHeadLoss:
         losses = self.head.loss(batch)
         grads = self.head.neg_loss_grad(batch)
         for i in range(5):
-            assert np.isclose(losses[i], self.head.loss(batch[i]))
-            assert np.allclose(grads[i], self.head.neg_loss_grad(batch[i]))
+            assert np.isclose(losses[i], self.head.loss(batch[i][None])[0])
+            assert np.allclose(grads[i], self.head.neg_loss_grad(batch[i][None])[0])
 
     def test_gradient_ascent_reduces_loss(self):
-        theta = np.zeros(self.head.dim)
-        start = self.head.loss(theta)
+        theta = np.zeros((1, self.head.dim))
+        start = self.head.loss(theta)[0]
         for _ in range(50):
             theta = theta + 0.5 * self.head.neg_loss_grad(theta)
-        assert self.head.loss(theta) < start
-
-    def test_predict_proba_rows_normalized(self):
-        theta = np.random.default_rng(26).normal(size=(2, self.head.dim))
-        probs = self.head.predict_proba(theta, self.features[:5])
-        assert probs.shape == (2, 5, 4)
-        assert np.allclose(probs.sum(axis=2), 1.0)
+        assert self.head.loss(theta)[0] < start
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
@@ -260,14 +255,15 @@ class TestSoftmaxHeadLoss:
         with pytest.raises(ValueError):
             SoftmaxHeadLoss(np.zeros((3, 2)), np.zeros(3, dtype=int), num_classes=1)
         with pytest.raises(ValueError):
-            self.head.loss(np.zeros(self.head.dim + 1))
+            self.head.loss(np.zeros((1, self.head.dim + 1)))
 
 
 class TestHeadMatchesEinsumOracle:
     """The GEMM-form softmax head agrees with the literal einsum formulas.
 
     The logits themselves are private; they enter ``loss`` and, through the
-    softmax, ``predict_proba``, so the loss pins them at the labels.
+    softmax, ``averaged_class_probabilities``, so the loss pins them at the
+    labels.
     """
 
     # (examples per shard, features, classes, particles): desk and MNIST-shaped
@@ -295,9 +291,6 @@ class TestHeadMatchesEinsumOracle:
     def test_probabilities(self, name):
         head, heads, test_features = self.case(name)
         want = softmax(head_logits_einsum(heads, test_features, head.num_classes), axis=2)
-        probs = head.predict_proba(heads, test_features)
-        assert probs.shape == want.shape
-        assert max_relative_deviation(probs, want) < 1e-12
         assert max_relative_deviation(
             averaged_class_probabilities(heads, test_features, head.num_classes), want.mean(axis=0)
         ) < 1e-12
@@ -305,10 +298,10 @@ class TestHeadMatchesEinsumOracle:
     def test_single_parameter_vector(self):
         head, heads, _ = self.case("desk")
         args = (heads[:1], head.features, head.labels, head.num_classes)
-        assert isinstance(head.loss(heads[0]), float)
-        assert max_relative_deviation(head.loss(heads[0]), head_loss_einsum(*args)[0]) < 1e-12
+        assert head.loss(heads[:1]).shape == (1,)
+        assert max_relative_deviation(head.loss(heads[:1]), head_loss_einsum(*args)) < 1e-12
         assert max_relative_deviation(
-            head.neg_loss_grad(heads[0]), head_neg_loss_grad_einsum(*args)[0]
+            head.neg_loss_grad(heads[:1]), head_neg_loss_grad_einsum(*args)
         ) < 1e-12
 
 
@@ -317,9 +310,8 @@ class TestModelAveraging:
         rng = np.random.default_rng(31)
         features = rng.normal(size=(6, 2))
         particles = rng.normal(size=(4, (2 + 1) * 3))
-        head = SoftmaxHeadLoss(features, np.zeros(6, dtype=int), num_classes=3)
         avg = averaged_class_probabilities(particles, features, num_classes=3)
-        per = head.predict_proba(particles, features)
+        per = softmax(head_logits_einsum(particles, features, num_classes=3), axis=2)
         assert np.allclose(avg, per.mean(axis=0))
         assert np.allclose(avg.sum(axis=1), 1.0)
 
@@ -400,10 +392,10 @@ class TestFeatureMap:
         y = np.repeat([0, 1], 20)
         fmap = pretrain_feature_map(x, y, 2, FeatureMapConfig(hidden_units=8, epochs=200, seed=2))
         head = SoftmaxHeadLoss(fmap(x), y, num_classes=2)
-        theta = np.zeros(head.dim)
+        theta = np.zeros((1, head.dim))
         for _ in range(300):
             theta = theta + 1.0 * head.neg_loss_grad(theta)
-        acc = per_class_accuracy(theta[None, :], fmap(x), y, num_classes=2)
+        acc = per_class_accuracy(theta, fmap(x), y, num_classes=2)
         assert macro_accuracy(acc, (0, 1)) >= 0.95
 
     def test_invalid_inputs(self):
@@ -415,3 +407,40 @@ class TestFeatureMap:
             FeatureMapConfig(hidden_units=0)
         with pytest.raises(ValueError):
             FeatureMapConfig(step_size=0.0)
+
+
+_MIXTURE_3D = GaussianMixtureLoss([MixtureComponent(1.0, np.zeros(3), np.ones(3))])
+_HEAD_4D = SoftmaxHeadLoss(np.array([[1.0], [-1.0]]), np.array([0, 1]), num_classes=2)
+_PARTICLES_3D = np.arange(6.0).reshape(2, 3)
+
+# (function of an (M, d) matrix, d, whether it returns one value per row)
+ROW_FUNCTIONS = {
+    "kde_log_density": (lambda x: kde_log_density(_PARTICLES_3D, x, 0.5), 3, True),
+    "kde_log_density_grad": (lambda x: kde_log_density_grad(_PARTICLES_3D, x, 0.5), 3, False),
+    "UniformPrior.log_density": (UniformPrior(-1.0, 1.0, dim=3).log_density, 3, True),
+    "UniformPrior.score": (UniformPrior(-1.0, 1.0, dim=3).score, 3, False),
+    "GaussianPrior.log_density": (GaussianPrior(0.0, 1.0, dim=3).log_density, 3, True),
+    "GaussianPrior.score": (GaussianPrior(0.0, 1.0, dim=3).score, 3, False),
+    "GaussianMixtureLoss.log_mixture_density": (_MIXTURE_3D.log_mixture_density, 3, True),
+    "GaussianMixtureLoss.loss": (_MIXTURE_3D.loss, 3, True),
+    "GaussianMixtureLoss.neg_loss_grad": (_MIXTURE_3D.neg_loss_grad, 3, False),
+    "SoftmaxHeadLoss.loss": (_HEAD_4D.loss, 4, True),
+    "SoftmaxHeadLoss.neg_loss_grad": (_HEAD_4D.neg_loss_grad, 4, False),
+}
+
+
+class TestRowMatrixInput:
+    """The numeric core takes (M, d) row matrices only and returns arrays."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_FUNCTIONS))
+    def test_vector_rejected_with_its_shape(self, name):
+        f, d, _ = ROW_FUNCTIONS[name]
+        with pytest.raises(ValueError, match=rf"expected an \(M, {d}\) array, got shape \({d},\)"):
+            f(np.zeros(d))
+
+    @pytest.mark.parametrize("name", sorted(ROW_FUNCTIONS))
+    def test_one_row_gives_one_row(self, name):
+        f, d, per_row = ROW_FUNCTIONS[name]
+        out = f(np.full((1, d), 0.25))
+        assert isinstance(out, np.ndarray)
+        assert out.shape == ((1,) if per_row else (1, d))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from steinfed.kernels import median_bandwidth, rbf_kernel, rbf_kernel_grad_first
+from helpers import rbf_kernel, rbf_kernel_grad_first
+
+from steinfed.kernels import median_bandwidth
 from steinfed.svgd import AdaGradState, adagrad_step, run_svgd, svgd_direction
 
 
