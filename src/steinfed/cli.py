@@ -23,6 +23,7 @@ from .experiments import (
     run_experiment,
     run_paths,
 )
+from .rules import FieldError
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
             paths = run_paths(cfg, method)
             rows = export_plot_data(paths.metrics, paths.plot)
             print(f"{rows} rows -> {paths.plot}")
-    except (ConfigError, MissingStateError, FileNotFoundError) as err:
+    except (ConfigError, FieldError, MissingStateError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:

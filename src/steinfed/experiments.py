@@ -3,7 +3,8 @@
 A run is described by one JSON config naming the method, the experiment
 (a one-dimensional mixture density benchmark or a non-iid label-split
 classification benchmark), the protocol settings, and per-phase budgets.
-Each run writes three files into the output directory, prefixed by the
+Each config section is the dataclass that uses it, and that type's
+``__post_init__`` holds the section's range rules.  Each run writes three files into the output directory, prefixed by the
 effective method name: ``<method>_metrics.csv`` (one row per round),
 ``<method>_transcript.jsonl`` (round events), and ``<method>_snapshot.txt``
 (final state).  Unlearning resumes from the learning snapshot of its
@@ -14,9 +15,12 @@ factors as ``<method>_locals.json``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import time
+import types
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +60,11 @@ from .pvi import (
     pvi_round,
     ulpvi_round,
 )
+from .rules import FieldError, at_least, nonnegative, one_of, positive
 
 PARTICLE_METHODS = ("dsvgd", "forget_svgd", "retrain")
 PARAMETRIC_METHODS = ("pvi", "ulpvi")
 METHODS = PARTICLE_METHODS + PARAMETRIC_METHODS
-
-PHASE_LEARN = "learn"
-PHASE_UNLEARN = "unlearn"
-PHASE_RETRAIN = "retrain"
 
 
 class ConfigError(ValueError):
@@ -74,215 +75,42 @@ class MissingStateError(RuntimeError):
     """A resume step needed files an earlier phase has not produced."""
 
 
-# --- config schema --------------------------------------------------------------
-
-_KIND_NAMES = {float: "a number", int: "an integer", bool: "true/false", str: "a string",
-               dict: "an object"}
+# --- config types -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _Field:
-    """One config key: its JSON type and the rule its value must meet.
-
-    ``float`` accepts any JSON number, ``list[int]`` a list of integers and
-    ``object`` any value; a JSON boolean is never a number.  ``nullable``
-    lets ``null`` stand for the unset default.
-    """
-
-    kind: object
-    required: bool = False
-    nullable: bool = False
-    rule: str | None = None  # "positive" or "nonnegative"
-    minimum: int | None = None
-    choices: tuple[str, ...] | None = None
-
-
-def _read(data, path: str, table: dict[str, _Field]) -> dict:
-    """Validate one config object against its table.
-
-    Returns the keys present, converted (numbers to float, lists to
-    tuples); absent optional keys are left out, so the dataclass the
-    values are passed to supplies its own defaults.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(table))
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {unknown}")
-    out = {}
-    for key, field in table.items():
-        where = f"{path}.{key}"
-        if key not in data:
-            if field.required:
-                raise ConfigError(f"{where}: required")
-            continue
-        value = data[key]
-        if value is None and field.nullable:
-            out[key] = None
-            continue
-        if field.kind == list[int]:
-            if not isinstance(value, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in value
-            ):
-                raise ConfigError(f"{where}: expected a list of integers")
-            value = tuple(value)
-        else:
-            accepted = (int, float) if field.kind is float else field.kind
-            if not isinstance(value, accepted) or (
-                field.kind in (int, float) and isinstance(value, bool)
-            ):
-                raise ConfigError(
-                    f"{where}: expected {_KIND_NAMES[field.kind]}, got {type(value).__name__}"
-                )
-            if field.kind is float:
-                value = float(value)
-        if field.rule == "positive" and not value > 0:
-            raise ConfigError(f"{where}: must be positive, got {value}")
-        if field.rule == "nonnegative" and value < 0:
-            raise ConfigError(f"{where}: must be nonnegative, got {value}")
-        if field.minimum is not None and value < field.minimum:
-            raise ConfigError(f"{where}: must be at least {field.minimum}, got {value}")
-        if field.choices is not None and value not in field.choices:
-            raise ConfigError(f"{where}: expected one of {sorted(field.choices)}, got {value!r}")
-        out[key] = value
-    return out
-
-
-def _kind(data: dict, path: str, field: _Field, default=None):
-    """Read ``kind`` alone, before its value picks the table for the other keys."""
-    return _read({"kind": data["kind"]} if "kind" in data else {}, path,
-                 {"kind": field}).get("kind", default)
-
-
-def _section(cls, data, path: str, table: dict[str, _Field]):
-    """Build ``cls`` from one config object; the class's own range errors get the path."""
-    values = _read(data, path, table)
-    try:
-        return cls(**values)
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from None
-
-
-_POSITIVE = _Field(float, rule="positive")
-_COUNT = _Field(int, rule="nonnegative")
-
-_CONFIG = {
-    "method": _Field(str, required=True, choices=METHODS),
-    "seed": _Field(int),
-    "out_dir": _Field(str),
-    "particles": _Field(int, minimum=1),
-    "experiment": _Field(dict, required=True),
-    "protocol": _Field(dict),
-    "learn": _Field(dict),
-    "unlearn": _Field(dict),
-    "retrain": _Field(dict),
-    "pvi": _Field(dict),
-    "grid": _Field(dict),
-    "forget_agents": _Field(list[int]),
-}
-_PROTOCOL = {
-    "alpha": _POSITIVE,
-    "update_steps": _COUNT,
-    "distill_steps": _COUNT,
-    "epsilon": _Field(float, rule="nonnegative"),
-    "epsilon_local": _Field(float, rule="nonnegative"),
-    "fudge": _POSITIVE,
-    "schedule": _Field(str, choices=("round_robin", "fixed_sequence")),
-    "sequence": _Field(list[int], nullable=True),
-    "include_prior_score": _Field(bool),
-    "persist_adagrad": _Field(bool),
-    "kde_lam": _POSITIVE,
-    "bandwidth": _Field(float, nullable=True, rule="positive"),
-}
-_LEARN = {"rounds": _COUNT}
-_UNLEARN = {
-    "rounds": _COUNT,
-    "epsilon": _Field(float, nullable=True, rule="nonnegative"),
-    "epsilon_local": _Field(float, nullable=True, rule="nonnegative"),
-    "update_steps": _Field(int, nullable=True, rule="nonnegative"),
-    "distill_steps": _Field(int, nullable=True, rule="nonnegative"),
-    "early_stop": _Field(bool),
-    "patience": _Field(int, minimum=1),
-    "margin": _Field(float),
-    "loss_window": _Field(int, minimum=1),
-}
-_RETRAIN = {"rounds": _COUNT, "mode": _Field(str, choices=("centralized", "federated"))}
-_PVI = {
-    "local_iters": _COUNT,
-    "epsilon": _POSITIVE,
-    "mc_samples": _Field(int, minimum=1),
-    "prior_mean": _Field(float),
-    "prior_variance": _POSITIVE,
-}
-_GRID = {"lo": _Field(float), "hi": _Field(float), "points": _Field(int)}
-_PRIOR_KIND = _Field(str, choices=("uniform", "gaussian"))
-_PRIORS = {
-    "uniform": {"kind": _PRIOR_KIND, "lo": _Field(float), "hi": _Field(float)},
-    "gaussian": {"kind": _PRIOR_KIND, "mean": _Field(float), "variance": _POSITIVE},
-}
-_COMPONENT = {
-    "weight": _POSITIVE,
-    "mean": _Field(float, required=True),
-    "variance": _Field(float, required=True, rule="positive"),
-}
-_EXPERIMENT_KIND = _Field(str, required=True, choices=("mixture", "classification"))
-_MIXTURE = {
-    "kind": _EXPERIMENT_KIND,
-    "prior": _Field(dict, nullable=True),
-    "agents": _Field(object),  # a list of component lists, checked by _parse_mixture
-}
-_CLASSIFICATION = {
-    "kind": _EXPERIMENT_KIND,
-    "source": _Field(str, choices=("synthetic", "idx")),
-    "synthetic": _Field(dict),
-    "idx": _Field(object),  # read only when the source is idx
-    "labels_per_agent": _Field(int, minimum=1),
-    "examples_per_agent": _Field(int, minimum=1),
-    "feature_map": _Field(dict),
-    "prior": _Field(dict, nullable=True),
-}
-_SYNTHETIC = {
-    "num_classes": _Field(int, minimum=2),
-    "dim": _Field(int, minimum=1),
-    "n_train": _Field(int),
-    "n_test": _Field(int),
-    "center_scale": _Field(float),
-    "noise": _Field(float),
-}
-_PATH = _Field(str, required=True)
-_IDX = {"train_images": _PATH, "train_labels": _PATH, "test_images": _PATH, "test_labels": _PATH,
-        "num_classes": _Field(int)}
-_FEATURE_MAP = {"hidden_units": _Field(int), "epochs": _Field(int), "step_size": _Field(float)}
-
-
-@dataclass(frozen=True)
-class PriorSpec:
-    kind: str
+class UniformSpec:
     lo: float = -10.0
     hi: float = 10.0
+
+    def __post_init__(self) -> None:
+        if not self.lo < self.hi:
+            raise ValueError(f"lo must be below hi, got [{self.lo}, {self.hi}]")
+
+    def build(self, dim: int) -> UniformPrior:
+        return UniformPrior(self.lo, self.hi, dim=dim)
+
+
+@dataclass(frozen=True)
+class GaussianSpec:
     mean: float = 0.0
     variance: float = 1.0
 
-    def build(self, dim: int):
-        if self.kind == "uniform":
-            return UniformPrior(self.lo, self.hi, dim=dim)
+    def __post_init__(self) -> None:
+        positive(self, "variance")
+
+    def build(self, dim: int) -> GaussianPrior:
         return GaussianPrior(self.mean, self.variance, dim=dim)
-
-
-def _parse_prior(data, path: str, default_kind: str) -> PriorSpec:
-    if data is None:
-        return PriorSpec(kind=default_kind)
-    kind = _kind(data, path, _PRIOR_KIND, default_kind)
-    spec = PriorSpec(**{"kind": kind, **_read(data, path, _PRIORS[kind])})
-    if spec.kind == "uniform" and not spec.lo < spec.hi:
-        raise ConfigError(f"{path}: lo must be below hi, got [{spec.lo}, {spec.hi}]")
-    return spec
 
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    prior: PriorSpec
-    agents: tuple[tuple[MixtureComponent, ...], ...]
+    prior: UniformSpec | GaussianSpec = UniformSpec()
+    agents: tuple[tuple[MixtureComponent, ...], ...] = ()  # absent reads as empty: rejected below
+
+    def __post_init__(self) -> None:
+        if not self.agents:
+            raise FieldError("agents", "expected a nonempty list")
 
 
 @dataclass(frozen=True)
@@ -295,6 +123,8 @@ class SyntheticSpec:
     noise: float = 1.0
 
     def __post_init__(self) -> None:
+        at_least(2, self, "num_classes")
+        at_least(1, self, "dim")
         for name, count in (("n_train", self.n_train), ("n_test", self.n_test)):
             if count < self.num_classes:
                 raise ValueError(f"{name} must be at least num_classes ({self.num_classes}), got {count}")
@@ -308,59 +138,33 @@ class IdxSpec:
     test_labels: str
     num_classes: int = 10
 
+    def __post_init__(self) -> None:
+        at_least(2, self, "num_classes")
+
 
 @dataclass(frozen=True)
 class ClassificationSpec:
-    synthetic: SyntheticSpec
-    idx: IdxSpec | None
-    feature_map: FeatureMapConfig
-    prior: PriorSpec
     source: str = "synthetic"
+    synthetic: SyntheticSpec = SyntheticSpec()
+    idx: IdxSpec | None = None
     labels_per_agent: int = 2
     examples_per_agent: int = 100
+    feature_map: FeatureMapConfig = FeatureMapConfig()
+    prior: GaussianSpec = GaussianSpec()
 
-
-def _parse_mixture(data: dict, path: str) -> MixtureSpec:
-    values = _read(data, path, _MIXTURE)
-    prior = _parse_prior(values.get("prior"), f"{path}.prior", default_kind="uniform")
-    raw_agents = values.get("agents")
-    if not isinstance(raw_agents, list) or not raw_agents:
-        raise ConfigError(f"{path}.agents: expected a nonempty list")
-    agents = []
-    for i, raw in enumerate(raw_agents):
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{path}.agents[{i}]: expected a nonempty list of components")
-        agents.append(tuple(
-            MixtureComponent(**{"weight": 1.0,
-                                **_read(c, f"{path}.agents[{i}].components[{j}]", _COMPONENT)})
-            for j, c in enumerate(raw)
-        ))
-    return MixtureSpec(prior=prior, agents=tuple(agents))
-
-
-def _parse_classification(data: dict, path: str) -> ClassificationSpec:
-    values = _read(data, path, _CLASSIFICATION)
-    del values["kind"]
-    synthetic = _section(SyntheticSpec, values.pop("synthetic", {}), f"{path}.synthetic",
-                         _SYNTHETIC)
-    idx = None
-    if values.get("source") == "idx":
-        if "idx" not in values:
-            raise ConfigError(f"{path}.idx: required when source is 'idx'")
-        idx = _section(IdxSpec, values["idx"], f"{path}.idx", _IDX)
-    values.pop("idx", None)
-    feature_map = _section(FeatureMapConfig, values.pop("feature_map", {}),
-                           f"{path}.feature_map", _FEATURE_MAP)
-    prior = _parse_prior(values.pop("prior", None), f"{path}.prior", default_kind="gaussian")
-    if prior.kind != "gaussian":
-        raise ConfigError(f"{path}.prior.kind: classification uses a gaussian prior")
-    return ClassificationSpec(synthetic=synthetic, idx=idx, feature_map=feature_map,
-                              prior=prior, **values)
+    def __post_init__(self) -> None:
+        one_of(("synthetic", "idx"), self, "source")
+        if self.source == "idx" and self.idx is None:
+            raise FieldError("idx", "required when source is 'idx'")
+        at_least(1, self, "labels_per_agent", "examples_per_agent")
 
 
 @dataclass(frozen=True)
 class LearnSettings:
     rounds: int = 100
+
+    def __post_init__(self) -> None:
+        nonnegative(self, "rounds")
 
 
 @dataclass(frozen=True)
@@ -375,33 +179,169 @@ class UnlearnSettings:
     margin: float = 0.05
     loss_window: int = 5
 
+    def __post_init__(self) -> None:
+        nonnegative(self, "rounds", "epsilon", "epsilon_local", "update_steps", "distill_steps")
+        at_least(1, self, "patience", "loss_window")
+
 
 @dataclass(frozen=True)
 class RetrainSettings:
     rounds: int = 200
     mode: str = "centralized"
 
+    def __post_init__(self) -> None:
+        nonnegative(self, "rounds")
+        one_of(("centralized", "federated"), self, "mode")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated run config; each JSON section fills the type that uses it.
+    """A validated run config; each JSON section is the type that uses it.
 
     ``protocol`` carries no prior, and ``pvi`` keeps its default ``alpha``:
     each phase adds the problem's prior and the protocol's ``alpha``.
+    ``forget_agents`` holds sorted, distinct, 1-based agent ids.
     """
 
     method: str
     experiment: MixtureSpec | ClassificationSpec
-    protocol: fed.ProtocolConfig
-    learn: LearnSettings
-    unlearn: UnlearnSettings
-    retrain: RetrainSettings
-    pvi: PviConfig
-    grid: GridConfig
-    forget_agents: tuple[int, ...]
     seed: int = 0
     out_dir: str = "runs"
     particles: int = 100
+    protocol: fed.ProtocolConfig = fed.ProtocolConfig()
+    learn: LearnSettings = LearnSettings()
+    unlearn: UnlearnSettings = UnlearnSettings()
+    retrain: RetrainSettings = RetrainSettings()
+    pvi: PviConfig = PviConfig()
+    grid: GridConfig = GridConfig()
+    forget_agents: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        one_of(METHODS, self, "method")
+        if self.method in PARAMETRIC_METHODS and not isinstance(self.experiment, MixtureSpec):
+            raise FieldError("method", "parametric methods support the mixture experiment only")
+        nonnegative(self, "seed")
+        at_least(1, self, "particles")
+        object.__setattr__(self, "forget_agents", tuple(sorted(set(self.forget_agents))))
+        if any(k < 1 for k in self.forget_agents):
+            raise FieldError("forget_agents", "agent ids are 1-based")
+
+
+# --- config reading ---------------------------------------------------------------
+
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "true/false", str: "a string"}
+
+# Fields that each phase fills in; a config does not set them.
+_PHASE_FILLED = {fed.ProtocolConfig: "prior", PviConfig: "alpha", FeatureMapConfig: "seed"}
+
+
+@functools.cache
+def _keys(cls) -> dict:
+    """Each config key of ``cls``: its type hint and whether the key is required."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is dataclasses.MISSING)
+            for f in dataclasses.fields(cls) if f.name != _PHASE_FILLED.get(cls)}
+
+
+def _read(cls, data, path: str):
+    """Build ``cls`` from one config object; every error names its field path.
+
+    A key may be left out when its field has a default, and may be ``null``
+    when its type admits ``None``; unknown keys are errors.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
+    keys = _keys(cls)
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s) {unknown}")
+    values = {}
+    for name, (hint, required) in keys.items():
+        where = f"{path}.{name}"
+        if name in data:
+            reader = _READERS.get((cls, name))
+            values[name] = reader(data[name], where) if reader else _value(hint, data[name], where)
+        elif required:
+            raise ConfigError(f"{where}: required")
+    try:
+        return cls(**values)
+    except FieldError as err:
+        raise ConfigError(f"{path}.{err}") from None
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from None
+
+
+def _value(hint, value, where: str):
+    """Check one JSON value against a field's type hint; numbers become floats, lists tuples."""
+    if isinstance(hint, types.UnionType):  # ``X | None``, or ``float | np.ndarray``
+        if value is None and type(None) in hint.__args__:
+            return None
+        hint = hint.__args__[0]
+    if dataclasses.is_dataclass(hint):
+        return _read(hint, value, where)
+    if typing.get_origin(hint) is tuple:  # tuple[int, ...]
+        if not isinstance(value, list) or not all(type(v) is int for v in value):
+            raise ConfigError(f"{where}: expected a list of integers")
+        return tuple(value)
+    accepted = (int, float) if hint is float else hint
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"{where}: expected {_KIND_NAMES[hint]}, got {type(value).__name__}")
+    return float(value) if hint is float else value
+
+
+def _by_kind(data, path: str, kinds: dict, default: str | None = None):
+    """Build the type that an object's ``kind`` names from its other keys."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
+    if "kind" in data:
+        kind = _value(str, data["kind"], f"{path}.kind")
+    elif default is None:
+        raise ConfigError(f"{path}.kind: required")
+    else:
+        kind = default
+    if kind not in kinds:
+        raise ConfigError(f"{path}.kind: expected one of {sorted(kinds)}, got {kind!r}")
+    return _read(kinds[kind], {k: v for k, v in data.items() if k != "kind"}, path)
+
+
+_PRIOR_TYPES = {"uniform": UniformSpec, "gaussian": GaussianSpec}
+
+
+def _mixture_prior(data, path: str):
+    return UniformSpec() if data is None else _by_kind(data, path, _PRIOR_TYPES, "uniform")
+
+
+def _classification_prior(data, path: str):
+    prior = GaussianSpec() if data is None else _by_kind(data, path, _PRIOR_TYPES, "gaussian")
+    if not isinstance(prior, GaussianSpec):
+        raise ConfigError(f"{path}.kind: classification uses a gaussian prior")
+    return prior
+
+
+def _mixture_agents(data, path: str):
+    """Each agent is a list of components; a component's ``weight`` defaults to 1."""
+    if not isinstance(data, list):
+        raise ConfigError(f"{path}: expected a nonempty list")
+    agents = []
+    for i, raw in enumerate(data):
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError(f"{path}[{i}]: expected a nonempty list of components")
+        agents.append(tuple(
+            _read(MixtureComponent, {"weight": 1.0, **c} if isinstance(c, dict) else c,
+                  f"{path}[{i}].components[{j}]")
+            for j, c in enumerate(raw)
+        ))
+    return tuple(agents)
+
+
+# Fields whose JSON shape differs from their type.
+_READERS = {
+    (ExperimentConfig, "experiment"): lambda data, path: _by_kind(
+        data, path, {"mixture": MixtureSpec, "classification": ClassificationSpec}),
+    (MixtureSpec, "prior"): _mixture_prior,
+    (MixtureSpec, "agents"): _mixture_agents,
+    (ClassificationSpec, "prior"): _classification_prior,
+}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -410,29 +350,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     Every rejected field is reported with its full path, and unknown keys
     are errors at every level.
     """
-    top = _read(data, "config", _CONFIG)
-    exp = top.pop("experiment")
-    mixture = _kind(exp, "config.experiment", _EXPERIMENT_KIND) == "mixture"
-    experiment = (_parse_mixture if mixture else _parse_classification)(exp, "config.experiment")
-    if top["method"] in PARAMETRIC_METHODS and not mixture:
-        raise ConfigError("config.method: parametric methods support the mixture experiment only")
-
-    protocol = fed.ProtocolConfig(**_read(top.pop("protocol", {}), "config.protocol", _PROTOCOL))
-
-    forget_agents = tuple(sorted(set(top.pop("forget_agents", ()))))
-    if any(k < 1 for k in forget_agents):
-        raise ConfigError("config.forget_agents: agent ids are 1-based")
-    return ExperimentConfig(
-        experiment=experiment,
-        protocol=protocol,
-        learn=_section(LearnSettings, top.pop("learn", {}), "config.learn", _LEARN),
-        unlearn=_section(UnlearnSettings, top.pop("unlearn", {}), "config.unlearn", _UNLEARN),
-        retrain=_section(RetrainSettings, top.pop("retrain", {}), "config.retrain", _RETRAIN),
-        pvi=_section(PviConfig, top.pop("pvi", {}), "config.pvi", _PVI),
-        grid=_section(GridConfig, top.pop("grid", {}), "config.grid", _GRID),
-        forget_agents=forget_agents,
-        **top,
-    )
+    return _read(ExperimentConfig, data, "config")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -446,12 +364,14 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-# Each command's effective method for the particle and the parametric family.
+# Each command's effective method for the particle and the parametric family;
+# a command names the phase that its methods run.
 _COMMAND_METHODS = {
     "learn": ("dsvgd", "pvi"),
     "unlearn": ("forget_svgd", "ulpvi"),
     "retrain": ("retrain", "retrain"),
 }
+_METHOD_PHASE = {m: command for command, methods in _COMMAND_METHODS.items() for m in methods}
 
 
 def resolve_method(config_method: str, command: str) -> str:
@@ -659,7 +579,7 @@ _UNLEARN_OVERRIDES = ("epsilon", "epsilon_local", "update_steps", "distill_steps
 def _protocol_config(cfg: ExperimentConfig, prior, phase: str) -> fed.ProtocolConfig:
     """The configured protocol with the problem's prior and, when unlearning, the overrides."""
     overrides = {}
-    if phase == PHASE_UNLEARN:
+    if phase == "unlearn":
         overrides = {key: getattr(cfg.unlearn, key) for key in _UNLEARN_OVERRIDES
                      if getattr(cfg.unlearn, key) is not None}
     return dataclasses.replace(cfg.protocol, prior=prior, **overrides)
@@ -703,13 +623,9 @@ def _unlearn_should_stop(cfg: ExperimentConfig, problem, records: list[MetricRec
     return _forgot_loss_plateaued(records, cfg.unlearn.loss_window)
 
 
-_METHOD_PHASE = {"dsvgd": PHASE_LEARN, "pvi": PHASE_LEARN, "forget_svgd": PHASE_UNLEARN,
-                 "ulpvi": PHASE_UNLEARN, "retrain": PHASE_RETRAIN}
-
-
 def _measure(problem, method: str, array: np.ndarray) -> dict:
     """The problem's metric fields for a snapshot array: particles, or mean and variance rows."""
-    retained_only = _METHOD_PHASE[method] != PHASE_LEARN
+    retained_only = _METHOD_PHASE[method] != "learn"
     if method in PARAMETRIC_METHODS:
         return problem.parametric_metrics(array[0], array[1], retained_only)
     return problem.particle_metrics(array, retained_only)
@@ -727,8 +643,7 @@ def _run_phase(cfg: ExperimentConfig, problem, method: str, state, step, snapsho
     the transcript's ``eval_ms`` times the evaluation that builds its record.
     """
     phase = _METHOD_PHASE[method]
-    rounds = {PHASE_LEARN: cfg.learn, PHASE_UNLEARN: cfg.unlearn,
-              PHASE_RETRAIN: cfg.retrain}[phase].rounds
+    rounds = getattr(cfg, phase).rounds  # the learn, unlearn or retrain settings
     paths = run_paths(cfg, method)
     os.makedirs(cfg.out_dir, exist_ok=True)
     records: list[MetricRecord] = []
@@ -761,7 +676,7 @@ def _run_phase(cfg: ExperimentConfig, problem, method: str, state, step, snapsho
                 wall = _ms_since(start)
                 rounds_run = r + 1
                 emit(agent, wall)
-                if phase == PHASE_UNLEARN and _unlearn_should_stop(cfg, problem, records):
+                if phase == "unlearn" and _unlearn_should_stop(cfg, problem, records):
                     break
         except Exception as err:
             transcript.append({"round": len(records), "phase": phase, "error": str(err)})
@@ -777,11 +692,11 @@ def _run_particles(cfg: ExperimentConfig, problem, method: str) -> RunResult:
     phase = _METHOD_PHASE[method]
     pcfg = _protocol_config(cfg, problem.prior, phase)
     losses = problem.losses
-    if phase == PHASE_RETRAIN:
+    if phase == "retrain":
         losses = {k: v for k, v in losses.items() if k not in problem.forget_ids}
         if cfg.retrain.mode == "federated" and not losses:
             raise ConfigError("config.retrain.mode: federated retraining needs a retained agent")
-    if phase == PHASE_UNLEARN:
+    if phase == "unlearn":
         learned = run_paths(cfg, "dsvgd").snapshot
         if not os.path.exists(learned):
             raise MissingStateError(f"no learned state found at {learned}; run learn first")
@@ -796,10 +711,10 @@ def _run_particles(cfg: ExperimentConfig, problem, method: str) -> RunResult:
     pooled = tuple(losses[k] for k in sorted(losses))
 
     def step(server, r):
-        if phase == PHASE_RETRAIN and cfg.retrain.mode == "centralized":
+        if phase == "retrain" and cfg.retrain.mode == "centralized":
             return fed.centralized_round(server, pooled, pcfg), None
         k = fed.schedule(pcfg, r, tuple(agents))
-        play = fed.unlearning_round if phase == PHASE_UNLEARN else fed.learning_round
+        play = fed.unlearning_round if phase == "unlearn" else fed.learning_round
         server, agents[k] = play(server, agents, k, pcfg)
         return server, k
 
@@ -842,7 +757,7 @@ def _load_pvi_state(path: str) -> tuple[GaussianNatParams, dict[int, GaussianNat
 def _run_parametric(cfg: ExperimentConfig, problem, method: str) -> RunResult:
     """PVI learning or ULPVI unlearning of diagonal-Gaussian factors."""
     phase = _METHOD_PHASE[method]
-    if phase == PHASE_UNLEARN:
+    if phase == "unlearn":
         eta, locals_nat = _load_pvi_state(run_paths(cfg, "pvi").locals_json)
         missing = [k for k in problem.forget_ids if k not in locals_nat]
         if missing:
@@ -854,11 +769,11 @@ def _run_parametric(cfg: ExperimentConfig, problem, method: str) -> RunResult:
         eligible = tuple(problem.losses)
     pvicfg = dataclasses.replace(cfg.pvi, alpha=cfg.protocol.alpha)
     pcfg = _protocol_config(cfg, problem.prior, phase)
-    rng = np.random.default_rng([cfg.seed, 3 if phase == PHASE_UNLEARN else 2])
+    rng = np.random.default_rng([cfg.seed, 3 if phase == "unlearn" else 2])
 
     def step(eta, r):
         k = fed.schedule(pcfg, r, eligible)
-        play = ulpvi_round if phase == PHASE_UNLEARN else pvi_round
+        play = ulpvi_round if phase == "unlearn" else pvi_round
         eta, locals_nat[k] = play(eta, locals_nat[k], problem.losses[k], pvicfg, rng)
         return eta, k
 
@@ -872,7 +787,7 @@ def run_experiment(cfg: ExperimentConfig, command: str) -> RunResult:
     """Run one phase of the configured experiment and write its artifacts."""
     method = resolve_method(cfg.method, command)
     problem = build_problem(cfg)
-    if _METHOD_PHASE[method] == PHASE_UNLEARN and not problem.forget_ids:
+    if _METHOD_PHASE[method] == "unlearn" and not problem.forget_ids:
         raise ConfigError("config.forget_agents: unlearning needs a nonempty forget set")
     run = _run_parametric if method in PARAMETRIC_METHODS else _run_particles
     return run(cfg, problem, method)

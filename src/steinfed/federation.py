@@ -27,6 +27,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .kernels import _as_particle_matrix, kde_log_density_grad
+from .rules import nonnegative, one_of, positive
 from .svgd import AdaGradState, TargetGradient, run_svgd
 
 # Seed-stream tags separating learning-phase draws from unlearning re-draws.
@@ -86,16 +87,9 @@ class ProtocolConfig:
     prior: object | None = None
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"temperature must be positive, got {self.alpha}")
-        if self.update_steps < 0 or self.distill_steps < 0:
-            raise ValueError("step counts must be nonnegative")
-        if not self.kde_lam > 0:
-            raise ValueError(f"kde standard deviation must be positive, got {self.kde_lam}")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError(f"fixed bandwidth must be positive, got {self.bandwidth}")
-        if self.schedule not in ("round_robin", "fixed_sequence"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
+        positive(self, "alpha", "fudge", "kde_lam", "bandwidth")
+        nonnegative(self, "update_steps", "distill_steps", "epsilon", "epsilon_local")
+        one_of(("round_robin", "fixed_sequence"), self, "schedule")
         if self.schedule == "fixed_sequence" and self.sequence is not None:
             object.__setattr__(self, "sequence", tuple(int(k) for k in self.sequence))
 

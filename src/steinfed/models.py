@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _as_particle_matrix, _as_rows, _logsumexp, _softmax
+from .rules import positive
 
 CLAMP_MARGIN = 1e-6
 
@@ -115,16 +116,13 @@ class GaussianPrior:
 @dataclass(frozen=True)
 class MixtureComponent:
     weight: float
-    mean: np.ndarray
-    variance: np.ndarray
+    mean: float | np.ndarray
+    variance: float | np.ndarray
 
     def __post_init__(self) -> None:
+        positive(self, "weight", "variance")
         object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, dtype=float)))
         object.__setattr__(self, "variance", np.atleast_1d(np.asarray(self.variance, dtype=float)))
-        if not self.weight > 0:
-            raise ValueError(f"component weight must be positive, got {self.weight}")
-        if not np.all(self.variance > 0):
-            raise ValueError("component variances must be positive")
         if self.mean.shape != self.variance.shape:
             raise ValueError("component mean and variance lengths differ")
 

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rules import at_least, nonnegative, positive
+
 MAX_STEP_HALVINGS = 30
 
 
@@ -142,12 +144,9 @@ class PviConfig:
     prior_variance: float = 100.0 / 3.0
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"temperature must be positive, got {self.alpha}")
-        if self.local_iters < 0:
-            raise ValueError(f"iteration count must be nonnegative, got {self.local_iters}")
-        if self.mc_samples < 1:
-            raise ValueError(f"sample count must be positive, got {self.mc_samples}")
+        positive(self, "alpha", "epsilon", "prior_variance")
+        nonnegative(self, "local_iters")
+        at_least(1, self, "mc_samples")
 
 
 def _damped_step(

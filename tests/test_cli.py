@@ -136,6 +136,14 @@ class TestCommands:
         assert main(["learn", "--config", str(path)]) == 1
         assert "config.protocol.alpha" in capsys.readouterr().err
 
+    def test_negative_seed_override_names_the_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, tmp_path / "runs")
+        assert main(["learn", "--config", str(cfg), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "seed" in err
+        assert not (tmp_path / "runs").exists()
+
 
 class TestEntryPoint:
     def test_installed_script_prints_help(self):

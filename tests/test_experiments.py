@@ -14,8 +14,6 @@ import numpy as np
 import pytest
 
 from steinfed.experiments import (
-    _PROTOCOL,
-    _PVI,
     ClassificationProblem,
     ConfigError,
     ExperimentConfig,
@@ -223,13 +221,11 @@ class TestConfigParsing:
         assert isinstance(cfg, ExperimentConfig)
         assert cfg.out_dir == str(tmp_path)
 
-    def test_each_section_fills_one_type(self):
-        # every protocol key is a ProtocolConfig field and every pvi key a
-        # PviConfig field; the phases add the prior and alpha themselves
-        protocol = {f.name for f in dataclasses.fields(ProtocolConfig)} - {"prior"}
-        assert protocol == set(_PROTOCOL)
-        pvi = {f.name for f in dataclasses.fields(PviConfig)} - {"alpha"}
-        assert pvi == set(_PVI)
+    @pytest.mark.parametrize("path", sorted((REPO_ROOT / "configs").glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        # loading reads no data files, so the IDX config parses without them
+        assert isinstance(load_config(path), ExperimentConfig)
 
 
 DELETE = object()
@@ -258,6 +254,7 @@ CONFIG_ERRORS = [
     ("mix", ("seed",), 1.5, "config.seed: expected an integer, got float"),
     ("mix", ("seed",), True, "config.seed: expected an integer, got bool"),
     ("mix", ("seed",), None, "config.seed: expected an integer, got NoneType"),
+    ("mix", ("seed",), -1, "config.seed: must be nonnegative, got -1"),
     ("mix", ("out_dir",), ["a"], "config.out_dir: expected a string, got list"),
     ("mix", ("particles",), 0, "config.particles: must be at least 1, got 0"),
     ("mix", EXP, DELETE, "config.experiment: required"),
@@ -336,6 +333,9 @@ CONFIG_ERRORS = [
      "config.experiment.idx.test_labels: expected a string, got int"),
     ("idx", EXP + ("idx", "num_classes"), 1.0,
      "config.experiment.idx.num_classes: expected an integer, got float"),
+    ("cls", EXP + ("idx",), 5, "config.experiment.idx: expected an object, got int"),
+    ("idx", EXP + ("idx", "num_classes"), 1,
+     "config.experiment.idx.num_classes: must be at least 2, got 1"),
     ("cls", FMAP, [], "config.experiment.feature_map: expected an object, got list"),
     ("cls", FMAP + ("typo",), 1, "config.experiment.feature_map: unknown key(s) ['typo']"),
     ("cls", FMAP + ("hidden_units",), 0,

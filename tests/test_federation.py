@@ -84,6 +84,9 @@ class TestInitialization:
             ProtocolConfig(update_steps=-1)
         with pytest.raises(ValueError):
             ProtocolConfig(schedule="random")
+        for field, value in (("epsilon", -0.1), ("epsilon_local", -1.0), ("fudge", 0.0)):
+            with pytest.raises(ValueError, match=f"^{field}: "):
+                ProtocolConfig(**{field: value})
 
 
 class TestTiltedTargets:

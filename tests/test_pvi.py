@@ -271,3 +271,7 @@ class TestPviRounds:
             PviConfig(local_iters=-1)
         with pytest.raises(ValueError):
             PviConfig(mc_samples=0)
+        with pytest.raises(ValueError, match="^epsilon: "):
+            PviConfig(epsilon=0.0)
+        with pytest.raises(ValueError, match="^prior_variance: "):
+            PviConfig(prior_variance=-1.0)
