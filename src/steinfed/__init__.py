@@ -37,8 +37,7 @@ from .federation import (
     learning_round,
     pooled_target,
     schedule,
-    tilted_grad_learning,
-    tilted_grad_unlearning,
+    tilted_grad,
     unlearning_round,
 )
 from .kernels import (

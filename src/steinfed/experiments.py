@@ -4,12 +4,12 @@ A run is described by one JSON config naming the method, the experiment
 (a one-dimensional mixture density benchmark or a non-iid label-split
 classification benchmark), the protocol settings, and per-phase budgets.
 Each config section is the dataclass that uses it, and that type's
-``__post_init__`` holds the section's range rules.  Each run writes three files into the output directory, prefixed by the
-effective method name: ``<method>_metrics.csv`` (one row per round),
-``<method>_transcript.jsonl`` (round events), and ``<method>_snapshot.txt``
-(final state).  Unlearning resumes from the learning snapshot of its
-method family; parametric runs additionally persist their per-agent
-factors as ``<method>_locals.json``.
+``__post_init__`` holds the section's range rules.  Each run writes three
+files into the output directory, prefixed by the effective method name:
+``<method>_metrics.csv`` (one row per round), ``<method>_transcript.jsonl``
+(round events), and ``<method>_snapshot.txt`` (final state).  Unlearning
+resumes from the learning snapshot of its method family; parametric runs
+additionally persist their per-agent factors as ``<method>_locals.json``.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class SyntheticSpec:
         at_least(1, self, "dim")
         for name, count in (("n_train", self.n_train), ("n_test", self.n_test)):
             if count < self.num_classes:
-                raise ValueError(f"{name} must be at least num_classes ({self.num_classes}), got {count}")
+                raise FieldError(name, f"must be at least num_classes ({self.num_classes}), got {count}")
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ class ExperimentConfig:
 _KIND_NAMES = {float: "a number", int: "an integer", bool: "true/false", str: "a string"}
 
 # Fields that each phase fills in; a config does not set them.
-_PHASE_FILLED = {fed.ProtocolConfig: "prior", PviConfig: "alpha", FeatureMapConfig: "seed"}
+_PHASE_FILLED = {fed.ProtocolConfig: "prior", PviConfig: "alpha"}
 
 
 @functools.cache
@@ -516,8 +516,8 @@ def build_problem(cfg: ExperimentConfig):
 
     pool_features = np.concatenate([s.features for s in shards])
     pool_labels = np.concatenate([s.labels for s in shards])
-    fmap_cfg = dataclasses.replace(spec.feature_map, seed=cfg.seed)
-    feature_map = pretrain_feature_map(pool_features, pool_labels, num_classes, fmap_cfg)
+    feature_map = pretrain_feature_map(pool_features, pool_labels, num_classes, spec.feature_map,
+                                       np.random.default_rng(cfg.seed))
 
     losses = {
         s.agent_id: SoftmaxHeadLoss(feature_map(s.features), s.labels, num_classes)
@@ -715,7 +715,7 @@ def _run_particles(cfg: ExperimentConfig, problem, method: str) -> RunResult:
             return fed.centralized_round(server, pooled, pcfg), None
         k = fed.schedule(pcfg, r, tuple(agents))
         play = fed.unlearning_round if phase == "unlearn" else fed.learning_round
-        server, agents[k] = play(server, agents, k, pcfg)
+        server, agents[k] = play(server, agents[k], pcfg)
         return server, k
 
     return _run_phase(cfg, problem, method, server, step, lambda server: server.global_particles)
@@ -745,12 +745,15 @@ def _save_pvi_state(path: str, eta: GaussianNatParams,
 def _load_pvi_state(path: str) -> tuple[GaussianNatParams, dict[int, GaussianNatParams]]:
     if not os.path.exists(path):
         raise MissingStateError(f"no learned state found at {path}; run learn first")
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    eta = _nat_from_json(data.get("global", {}), path)
-    locals_nat = {
-        int(k): _nat_from_json(v, path) for k, v in data.get("agents", {}).items()
-    }
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        eta = _nat_from_json(data.get("global", {}), path)
+        locals_nat = {
+            int(k): _nat_from_json(v, path) for k, v in data.get("agents", {}).items()
+        }
+    except (AttributeError, ValueError) as err:  # not an object, a non-integer id, not JSON
+        raise MissingStateError(f"{path}: malformed factor state ({err})") from None
     return eta, locals_nat
 
 
@@ -768,11 +771,10 @@ def _run_parametric(cfg: ExperimentConfig, problem, method: str) -> RunResult:
         locals_nat = {k: GaussianNatParams.zeros(eta.dim) for k in problem.losses}
         eligible = tuple(problem.losses)
     pvicfg = dataclasses.replace(cfg.pvi, alpha=cfg.protocol.alpha)
-    pcfg = _protocol_config(cfg, problem.prior, phase)
     rng = np.random.default_rng([cfg.seed, 3 if phase == "unlearn" else 2])
 
     def step(eta, r):
-        k = fed.schedule(pcfg, r, eligible)
+        k = fed.schedule(cfg.protocol, r, eligible)
         play = ulpvi_round if phase == "unlearn" else pvi_round
         eta, locals_nat[k] = play(eta, locals_nat[k], problem.losses[k], pvicfg, rng)
         return eta, k

@@ -3,7 +3,7 @@
 One communication round: the scheduled agent downloads the global
 particles, runs L transport steps on the tilted target
 
-    score(q_kde) - score(t_k_kde) + (1/alpha) * (-grad loss_k)
+    score(q_kde) - score(t_k_kde) + sign * (1/alpha) * (-grad loss_k)
 
 with both kernel density scores frozen at their round-start particle sets,
 uploads the moved particles as the new global set, and then distils its own
@@ -12,10 +12,11 @@ towards
 
     score(new global kde) - score(old global kde) + score(old local kde).
 
-Unlearning rounds differ in exactly one place: the loss gradient enters
-with the opposite sign, so the scheduled agent pushes the posterior away
-from its own data.  Retraining from scratch runs plain transport on the
-pooled retained-data target starting from fresh prior draws.
+Learning and unlearning rounds differ only in ``sign``: a learning round
+has sign +1 and pulls the posterior towards the agent's data; an
+unlearning round has sign -1 and pushes it away.  Retraining from scratch
+runs plain transport on the pooled retained-data target starting from
+fresh prior draws.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .kernels import _as_particle_matrix, kde_log_density_grad
-from .rules import nonnegative, one_of, positive
+from .rules import FieldError, nonnegative, one_of, positive
 from .svgd import AdaGradState, TargetGradient, run_svgd
 
 # Seed-stream tags separating learning-phase draws from unlearning re-draws.
@@ -90,7 +91,9 @@ class ProtocolConfig:
         positive(self, "alpha", "fudge", "kde_lam", "bandwidth")
         nonnegative(self, "update_steps", "distill_steps", "epsilon", "epsilon_local")
         one_of(("round_robin", "fixed_sequence"), self, "schedule")
-        if self.schedule == "fixed_sequence" and self.sequence is not None:
+        if self.schedule == "fixed_sequence":
+            if not self.sequence:
+                raise FieldError("sequence", "required when schedule is 'fixed_sequence'")
             object.__setattr__(self, "sequence", tuple(int(k) for k in self.sequence))
 
 
@@ -127,9 +130,20 @@ def initialize_states(
 # --- tilted targets -----------------------------------------------------------
 
 
-def _tilted_grad(
+def tilted_grad(
     server: ServerState, agent: AgentState, config: ProtocolConfig, sign: float
 ) -> TargetGradient:
+    """Score of the scheduled agent's tilted target, frozen at round start.
+
+    The agent's tempered loss gradient enters with ``sign``: ``+1.0`` in a
+    learning round pulls the particles towards its data, ``-1.0`` in an
+    unlearning round pushes them away.  The returned closure captures copies
+    of the current global and local particle sets, so later moves of either
+    set do not leak into the target.  The loss is tempered by
+    ``config.alpha``, the KDEs have width ``config.kde_lam``, and the prior
+    score of ``config.prior`` is added when ``config.include_prior_score`` is
+    set.
+    """
     global_ref = server.global_particles.copy()
     local_ref = agent.local_particles.copy()
     lam, alpha = config.kde_lam, config.alpha
@@ -145,27 +159,6 @@ def _tilted_grad(
         return grad
 
     return target
-
-
-def tilted_grad_learning(
-    server: ServerState, agent: AgentState, config: ProtocolConfig
-) -> TargetGradient:
-    """Score of the learning-round tilted target, frozen at round start.
-
-    The returned closure captures copies of the current global and local
-    particle sets, so later moves of either set do not leak into the target.
-    The loss is tempered by ``config.alpha``, the KDEs have width
-    ``config.kde_lam``, and the prior score of ``config.prior`` is added when
-    ``config.include_prior_score`` is set.
-    """
-    return _tilted_grad(server, agent, config, sign=1.0)
-
-
-def tilted_grad_unlearning(
-    server: ServerState, agent: AgentState, config: ProtocolConfig
-) -> TargetGradient:
-    """Unlearning variant: the loss gradient enters with flipped sign."""
-    return _tilted_grad(server, agent, config, sign=-1.0)
 
 
 def distill_target_grad(
@@ -189,13 +182,6 @@ def distill_target_grad(
 
 
 # --- rounds -------------------------------------------------------------------
-
-
-def _lookup_agent(agents: Mapping[int, AgentState], k: int) -> AgentState:
-    try:
-        return agents[k]
-    except KeyError:
-        raise ProtocolError(f"scheduled agent {k} does not exist") from None
 
 
 def _support_projection(config: ProtocolConfig) -> Callable[[np.ndarray], np.ndarray] | None:
@@ -226,14 +212,9 @@ def _transport(server: ServerState, target: TargetGradient, config: ProtocolConf
 
 
 def _round(
-    server: ServerState,
-    agents: Mapping[int, AgentState],
-    k: int,
-    config: ProtocolConfig,
-    target_builder,
+    server: ServerState, agent: AgentState, config: ProtocolConfig, sign: float
 ) -> tuple[ServerState, AgentState]:
-    agent = _lookup_agent(agents, k)
-    new_server = _transport(server, target_builder(server, agent, config), config)
+    new_server = _transport(server, tilted_grad(server, agent, config, sign), config)
 
     distill = distill_target_grad(new_server.global_particles, server.global_particles,
                                   agent.local_particles, config.kde_lam)
@@ -249,21 +230,21 @@ def _round(
 
 
 def learning_round(
-    server: ServerState, agents: Mapping[int, AgentState], k: int, config: ProtocolConfig
+    server: ServerState, agent: AgentState, config: ProtocolConfig
 ) -> tuple[ServerState, AgentState]:
-    """Run one learning round with scheduled agent ``k``.
+    """Run one learning round with the scheduled ``agent``.
 
     Returns the new server state and the updated agent; inputs are not
-    mutated, and no other agent's state is touched.
+    mutated.
     """
-    return _round(server, agents, k, config, tilted_grad_learning)
+    return _round(server, agent, config, sign=1.0)
 
 
 def unlearning_round(
-    server: ServerState, agents: Mapping[int, AgentState], k: int, config: ProtocolConfig
+    server: ServerState, agent: AgentState, config: ProtocolConfig
 ) -> tuple[ServerState, AgentState]:
     """Run one unlearning round: a learning round with the loss gradient's sign flipped."""
-    return _round(server, agents, k, config, tilted_grad_unlearning)
+    return _round(server, agent, config, sign=-1.0)
 
 
 def schedule(config: ProtocolConfig, round_index: int, eligible) -> int:
@@ -280,7 +261,7 @@ def schedule(config: ProtocolConfig, round_index: int, eligible) -> int:
         raise ProtocolError(f"round index must be nonnegative, got {round_index}")
     if config.schedule == "round_robin":
         return ids[round_index % len(ids)]
-    if config.sequence is None or round_index >= len(config.sequence):
+    if round_index >= len(config.sequence):
         raise ProtocolError(f"fixed schedule exhausted at round {round_index}")
     k = config.sequence[round_index]
     if k not in ids:

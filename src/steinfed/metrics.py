@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import _as_particle_matrix, _softmax
+from .rules import at_least
 
 METRIC_FIELDS = ("forgotten_acc", "retained_acc", "kl", "forgot_loss")
 METRICS_COLUMNS = ("round", "phase", *METRIC_FIELDS, "wall_ms")
@@ -51,8 +52,7 @@ class GridConfig:
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise ValueError(f"grid range [{self.lo}, {self.hi}] is empty")
-        if self.points < 2:
-            raise ValueError(f"grid needs at least 2 points, got {self.points}")
+        at_least(2, self, "points")
 
     def linspace(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.points)

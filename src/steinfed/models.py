@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _as_particle_matrix, _as_rows, _logsumexp, _softmax
-from .rules import positive
+from .rules import at_least, nonnegative, positive
 
 CLAMP_MARGIN = 1e-6
 
@@ -310,15 +310,11 @@ class FeatureMapConfig:
     hidden_units: int = 100
     epochs: int = 500
     step_size: float = 0.1
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.hidden_units < 1:
-            raise ValueError(f"hidden_units must be >= 1, got {self.hidden_units}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not self.step_size > 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        at_least(1, self, "hidden_units")
+        nonnegative(self, "epochs")
+        positive(self, "step_size")
 
 
 @dataclass(frozen=True)
@@ -341,15 +337,14 @@ def pretrain_feature_map(
     features: np.ndarray,
     labels: np.ndarray,
     num_classes: int,
-    config: FeatureMapConfig | None = None,
+    config: FeatureMapConfig,
+    rng: np.random.Generator,
 ) -> FeatureMap:
     """Fit input -> hidden ReLU -> softmax by full-batch gradient descent.
 
     The softmax head is discarded; only the hidden layer is returned, to be
-    used as a frozen feature map.  Training is deterministic under the
-    config seed.
+    used as a frozen feature map.  The initial weights are drawn from ``rng``.
     """
-    config = config or FeatureMapConfig()
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels).astype(np.int64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -359,7 +354,6 @@ def pretrain_feature_map(
 
     n, f = x.shape
     h = config.hidden_units
-    rng = np.random.default_rng(config.seed)
     w1 = rng.standard_normal((f, h)) * np.sqrt(2.0 / f)
     b1 = np.zeros(h)
     w2 = rng.standard_normal((h, num_classes)) * np.sqrt(2.0 / h)

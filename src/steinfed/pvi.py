@@ -106,21 +106,19 @@ def expected_loss_grad_moment(
     loss,
     alpha: float,
     n_samples: int,
-    seed,
+    rng: np.random.Generator,
 ) -> GaussianNatParams:
     """Pathwise Monte Carlo estimate of grad_mu E_q[loss].
 
     Draws theta_s = m + sqrt(v) * zeta_s, evaluates the loss gradients, and
     chain-rules them into gradients with respect to the mean parameters
     mu = (E[theta], E[theta^2]), returned as a coordinate pair aligned with
-    (eta1, eta2).  Deterministic under an integer seed; a Generator is
-    advanced in place.
+    (eta1, eta2).  The draws advance ``rng`` in place.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     mean, variance = nat_to_moment(nat)
     root = np.sqrt(variance)
-    rng = np.random.default_rng(seed)
     zeta = rng.standard_normal((n_samples, nat.dim))
     theta = mean + root * zeta
     # loss gradient = -alpha * score of the tempered likelihood
@@ -169,10 +167,9 @@ def _pvi_round(
     local_nat: GaussianNatParams,
     loss,
     config: PviConfig,
-    rng,
+    rng: np.random.Generator,
     sign: float,
 ) -> tuple[GaussianNatParams, GaussianNatParams]:
-    rng = np.random.default_rng(rng)
     eta = global_nat
     for _ in range(config.local_iters):
         grad = expected_loss_grad_moment(eta, loss, config.alpha, config.mc_samples, rng)
@@ -187,7 +184,7 @@ def pvi_round(
     local_nat: GaussianNatParams,
     loss,
     config: PviConfig,
-    rng,
+    rng: np.random.Generator,
 ) -> tuple[GaussianNatParams, GaussianNatParams]:
     """One learning round of the scheduled agent.
 
@@ -203,7 +200,7 @@ def ulpvi_round(
     local_nat: GaussianNatParams,
     loss,
     config: PviConfig,
-    rng,
+    rng: np.random.Generator,
 ) -> tuple[GaussianNatParams, GaussianNatParams]:
     """One unlearning round: identical structure, flipped loss sign."""
     return _pvi_round(global_nat, local_nat, loss, config, rng, sign=-1.0)

@@ -97,7 +97,7 @@ def run_svgd(
     particles: np.ndarray,
     target: TargetGradient,
     steps: int,
-    opt: AdaGradState | None = None,
+    opt: AdaGradState,
     bandwidth: float | None = None,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
@@ -111,7 +111,6 @@ def run_svgd(
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
     theta = _as_particle_matrix(particles).copy()
-    opt = opt if opt is not None else AdaGradState()
     for _ in range(steps):
         phi = svgd_direction(theta, target, bandwidth)
         theta = adagrad_step(opt, theta, phi)

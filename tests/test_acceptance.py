@@ -20,8 +20,7 @@ from steinfed.federation import (
     ProtocolConfig,
     ServerState,
     distill_target_grad,
-    tilted_grad_learning,
-    tilted_grad_unlearning,
+    tilted_grad,
 )
 from steinfed.kernels import kde_log_density, kde_log_density_grad
 from steinfed.metrics import GridConfig, grid_kl, read_metrics_csv
@@ -172,8 +171,8 @@ class TestCriterion3:
         config = ProtocolConfig(alpha=1.0, kde_lam=0.9)
         server = ServerState(global_particles=glob)
         agent = AgentState(loss=mixture, local_particles=loc)
-        tilt_learn = tilted_grad_learning(server, agent, config)
-        tilt_unlearn = tilted_grad_unlearning(server, agent, config)
+        tilt_learn = tilted_grad(server, agent, config, sign=1.0)
+        tilt_unlearn = tilted_grad(server, agent, config, sign=-1.0)
 
         def tilted_scalar(x, sign):
             val = float(kde_log_density(glob, x[None, :], 0.9)[0])
@@ -306,7 +305,7 @@ class TestCriterion6:
                                   epsilon_local=0.2, prior=GaussianPrior(0.0, 9.0))
         server, agents = fed.initialize_states(losses, pcfg, 10, 123)
         before = {k: agents[k].local_particles.tobytes() for k in agents}
-        server, agents[2] = fed.learning_round(server, agents, 2, pcfg)
+        server, agents[2] = fed.learning_round(server, agents[2], pcfg)
         untouched = [k for k in (1, 3)
                      if agents[k].local_particles.tobytes() == before[k]]
         ok, line = report(

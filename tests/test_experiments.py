@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -42,7 +43,13 @@ from steinfed.federation import (
     learning_round,
     schedule,
 )
-from steinfed.metrics import MetricRecord, read_metrics_csv, read_transcript, load_snapshot
+from steinfed.metrics import (
+    MetricRecord,
+    load_snapshot,
+    read_metrics_csv,
+    read_transcript,
+    save_snapshot,
+)
 from steinfed.models import GaussianPrior, UniformPrior
 from steinfed.pvi import PviConfig
 
@@ -319,9 +326,9 @@ CONFIG_ERRORS = [
     ("cls", EXP + ("synthetic", "dim"), 0,
      "config.experiment.synthetic.dim: must be at least 1, got 0"),
     ("cls", EXP + ("synthetic", "n_train"), 3,
-     "config.experiment.synthetic: n_train must be at least num_classes (4), got 3"),
+     "config.experiment.synthetic.n_train: must be at least num_classes (4), got 3"),
     ("cls", EXP + ("synthetic", "n_test"), 1,
-     "config.experiment.synthetic: n_test must be at least num_classes (4), got 1"),
+     "config.experiment.synthetic.n_test: must be at least num_classes (4), got 1"),
     ("cls", EXP + ("source",), "idx", "config.experiment.idx: required when source is 'idx'"),
     ("idx", EXP + ("idx",), [], "config.experiment.idx: expected an object, got list"),
     ("idx", EXP + ("idx", "typo"), 1, "config.experiment.idx: unknown key(s) ['typo']"),
@@ -339,10 +346,11 @@ CONFIG_ERRORS = [
     ("cls", FMAP, [], "config.experiment.feature_map: expected an object, got list"),
     ("cls", FMAP + ("typo",), 1, "config.experiment.feature_map: unknown key(s) ['typo']"),
     ("cls", FMAP + ("hidden_units",), 0,
-     "config.experiment.feature_map: hidden_units must be >= 1, got 0"),
-    ("cls", FMAP + ("epochs",), -1, "config.experiment.feature_map: epochs must be >= 0, got -1"),
+     "config.experiment.feature_map.hidden_units: must be at least 1, got 0"),
+    ("cls", FMAP + ("epochs",), -1,
+     "config.experiment.feature_map.epochs: must be nonnegative, got -1"),
     ("cls", FMAP + ("step_size",), 0,
-     "config.experiment.feature_map: step_size must be positive, got 0.0"),
+     "config.experiment.feature_map.step_size: must be positive, got 0.0"),
     ("cls", FMAP + ("hidden_units",), 4.0,
      "config.experiment.feature_map.hidden_units: expected an integer, got float"),
     ("cls", FMAP + ("epochs",), True,
@@ -383,6 +391,8 @@ CONFIG_ERRORS = [
     ("mix", ("protocol", "sequence"), [1, "two"],
      "config.protocol.sequence: expected a list of integers"),
     ("mix", ("protocol", "sequence"), 3, "config.protocol.sequence: expected a list of integers"),
+    ("mix", ("protocol", "schedule"), "fixed_sequence",
+     "config.protocol.sequence: required when schedule is 'fixed_sequence'"),
     ("mix", ("protocol", "include_prior_score"), 1,
      "config.protocol.include_prior_score: expected true/false, got int"),
     ("mix", ("protocol", "persist_adagrad"), "yes",
@@ -433,7 +443,7 @@ CONFIG_ERRORS = [
     ("mix", ("grid", "lo"), "x", "config.grid.lo: expected a number, got str"),
     ("mix", ("grid", "points"), [1], "config.grid.points: expected an integer, got list"),
     ("mix", ("grid",), {"lo": 1, "hi": 0}, "config.grid: grid range [1.0, 0.0] is empty"),
-    ("mix", ("grid", "points"), 1, "config.grid: grid needs at least 2 points, got 1"),
+    ("mix", ("grid", "points"), 1, "config.grid.points: must be at least 2, got 1"),
 ]
 
 
@@ -638,26 +648,24 @@ class TestParticleRuns:
         data["forget_agents"] = [1, 3]
         cfg = config_from_dict(data)
         learned = run_experiment(cfg, "learn")
-        starts = []
+        calls = []
         original = fed.unlearning_round
 
-        def first_state(server, agents, k, config):
-            if not starts:
-                starts.append((server.global_particles.copy(),
-                               {j: a.local_particles.copy() for j, a in agents.items()},
-                               [a.distill_opt for a in agents.values()]))
-            return original(server, agents, k, config)
+        def record(server, agent, config):
+            calls.append((server.global_particles.copy(), agent.local_particles.copy(),
+                          agent.distill_opt))
+            return original(server, agent, config)
 
-        monkeypatch.setattr(fed, "unlearning_round", first_state)
+        monkeypatch.setattr(fed, "unlearning_round", record)
         run_experiment(cfg, "unlearn")
-        global_start, locals_start, opts = starts[0]
-        assert np.array_equal(global_start, load_snapshot(learned.paths.snapshot)[0])
-        assert list(locals_start) == [1, 3]
+        assert len(calls) == 3
+        assert np.array_equal(calls[0][0], load_snapshot(learned.paths.snapshot)[0])
         prior = build_problem(cfg).prior
-        for k, local in locals_start.items():
+        # round robin over the forget set: agents 1 and 3 run their first rounds
+        for k, (_, local, opt) in zip((1, 3), calls):
             want = init_local_particles(prior, cfg.particles, cfg.seed, k, STREAM_UNLEARN)
             assert np.array_equal(local, want)
-        assert opts == [None, None]
+            assert opt is None
 
     def test_retained_agent_never_runs_an_unlearning_round(self, tmp_path):
         data = mixture_dict(tmp_path / "runs")
@@ -782,7 +790,7 @@ class TestRetrainRuns:
         server, agents = initialize_states(retained, config, cfg.particles, cfg.seed)
         for r in range(5):
             k = schedule(config, r, agents.keys())
-            server, agents[k] = learning_round(server, agents, k, config)
+            server, agents[k] = learning_round(server, agents[k], config)
         assert np.array_equal(got, server.global_particles)
         assert rnd == 5
         events = read_transcript(result.paths.transcript)
@@ -944,6 +952,29 @@ class TestParametricRuns:
         array, _, _ = load_snapshot(result.paths.snapshot)
         assert array.shape == (2, 1)
 
+    @pytest.mark.parametrize("content", [
+        "[]",
+        '{"global": {"eta1": [0.0], "eta2": [-0.5]},'
+        ' "agents": {"one": {"eta1": [0.0], "eta2": [0.0]}}}',
+        "not json",
+    ], ids=["list", "non-integer-id", "not-json"])
+    def test_malformed_factor_state_names_its_file(self, tmp_path, content):
+        cfg = config_from_dict(self.pvi_dict(tmp_path / "runs"))
+        path = run_paths(cfg, "pvi").locals_json
+        os.makedirs(cfg.out_dir)
+        Path(path).write_text(content)
+        with pytest.raises(MissingStateError, match=f"^{re.escape(path)}: malformed factor state"):
+            run_experiment(cfg, "unlearn")
+
+    def test_unlearn_needs_factors_of_forget_agents(self, tmp_path):
+        cfg = config_from_dict(self.pvi_dict(tmp_path / "runs"))
+        result = run_experiment(cfg, "learn")
+        state = json.loads(Path(result.paths.locals_json).read_text())
+        del state["agents"]["1"]
+        Path(result.paths.locals_json).write_text(json.dumps(state))
+        with pytest.raises(MissingStateError, match=r"lacks factors for forget agents \[1\]"):
+            run_experiment(cfg, "unlearn")
+
     def test_pvi_runs_deterministic(self, tmp_path):
         ra = run_experiment(config_from_dict(self.pvi_dict(tmp_path / "a")), "learn")
         rb = run_experiment(config_from_dict(self.pvi_dict(tmp_path / "b")), "learn")
@@ -998,6 +1029,20 @@ class TestEvaluation:
             evaluate_snapshot(cfg, "dsvgd")
         with pytest.raises(ConfigError):
             evaluate_snapshot(cfg, "momentum")
+
+    def test_parametric_eval_needs_mixture(self, tmp_path):
+        cfg = config_from_dict(classification_dict(tmp_path / "runs"))
+        os.makedirs(cfg.out_dir)
+        save_snapshot(run_paths(cfg, "pvi").snapshot, np.array([[0.0], [1.0]]), 0, cfg.seed)
+        with pytest.raises(ConfigError, match="mixture experiment only"):
+            evaluate_snapshot(cfg, "pvi")
+
+    def test_parametric_eval_needs_mean_and_variance_rows(self, tmp_path):
+        cfg = config_from_dict(mixture_dict(tmp_path / "runs"))
+        os.makedirs(cfg.out_dir)
+        save_snapshot(run_paths(cfg, "pvi").snapshot, np.ones((3, 1)), 0, cfg.seed)
+        with pytest.raises(MissingStateError, match="must hold mean and variance rows"):
+            evaluate_snapshot(cfg, "pvi")
 
     def test_classification_eval_reports_accuracies(self, tmp_path):
         cfg = config_from_dict(classification_dict(tmp_path / "runs"))

@@ -20,8 +20,7 @@ from steinfed.federation import (
     learning_round,
     pooled_target,
     schedule,
-    tilted_grad_learning,
-    tilted_grad_unlearning,
+    tilted_grad,
     unlearning_round,
 )
 from steinfed.kernels import kde_log_density_grad
@@ -96,7 +95,7 @@ class TestTiltedTargets:
         lam = ProtocolConfig().kde_lam
         g0 = server.global_particles.copy()
         l0 = agent.local_particles.copy()
-        target = tilted_grad_learning(server, agent, ProtocolConfig(alpha=1.5))
+        target = tilted_grad(server, agent, ProtocolConfig(alpha=1.5), sign=1.0)
         theta = np.random.default_rng(3).uniform(-5, 5, size=(9, 1))
         want = (kde_log_density_grad(g0, theta, lam)
                 - kde_log_density_grad(l0, theta, lam)
@@ -107,8 +106,8 @@ class TestTiltedTargets:
         _, _, _, server, agents = two_agent_setup(seed=4)
         agent = agents[1]
         lam = ProtocolConfig().kde_lam
-        learn = tilted_grad_learning(server, agent, ProtocolConfig(alpha=1.0))
-        unlearn = tilted_grad_unlearning(server, agent, ProtocolConfig(alpha=1.0))
+        learn = tilted_grad(server, agent, ProtocolConfig(alpha=1.0), sign=1.0)
+        unlearn = tilted_grad(server, agent, ProtocolConfig(alpha=1.0), sign=-1.0)
         theta = np.random.default_rng(5).uniform(-5, 5, size=(7, 1))
         kde_part = (kde_log_density_grad(server.global_particles, theta, lam)
                     - kde_log_density_grad(agent.local_particles, theta, lam))
@@ -118,16 +117,17 @@ class TestTiltedTargets:
         prior = GaussianPrior(0.0, 4.0)
         _, _, _, server, agents = two_agent_setup(seed=6)
         agent = agents[1]
-        base = tilted_grad_learning(server, agent, ProtocolConfig(alpha=1.0))
-        with_prior = tilted_grad_learning(
-            server, agent, ProtocolConfig(alpha=1.0, prior=prior, include_prior_score=True))
+        base = tilted_grad(server, agent, ProtocolConfig(alpha=1.0), sign=1.0)
+        with_prior = tilted_grad(
+            server, agent, ProtocolConfig(alpha=1.0, prior=prior, include_prior_score=True),
+            sign=1.0)
         theta = np.array([[2.0], [-3.0]])
         assert np.allclose(with_prior(theta) - base(theta), prior.score(theta), atol=1e-14)
 
     def test_targets_are_frozen_at_build_time(self):
         _, _, _, server, agents = two_agent_setup(seed=7)
         agent = agents[1]
-        target = tilted_grad_learning(server, agent, ProtocolConfig(alpha=1.0))
+        target = tilted_grad(server, agent, ProtocolConfig(alpha=1.0), sign=1.0)
         theta = np.array([[0.5], [-0.5]])
         before = target(theta)
         server.global_particles[:] = 9.0
@@ -163,7 +163,7 @@ class TestRounds:
         cfg = dataclasses.replace(
             ProtocolConfig(prior=UniformPrior(-10.0, 10.0)), update_steps=0, distill_steps=0
         )
-        new_server, new_agent = learning_round(server, agents, 1, cfg)
+        new_server, new_agent = learning_round(server, agents[1], cfg)
         assert np.array_equal(new_server.global_particles, server.global_particles)
         assert new_server.global_particles is not server.global_particles
         assert np.array_equal(new_agent.local_particles, agents[1].local_particles)
@@ -173,15 +173,15 @@ class TestRounds:
         g_before = server.global_particles.copy()
         l1_before = agents[1].local_particles.copy()
         l2_before = agents[2].local_particles.copy()
-        learning_round(server, agents, 1, config)
+        learning_round(server, agents[1], config)
         assert np.array_equal(server.global_particles, g_before)
         assert np.array_equal(agents[1].local_particles, l1_before)
         assert np.array_equal(agents[2].local_particles, l2_before)
 
     def test_round_is_deterministic(self):
         _, _, config, server, agents = two_agent_setup(seed=12)
-        s1, a1 = learning_round(server, agents, 2, config)
-        s2, a2 = learning_round(server, agents, 2, config)
+        s1, a1 = learning_round(server, agents[2], config)
+        s2, a2 = learning_round(server, agents[2], config)
         assert np.array_equal(s1.global_particles, s2.global_particles)
         assert np.array_equal(a1.local_particles, a2.local_particles)
 
@@ -193,16 +193,11 @@ class TestRounds:
         for r in range(3):
             k = schedule(config, r, agents.keys())
             if r == 2:
-                inputs = (server, {j: dataclasses.replace(a) for j, a in agents.items()}, k)
-            server, agents[k] = learning_round(server, agents, k, config)
-        replay_server, replay_agent = learning_round(inputs[0], inputs[1], inputs[2], config)
+                inputs = (server, dataclasses.replace(agents[k]), k)
+            server, agents[k] = learning_round(server, agents[k], config)
+        replay_server, replay_agent = learning_round(inputs[0], inputs[1], config)
         assert np.array_equal(replay_server.global_particles, server.global_particles)
         assert np.array_equal(replay_agent.local_particles, agents[inputs[2]].local_particles)
-
-    def test_unknown_scheduled_agent_rejected(self):
-        _, _, config, server, agents = two_agent_setup()
-        with pytest.raises(ProtocolError):
-            learning_round(server, agents, 5, config)
 
     def test_particles_stay_inside_uniform_support(self):
         prior = UniformPrior(-1.0, 1.0)
@@ -210,14 +205,14 @@ class TestRounds:
         config = ProtocolConfig(update_steps=25, distill_steps=25, epsilon=1.0,
                                 epsilon_local=1.0, prior=prior)
         server, agents = initialize_states(losses, config, 10, seed=3)
-        new_server, new_agent = learning_round(server, agents, 1, config)
+        new_server, new_agent = learning_round(server, agents[1], config)
         assert new_server.global_particles.max() <= 1.0
         assert new_server.global_particles.min() >= -1.0
         assert new_agent.local_particles.max() <= 1.0
 
     def test_fresh_adagrad_each_round_by_default(self):
         _, _, config, server, agents = two_agent_setup(seed=14)
-        new_server, new_agent = learning_round(server, agents, 1, config)
+        new_server, new_agent = learning_round(server, agents[1], config)
         assert new_server.global_opt is None
         assert new_agent.distill_opt is None
 
@@ -232,7 +227,7 @@ class TestRounds:
             server, agents = initialize_states(losses, cfg, 10, seed=15)
             agents = dict(agents)
             for r in range(2):
-                server, agents[1] = learning_round(server, agents, 1, cfg)
+                server, agents[1] = learning_round(server, agents[1], cfg)
             return server
 
         fresh = two_rounds(base)
@@ -252,7 +247,7 @@ class TestRounds:
                                 prior=GaussianPrior(0.0, 100.0))
         server = ServerState(global_particles=start)
         agents = {1: AgentState(loss=loss, local_particles=start.copy())}
-        new_server, _ = learning_round(server, agents, 1, config)
+        new_server, _ = learning_round(server, agents[1], config)
         direct = run_svgd(start, lambda t: loss.neg_loss_grad(t, config.alpha),
                           6, AdaGradState(epsilon=0.1, fudge=config.fudge), None)
         assert np.array_equal(new_server.global_particles, direct)
@@ -275,10 +270,10 @@ class TestSchedule:
         with pytest.raises(ProtocolError):
             schedule(config, 0, (1, 2))
 
-    def test_missing_sequence_is_exhausted_immediately(self):
-        config = ProtocolConfig(schedule="fixed_sequence")
-        with pytest.raises(ProtocolError):
-            schedule(config, 0, (1,))
+    def test_missing_sequence_rejected_at_construction(self):
+        for sequence in (None, ()):
+            with pytest.raises(ValueError, match="^sequence: required when schedule"):
+                ProtocolConfig(schedule="fixed_sequence", sequence=sequence)
 
     def test_empty_eligible_and_negative_round_rejected(self):
         config = ProtocolConfig()
@@ -297,13 +292,13 @@ class TestUnlearningBehavior:
         server, agents = initialize_states(losses, config, 20, seed=1)
         agents = dict(agents)
         for _ in range(15):
-            server, agents[1] = learning_round(server, agents, 1, config)
+            server, agents[1] = learning_round(server, agents[1], config)
         learned_loss = float(np.mean(losses[1].loss(server.global_particles)))
 
         fresh = init_local_particles(prior, 20, seed=1, agent_id=1, stream=STREAM_UNLEARN)
         agents = {1: AgentState(loss=losses[1], local_particles=fresh)}
         for _ in range(10):
-            server, agents[1] = unlearning_round(server, agents, 1, config)
+            server, agents[1] = unlearning_round(server, agents[1], config)
         unlearned_loss = float(np.mean(losses[1].loss(server.global_particles)))
         assert unlearned_loss > learned_loss
 

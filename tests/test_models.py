@@ -370,9 +370,9 @@ class TestFeatureMap:
         rng = np.random.default_rng(41)
         x = rng.normal(size=(30, 4))
         y = rng.integers(0, 3, size=30)
-        cfg = FeatureMapConfig(hidden_units=6, epochs=40, seed=9)
-        a = pretrain_feature_map(x, y, 3, cfg)
-        b = pretrain_feature_map(x, y, 3, cfg)
+        cfg = FeatureMapConfig(hidden_units=6, epochs=40)
+        a = pretrain_feature_map(x, y, 3, cfg, np.random.default_rng(9))
+        b = pretrain_feature_map(x, y, 3, cfg, np.random.default_rng(9))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
 
@@ -380,7 +380,8 @@ class TestFeatureMap:
         rng = np.random.default_rng(42)
         x = rng.normal(size=(10, 2))
         y = rng.integers(0, 2, size=10)
-        fmap = pretrain_feature_map(x, y, 2, FeatureMapConfig(hidden_units=5, epochs=0, seed=1))
+        fmap = pretrain_feature_map(x, y, 2, FeatureMapConfig(hidden_units=5, epochs=0),
+                                    np.random.default_rng(1))
         assert fmap.weights.shape == (2, 5)
         assert np.array_equal(fmap.biases, np.zeros(5))
 
@@ -390,7 +391,8 @@ class TestFeatureMap:
         rng = np.random.default_rng(43)
         x = np.vstack([rng.normal(-3.0, 0.4, size=(20, 2)), rng.normal(3.0, 0.4, size=(20, 2))])
         y = np.repeat([0, 1], 20)
-        fmap = pretrain_feature_map(x, y, 2, FeatureMapConfig(hidden_units=8, epochs=200, seed=2))
+        fmap = pretrain_feature_map(x, y, 2, FeatureMapConfig(hidden_units=8, epochs=200),
+                                    np.random.default_rng(2))
         head = SoftmaxHeadLoss(fmap(x), y, num_classes=2)
         theta = np.zeros((1, head.dim))
         for _ in range(300):
@@ -400,9 +402,11 @@ class TestFeatureMap:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            pretrain_feature_map(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
+            pretrain_feature_map(np.zeros((0, 2)), np.zeros(0, dtype=int), 2,
+                                 FeatureMapConfig(), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            pretrain_feature_map(np.zeros((3, 2)), np.zeros(2, dtype=int), 2)
+            pretrain_feature_map(np.zeros((3, 2)), np.zeros(2, dtype=int), 2,
+                                 FeatureMapConfig(), np.random.default_rng(0))
         with pytest.raises(ValueError):
             FeatureMapConfig(hidden_units=0)
         with pytest.raises(ValueError):

@@ -97,14 +97,16 @@ class TestExpectedLossGradient:
     def test_standard_normal_nll_analytic(self):
         # E[0.5 theta^2 + c] = 0.5 mu2 + c, so the gradient is (0, 0.5)
         nat = moment_to_nat(0.7, 1.3)
-        grad = expected_loss_grad_moment(nat, gaussian_nll(0.0, 1.0), 1.0, 100000, seed=0)
+        grad = expected_loss_grad_moment(nat, gaussian_nll(0.0, 1.0), 1.0, 100000,
+                                         np.random.default_rng(0))
         assert abs(grad.eta1 - 0.0) < 0.02
         assert abs(grad.eta2 - 0.5) < 0.02
 
     def test_shifted_gaussian_nll_analytic(self):
         # loss = (theta - z)^2 / (2 s) + c  =>  gradient (-z/s, 1/(2 s))
         nat = moment_to_nat(-0.4, 0.9)
-        grad = expected_loss_grad_moment(nat, gaussian_nll(2.0, 4.0), 1.0, 100000, seed=1)
+        grad = expected_loss_grad_moment(nat, gaussian_nll(2.0, 4.0), 1.0, 100000,
+                                         np.random.default_rng(1))
         assert abs(grad.eta1 - (-0.5)) < 0.02
         assert abs(grad.eta2 - 0.125) < 0.02
 
@@ -116,7 +118,7 @@ class TestExpectedLossGradient:
         mu1, v = 0.3, 1.2
         mu2 = v + mu1 ** 2
         nat = moment_to_nat(mu1, v)
-        grad = expected_loss_grad_moment(nat, loss, 1.0, 400000, seed=2)
+        grad = expected_loss_grad_moment(nat, loss, 1.0, 400000, np.random.default_rng(2))
         d1, d2 = quadrature_moment_gradient(loss, mu1, mu2)
         assert abs(grad.eta1 - d1) < 0.05 * (1 + abs(d1))
         assert abs(grad.eta2 - d2) < 0.05 * (1 + abs(d2))
@@ -124,16 +126,16 @@ class TestExpectedLossGradient:
     def test_alpha_scales_expectation(self):
         nat = moment_to_nat(0.1, 1.0)
         loss = gaussian_nll(1.0, 1.0)
-        g1 = expected_loss_grad_moment(nat, loss, 1.0, 5000, seed=3)
-        g2 = expected_loss_grad_moment(nat, loss, 2.0, 5000, seed=3)
+        g1 = expected_loss_grad_moment(nat, loss, 1.0, 5000, np.random.default_rng(3))
+        g2 = expected_loss_grad_moment(nat, loss, 2.0, 5000, np.random.default_rng(3))
         assert np.allclose(g2.eta1, 2.0 * g1.eta1, rtol=1e-10)
         assert np.allclose(g2.eta2, 2.0 * g1.eta2, rtol=1e-10)
 
     def test_deterministic_under_integer_seed(self):
         nat = moment_to_nat(0.0, 1.0)
         loss = gaussian_nll(0.5, 2.0)
-        a = expected_loss_grad_moment(nat, loss, 1.0, 500, seed=7)
-        b = expected_loss_grad_moment(nat, loss, 1.0, 500, seed=7)
+        a = expected_loss_grad_moment(nat, loss, 1.0, 500, np.random.default_rng(7))
+        b = expected_loss_grad_moment(nat, loss, 1.0, 500, np.random.default_rng(7))
         assert np.array_equal(a.eta1, b.eta1)
         assert np.array_equal(a.eta2, b.eta2)
 
@@ -141,14 +143,14 @@ class TestExpectedLossGradient:
         nat = moment_to_nat(0.0, 1.0)
         loss = gaussian_nll(0.5, 2.0)
         rng = np.random.default_rng(7)
-        a = expected_loss_grad_moment(nat, loss, 1.0, 500, seed=rng)
-        b = expected_loss_grad_moment(nat, loss, 1.0, 500, seed=rng)
+        a = expected_loss_grad_moment(nat, loss, 1.0, 500, rng)
+        b = expected_loss_grad_moment(nat, loss, 1.0, 500, rng)
         assert not np.array_equal(a.eta1, b.eta1)
 
     def test_sample_count_validated(self):
         nat = moment_to_nat(0.0, 1.0)
         with pytest.raises(ValueError):
-            expected_loss_grad_moment(nat, gaussian_nll(0.0, 1.0), 1.0, 0, seed=0)
+            expected_loss_grad_moment(nat, gaussian_nll(0.0, 1.0), 1.0, 0, np.random.default_rng(0))
 
 
 class TestDampedStep:
@@ -224,8 +226,8 @@ class TestPviRounds:
         local = GaussianNatParams(np.array([0.05]), np.array([-0.02]))
         loss = gaussian_nll(1.0, 2.0)
         config = PviConfig(local_iters=1, epsilon=0.01, mc_samples=256)
-        p, _ = pvi_round(global_nat, local, loss, config, rng=11)
-        u, _ = ulpvi_round(global_nat, local, loss, config, rng=11)
+        p, _ = pvi_round(global_nat, local, loss, config, np.random.default_rng(11))
+        u, _ = ulpvi_round(global_nat, local, loss, config, np.random.default_rng(11))
         want1 = 2.0 * (global_nat.eta1 - config.epsilon * local.eta1)
         want2 = 2.0 * (global_nat.eta2 - config.epsilon * local.eta2)
         assert np.allclose(p.eta1 + u.eta1, want1, atol=1e-12)
@@ -236,8 +238,8 @@ class TestPviRounds:
         local = GaussianNatParams.zeros(1)
         loss = gaussian_nll(0.5, 1.0)
         config = PviConfig(local_iters=4, epsilon=0.05, mc_samples=128)
-        a, al = pvi_round(global_nat, local, loss, config, rng=13)
-        b, bl = pvi_round(global_nat, local, loss, config, rng=13)
+        a, al = pvi_round(global_nat, local, loss, config, np.random.default_rng(13))
+        b, bl = pvi_round(global_nat, local, loss, config, np.random.default_rng(13))
         assert np.array_equal(a.eta1, b.eta1)
         assert np.array_equal(al.eta2, bl.eta2)
 
@@ -246,7 +248,7 @@ class TestPviRounds:
         local = GaussianNatParams.zeros(1)
         config = PviConfig(local_iters=1, epsilon=1.0, mc_samples=32)
         with pytest.raises(FloatingPointError):
-            pvi_round(global_nat, local, ExplodingLoss(), config, rng=0)
+            pvi_round(global_nat, local, ExplodingLoss(), config, np.random.default_rng(0))
 
     def test_conjugate_posterior_recovered(self):
         # prior N(0, 4) and one Gaussian likelihood N(theta; 1, 1): the

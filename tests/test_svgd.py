@@ -152,13 +152,13 @@ class TestAdaGradStep:
 class TestRunSvgd:
     def test_zero_steps_returns_equal_copy(self):
         theta = np.random.default_rng(0).normal(size=(5, 2))
-        out = run_svgd(theta, lambda t: -t, steps=0)
+        out = run_svgd(theta, lambda t: -t, steps=0, opt=AdaGradState())
         assert out is not theta
         assert np.array_equal(out, theta)
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
-            run_svgd(np.zeros((2, 1)), lambda t: -t, steps=-1)
+            run_svgd(np.zeros((2, 1)), lambda t: -t, steps=-1, opt=AdaGradState())
 
     def test_input_never_mutated(self):
         theta = np.random.default_rng(1).normal(size=(6, 2))
