@@ -465,39 +465,58 @@ def _forgot_loss(losses: dict, forget_ids: tuple[int, ...], points: np.ndarray) 
     return float(np.mean([float(np.mean(losses[k].loss(points))) for k in forget_ids]))
 
 
+# Distinct (experiment, seed) pairs whose classification problem a process keeps built.
+_CACHED_PROBLEMS = 4
+
+
 def build_problem(cfg: ExperimentConfig):
-    """Instantiate losses, prior, and evaluation data for a config."""
+    """Instantiate losses, prior, and evaluation data for a config.
+
+    A classification problem is built once per experiment spec and seed in
+    a process, with its arrays read-only; every config that differs only in
+    its forget set, method, protocol or output directory shares that build.
+    """
     if isinstance(cfg.experiment, MixtureSpec):
         spec = cfg.experiment
-        losses = {
-            i + 1: GaussianMixtureLoss(list(components))
-            for i, components in enumerate(spec.agents)
-        }
-        _validate_forget_ids(cfg.forget_agents, losses.keys())
-        return MixtureProblem(
-            losses=losses,
+        problem = MixtureProblem(
+            losses={i + 1: GaussianMixtureLoss(list(components))
+                    for i, components in enumerate(spec.agents)},
             prior=spec.prior.build(dim=1),
             forget_ids=cfg.forget_agents,
             grid=cfg.grid,
             kde_lam=cfg.protocol.kde_lam,
         )
+    else:
+        try:
+            shared = _classification_problem(cfg.experiment, cfg.seed, _idx_stamps(cfg.experiment))
+        except FileNotFoundError as err:
+            raise ConfigError(f"config.experiment.idx: {err}") from None
+        problem = dataclasses.replace(shared, forget_ids=cfg.forget_agents)
+    _validate_agent_ids(cfg, problem.losses)
+    return problem
 
-    spec = cfg.experiment
+
+def _idx_stamps(spec: ClassificationSpec) -> tuple:
+    """Size and modification time of each IDX file, so that a rewritten file is read again."""
+    if spec.source != "idx":
+        return ()
+    paths = (spec.idx.train_images, spec.idx.train_labels, spec.idx.test_images, spec.idx.test_labels)
+    return tuple((st.st_size, st.st_mtime_ns) for st in map(os.stat, paths))
+
+
+@functools.lru_cache(maxsize=_CACHED_PROBLEMS)
+def _classification_problem(spec: ClassificationSpec, seed: int, idx_stamps: tuple) -> ClassificationProblem:
+    """The problem of ``spec`` at ``seed`` with no forget set; ``idx_stamps`` only keys the cache."""
     if spec.source == "synthetic":
         syn = spec.synthetic
         train, test = make_synthetic_pair(
-            syn.num_classes, syn.dim, syn.n_train, syn.n_test, cfg.seed,
+            syn.num_classes, syn.dim, syn.n_train, syn.n_test, seed,
             center_scale=syn.center_scale, noise=syn.noise,
         )
         num_classes = syn.num_classes
     else:
-        try:
-            train = load_idx_dataset(spec.idx.train_images, spec.idx.train_labels,
-                                     spec.idx.num_classes)
-            test = load_idx_dataset(spec.idx.test_images, spec.idx.test_labels,
-                                    spec.idx.num_classes)
-        except FileNotFoundError as err:
-            raise ConfigError(f"config.experiment.idx: {err}") from None
+        train = load_idx_dataset(spec.idx.train_images, spec.idx.train_labels, spec.idx.num_classes)
+        test = load_idx_dataset(spec.idx.test_images, spec.idx.test_labels, spec.idx.num_classes)
         num_classes = spec.idx.num_classes
 
     if num_classes % spec.labels_per_agent != 0:
@@ -508,38 +527,43 @@ def build_problem(cfg: ExperimentConfig):
     num_agents = num_classes // spec.labels_per_agent
     try:
         shards = partition_non_iid(
-            train, num_agents, spec.labels_per_agent, spec.examples_per_agent, cfg.seed
+            train, num_agents, spec.labels_per_agent, spec.examples_per_agent, seed
         )
     except ValueError as err:
         raise ConfigError(f"config.experiment: {err}") from None
-    _validate_forget_ids(cfg.forget_agents, [s.agent_id for s in shards])
 
     pool_features = np.concatenate([s.features for s in shards])
     pool_labels = np.concatenate([s.labels for s in shards])
     feature_map = pretrain_feature_map(pool_features, pool_labels, num_classes, spec.feature_map,
-                                       np.random.default_rng(cfg.seed))
+                                       np.random.default_rng(seed))
 
     losses = {
         s.agent_id: SoftmaxHeadLoss(feature_map(s.features), s.labels, num_classes)
         for s in shards
     }
     head_dim = (feature_map.num_features + 1) * num_classes
-    return ClassificationProblem(
+    problem = ClassificationProblem(
         losses=losses,
         shard_classes={s.agent_id: s.classes for s in shards},
         prior=spec.prior.build(dim=head_dim),
-        forget_ids=cfg.forget_agents,
+        forget_ids=(),
         test_features=feature_map(test.features),
         test_labels=test.labels,
         num_classes=num_classes,
     )
+    for owner in (problem, problem.prior, *losses.values()):  # shared: no caller may write
+        for value in vars(owner).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+    return problem
 
 
-def _validate_forget_ids(forget_ids, known) -> None:
-    known = set(known)
-    unknown = [k for k in forget_ids if k not in known]
-    if unknown:
-        raise ConfigError(f"config.forget_agents: unknown agent ids {unknown}")
+def _validate_agent_ids(cfg: ExperimentConfig, known) -> None:
+    for field, ids in (("forget_agents", cfg.forget_agents),
+                       ("protocol.sequence", cfg.protocol.sequence or ())):
+        unknown = sorted(set(ids) - set(known))
+        if unknown:
+            raise ConfigError(f"config.{field}: unknown agent ids {unknown}")
 
 
 # --- phase loop -----------------------------------------------------------------
@@ -631,8 +655,8 @@ def _measure(problem, method: str, array: np.ndarray) -> dict:
     return problem.particle_metrics(array, retained_only)
 
 
-def _run_phase(cfg: ExperimentConfig, problem, method: str, state, step, snapshot,
-               save_locals=None) -> RunResult:
+def _run_phase(cfg: ExperimentConfig, problem, method: str, started: float, state, step,
+               snapshot, save_locals=None) -> RunResult:
     """Run one phase's rounds and write its metrics, transcript and final state.
 
     ``step(state, r)`` runs round ``r`` and returns the new state and the
@@ -640,7 +664,8 @@ def _run_phase(cfg: ExperimentConfig, problem, method: str, state, step, snapsho
     measures and the phase saves; ``save_locals(state)``, when given, writes
     the state the snapshot array leaves out.
     ``wall_ms`` (and the transcript's ``round_ms``) times the round alone;
-    the transcript's ``eval_ms`` times the evaluation that builds its record.
+    the transcript's ``eval_ms`` times the evaluation that builds its record,
+    and round 0's ``setup_ms`` the time from ``started`` to that evaluation.
     """
     phase = _METHOD_PHASE[method]
     rounds = getattr(cfg, phase).rounds  # the learn, unlearn or retrain settings
@@ -650,7 +675,7 @@ def _run_phase(cfg: ExperimentConfig, problem, method: str, state, step, snapsho
     rounds_run = 0
     with MetricsWriter(paths.metrics) as metrics, TranscriptWriter(paths.transcript) as transcript:
 
-        def emit(agent, wall_ms: float) -> None:
+        def emit(agent, wall_ms: float, **setup) -> None:
             start = time.perf_counter()
             record, extra = _record(_measure(problem, method, snapshot(state)), phase,
                                     rounds_run, wall_ms)
@@ -664,12 +689,13 @@ def _run_phase(cfg: ExperimentConfig, problem, method: str, state, step, snapsho
                 "wall_ms": record.wall_ms,
                 "round_ms": record.wall_ms,
                 "eval_ms": eval_ms,
+                **setup,
                 "metrics": record.metrics(),
                 **extra,
             })
 
         try:
-            emit(None, 0.0)
+            emit(None, 0.0, setup_ms=_ms_since(started))
             for r in range(rounds):
                 start = time.perf_counter()
                 state, agent = step(state, r)
@@ -687,7 +713,7 @@ def _run_phase(cfg: ExperimentConfig, problem, method: str, state, step, snapsho
     return RunResult(method, records, paths, rounds_run)
 
 
-def _run_particles(cfg: ExperimentConfig, problem, method: str) -> RunResult:
+def _run_particles(cfg: ExperimentConfig, problem, method: str, started: float) -> RunResult:
     """DSVGD learning, Forget-SVGD unlearning, or retraining on the retained agents."""
     phase = _METHOD_PHASE[method]
     pcfg = _protocol_config(cfg, problem.prior, phase)
@@ -718,7 +744,8 @@ def _run_particles(cfg: ExperimentConfig, problem, method: str) -> RunResult:
         server, agents[k] = play(server, agents[k], pcfg)
         return server, k
 
-    return _run_phase(cfg, problem, method, server, step, lambda server: server.global_particles)
+    return _run_phase(cfg, problem, method, started, server, step,
+                      lambda server: server.global_particles)
 
 
 def _nat_to_json(nat: GaussianNatParams) -> dict:
@@ -757,7 +784,7 @@ def _load_pvi_state(path: str) -> tuple[GaussianNatParams, dict[int, GaussianNat
     return eta, locals_nat
 
 
-def _run_parametric(cfg: ExperimentConfig, problem, method: str) -> RunResult:
+def _run_parametric(cfg: ExperimentConfig, problem, method: str, started: float) -> RunResult:
     """PVI learning or ULPVI unlearning of diagonal-Gaussian factors."""
     phase = _METHOD_PHASE[method]
     if phase == "unlearn":
@@ -780,19 +807,20 @@ def _run_parametric(cfg: ExperimentConfig, problem, method: str) -> RunResult:
         return eta, k
 
     return _run_phase(
-        cfg, problem, method, eta, step, lambda eta: np.vstack(nat_to_moment(eta)),
+        cfg, problem, method, started, eta, step, lambda eta: np.vstack(nat_to_moment(eta)),
         lambda eta: _save_pvi_state(run_paths(cfg, method).locals_json, eta, locals_nat),
     )
 
 
 def run_experiment(cfg: ExperimentConfig, command: str) -> RunResult:
     """Run one phase of the configured experiment and write its artifacts."""
+    started = time.perf_counter()
     method = resolve_method(cfg.method, command)
     problem = build_problem(cfg)
     if _METHOD_PHASE[method] == "unlearn" and not problem.forget_ids:
         raise ConfigError("config.forget_agents: unlearning needs a nonempty forget set")
     run = _run_parametric if method in PARAMETRIC_METHODS else _run_particles
-    return run(cfg, problem, method)
+    return run(cfg, problem, method, started)
 
 
 # --- evaluation and export --------------------------------------------------------

@@ -20,6 +20,7 @@ from steinfed.experiments import (
     ExperimentConfig,
     MissingStateError,
     MixtureProblem,
+    _classification_problem,
     _forgetting_achieved,
     _forgot_loss_plateaued,
     _protocol_config,
@@ -52,6 +53,7 @@ from steinfed.metrics import (
 )
 from steinfed.models import GaussianPrior, UniformPrior
 from steinfed.pvi import PviConfig
+from test_data import write_images, write_labels
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -545,6 +547,60 @@ class TestBuildProblem:
         assert unlearn_cfg.epsilon_local == 0.2
 
 
+class TestBuildOnce:
+    """A process builds each classification problem once and shares it read-only."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        _classification_problem.cache_clear()
+
+    def test_phases_and_eval_pretrain_once(self, tmp_path, monkeypatch):
+        counts = _count_calls(monkeypatch, {"models": ("pretrain_feature_map",)})
+        cfg = config_from_dict(classification_dict(tmp_path / "runs"))
+        for command in ("learn", "unlearn", "retrain"):
+            run_experiment(cfg, command)
+        evaluate_snapshot(cfg, "forget_svgd")
+        assert dict(counts) == {"pretrain_feature_map": 1}
+
+    def test_shared_arrays_are_read_only(self, tmp_path):
+        problem = build_problem(config_from_dict(classification_dict(tmp_path)))
+        with pytest.raises(ValueError, match="read-only"):
+            problem.test_features[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            problem.losses[1].features[0, 0] = 1.0
+
+    def test_forget_sets_share_one_build(self, tmp_path, monkeypatch):
+        counts = _count_calls(monkeypatch, {"models": ("pretrain_feature_map",)})
+        cfg = config_from_dict(classification_dict(tmp_path))
+        other = build_problem(dataclasses.replace(cfg, forget_agents=(1,)))
+        problem = build_problem(cfg)
+        assert problem.losses is other.losses
+        assert (problem.forget_ids, other.forget_ids) == ((2,), (1,))
+        assert (problem.forgotten_classes, other.forgotten_classes) == ((2, 3), (0, 1))
+        with pytest.raises(ConfigError, match=r"^config.forget_agents: unknown agent ids \[3\]$"):
+            build_problem(dataclasses.replace(cfg, forget_agents=(3,)))
+        assert dict(counts) == {"pretrain_feature_map": 1}
+
+
+    def test_rewritten_idx_file_is_read_again(self, tmp_path, monkeypatch):
+        counts = _count_calls(monkeypatch, {"models": ("pretrain_feature_map",)})
+        rng = np.random.default_rng(0)
+        files = {key: tmp_path / key for key in ("train_images", "train_labels",
+                                                 "test_images", "test_labels")}
+        data = idx_dict(tmp_path / "runs")
+        data["experiment"]["idx"].update({key: str(path) for key, path in files.items()})
+        cfg = config_from_dict(data)
+        with pytest.raises(ConfigError, match="^config.experiment.idx: .*No such file"):
+            build_problem(cfg)
+        write_images(files["train_images"], rng.integers(0, 256, (80, 2, 2)))
+        write_labels(files["train_labels"], np.repeat(np.arange(4), 20))
+        for n_test in (8, 12):
+            write_images(files["test_images"], rng.integers(0, 256, (n_test, 2, 2)))
+            write_labels(files["test_labels"], np.repeat(np.arange(4), n_test // 4))
+            assert build_problem(cfg).test_labels.shape == (n_test,)
+            assert build_problem(cfg).test_labels.shape == (n_test,)
+        assert dict(counts) == {"pretrain_feature_map": 2}
+
 class TestStopRules:
     def rec(self, rnd, acc=None, loss=None):
         return MetricRecord(round=rnd, phase="unlearn", forgotten_acc=acc, forgot_loss=loss)
@@ -678,6 +734,15 @@ class TestParticleRuns:
         assert events[-1] == {"round": 1, "phase": "unlearn",
                               "error": "scheduled agent 2 is not eligible"}
 
+    @pytest.mark.parametrize("base", ["mix", "cls"])
+    def test_unknown_sequence_agent_rejected_before_round_zero(self, tmp_path, base):
+        data = BASES[base](tmp_path / "runs")
+        data["protocol"].update(schedule="fixed_sequence", sequence=[1, 7, 2])
+        cfg = config_from_dict(data)
+        with pytest.raises(ConfigError, match=r"^config.protocol.sequence: unknown agent ids \[7\]$"):
+            run_experiment(cfg, "learn")
+        assert not os.path.exists(cfg.out_dir)
+
     def test_unlearn_needs_forget_agents(self, tmp_path):
         data = mixture_dict(tmp_path / "runs")
         data["forget_agents"] = []
@@ -724,7 +789,9 @@ class TestParticleRuns:
                 assert event["round_ms"] == event["wall_ms"] == record.wall_ms
                 assert event["eval_ms"] > 0.0
             assert events[0]["round_ms"] == 0.0
-            assert sum(e["round_ms"] + e["eval_ms"] for e in events) < phase_ms
+            assert events[0]["setup_ms"] > 0.0
+            assert all("setup_ms" not in e for e in events[1:])
+            assert events[0]["setup_ms"] + sum(e["round_ms"] + e["eval_ms"] for e in events) < phase_ms
 
     def test_failed_run_leaves_error_in_transcript(self, tmp_path):
         data = mixture_dict(tmp_path / "runs")
@@ -869,12 +936,12 @@ ROUND_FUNCTIONS = {
 }
 
 
-def _count_round_calls(monkeypatch) -> collections.Counter:
-    """Wrap the round functions the way ``perfbench/tracer.py`` wraps its layers."""
+def _count_calls(monkeypatch, functions=ROUND_FUNCTIONS) -> collections.Counter:
+    """Wrap ``functions`` (names by defining module) the way ``perfbench/tracer.py`` wraps its layers."""
     counts = collections.Counter()
     modules = [m for name, m in list(sys.modules.items())
                if m is not None and (name == "steinfed" or name.startswith("steinfed."))]
-    for module_name, names in ROUND_FUNCTIONS.items():
+    for module_name, names in functions.items():
         owner = sys.modules[f"steinfed.{module_name}"]
         for name in names:
             original = getattr(owner, name)
@@ -911,7 +978,7 @@ def test_round_functions_are_looked_up_per_call(tmp_path, monkeypatch, method, c
     cfg = config_from_dict(data)
     if command == "unlearn":
         run_experiment(cfg, "learn")
-    counts = _count_round_calls(monkeypatch)
+    counts = _count_calls(monkeypatch)
     result = run_experiment(cfg, command)
     assert result.rounds_run == rounds
     assert dict(counts) == {name: rounds}
