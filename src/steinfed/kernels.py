@@ -15,6 +15,8 @@ pairwise squared-distance helper written as a matrix product, so no
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 BANDWIDTH_FLOOR = 1e-8
@@ -55,12 +57,28 @@ def median_bandwidth(particles: np.ndarray) -> float:
 
 
 def _median_bandwidth(sq_dists: np.ndarray) -> float:
-    """``median_bandwidth`` from the particles' (N, N) squared-distance matrix."""
+    """``median_bandwidth`` from the particles' (N, N) squared-distance matrix.
+
+    The square root is monotone, so the middle distances are the roots of
+    the middle squared distances; a pair of them is averaged as ``np.median``
+    averages it.
+    """
     n = sq_dists.shape[0]
     if n < 2:
         raise ValueError("median bandwidth needs at least 2 particles")
-    med = float(np.median(np.sqrt(sq_dists[np.triu_indices(n, 1)])))
+    pairs = np.sort(sq_dists[_upper_pairs(n)])
+    mid = pairs.size // 2
+    middle = pairs[mid:mid + 1] if pairs.size % 2 else pairs[mid - 1:mid + 1]
+    med = float(np.mean(np.sqrt(middle)))
     return max(med * med / np.log(n), BANDWIDTH_FLOOR)
+
+
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> np.ndarray:
+    """Read-only (n, n) mask of the pairs i < j, selected in ``np.triu_indices`` order."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.setflags(write=False)
+    return mask
 
 
 def _as_rows(x: np.ndarray, dim: int) -> np.ndarray:

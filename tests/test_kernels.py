@@ -19,6 +19,7 @@ from steinfed.kernels import (
     kde_log_density,
     kde_log_density_grad,
     median_bandwidth,
+    pairwise_sq_dists,
 )
 
 
@@ -111,6 +112,15 @@ class TestMedianBandwidth:
         shifted = median_bandwidth(particles + 7.5)
         permuted = median_bandwidth(particles[rng.permutation(12)])
         np.testing.assert_allclose([shifted, permuted], [base, base], rtol=1e-12)
+
+    # 1, 3, 6, 10, 15 and 28 pairs; the integer grid repeats distances and particles
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+    def test_equals_numpy_median_rule_with_ties(self, n):
+        rng = np.random.default_rng(n)
+        for particles in (rng.standard_normal((n, 3)), rng.integers(0, 3, (n, 2)).astype(float)):
+            sq = pairwise_sq_dists(particles, particles)
+            med = float(np.median(np.sqrt(sq[np.triu_indices(n, 1)])))
+            assert median_bandwidth(particles) == max(med * med / np.log(n), BANDWIDTH_FLOOR)
 
     # The mixture, desk and wide particle shapes; the mixture set sits 50
     # away from the origin, where the GEMM distances lose the most digits.
