@@ -500,13 +500,15 @@ def _idx_stamps(spec: ClassificationSpec) -> tuple:
     """Size and modification time of each IDX file, so that a rewritten file is read again."""
     if spec.source != "idx":
         return ()
-    paths = (spec.idx.train_images, spec.idx.train_labels, spec.idx.test_images, spec.idx.test_labels)
+    idx = spec.idx
+    paths = (idx.train_images, idx.train_labels, idx.test_images, idx.test_labels)
     return tuple((st.st_size, st.st_mtime_ns) for st in map(os.stat, paths))
 
 
 @functools.lru_cache(maxsize=_CACHED_PROBLEMS)
-def _classification_problem(spec: ClassificationSpec, seed: int, idx_stamps: tuple) -> ClassificationProblem:
-    """The problem of ``spec`` at ``seed`` with no forget set; ``idx_stamps`` only keys the cache."""
+def _classification_problem(spec: ClassificationSpec, seed: int,
+                            idx_stamps: tuple) -> ClassificationProblem:
+    """The problem of ``spec`` at ``seed``, without a forget set; ``idx_stamps`` keys the cache."""
     if spec.source == "synthetic":
         syn = spec.synthetic
         train, test = make_synthetic_pair(

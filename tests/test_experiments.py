@@ -739,7 +739,8 @@ class TestParticleRuns:
         data = BASES[base](tmp_path / "runs")
         data["protocol"].update(schedule="fixed_sequence", sequence=[1, 7, 2])
         cfg = config_from_dict(data)
-        with pytest.raises(ConfigError, match=r"^config.protocol.sequence: unknown agent ids \[7\]$"):
+        with pytest.raises(ConfigError,
+                           match=r"^config.protocol.sequence: unknown agent ids \[7\]$"):
             run_experiment(cfg, "learn")
         assert not os.path.exists(cfg.out_dir)
 
@@ -791,7 +792,8 @@ class TestParticleRuns:
             assert events[0]["round_ms"] == 0.0
             assert events[0]["setup_ms"] > 0.0
             assert all("setup_ms" not in e for e in events[1:])
-            assert events[0]["setup_ms"] + sum(e["round_ms"] + e["eval_ms"] for e in events) < phase_ms
+            timed_ms = events[0]["setup_ms"] + sum(e["round_ms"] + e["eval_ms"] for e in events)
+            assert timed_ms < phase_ms
 
     def test_failed_run_leaves_error_in_transcript(self, tmp_path):
         data = mixture_dict(tmp_path / "runs")
@@ -937,7 +939,7 @@ ROUND_FUNCTIONS = {
 
 
 def _count_calls(monkeypatch, functions=ROUND_FUNCTIONS) -> collections.Counter:
-    """Wrap ``functions`` (names by defining module) the way ``perfbench/tracer.py`` wraps its layers."""
+    """Wrap ``functions``, names by defining module, as ``perfbench/tracer.py`` wraps its layers."""
     counts = collections.Counter()
     modules = [m for name, m in list(sys.modules.items())
                if m is not None and (name == "steinfed" or name.startswith("steinfed."))]
