@@ -1,9 +1,11 @@
 """Command line entry point.
 
 Subcommands mirror the run phases: ``learn``, ``unlearn``, ``retrain``,
-``eval``, and ``export-plot-data``.  Every run-style command takes a JSON
-config plus optional seed and output-directory overrides.  Exit codes:
-0 on success, 1 on any runtime or validation failure, 2 on bad usage.
+``eval``, and ``export-plot-data``; ``run`` runs learn, unlearn and retrain
+in one process, which builds the problem once.  Every run-style command
+takes a JSON config plus optional seed and output-directory overrides.
+Exit codes: 0 on success, 1 on any runtime or validation failure, 2 on bad
+usage.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .experiments import (
     run_paths,
 )
 from .rules import FieldError
+
+PHASES = ("learn", "unlearn", "retrain")
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -46,6 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=text)
         _add_run_options(cmd)
+
+    cmd = sub.add_parser("run", help="learn, unlearn and retrain in one process")
+    _add_run_options(cmd)
 
     cmd = sub.add_parser("eval", help="recompute metrics for a saved snapshot")
     _add_run_options(cmd)
@@ -73,12 +80,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load(args)
-        if args.command in ("learn", "unlearn", "retrain"):
-            result = run_experiment(cfg, args.command)
-            last = result.records[-1]
-            print(f"{result.method}: {result.rounds_run} rounds -> {result.paths.metrics}")
-            summary = {k: v for k, v in last.metrics().items() if v is not None}
-            print(json.dumps(summary))
+        if args.command in PHASES + ("run",):
+            for command in PHASES if args.command == "run" else (args.command,):
+                result = run_experiment(cfg, command)
+                last = result.records[-1]
+                print(f"{result.method}: {result.rounds_run} rounds -> {result.paths.metrics}")
+                summary = {k: v for k, v in last.metrics().items() if v is not None}
+                print(json.dumps(summary))
         elif args.command == "eval":
             method = args.method or resolve_method(cfg.method, "learn")
             print(json.dumps(evaluate_snapshot(cfg, method), sort_keys=True))

@@ -11,7 +11,9 @@ import pytest
 
 import steinfed
 from steinfed.cli import build_parser, main
+from steinfed.experiments import _classification_problem
 from steinfed.metrics import read_metrics_csv
+from test_experiments import _count_calls, classification_dict
 
 
 def write_config(tmp_path, out_dir, seed=0):
@@ -89,6 +91,24 @@ class TestCommands:
         for name in ("dsvgd", "forget_svgd", "retrain"):
             assert (tmp_path / "runs" / f"{name}_metrics.csv").exists()
             assert (tmp_path / "runs" / f"{name}_snapshot.txt").exists()
+
+    def test_run_builds_the_problem_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(classification_dict(tmp_path / "runs")))
+        _classification_problem.cache_clear()
+        counts = _count_calls(monkeypatch, {"models": ("pretrain_feature_map",)})
+        assert main(["run", "--config", str(path)]) == 0
+        assert dict(counts) == {"pretrain_feature_map": 1}
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[::2]] == ["dsvgd", "forget_svgd", "retrain"]
+        # the same snapshots as three commands that each build the problem afresh
+        for command in ("learn", "unlearn", "retrain"):
+            _classification_problem.cache_clear()
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "apart")]) == 0
+        for name in ("dsvgd", "forget_svgd", "retrain"):
+            snapshot = f"{name}_snapshot.txt"
+            assert ((tmp_path / "runs" / snapshot).read_bytes()
+                    == (tmp_path / "apart" / snapshot).read_bytes())
 
     def test_eval_other_method_via_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tmp_path / "runs")

@@ -581,7 +581,6 @@ class TestBuildOnce:
             build_problem(dataclasses.replace(cfg, forget_agents=(3,)))
         assert dict(counts) == {"pretrain_feature_map": 1}
 
-
     def test_rewritten_idx_file_is_read_again(self, tmp_path, monkeypatch):
         counts = _count_calls(monkeypatch, {"models": ("pretrain_feature_map",)})
         rng = np.random.default_rng(0)
@@ -600,6 +599,7 @@ class TestBuildOnce:
             assert build_problem(cfg).test_labels.shape == (n_test,)
             assert build_problem(cfg).test_labels.shape == (n_test,)
         assert dict(counts) == {"pretrain_feature_map": 2}
+
 
 class TestStopRules:
     def rec(self, rnd, acc=None, loss=None):
