@@ -31,6 +31,7 @@ from .kernels import kde_log_density
 from .metrics import (
     METRICS_COLUMNS,
     GridConfig,
+    GridReference,
     MetricRecord,
     MetricsWriter,
     TranscriptWriter,
@@ -391,6 +392,10 @@ class MixtureProblem:
     forget_ids: tuple[int, ...]
     grid: GridConfig
     kde_lam: float
+    # The reference density on the grid is the same every round of a phase,
+    # so it is evaluated and normalized once per (retained_only, forget_ids, grid).
+    _references: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
+                                          compare=False)
 
     @property
     def retained_ids(self) -> tuple[int, ...]:
@@ -408,8 +413,15 @@ class MixtureProblem:
 
         return log_ref
 
+    def _grid_reference(self, retained_only: bool) -> GridReference:
+        key = (retained_only, self.forget_ids, self.grid)
+        if key not in self._references:
+            self._references[key] = GridReference.of(self.reference_log_density(retained_only),
+                                                      self.grid)
+        return self._references[key]
+
     def _fields(self, log_q, loss_points: np.ndarray, retained_only: bool) -> dict:
-        return {"kl": grid_kl(log_q, self.reference_log_density(retained_only), self.grid),
+        return {"kl": grid_kl(log_q, self._grid_reference(retained_only), self.grid),
                 "forgot_loss": _forgot_loss(self.losses, self.forget_ids, loss_points)}
 
     def particle_metrics(self, particles: np.ndarray, retained_only: bool) -> dict:

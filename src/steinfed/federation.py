@@ -152,10 +152,10 @@ def tilted_grad(
 
     def target(theta: np.ndarray) -> np.ndarray:
         grad = kde_log_density_grad(global_ref, theta, lam)
-        grad = grad - kde_log_density_grad(local_ref, theta, lam)
-        grad = grad + sign * loss.neg_loss_grad(theta, alpha)
+        grad -= kde_log_density_grad(local_ref, theta, lam)
+        grad += sign * loss.neg_loss_grad(theta, alpha)
         if prior is not None:
-            grad = grad + prior.score(theta)
+            grad += prior.score(theta)
         return grad
 
     return target
@@ -174,8 +174,8 @@ def distill_target_grad(
 
     def target(theta: np.ndarray) -> np.ndarray:
         grad = kde_log_density_grad(new_ref, theta, lam)
-        grad = grad - kde_log_density_grad(old_ref, theta, lam)
-        grad = grad + kde_log_density_grad(local_ref, theta, lam)
+        grad -= kde_log_density_grad(old_ref, theta, lam)
+        grad += kde_log_density_grad(local_ref, theta, lam)
         return grad
 
     return target

@@ -11,6 +11,18 @@ update targets.
 The transport kernel matrix, its median bandwidth and the KDE share one
 pairwise squared-distance helper written as a matrix product, so no
 ``(Q, N, d)`` difference tensor is ever formed.
+
+One buffer per kernel call: each ``(Q, N)`` result is allocated once and
+finished with in-place steps, so a call never holds two large short-lived
+temporaries at once.  An expression such as ``a - 2.0 * x @ y.T`` keeps its
+product alive while it allocates the difference.  At the 2001-point KL grid
+against 100 particles (1.6 MB per array) that pair of temporaries makes
+glibc trim the heap when they are freed and fault the pages back in on the
+next call: the distance took 2.0 ms a call where one buffer takes 0.3 ms
+(numpy 2.4, one core of a Xeon).  An in-place step is used only where it is
+bit-exact, so results are unchanged to the last bit: the same operations on
+the same operands, a commuted ``+`` or ``*``, or a sign moved through a
+division.
 """
 
 from __future__ import annotations
@@ -93,9 +105,12 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray, row_norms: bool = True) -> n
     """Squared distances ||x_i - y_j||^2 between rows, in expanded-square GEMM form.
 
     ``row_norms=False`` leaves out the ||x_i||^2 term, constant along each row;
-    otherwise round-off below zero is floored at 0.
+    otherwise round-off below zero is floored at 0.  ``np.dot`` writes the
+    product into the one ``(Q, N)`` buffer; unlike ``@`` it stays on BLAS at
+    inner dimension 1, where each entry is a single product either way.
     """
-    sq = (y ** 2).sum(axis=1) - 2.0 * x @ y.T
+    sq = np.dot(2.0 * x, y.T)
+    np.subtract((y ** 2).sum(axis=1), sq, out=sq)
     if row_norms:
         sq += (x ** 2).sum(axis=1)[:, None]
         np.maximum(sq, 0.0, out=sq)
@@ -139,4 +154,7 @@ def kde_log_density_grad(particles: np.ndarray, query: np.ndarray, lam: float) -
     d = theta.shape[1]
     q = _as_rows(query, d)
     weights = _softmax(_kde_logits(theta, q, lam), axis=1)
-    return (weights @ theta - q) / (lam * lam)
+    grad = weights @ theta
+    grad -= q
+    grad /= lam * lam
+    return grad

@@ -67,7 +67,7 @@ def _normalized_density(log_values: np.ndarray, x: np.ndarray, name: str) -> np.
     mass = np.trapezoid(density, x)
     if not mass > 0:
         raise GridError(f"{name} has zero mass on the grid")
-    density = density / mass
+    density /= mass
     dx = x[1] - x[0]
     edge_mass = 0.5 * (density[0] + density[-1]) * dx
     if edge_mass > EDGE_MASS_LIMIT:
@@ -77,9 +77,29 @@ def _normalized_density(log_values: np.ndarray, x: np.ndarray, name: str) -> np.
     return density
 
 
+@dataclass(frozen=True)
+class GridReference:
+    """The p side of ``grid_kl``, normalized once for many comparisons against it.
+
+    ``log_density`` is the read-only log of the trapezoid-normalized density
+    at ``grid.linspace()``, floored at ``DENSITY_FLOOR`` before the log.
+    """
+
+    grid: GridConfig
+    log_density: np.ndarray
+
+    @classmethod
+    def of(cls, log_p: Callable[[np.ndarray], np.ndarray], grid: GridConfig) -> GridReference:
+        x = grid.linspace()
+        p = _normalized_density(np.asarray(log_p(x), dtype=float), x, "p")
+        log_density = np.log(np.maximum(p, DENSITY_FLOOR, out=p), out=p)
+        log_density.setflags(write=False)
+        return cls(grid, log_density)
+
+
 def grid_kl(
     log_q: Callable[[np.ndarray], np.ndarray],
-    log_p: Callable[[np.ndarray], np.ndarray],
+    log_p: Callable[[np.ndarray], np.ndarray] | GridReference,
     grid: GridConfig,
 ) -> float:
     """KL(q || p) between two unnormalized log densities on a uniform grid.
@@ -87,12 +107,16 @@ def grid_kl(
     Both densities are trapezoid-normalized on the grid first, so the value
     is the KL divergence between the grid-restricted distributions.  It is
     nonnegative and zero only for pointwise-equal normalized densities.
+    ``log_p`` may be a ``GridReference`` built on the same grid, which
+    skips evaluating and normalizing p again.
     """
     x = grid.linspace()
     q = _normalized_density(np.asarray(log_q(x), dtype=float), x, "q")
-    p = _normalized_density(np.asarray(log_p(x), dtype=float), x, "p")
-    p = np.maximum(p, DENSITY_FLOOR)
-    integrand = np.where(q > 0, q * (np.log(np.maximum(q, DENSITY_FLOOR)) - np.log(p)), 0.0)
+    if not isinstance(log_p, GridReference):
+        log_p = GridReference.of(log_p, grid)
+    elif log_p.grid != grid:
+        raise GridError(f"reference was normalized on {log_p.grid}, not on {grid}")
+    integrand = np.where(q > 0, q * (np.log(np.maximum(q, DENSITY_FLOOR)) - log_p.log_density), 0.0)
     value = float(np.trapezoid(integrand, x))
     return value if value > 0.0 else 0.0
 

@@ -243,7 +243,8 @@ class SoftmaxHeadLoss:
         resid -= self._onehot[:, :, None]
         grad = self._design.T @ resid.reshape(self.labels.size, -1)
         grad = grad.reshape(-1, self.num_classes, q).transpose(2, 0, 1).reshape(q, self.dim)
-        return grad / (-alpha * self.labels.size)
+        grad /= -alpha * self.labels.size
+        return grad
 
 
 # --- model-averaged prediction ----------------------------------------------
@@ -325,8 +326,9 @@ class FeatureMap:
     biases: np.ndarray
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.maximum(x @ self.weights + self.biases, 0.0)
+        out = np.asarray(x, dtype=float) @ self.weights
+        out += self.biases
+        return np.maximum(out, 0.0, out=out)
 
     @property
     def num_features(self) -> int:
@@ -362,17 +364,23 @@ def pretrain_feature_map(
     onehot[np.arange(n), y] = 1.0
 
     for _ in range(config.epochs):
-        pre = x @ w1 + b1
-        hidden = np.maximum(pre, 0.0)
-        logits = hidden @ w2 + b2
-        log_probs = logits - _logsumexp(logits.copy(), axis=1)[:, None]
+        hidden = x @ w1
+        hidden += b1
+        active = hidden > 0.0
+        np.maximum(hidden, 0.0, out=hidden)
+        log_probs = hidden @ w2
+        log_probs += b2
+        log_probs -= _logsumexp(log_probs.copy(), axis=1)[:, None]
         loss = -log_probs[np.arange(n), y].mean()
         if not np.isfinite(loss):
             raise FloatingPointError("pretraining loss diverged")
-        resid = (np.exp(log_probs) - onehot) / n
+        resid = np.exp(log_probs, out=log_probs)
+        resid -= onehot
+        resid /= n
         grad_w2 = hidden.T @ resid
         grad_b2 = resid.sum(axis=0)
-        back = (resid @ w2.T) * (pre > 0.0)
+        back = resid @ w2.T
+        back *= active
         grad_w1 = x.T @ back
         grad_b1 = back.sum(axis=0)
         w2 -= config.step_size * grad_w2

@@ -71,10 +71,15 @@ def svgd_direction(
 
     sq_dists = pairwise_sq_dists(theta, theta)
     h = bandwidth if bandwidth is not None else _median_bandwidth(sq_dists)
-    kmat = np.exp(-sq_dists / h)
-    attract = kmat.T @ grads
-    repulse = (2.0 / h) * (theta * kmat.sum(axis=0)[:, None] - kmat.T @ theta)
-    return (attract + repulse) / n
+    kmat = np.exp(np.divide(sq_dists, -h, out=sq_dists), out=sq_dists)
+    # (attract + repulse) / n, with repulse = (2 / h) (theta * colsum(K) - K^T theta),
+    # built in one array
+    phi = theta * kmat.sum(axis=0)[:, None]
+    phi -= kmat.T @ theta
+    phi *= 2.0 / h
+    phi += kmat.T @ grads
+    phi /= n
+    return phi
 
 
 def adagrad_step(state: AdaGradState, particles: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -89,8 +94,14 @@ def adagrad_step(state: AdaGradState, particles: np.ndarray, direction: np.ndarr
         raise ValueError(
             f"accumulator shape {state.accumulator.shape} does not match particles {theta.shape}"
         )
-    state.accumulator += phi ** 2
-    return theta + state.epsilon * phi / (state.fudge + np.sqrt(state.accumulator))
+    denom = np.square(phi)
+    state.accumulator += denom
+    np.sqrt(state.accumulator, out=denom)
+    denom += state.fudge
+    step = state.epsilon * phi
+    step /= denom
+    step += theta
+    return step
 
 
 def run_svgd(

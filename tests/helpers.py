@@ -98,3 +98,142 @@ def head_neg_loss_grad_einsum(heads, features, labels, num_classes):
     onehot = np.eye(num_classes)[labels]
     resid = (softmax(head_logits_einsum(heads, features, num_classes), axis=2) - onehot) / labels.size
     return -np.einsum("nf,qnc->qfc", design, resid).reshape(heads.shape[0], -1)
+
+
+# --- allocating oracles -------------------------------------------------------
+# The expressions below are the allocating forms that the one-buffer code in
+# `steinfed` replaced, kept verbatim.  The new code must match them bit for
+# bit, so tests compare with `np.array_equal`, not a tolerance.
+
+
+def _logsumexp_in_place(logits, axis):
+    peak = logits.max(axis=axis, keepdims=True)
+    logits -= peak
+    np.exp(logits, out=logits)
+    return np.squeeze(peak, axis=axis) + np.log(logits.sum(axis=axis))
+
+
+def _softmax_in_place(logits, axis):
+    logits -= logits.max(axis=axis, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=axis, keepdims=True)
+    return logits
+
+
+def pairwise_sq_dists_allocating(x, y, row_norms=True):
+    sq = (y ** 2).sum(axis=1) - 2.0 * x @ y.T
+    if row_norms:
+        sq += (x ** 2).sum(axis=1)[:, None]
+        np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def _kde_logits_allocating(theta, q, lam):
+    logits = pairwise_sq_dists_allocating(q, theta, row_norms=False)
+    logits /= -2.0 * lam * lam
+    return logits
+
+
+def kde_log_density_allocating(theta, q, lam):
+    n, d = theta.shape
+    log_norm = 0.5 * d * np.log(2.0 * np.pi * lam * lam) + np.log(n)
+    out = _logsumexp_in_place(_kde_logits_allocating(theta, q, lam), axis=1)
+    out -= (q ** 2).sum(axis=1) / (2.0 * lam * lam) + log_norm
+    return out
+
+
+def kde_log_density_grad_allocating(theta, q, lam):
+    weights = _softmax_in_place(_kde_logits_allocating(theta, q, lam), axis=1)
+    return (weights @ theta - q) / (lam * lam)
+
+
+def svgd_direction_allocating(theta, grads, h):
+    """The transport direction for precomputed scores ``grads`` and bandwidth ``h``."""
+    n = theta.shape[0]
+    sq_dists = pairwise_sq_dists_allocating(theta, theta)
+    kmat = np.exp(-sq_dists / h)
+    attract = kmat.T @ grads
+    repulse = (2.0 / h) * (theta * kmat.sum(axis=0)[:, None] - kmat.T @ theta)
+    return (attract + repulse) / n
+
+
+def adagrad_step_allocating(accumulator, epsilon, fudge, theta, phi):
+    """One AdaGrad step; returns the new accumulator and the moved particles."""
+    accumulator = accumulator + phi ** 2
+    return accumulator, theta + epsilon * phi / (fudge + np.sqrt(accumulator))
+
+
+def tilted_target_allocating(global_ref, local_ref, loss, alpha, sign, prior, lam, theta):
+    grad = kde_log_density_grad_allocating(global_ref, theta, lam)
+    grad = grad - kde_log_density_grad_allocating(local_ref, theta, lam)
+    grad = grad + sign * loss.neg_loss_grad(theta, alpha)
+    if prior is not None:
+        grad = grad + prior.score(theta)
+    return grad
+
+
+def distill_target_allocating(new_ref, old_ref, local_ref, lam, theta):
+    grad = kde_log_density_grad_allocating(new_ref, theta, lam)
+    grad = grad - kde_log_density_grad_allocating(old_ref, theta, lam)
+    grad = grad + kde_log_density_grad_allocating(local_ref, theta, lam)
+    return grad
+
+
+def head_neg_loss_grad_allocating(design, onehot, num_classes, theta, alpha):
+    """``SoftmaxHeadLoss.neg_loss_grad`` from its design matrix and one-hot labels."""
+    n, rows = design.shape
+    q = theta.shape[0]
+    side_by_side = theta.reshape(q, rows, num_classes).transpose(1, 2, 0).reshape(rows, -1)
+    logits = (design @ side_by_side).reshape(n, num_classes, q)
+    resid = _softmax_in_place(logits, axis=1)
+    resid -= onehot[:, :, None]
+    grad = design.T @ resid.reshape(n, -1)
+    grad = grad.reshape(-1, num_classes, q).transpose(2, 0, 1).reshape(q, theta.shape[1])
+    return grad / (-alpha * n)
+
+
+def feature_map_allocating(weights, biases, x):
+    x = np.asarray(x, dtype=float)
+    return np.maximum(x @ weights + biases, 0.0)
+
+
+def pretrain_allocating(x, y, num_classes, hidden_units, epochs, step_size, rng):
+    """Weights and biases of the pretrained hidden layer, by the allocating epoch."""
+    n, f = x.shape
+    h = hidden_units
+    w1 = rng.standard_normal((f, h)) * np.sqrt(2.0 / f)
+    b1 = np.zeros(h)
+    w2 = rng.standard_normal((h, num_classes)) * np.sqrt(2.0 / h)
+    b2 = np.zeros(num_classes)
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), y] = 1.0
+    for _ in range(epochs):
+        pre = x @ w1 + b1
+        hidden = np.maximum(pre, 0.0)
+        logits = hidden @ w2 + b2
+        log_probs = logits - _logsumexp_in_place(logits.copy(), axis=1)[:, None]
+        resid = (np.exp(log_probs) - onehot) / n
+        grad_w2 = hidden.T @ resid
+        grad_b2 = resid.sum(axis=0)
+        back = (resid @ w2.T) * (pre > 0.0)
+        grad_w1 = x.T @ back
+        grad_b1 = back.sum(axis=0)
+        w2 -= step_size * grad_w2
+        b2 -= step_size * grad_b2
+        w1 -= step_size * grad_w1
+        b1 -= step_size * grad_b1
+    return w1, b1
+
+
+def grid_kl_allocating(log_q, log_p, x):
+    """``metrics.grid_kl`` without its validation, normalizing p on every call."""
+    def normalized(log_values):
+        density = _softmax_in_place(np.asarray(log_values, dtype=float).copy(), axis=0)
+        return density / np.trapezoid(density, x)
+
+    q = normalized(log_q(x))
+    p = normalized(log_p(x))
+    p = np.maximum(p, 1e-300)
+    integrand = np.where(q > 0, q * (np.log(np.maximum(q, 1e-300)) - np.log(p)), 0.0)
+    value = float(np.trapezoid(integrand, x))
+    return value if value > 0.0 else 0.0

@@ -1,0 +1,339 @@
+"""The one-buffer kernels against the allocating expressions they replaced.
+
+Every hot-path expression that now writes into an array it owns must give
+the same bits as before, must leave its inputs alone, and must not write
+into an array that a caller handed it read-only.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from helpers import (
+    adagrad_step_allocating,
+    distill_target_allocating,
+    feature_map_allocating,
+    grid_kl_allocating,
+    head_neg_loss_grad_allocating,
+    kde_log_density_allocating,
+    kde_log_density_grad_allocating,
+    pairwise_sq_dists_allocating,
+    pretrain_allocating,
+    svgd_direction_allocating,
+    tilted_target_allocating,
+)
+from steinfed.experiments import (
+    MixtureProblem,
+    _forgot_loss,
+    build_problem,
+    config_from_dict,
+    run_experiment,
+)
+from steinfed.federation import (
+    AgentState,
+    ProtocolConfig,
+    ServerState,
+    distill_target_grad,
+    learning_round,
+    tilted_grad,
+)
+from steinfed.kernels import (
+    _median_bandwidth,
+    kde_log_density,
+    kde_log_density_grad,
+    pairwise_sq_dists,
+)
+from steinfed.metrics import GridConfig, GridError, GridReference, grid_kl
+from steinfed.models import (
+    FeatureMap,
+    FeatureMapConfig,
+    GaussianMixtureLoss,
+    GaussianPrior,
+    MixtureComponent,
+    SoftmaxHeadLoss,
+    pretrain_feature_map,
+)
+from steinfed.svgd import AdaGradState, adagrad_step, svgd_direction
+from test_experiments import classification_dict, mixture_dict
+
+# (queries, particles, dimension): the mixture, its KL grid, desk and wide.
+KERNEL_SHAPES = [(100, 100, 1), (2001, 100, 1), (30, 30, 104), (100, 100, 1010)]
+# (particles, dimension) of the transport update and the tilted targets.
+PARTICLE_SHAPES = [(100, 1), (30, 104), (100, 1010)]
+# Dimension -> (features, classes) of a softmax head with (f + 1) * C = d.
+HEAD_LAYOUTS = {104: (25, 4), 1010: (100, 10)}
+LAM = 0.55
+
+
+def frozen(arr):
+    """A read-only copy, so that a write into an input raises."""
+    out = np.array(arr, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def points(rng, n, d, scale=1.5):
+    return frozen(rng.standard_normal((n, d)) * scale)
+
+
+def kernel_inputs(q, n, d, seed=0):
+    """Particles and queries; the 2001-query case is the KL grid itself."""
+    rng = np.random.default_rng(seed)
+    theta = points(rng, n, d)
+    query = frozen(GridConfig().linspace()[:, None]) if q == 2001 else points(rng, q, d, 2.0)
+    return theta, query
+
+
+def head_loss(d, seed=0, examples=60):
+    f, c = HEAD_LAYOUTS[d]
+    rng = np.random.default_rng(seed)
+    return SoftmaxHeadLoss(rng.standard_normal((examples, f)), rng.integers(0, c, examples), c)
+
+
+def mixture_loss():
+    return GaussianMixtureLoss([MixtureComponent(0.5, -2.0, 1.0), MixtureComponent(0.5, 3.0, 2.0)])
+
+
+def loss_for(d):
+    return mixture_loss() if d == 1 else head_loss(d)
+
+
+def assert_bits(new, old):
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert np.array_equal(new, old), f"max difference {np.max(np.abs(new - old))}"
+
+
+# --- bit-equality with the allocating forms ------------------------------------
+
+
+@pytest.mark.parametrize("q, n, d", KERNEL_SHAPES)
+class TestKernels:
+    @pytest.mark.parametrize("row_norms", [True, False])
+    def test_pairwise_sq_dists(self, q, n, d, row_norms):
+        theta, query = kernel_inputs(q, n, d)
+        assert_bits(pairwise_sq_dists(query, theta, row_norms),
+                    pairwise_sq_dists_allocating(query, theta, row_norms))
+        assert_bits(pairwise_sq_dists(theta, theta, row_norms),
+                    pairwise_sq_dists_allocating(theta, theta, row_norms))
+
+    def test_kde_log_density(self, q, n, d):
+        theta, query = kernel_inputs(q, n, d)
+        assert_bits(kde_log_density(theta, query, LAM), kde_log_density_allocating(theta, query, LAM))
+
+    def test_kde_log_density_grad(self, q, n, d):
+        theta, query = kernel_inputs(q, n, d)
+        assert_bits(kde_log_density_grad(theta, query, LAM),
+                    kde_log_density_grad_allocating(theta, query, LAM))
+
+
+@pytest.mark.parametrize("n, d", PARTICLE_SHAPES)
+class TestTransport:
+    @pytest.mark.parametrize("fixed", [None, 0.7])
+    def test_svgd_direction(self, n, d, fixed):
+        rng = np.random.default_rng(1)
+        theta, grads = points(rng, n, d), points(rng, n, d)
+        h = fixed if fixed is not None else _median_bandwidth(
+            pairwise_sq_dists_allocating(theta, theta))
+        assert_bits(svgd_direction(theta, lambda t: grads, fixed),
+                    svgd_direction_allocating(theta, grads, h))
+
+    def test_adagrad_steps(self, n, d):
+        rng = np.random.default_rng(2)
+        theta = points(rng, n, d)
+        state = AdaGradState(epsilon=0.3, fudge=1e-6)
+        acc = np.zeros((n, d))
+        old = theta
+        for _ in range(3):
+            phi = points(rng, n, d, 4.0)
+            theta = adagrad_step(state, theta, phi)
+            acc, old = adagrad_step_allocating(acc, 0.3, 1e-6, old, phi)
+            assert_bits(theta, old)
+            assert_bits(state.accumulator, acc)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("with_prior", [False, True])
+    def test_tilted_target(self, n, d, sign, with_prior):
+        rng = np.random.default_rng(3)
+        theta, global_ref, local_ref = points(rng, n, d), points(rng, n, d), points(rng, n, d)
+        loss, prior = loss_for(d), GaussianPrior(0.5, 4.0, dim=d)
+        config = ProtocolConfig(alpha=0.8, kde_lam=LAM, include_prior_score=with_prior, prior=prior)
+        target = tilted_grad(ServerState(global_ref), AgentState(loss, local_ref), config, sign)
+        assert_bits(target(theta), tilted_target_allocating(
+            global_ref, local_ref, loss, 0.8, sign, prior if with_prior else None, LAM, theta))
+
+    def test_distill_target(self, n, d):
+        rng = np.random.default_rng(4)
+        theta, refs = points(rng, n, d), [points(rng, n, d) for _ in range(3)]
+        assert_bits(distill_target_grad(*refs, LAM)(theta),
+                    distill_target_allocating(*refs, LAM, theta))
+
+
+class TestModels:
+    @pytest.mark.parametrize("d", sorted(HEAD_LAYOUTS))
+    @pytest.mark.parametrize("n", [1, 30, 100])
+    def test_head_neg_loss_grad(self, d, n):
+        loss = head_loss(d)
+        theta = points(np.random.default_rng(5), n, d, 0.3)
+        assert_bits(loss.neg_loss_grad(theta, 0.8),
+                    head_neg_loss_grad_allocating(loss._design, loss._onehot, loss.num_classes,
+                                                  theta, 0.8))
+
+    @pytest.mark.parametrize("n, inputs, hidden", [(30, 104, 25), (100, 784, 100)])
+    def test_feature_map(self, n, inputs, hidden):
+        rng = np.random.default_rng(6)
+        weights, biases, x = points(rng, inputs, hidden), frozen(rng.standard_normal(hidden)), \
+            points(rng, n, inputs)
+        assert_bits(FeatureMap(weights, biases)(x), feature_map_allocating(weights, biases, x))
+
+    @pytest.mark.parametrize("n, inputs, hidden, classes", [(300, 20, 16, 4), (500, 784, 100, 10)])
+    def test_three_pretraining_epochs(self, n, inputs, hidden, classes):
+        rng = np.random.default_rng(7)
+        x, y = points(rng, n, inputs), rng.integers(0, classes, n)
+        fmap = pretrain_feature_map(x, y, classes, FeatureMapConfig(hidden, 3, 0.1),
+                                    np.random.default_rng(8))
+        w1, b1 = pretrain_allocating(x, y, classes, hidden, 3, 0.1, np.random.default_rng(8))
+        assert_bits(fmap.weights, w1)
+        assert_bits(fmap.biases, b1)
+
+
+def test_grid_kl_with_and_without_reference():
+    grid = GridConfig()
+    rng = np.random.default_rng(9)
+    particles = points(rng, 100, 1)
+    log_q = lambda x: kde_log_density(particles, x[:, None], LAM)
+    log_p = lambda x: mixture_loss().log_mixture_density(x[:, None])
+    old = grid_kl_allocating(log_q, log_p, grid.linspace())
+    assert grid_kl(log_q, log_p, grid) == old
+    assert grid_kl(log_q, GridReference.of(log_p, grid), grid) == old
+
+
+# --- aliasing -------------------------------------------------------------------
+
+
+def test_inputs_keep_their_bytes():
+    """Writable inputs come back unchanged from every rewritten function."""
+    rng = np.random.default_rng(10)
+    theta, query, phi = (rng.standard_normal((30, 104)) for _ in range(3))
+    x = rng.standard_normal((30, 40))
+    weights, biases = rng.standard_normal((40, 8)), rng.standard_normal(8)
+    labels = rng.integers(0, 4, 30)
+    loss = head_loss(104)
+    inputs = [theta, query, phi, x, weights, biases, loss._design, loss._onehot]
+    before = [a.tobytes() for a in inputs]
+    config = ProtocolConfig(kde_lam=LAM, include_prior_score=True,
+                            prior=GaussianPrior(0.0, 4.0, dim=104))
+    pairwise_sq_dists(query, theta)
+    pairwise_sq_dists(query, theta, row_norms=False)
+    kde_log_density(theta, query, LAM)
+    kde_log_density_grad(theta, query, LAM)
+    svgd_direction(theta, lambda t: phi)
+    adagrad_step(AdaGradState(), theta, phi)
+    tilted_grad(ServerState(theta), AgentState(loss, query), config, -1.0)(phi)
+    distill_target_grad(theta, query, phi, LAM)(query)
+    loss.neg_loss_grad(theta)
+    FeatureMap(weights, biases)(x)
+    pretrain_feature_map(x, labels, 4, FeatureMapConfig(8, 3, 0.1), np.random.default_rng(0))
+    assert [a.tobytes() for a in inputs] == before
+
+
+class _ReadOnlyScores:
+    """Wraps a loss or prior so that its score comes back read-only."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def neg_loss_grad(self, theta, alpha=1.0):
+        return frozen(self.inner.neg_loss_grad(theta, alpha))
+
+    def score(self, theta):
+        return frozen(self.inner.score(theta))
+
+
+class TestReadOnlyOperands:
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        self.theta, self.global_ref, self.local_ref = (points(rng, 30, 104) for _ in range(3))
+        self.loss, self.prior = head_loss(104), GaussianPrior(0.5, 4.0, dim=104)
+
+    def expected(self, prior):
+        return tilted_target_allocating(self.global_ref, self.local_ref, self.loss, 1.0, -1.0,
+                                        prior, LAM, self.theta)
+
+    def test_tilted_grad_with_read_only_loss_gradient(self):
+        config = ProtocolConfig(kde_lam=LAM, prior=self.prior)
+        target = tilted_grad(ServerState(self.global_ref),
+                             AgentState(_ReadOnlyScores(self.loss), self.local_ref), config, -1.0)
+        assert_bits(target(self.theta), self.expected(None))
+
+    def test_tilted_grad_with_read_only_prior_score(self):
+        config = ProtocolConfig(kde_lam=LAM, include_prior_score=True,
+                                prior=_ReadOnlyScores(self.prior))
+        target = tilted_grad(ServerState(self.global_ref), AgentState(self.loss, self.local_ref),
+                             config, -1.0)
+        assert_bits(target(self.theta), self.expected(self.prior))
+
+    def test_distill_target_with_read_only_references(self):
+        target = distill_target_grad(self.global_ref, self.local_ref, self.theta, LAM)
+        assert_bits(target(self.local_ref),
+                    distill_target_allocating(self.global_ref, self.local_ref, self.theta, LAM,
+                                              self.local_ref))
+
+    def test_targets_on_the_cached_classification_problem(self, tmp_path):
+        problem = build_problem(config_from_dict(classification_dict(tmp_path)))
+        loss = problem.losses[1]
+        assert not loss._design.flags.writeable
+        rng = np.random.default_rng(12)
+        theta, global_ref, local_ref = (points(rng, 6, loss.dim, 0.3) for _ in range(3))
+        config = ProtocolConfig(alpha=0.8, kde_lam=LAM, include_prior_score=True,
+                                prior=problem.prior)
+        for sign in (1.0, -1.0):
+            target = tilted_grad(ServerState(global_ref), AgentState(loss, local_ref), config, sign)
+            assert_bits(target(theta), tilted_target_allocating(
+                global_ref, local_ref, loss, 0.8, sign, problem.prior, LAM, theta))
+        server, agent = learning_round(ServerState(global_ref), AgentState(loss, local_ref), config)
+        assert np.all(np.isfinite(server.global_particles))
+        assert np.all(np.isfinite(agent.local_particles))
+
+
+# --- the mixture reference density ---------------------------------------------
+
+
+def _fields_per_round(self, log_q, loss_points, retained_only):
+    """``MixtureProblem._fields`` as it was: the reference evaluated every round."""
+    return {"kl": grid_kl(log_q, self.reference_log_density(retained_only), self.grid),
+            "forgot_loss": _forgot_loss(self.losses, self.forget_ids, loss_points)}
+
+
+@pytest.mark.parametrize("method", ["dsvgd", "pvi"])
+def test_mixture_reference_is_built_once_per_phase(tmp_path, monkeypatch, method):
+    calls = []
+    original = MixtureProblem.reference_log_density
+
+    def counted(self, retained_only):
+        calls.append(retained_only)
+        return original(self, retained_only)
+
+    monkeypatch.setattr(MixtureProblem, "reference_log_density", counted)
+    data = mixture_dict(tmp_path / "once")
+    data["method"] = method
+    data["pvi"] = {"local_iters": 3, "epsilon": 0.05, "mc_samples": 64}
+    cfg = config_from_dict(data)
+    once = {command: run_experiment(cfg, command) for command in ("learn", "unlearn")}
+    assert calls == [False, True]
+
+    calls.clear()
+    monkeypatch.setattr(MixtureProblem, "_fields", _fields_per_round)
+    cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "every"))
+    every = {command: run_experiment(cfg, command) for command in ("learn", "unlearn")}
+    assert len(calls) == sum(len(res.records) for res in every.values())
+    for command in once:
+        assert [r.kl for r in once[command].records] == [r.kl for r in every[command].records]
+
+
+def test_grid_reference_is_read_only_and_tied_to_its_grid():
+    log_p = lambda x: -0.5 * x * x
+    ref = GridReference.of(log_p, GridConfig())
+    assert not ref.log_density.flags.writeable
+    with pytest.raises(GridError, match="normalized on"):
+        grid_kl(log_p, ref, GridConfig(lo=-8.0, hi=8.0))
