@@ -22,6 +22,7 @@ import time
 import types
 import typing
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -81,6 +82,7 @@ class MissingStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class UniformSpec:
+    kind: ClassVar[str] = "uniform"
     lo: float = -10.0
     hi: float = 10.0
 
@@ -94,6 +96,7 @@ class UniformSpec:
 
 @dataclass(frozen=True)
 class GaussianSpec:
+    kind: ClassVar[str] = "gaussian"
     mean: float = 0.0
     variance: float = 1.0
 
@@ -106,12 +109,20 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class MixtureSpec:
+    kind: ClassVar[str] = "mixture"
     prior: UniformSpec | GaussianSpec = UniformSpec()
     agents: tuple[tuple[MixtureComponent, ...], ...] = ()  # absent reads as empty: rejected below
 
     def __post_init__(self) -> None:
         if not self.agents:
             raise FieldError("agents", "expected a nonempty list")
+        for i, components in enumerate(self.agents):
+            if not components:
+                raise FieldError(f"agents[{i}]", "expected a nonempty list of components")
+
+    @property
+    def agent_ids(self) -> tuple[int, ...]:
+        return tuple(range(1, len(self.agents) + 1))
 
 
 @dataclass(frozen=True)
@@ -145,6 +156,7 @@ class IdxSpec:
 
 @dataclass(frozen=True)
 class ClassificationSpec:
+    kind: ClassVar[str] = "classification"
     source: str = "synthetic"
     synthetic: SyntheticSpec = SyntheticSpec()
     idx: IdxSpec | None = None
@@ -158,6 +170,16 @@ class ClassificationSpec:
         if self.source == "idx" and self.idx is None:
             raise FieldError("idx", "required when source is 'idx'")
         at_least(1, self, "labels_per_agent", "examples_per_agent")
+        if self.num_classes % self.labels_per_agent != 0:
+            raise FieldError("labels_per_agent", f"must divide the class count ({self.num_classes})")
+
+    @property
+    def num_classes(self) -> int:
+        return (self.idx if self.source == "idx" else self.synthetic).num_classes
+
+    @property
+    def agent_ids(self) -> tuple[int, ...]:
+        return tuple(range(1, self.num_classes // self.labels_per_agent + 1))
 
 
 @dataclass(frozen=True)
@@ -201,7 +223,8 @@ class ExperimentConfig:
 
     ``protocol`` carries no prior, and ``pvi`` keeps its default ``alpha``:
     each phase adds the problem's prior and the protocol's ``alpha``.
-    ``forget_agents`` holds sorted, distinct, 1-based agent ids.
+    ``forget_agents`` holds sorted, distinct, 1-based agent ids; it and
+    ``protocol.sequence`` may name only the experiment's agents.
     """
 
     method: str
@@ -226,6 +249,11 @@ class ExperimentConfig:
         object.__setattr__(self, "forget_agents", tuple(sorted(set(self.forget_agents))))
         if any(k < 1 for k in self.forget_agents):
             raise FieldError("forget_agents", "agent ids are 1-based")
+        for field, ids in (("forget_agents", self.forget_agents),
+                           ("protocol.sequence", self.protocol.sequence or ())):
+            unknown = sorted(set(ids) - set(self.experiment.agent_ids))
+            if unknown:
+                raise FieldError(field, f"unknown agent ids {unknown}")
 
 
 # --- config reading ---------------------------------------------------------------
@@ -238,17 +266,21 @@ _PHASE_FILLED = {fed.ProtocolConfig: "prior", PviConfig: "alpha"}
 
 @functools.cache
 def _keys(cls) -> dict:
-    """Each config key of ``cls``: its type hint and whether the key is required."""
+    """Each config key of ``cls``: its type hint and default (``MISSING``: required).
+
+    A positional field may keep its config default in ``metadata["default"]``.
+    """
     hints = typing.get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default is dataclasses.MISSING)
+    return {f.name: (hints[f.name], f.metadata.get("default", f.default))
             for f in dataclasses.fields(cls) if f.name != _PHASE_FILLED.get(cls)}
 
 
 def _read(cls, data, path: str):
-    """Build ``cls`` from one config object; every error names its field path.
+    """Build ``cls`` from one config object; every error names its JSON path.
 
-    A key may be left out when its field has a default, and may be ``null``
-    when its type admits ``None``; unknown keys are errors.
+    With ``_value``, the whole config reader: the type hints of ``cls`` are its
+    schema and its ``__post_init__`` its rules.  A key may be left out when its
+    field has a default; unknown keys are errors.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
@@ -257,13 +289,14 @@ def _read(cls, data, path: str):
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {unknown}")
     values = {}
-    for name, (hint, required) in keys.items():
+    for name, (hint, default) in keys.items():
         where = f"{path}.{name}"
         if name in data:
-            reader = _READERS.get((cls, name))
-            values[name] = reader(data[name], where) if reader else _value(hint, data[name], where)
-        elif required:
+            values[name] = _value(hint, data[name], where, default)
+        elif default is dataclasses.MISSING:
             raise ConfigError(f"{where}: required")
+        else:
+            values[name] = default
     try:
         return cls(**values)
     except FieldError as err:
@@ -272,85 +305,47 @@ def _read(cls, data, path: str):
         raise ConfigError(f"{path}: {err}") from None
 
 
-def _value(hint, value, where: str):
-    """Check one JSON value against a field's type hint; numbers become floats, lists tuples."""
-    if isinstance(hint, types.UnionType):  # ``X | None``, or ``float | np.ndarray``
-        if value is None and type(None) in hint.__args__:
-            return None
-        hint = hint.__args__[0]
+def _value(hint, value, where: str, default=dataclasses.MISSING):
+    """Check one JSON value against a field's type hint and ``default``, and build it.
+
+    A field typed as kinded sections is read as the one its ``kind`` names;
+    ``kind`` defaults to the kind of ``default``, and ``null`` means ``default``.
+    ``null`` passes where the hint admits ``None``; ``tuple[X, ...]`` reads a
+    list item by item, with ``[i]`` in the path; numbers become floats.
+    """
+    members = hint.__args__ if isinstance(hint, types.UnionType) else (hint,)
+    kinds = {m.kind: m for m in members if isinstance(getattr(m, "kind", None), str)}
+    if kinds:
+        if value is None and default is not dataclasses.MISSING:
+            return default
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected an object, got {type(value).__name__}")
+        if "kind" not in value and default is dataclasses.MISSING:
+            raise ConfigError(f"{where}.kind: required")
+        kind = _value(str, value.get("kind", getattr(default, "kind", None)), f"{where}.kind")
+        if kind not in kinds:
+            raise ConfigError(f"{where}.kind: expected one of {sorted(kinds)}, got {kind!r}")
+        return _read(kinds[kind], {k: v for k, v in value.items() if k != "kind"}, where)
+    if value is None and type(None) in members:
+        return None
+    hint = members[0]  # of ``X | None``, or of ``float | np.ndarray``
     if dataclasses.is_dataclass(hint):
         return _read(hint, value, where)
-    if typing.get_origin(hint) is tuple:  # tuple[int, ...]
-        if not isinstance(value, list) or not all(type(v) is int for v in value):
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        item = hint.__args__[0]
+        if item is int and not (isinstance(value, list) and all(type(v) is int for v in value)):
             raise ConfigError(f"{where}: expected a list of integers")
-        return tuple(value)
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+        return tuple(_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
     accepted = (int, float) if hint is float else hint
     if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
         raise ConfigError(f"{where}: expected {_KIND_NAMES[hint]}, got {type(value).__name__}")
     return float(value) if hint is float else value
 
 
-def _by_kind(data, path: str, kinds: dict, default: str | None = None):
-    """Build the type that an object's ``kind`` names from its other keys."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    if "kind" in data:
-        kind = _value(str, data["kind"], f"{path}.kind")
-    elif default is None:
-        raise ConfigError(f"{path}.kind: required")
-    else:
-        kind = default
-    if kind not in kinds:
-        raise ConfigError(f"{path}.kind: expected one of {sorted(kinds)}, got {kind!r}")
-    return _read(kinds[kind], {k: v for k, v in data.items() if k != "kind"}, path)
-
-
-_PRIOR_TYPES = {"uniform": UniformSpec, "gaussian": GaussianSpec}
-
-
-def _mixture_prior(data, path: str):
-    return UniformSpec() if data is None else _by_kind(data, path, _PRIOR_TYPES, "uniform")
-
-
-def _classification_prior(data, path: str):
-    prior = GaussianSpec() if data is None else _by_kind(data, path, _PRIOR_TYPES, "gaussian")
-    if not isinstance(prior, GaussianSpec):
-        raise ConfigError(f"{path}.kind: classification uses a gaussian prior")
-    return prior
-
-
-def _mixture_agents(data, path: str):
-    """Each agent is a list of components; a component's ``weight`` defaults to 1."""
-    if not isinstance(data, list):
-        raise ConfigError(f"{path}: expected a nonempty list")
-    agents = []
-    for i, raw in enumerate(data):
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{path}[{i}]: expected a nonempty list of components")
-        agents.append(tuple(
-            _read(MixtureComponent, {"weight": 1.0, **c} if isinstance(c, dict) else c,
-                  f"{path}[{i}].components[{j}]")
-            for j, c in enumerate(raw)
-        ))
-    return tuple(agents)
-
-
-# Fields whose JSON shape differs from their type.
-_READERS = {
-    (ExperimentConfig, "experiment"): lambda data, path: _by_kind(
-        data, path, {"mixture": MixtureSpec, "classification": ClassificationSpec}),
-    (MixtureSpec, "prior"): _mixture_prior,
-    (MixtureSpec, "agents"): _mixture_agents,
-    (ClassificationSpec, "prior"): _classification_prior,
-}
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Validate a parsed JSON object into a typed config.
-
-    Every rejected field is reported with its full path, and unknown keys
-    are errors at every level.
-    """
+    """Validate a parsed JSON object into a typed config; see ``_read`` for the errors."""
     return _read(ExperimentConfig, data, "config")
 
 
@@ -489,23 +484,19 @@ def build_problem(cfg: ExperimentConfig):
     its forget set, method, protocol or output directory shares that build.
     """
     if isinstance(cfg.experiment, MixtureSpec):
-        spec = cfg.experiment
-        problem = MixtureProblem(
+        return MixtureProblem(
             losses={i + 1: GaussianMixtureLoss(list(components))
-                    for i, components in enumerate(spec.agents)},
-            prior=spec.prior.build(dim=1),
+                    for i, components in enumerate(cfg.experiment.agents)},
+            prior=cfg.experiment.prior.build(dim=1),
             forget_ids=cfg.forget_agents,
             grid=cfg.grid,
             kde_lam=cfg.protocol.kde_lam,
         )
-    else:
-        try:
-            shared = _classification_problem(cfg.experiment, cfg.seed, _idx_stamps(cfg.experiment))
-        except FileNotFoundError as err:
-            raise ConfigError(f"config.experiment.idx: {err}") from None
-        problem = dataclasses.replace(shared, forget_ids=cfg.forget_agents)
-    _validate_agent_ids(cfg, problem.losses)
-    return problem
+    try:
+        shared = _classification_problem(cfg.experiment, cfg.seed, _idx_stamps(cfg.experiment))
+    except FileNotFoundError as err:
+        raise ConfigError(f"config.experiment.idx: {err}") from None
+    return dataclasses.replace(shared, forget_ids=cfg.forget_agents)
 
 
 def _idx_stamps(spec: ClassificationSpec) -> tuple:
@@ -521,27 +512,20 @@ def _idx_stamps(spec: ClassificationSpec) -> tuple:
 def _classification_problem(spec: ClassificationSpec, seed: int,
                             idx_stamps: tuple) -> ClassificationProblem:
     """The problem of ``spec`` at ``seed``, without a forget set; ``idx_stamps`` keys the cache."""
+    num_classes = spec.num_classes
     if spec.source == "synthetic":
         syn = spec.synthetic
         train, test = make_synthetic_pair(
-            syn.num_classes, syn.dim, syn.n_train, syn.n_test, seed,
+            num_classes, syn.dim, syn.n_train, syn.n_test, seed,
             center_scale=syn.center_scale, noise=syn.noise,
         )
-        num_classes = syn.num_classes
     else:
-        train = load_idx_dataset(spec.idx.train_images, spec.idx.train_labels, spec.idx.num_classes)
-        test = load_idx_dataset(spec.idx.test_images, spec.idx.test_labels, spec.idx.num_classes)
-        num_classes = spec.idx.num_classes
+        train = load_idx_dataset(spec.idx.train_images, spec.idx.train_labels, num_classes)
+        test = load_idx_dataset(spec.idx.test_images, spec.idx.test_labels, num_classes)
 
-    if num_classes % spec.labels_per_agent != 0:
-        raise ConfigError(
-            "config.experiment.labels_per_agent: must divide the class count "
-            f"({num_classes})"
-        )
-    num_agents = num_classes // spec.labels_per_agent
     try:
         shards = partition_non_iid(
-            train, num_agents, spec.labels_per_agent, spec.examples_per_agent, seed
+            train, len(spec.agent_ids), spec.labels_per_agent, spec.examples_per_agent, seed
         )
     except ValueError as err:
         raise ConfigError(f"config.experiment: {err}") from None
@@ -570,14 +554,6 @@ def _classification_problem(spec: ClassificationSpec, seed: int,
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
     return problem
-
-
-def _validate_agent_ids(cfg: ExperimentConfig, known) -> None:
-    for field, ids in (("forget_agents", cfg.forget_agents),
-                       ("protocol.sequence", cfg.protocol.sequence or ())):
-        unknown = sorted(set(ids) - set(known))
-        if unknown:
-            raise ConfigError(f"config.{field}: unknown agent ids {unknown}")
 
 
 # --- phase loop -----------------------------------------------------------------
@@ -734,8 +710,6 @@ def _run_particles(cfg: ExperimentConfig, problem, method: str, started: float) 
     losses = problem.losses
     if phase == "retrain":
         losses = {k: v for k, v in losses.items() if k not in problem.forget_ids}
-        if cfg.retrain.mode == "federated" and not losses:
-            raise ConfigError("config.retrain.mode: federated retraining needs a retained agent")
     if phase == "unlearn":
         learned = run_paths(cfg, "dsvgd").snapshot
         if not os.path.exists(learned):
@@ -826,13 +800,37 @@ def _run_parametric(cfg: ExperimentConfig, problem, method: str, started: float)
     )
 
 
+def _check_phase_agents(cfg: ExperimentConfig, phase: str) -> None:
+    """Reject a phase with no agent to schedule, or a fixed sequence that names one it cannot.
+
+    Learning schedules every agent, unlearning the forget agents, federated
+    retraining the retained ones, and centralized retraining none.  Only the
+    first ``rounds`` entries of a sequence are checked; running out of entries
+    stays a round's error, because an early stop may end the phase first.
+    """
+    if phase == "retrain" and cfg.retrain.mode == "centralized":
+        return
+    agents = cfg.experiment.agent_ids
+    eligible = {"learn": agents, "unlearn": cfg.forget_agents,
+                "retrain": tuple(k for k in agents if k not in cfg.forget_agents)}[phase]
+    if not eligible:  # learning always has an agent
+        raise ConfigError("config.forget_agents: unlearning needs a nonempty forget set"
+                          if phase == "unlearn" else
+                          "config.retrain.mode: federated retraining needs a retained agent")
+    if cfg.protocol.schedule == "fixed_sequence":
+        named = cfg.protocol.sequence[:getattr(cfg, phase).rounds]
+        ineligible = sorted(set(named) - set(eligible))
+        if ineligible:
+            raise ConfigError(f"config.protocol.sequence: the {phase} phase cannot schedule agents "
+                              f"{ineligible}; it schedules {list(eligible)}")
+
+
 def run_experiment(cfg: ExperimentConfig, command: str) -> RunResult:
     """Run one phase of the configured experiment and write its artifacts."""
     started = time.perf_counter()
     method = resolve_method(cfg.method, command)
+    _check_phase_agents(cfg, _METHOD_PHASE[method])
     problem = build_problem(cfg)
-    if _METHOD_PHASE[method] == "unlearn" and not problem.forget_ids:
-        raise ConfigError("config.forget_agents: unlearning needs a nonempty forget set")
     run = _run_parametric if method in PARAMETRIC_METHODS else _run_particles
     return run(cfg, problem, method, started)
 

@@ -15,7 +15,7 @@ clamp used to keep particles inside a bounded support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,7 +115,7 @@ class GaussianPrior:
 
 @dataclass(frozen=True)
 class MixtureComponent:
-    weight: float
+    weight: float = field(metadata={"default": 1.0})  # positional; a config may leave it out
     mean: float | np.ndarray
     variance: float | np.ndarray
 

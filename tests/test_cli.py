@@ -165,6 +165,32 @@ class TestCommands:
         assert not (tmp_path / "runs").exists()
 
 
+# Faults that the config alone shows: (change to the config, the path the error names).
+LOAD_FAULTS = {
+    "forget": (lambda data: data.update(forget_agents=[2, 5]), "config.forget_agents"),
+    "sequence": (lambda data: data["protocol"].update(schedule="fixed_sequence", sequence=[1, 3]),
+                 "config.protocol.sequence"),
+    "labels": (lambda data: data["experiment"].update(labels_per_agent=3),
+               "config.experiment.labels_per_agent"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LOAD_FAULTS))
+@pytest.mark.parametrize("command", ["learn", "run", "eval", "export-plot-data"])
+def test_config_faults_fail_before_the_build(tmp_path, capsys, monkeypatch, command, fault):
+    change, where = LOAD_FAULTS[fault]
+    data = classification_dict(tmp_path / "runs")
+    change(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    _classification_problem.cache_clear()
+    counts = _count_calls(monkeypatch, {"models": ("pretrain_feature_map",)})
+    assert main([command, "--config", str(path)]) == 1
+    assert f"error: {where}: " in capsys.readouterr().err
+    assert not counts
+    assert not (tmp_path / "runs").exists()
+
+
 class TestEntryPoint:
     def test_installed_script_prints_help(self):
         exe = shutil.which("steinfed")

@@ -18,8 +18,10 @@ from steinfed.experiments import (
     ClassificationProblem,
     ConfigError,
     ExperimentConfig,
+    GaussianSpec,
     MissingStateError,
     MixtureProblem,
+    UniformSpec,
     _classification_problem,
     _forgetting_achieved,
     _forgot_loss_plateaued,
@@ -53,6 +55,7 @@ from steinfed.metrics import (
 )
 from steinfed.models import GaussianPrior, UniformPrior
 from steinfed.pvi import PviConfig
+from steinfed.rules import FieldError
 from test_data import write_images, write_labels
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -188,6 +191,32 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="agents"):
             config_from_dict(data)
 
+    def test_component_weight_defaults_to_one(self, tmp_path):
+        data = mixture_dict(tmp_path)
+        del data["experiment"]["agents"][0][0]["weight"]
+        (component,) = config_from_dict(data).experiment.agents[0]
+        assert component.weight == 1.0
+
+    def test_omitted_weights_learn_the_snapshot_of_written_ones(self, tmp_path):
+        snapshots = []
+        for name in ("written", "omitted"):
+            data = mixture_dict(tmp_path / name)
+            data["learn"]["rounds"] = 1
+            for components in data["experiment"]["agents"]:
+                for component in components:
+                    component["weight"] = 1.0
+                    if name == "omitted":
+                        del component["weight"]
+            result = run_experiment(config_from_dict(data), "learn")
+            snapshots.append(Path(result.paths.snapshot).read_bytes())
+        assert snapshots[0] == snapshots[1]
+
+    def test_null_prior_reads_as_the_default(self, tmp_path):
+        for base, default in (("mix", UniformSpec()), ("cls", GaussianSpec())):
+            data = BASES[base](tmp_path)
+            data["experiment"]["prior"] = None
+            assert config_from_dict(data).experiment.prior == default
+
     def test_prior_bounds_validated(self, tmp_path):
         data = mixture_dict(tmp_path)
         data["experiment"]["prior"] = {"kind": "uniform", "lo": 5, "hi": 5}
@@ -278,6 +307,8 @@ CONFIG_ERRORS = [
     ("mix", ("forget_agents",), [True], "config.forget_agents: expected a list of integers"),
     ("mix", ("forget_agents",), None, "config.forget_agents: expected a list of integers"),
     ("mix", ("forget_agents",), [0], "config.forget_agents: agent ids are 1-based"),
+    ("mix", ("forget_agents",), [3, 1], "config.forget_agents: unknown agent ids [3]"),
+    ("cls", ("forget_agents",), [2, 4], "config.forget_agents: unknown agent ids [4]"),
     # mixture experiment, prior and components
     ("mix", EXP + ("typo",), 1, "config.experiment: unknown key(s) ['typo']"),
     ("mix", EXP + ("prior",), [], "config.experiment.prior: expected an object, got list"),
@@ -294,22 +325,23 @@ CONFIG_ERRORS = [
      "config.experiment.prior: unknown key(s) ['lo']"),
     ("mix", EXP + ("agents",), DELETE, "config.experiment.agents: expected a nonempty list"),
     ("mix", EXP + ("agents",), [], "config.experiment.agents: expected a nonempty list"),
-    ("mix", EXP + ("agents",), {}, "config.experiment.agents: expected a nonempty list"),
+    ("mix", EXP + ("agents",), {}, "config.experiment.agents: expected a list, got dict"),
     ("mix", EXP + ("agents", 0), [],
      "config.experiment.agents[0]: expected a nonempty list of components"),
+    ("mix", EXP + ("agents", 1), 3, "config.experiment.agents[1]: expected a list, got int"),
     ("mix", EXP + ("agents", 1, 1), 3,
-     "config.experiment.agents[1].components[1]: expected an object, got int"),
+     "config.experiment.agents[1][1]: expected an object, got int"),
     ("mix", COMP + ("skew",), 1,
-     "config.experiment.agents[0].components[0]: unknown key(s) ['skew']"),
-    ("mix", COMP + ("mean",), DELETE, "config.experiment.agents[0].components[0].mean: required"),
+     "config.experiment.agents[0][0]: unknown key(s) ['skew']"),
+    ("mix", COMP + ("mean",), DELETE, "config.experiment.agents[0][0].mean: required"),
     ("mix", COMP + ("variance",), DELETE,
-     "config.experiment.agents[0].components[0].variance: required"),
+     "config.experiment.agents[0][0].variance: required"),
     ("mix", COMP + ("variance",), -1,
-     "config.experiment.agents[0].components[0].variance: must be positive, got -1.0"),
+     "config.experiment.agents[0][0].variance: must be positive, got -1.0"),
     ("mix", COMP + ("weight",), 0,
-     "config.experiment.agents[0].components[0].weight: must be positive, got 0.0"),
+     "config.experiment.agents[0][0].weight: must be positive, got 0.0"),
     ("mix", COMP + ("weight",), False,
-     "config.experiment.agents[0].components[0].weight: expected a number, got bool"),
+     "config.experiment.agents[0][0].weight: expected a number, got bool"),
     # classification experiment
     ("cls", EXP + ("typo",), 1, "config.experiment: unknown key(s) ['typo']"),
     ("cls", EXP + ("source",), 3, "config.experiment.source: expected a string, got int"),
@@ -360,13 +392,17 @@ CONFIG_ERRORS = [
     ("cls", FMAP + ("step_size",), "x",
      "config.experiment.feature_map.step_size: expected a number, got str"),
     ("cls", EXP + ("prior",), {"kind": "uniform"},
-     "config.experiment.prior.kind: classification uses a gaussian prior"),
+     "config.experiment.prior.kind: expected one of ['gaussian'], got 'uniform'"),
     ("cls", EXP + ("prior", "variance"), -1,
      "config.experiment.prior.variance: must be positive, got -1.0"),
     ("cls", EXP + ("labels_per_agent",), 0,
      "config.experiment.labels_per_agent: must be at least 1, got 0"),
     ("cls", EXP + ("labels_per_agent",), 2.5,
      "config.experiment.labels_per_agent: expected an integer, got float"),
+    ("cls", EXP + ("labels_per_agent",), 3,
+     "config.experiment.labels_per_agent: must divide the class count (4)"),
+    ("idx", EXP + ("idx", "num_classes"), 5,
+     "config.experiment.labels_per_agent: must divide the class count (5)"),
     ("cls", EXP + ("examples_per_agent",), 0,
      "config.experiment.examples_per_agent: must be at least 1, got 0"),
     ("cls", EXP + ("examples_per_agent",), "x",
@@ -393,6 +429,7 @@ CONFIG_ERRORS = [
     ("mix", ("protocol", "sequence"), [1, "two"],
      "config.protocol.sequence: expected a list of integers"),
     ("mix", ("protocol", "sequence"), 3, "config.protocol.sequence: expected a list of integers"),
+    ("mix", ("protocol", "sequence"), [1, 7, 2], "config.protocol.sequence: unknown agent ids [7]"),
     ("mix", ("protocol", "schedule"), "fixed_sequence",
      "config.protocol.sequence: required when schedule is 'fixed_sequence'"),
     ("mix", ("protocol", "include_prior_score"), 1,
@@ -508,9 +545,8 @@ class TestBuildProblem:
     def test_mixture_unknown_forget_agent(self, tmp_path):
         data = mixture_dict(tmp_path)
         data["forget_agents"] = [3]
-        cfg = config_from_dict(data)
         with pytest.raises(ConfigError, match="unknown agent"):
-            build_problem(cfg)
+            config_from_dict(data)
 
     def test_classification_problem_layout(self, tmp_path):
         cfg = config_from_dict(classification_dict(tmp_path))
@@ -528,9 +564,8 @@ class TestBuildProblem:
     def test_classification_label_coverage_checked(self, tmp_path):
         data = classification_dict(tmp_path)
         data["experiment"]["labels_per_agent"] = 3
-        cfg = config_from_dict(data)
         with pytest.raises(ConfigError, match="labels_per_agent"):
-            build_problem(cfg)
+            config_from_dict(data)
 
     def test_unlearn_phase_overrides_apply(self, tmp_path):
         data = mixture_dict(tmp_path)
@@ -577,8 +612,8 @@ class TestBuildOnce:
         assert problem.losses is other.losses
         assert (problem.forget_ids, other.forget_ids) == ((2,), (1,))
         assert (problem.forgotten_classes, other.forgotten_classes) == ((2, 3), (0, 1))
-        with pytest.raises(ConfigError, match=r"^config.forget_agents: unknown agent ids \[3\]$"):
-            build_problem(dataclasses.replace(cfg, forget_agents=(3,)))
+        with pytest.raises(FieldError, match=r"^forget_agents: unknown agent ids \[3\]$"):
+            dataclasses.replace(cfg, forget_agents=(3,))
         assert dict(counts) == {"pretrain_feature_map": 1}
 
     def test_rewritten_idx_file_is_read_again(self, tmp_path, monkeypatch):
@@ -728,21 +763,43 @@ class TestParticleRuns:
         data["protocol"].update(schedule="fixed_sequence", sequence=[2, 1, 2, 1])
         cfg = config_from_dict(data)
         run_experiment(cfg, "learn")
-        with pytest.raises(ProtocolError, match="^scheduled agent 2 is not eligible$"):
+        with pytest.raises(ConfigError, match=r"^config.protocol.sequence: the unlearn phase "
+                           r"cannot schedule agents \[2\]; it schedules \[1\]$"):
             run_experiment(cfg, "unlearn")
-        events = read_transcript(run_paths(cfg, "forget_svgd").transcript)
-        assert events[-1] == {"round": 1, "phase": "unlearn",
-                              "error": "scheduled agent 2 is not eligible"}
+        assert not os.path.exists(run_paths(cfg, "forget_svgd").transcript)
+
+    @pytest.mark.parametrize("method,command,mode,prefix", [
+        ("dsvgd", "unlearn", "centralized", "forget_svgd"),
+        ("pvi", "unlearn", "centralized", "ulpvi"),
+        ("dsvgd", "retrain", "federated", "retrain"),
+    ])
+    def test_sequence_checked_against_the_phase_before_its_files(self, tmp_path, method,
+                                                                 command, mode, prefix):
+        data = mixture_dict(tmp_path / "runs")
+        data.update(method=method, forget_agents=[1])
+        data["retrain"]["mode"] = mode
+        data["protocol"].update(schedule="fixed_sequence", sequence=[2, 1, 2, 2])
+        cfg = config_from_dict(data)
+        run_experiment(cfg, "learn")  # every agent may learn
+        with pytest.raises(ConfigError, match=f"^config.protocol.sequence: the {command} phase"):
+            run_experiment(cfg, command)
+        assert not [name for name in os.listdir(cfg.out_dir) if name.startswith(prefix + "_")]
+
+    def test_sequence_entries_past_the_phase_rounds_are_not_checked(self, tmp_path):
+        data = mixture_dict(tmp_path / "runs")
+        data["retrain"]["mode"] = "federated"
+        data["protocol"].update(schedule="fixed_sequence", sequence=[2, 2, 2, 1])
+        cfg = config_from_dict(data)
+        assert run_experiment(cfg, "retrain").rounds_run == 3
 
     @pytest.mark.parametrize("base", ["mix", "cls"])
     def test_unknown_sequence_agent_rejected_before_round_zero(self, tmp_path, base):
         data = BASES[base](tmp_path / "runs")
         data["protocol"].update(schedule="fixed_sequence", sequence=[1, 7, 2])
-        cfg = config_from_dict(data)
         with pytest.raises(ConfigError,
                            match=r"^config.protocol.sequence: unknown agent ids \[7\]$"):
-            run_experiment(cfg, "learn")
-        assert not os.path.exists(cfg.out_dir)
+            config_from_dict(data)
+        assert not os.path.exists(data["out_dir"])
 
     def test_unlearn_needs_forget_agents(self, tmp_path):
         data = mixture_dict(tmp_path / "runs")
@@ -844,6 +901,23 @@ class TestRetrainRuns:
         particles, rnd, _ = load_snapshot(result.paths.snapshot)
         assert rnd == result.rounds_run == 3
         assert particles.shape == (12, 1)
+
+    @pytest.mark.parametrize("forget,command,message", [
+        ([], "unlearn", "config.forget_agents: unlearning needs a nonempty forget set"),
+        ([1, 2], "retrain", "config.retrain.mode: federated retraining needs a retained agent"),
+    ], ids=["unlearn", "retrain"])
+    def test_phase_without_agents_fails_before_the_build(self, tmp_path, monkeypatch, forget,
+                                                         command, message):
+        data = classification_dict(tmp_path / "runs")
+        data["forget_agents"] = forget
+        data["retrain"]["mode"] = "federated"
+        cfg = config_from_dict(data)
+        _classification_problem.cache_clear()
+        counts = _count_calls(monkeypatch, {"models": ("pretrain_feature_map",)})
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_experiment(cfg, command)
+        assert not counts
+        assert not os.path.exists(cfg.out_dir)
 
     def test_retrain_federated_matches_manual_protocol_loop(self, tmp_path):
         data = mixture_dict(tmp_path / "runs")
