@@ -16,8 +16,10 @@ import json
 import sys
 
 from .experiments import (
+    PHASES,
     ConfigError,
     MissingStateError,
+    check_phase_agents,
     evaluate_snapshot,
     export_plot_data,
     load_config,
@@ -26,8 +28,6 @@ from .experiments import (
     run_paths,
 )
 from .rules import FieldError
-
-PHASES = ("learn", "unlearn", "retrain")
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -43,26 +43,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, text in (
-        ("learn", "run federated learning with the configured method"),
-        ("unlearn", "run unlearning from a saved learned state"),
-        ("retrain", "retrain from scratch on the retained agents"),
+    for phase in PHASES.values():
+        _add_run_options(sub.add_parser(phase.name, help=phase.help))
+
+    _add_run_options(sub.add_parser("run", help="learn, unlearn and retrain in one process"))
+    for name, text, which in (
+        ("eval", "recompute metrics for a saved snapshot", "which saved state to evaluate"),
+        ("export-plot-data", "reduce a metrics CSV to plot columns",
+         "which metrics file to export"),
     ):
         cmd = sub.add_parser(name, help=text)
         _add_run_options(cmd)
-
-    cmd = sub.add_parser("run", help="learn, unlearn and retrain in one process")
-    _add_run_options(cmd)
-
-    cmd = sub.add_parser("eval", help="recompute metrics for a saved snapshot")
-    _add_run_options(cmd)
-    cmd.add_argument("--method", default=None,
-                     help="which saved state to evaluate (default: per config method)")
-
-    cmd = sub.add_parser("export-plot-data", help="reduce a metrics CSV to plot columns")
-    _add_run_options(cmd)
-    cmd.add_argument("--method", default=None,
-                     help="which metrics file to export (default: per config method)")
+        cmd.add_argument("--method", default=None, help=f"{which} (default: per config method)")
     return parser
 
 
@@ -80,21 +72,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load(args)
-        if args.command in PHASES + ("run",):
-            for command in PHASES if args.command == "run" else (args.command,):
-                result = run_experiment(cfg, command)
+        if args.command in PHASES or args.command == "run":
+            phases = list(PHASES.values()) if args.command == "run" else [PHASES[args.command]]
+            for phase in phases:  # every phase is checked before the first round runs
+                check_phase_agents(cfg, phase)
+            for phase in phases:
+                result = run_experiment(cfg, phase.name)
                 last = result.records[-1]
                 print(f"{result.method}: {result.rounds_run} rounds -> {result.paths.metrics}")
                 summary = {k: v for k, v in last.metrics().items() if v is not None}
                 print(json.dumps(summary))
-        elif args.command == "eval":
-            method = args.method or resolve_method(cfg.method, "learn")
-            print(json.dumps(evaluate_snapshot(cfg, method), sort_keys=True))
         else:
             method = args.method or resolve_method(cfg.method, "learn")
-            paths = run_paths(cfg, method)
-            rows = export_plot_data(paths.metrics, paths.plot)
-            print(f"{rows} rows -> {paths.plot}")
+            if args.command == "eval":
+                print(json.dumps(evaluate_snapshot(cfg, method), sort_keys=True))
+            else:
+                paths = run_paths(cfg, method)
+                rows = export_plot_data(paths.metrics, paths.plot)
+                print(f"{rows} rows -> {paths.plot}")
     except (ConfigError, FieldError, MissingStateError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

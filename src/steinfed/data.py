@@ -9,6 +9,7 @@ run without any external download.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -56,43 +57,34 @@ class Shard:
 # --- idx files ----------------------------------------------------------------
 
 
-def _read_header(data: bytes, path: str, expected_magic: int, n_dims: int) -> tuple[int, ...]:
+def _read_idx(path, magic: int, n_dims: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The header dimensions and the unsigned-byte payload of an IDX file, both checked."""
+    path = str(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
     header_size = 4 * (1 + n_dims)
     if len(data) < header_size:
         raise IdxFormatError(f"{path}: truncated header ({len(data)} bytes)")
-    fields = struct.unpack(f">{1 + n_dims}i", data[:header_size])
-    if fields[0] != expected_magic:
-        raise IdxFormatError(f"{path}: bad magic {fields[0]}, expected {expected_magic}")
-    return fields[1:]
+    found, *dims = struct.unpack(f">{1 + n_dims}i", data[:header_size])
+    if found != magic:
+        raise IdxFormatError(f"{path}: bad magic {found}, expected {magic}")
+    if min(dims) < 0:
+        raise IdxFormatError(f"{path}: negative dimension in header")
+    expected = header_size + math.prod(dims)
+    if len(data) != expected:
+        raise IdxFormatError(f"{path}: expected {expected} bytes, found {len(data)}")
+    return tuple(dims), np.frombuffer(data, dtype=np.uint8, offset=header_size)
 
 
 def load_idx_images(path) -> np.ndarray:
     """Read an IDX image file into a (n, rows, cols) float array in [0, 1]."""
-    path = str(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    n, rows, cols = _read_header(data, path, IMAGE_MAGIC, 3)
-    if min(n, rows, cols) < 0:
-        raise IdxFormatError(f"{path}: negative dimension in header")
-    expected = 16 + n * rows * cols
-    if len(data) != expected:
-        raise IdxFormatError(f"{path}: expected {expected} bytes, found {len(data)}")
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
-    return pixels.reshape(n, rows, cols).astype(float) / 255.0
+    dims, pixels = _read_idx(path, IMAGE_MAGIC, 3)
+    return pixels.reshape(dims).astype(float) / 255.0
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Read an IDX label file into a (n,) int array."""
-    path = str(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    (n,) = _read_header(data, path, LABEL_MAGIC, 1)
-    if n < 0:
-        raise IdxFormatError(f"{path}: negative dimension in header")
-    expected = 8 + n
-    if len(data) != expected:
-        raise IdxFormatError(f"{path}: expected {expected} bytes, found {len(data)}")
-    return np.frombuffer(data, dtype=np.uint8, offset=8).astype(np.int64)
+    return _read_idx(path, LABEL_MAGIC, 1)[1].astype(np.int64)
 
 
 def load_idx_dataset(images_path, labels_path, num_classes: int = 10) -> Dataset:

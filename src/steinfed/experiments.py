@@ -22,11 +22,12 @@ import time
 import types
 import typing
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from . import federation as fed
+from . import pvi
 from .data import load_idx_dataset, make_synthetic_pair, partition_non_iid
 from .kernels import kde_log_density
 from .metrics import (
@@ -59,14 +60,10 @@ from .pvi import (
     gaussian_log_density_moments,
     moment_to_nat,
     nat_to_moment,
-    pvi_round,
-    ulpvi_round,
 )
 from .rules import FieldError, at_least, nonnegative, one_of, positive
 
-PARTICLE_METHODS = ("dsvgd", "forget_svgd", "retrain")
 PARAMETRIC_METHODS = ("pvi", "ulpvi")
-METHODS = PARTICLE_METHODS + PARAMETRIC_METHODS
 
 
 class ConfigError(ValueError):
@@ -360,23 +357,6 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-# Each command's effective method for the particle and the parametric family;
-# a command names the phase that its methods run.
-_COMMAND_METHODS = {
-    "learn": ("dsvgd", "pvi"),
-    "unlearn": ("forget_svgd", "ulpvi"),
-    "retrain": ("retrain", "retrain"),
-}
-_METHOD_PHASE = {m: command for command, methods in _COMMAND_METHODS.items() for m in methods}
-
-
-def resolve_method(config_method: str, command: str) -> str:
-    """Map the configured method family onto a subcommand's effective method."""
-    if command not in _COMMAND_METHODS:
-        raise ValueError(f"unknown command {command!r}")
-    return _COMMAND_METHODS[command][config_method in PARAMETRIC_METHODS]
-
-
 # --- problem assembly -----------------------------------------------------------
 
 
@@ -556,57 +536,7 @@ def _classification_problem(spec: ClassificationSpec, seed: int,
     return problem
 
 
-# --- phase loop -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunPaths:
-    metrics: str
-    transcript: str
-    snapshot: str
-    locals_json: str
-    plot: str
-
-
-def run_paths(cfg: ExperimentConfig, method: str) -> RunPaths:
-    base = cfg.out_dir
-    return RunPaths(
-        metrics=os.path.join(base, f"{method}_metrics.csv"),
-        transcript=os.path.join(base, f"{method}_transcript.jsonl"),
-        snapshot=os.path.join(base, f"{method}_snapshot.txt"),
-        locals_json=os.path.join(base, f"{method}_locals.json"),
-        plot=os.path.join(base, f"{method}_plot.csv"),
-    )
-
-
-@dataclass
-class RunResult:
-    method: str
-    records: list[MetricRecord]
-    paths: RunPaths
-    rounds_run: int
-
-
-_UNLEARN_OVERRIDES = ("epsilon", "epsilon_local", "update_steps", "distill_steps")
-
-
-def _protocol_config(cfg: ExperimentConfig, prior, phase: str) -> fed.ProtocolConfig:
-    """The configured protocol with the problem's prior and, when unlearning, the overrides."""
-    overrides = {}
-    if phase == "unlearn":
-        overrides = {key: getattr(cfg.unlearn, key) for key in _UNLEARN_OVERRIDES
-                     if getattr(cfg.unlearn, key) is not None}
-    return dataclasses.replace(cfg.protocol, prior=prior, **overrides)
-
-
-def _record(fields: dict, phase: str, round_index: int, wall_ms: float) -> tuple[MetricRecord, dict]:
-    """Split a problem's metric fields into the CSV record and the transcript extras."""
-    extra = {"per_class": fields.pop("per_class")} if "per_class" in fields else {}
-    return MetricRecord(round=round_index, phase=phase, wall_ms=wall_ms, **fields), extra
-
-
-def _ms_since(start: float) -> float:
-    return (time.perf_counter() - start) * 1000.0
+# --- phases -----------------------------------------------------------------------
 
 
 def _forgetting_achieved(records: list[MetricRecord], num_classes: int, margin: float,
@@ -627,26 +557,162 @@ def _forgot_loss_plateaued(records: list[MetricRecord], window: int) -> bool:
     return len(values) - 1 - best >= window
 
 
-def _unlearn_should_stop(cfg: ExperimentConfig, problem, records: list[MetricRecord]) -> bool:
-    if not cfg.unlearn.early_stop:
+def _unlearn_should_stop(settings: UnlearnSettings, problem, records: list[MetricRecord]) -> bool:
+    if not settings.early_stop:
         return False
     if isinstance(problem, ClassificationProblem) and _forgetting_achieved(
-        records, problem.num_classes, cfg.unlearn.margin, cfg.unlearn.patience
+        records, problem.num_classes, settings.margin, settings.patience
     ):
         return True
-    return _forgot_loss_plateaued(records, cfg.unlearn.loss_window)
+    return _forgot_loss_plateaued(records, settings.loss_window)
 
 
-def _measure(problem, method: str, array: np.ndarray) -> dict:
-    """The problem's metric fields for a snapshot array: particles, or mean and variance rows."""
-    retained_only = _METHOD_PHASE[method] != "learn"
+@dataclass(frozen=True)
+class Phase:
+    """One phase of a run, as data; the defaults describe learning.
+
+    A phase is DSVGD rounds, or PVI rounds for the parametric family, with a
+    loss sign, its agents, a start state and a stop rule.  Its round
+    functions are looked up in their modules at each call, never stored, so
+    a wrapper installed on ``federation`` or ``pvi`` sees every round.
+    """
+
+    name: str  # the command, and the config section that holds the phase's budget
+    help: str  # the command's help line
+    methods: tuple[str, str]  # the effective method of the particle and the parametric family
+    no_agents: str  # the error when the phase has no agent to schedule
+    sign: float = 1.0  # +1 pulls the posterior towards the scheduled agent's data, -1 away
+    forgotten: bool | None = None  # its agents: all (None), the forget (True) or retained (False)
+    start: tuple[str, str] | None = None  # methods whose saved state it starts from; None: prior
+    local_stream: int = fed.STREAM_LEARN  # seed-stream tag of the agents' fresh local particles
+    pvi_stream: int | None = 2  # seed-stream tag of the PVI Monte Carlo draws
+    retained_only: bool = False  # measured against the retained-data posterior
+    overrides: tuple[str, ...] = ()  # keys of its section that, when set, replace the protocol's
+    stop: Callable | None = None  # ``stop(section, problem, records)``: end before the budget
+
+    def pooled(self, cfg: ExperimentConfig) -> bool:
+        """True when its section's ``mode`` is centralized: one pooled target, no agents."""
+        return getattr(getattr(cfg, self.name), "mode", "federated") == "centralized"
+
+    def eligible(self, cfg: ExperimentConfig) -> tuple[int, ...]:
+        """The sorted ids of the agents whose losses the phase uses, from the config alone."""
+        return tuple(k for k in cfg.experiment.agent_ids
+                     if self.forgotten is None or (k in cfg.forget_agents) == self.forgotten)
+
+
+PHASES = {phase.name: phase for phase in (
+    Phase("learn", "run federated learning with the configured method", ("dsvgd", "pvi"),
+          no_agents="config.experiment: learning needs an agent"),
+    Phase("unlearn", "run unlearning from a saved learned state", ("forget_svgd", "ulpvi"),
+          no_agents="config.forget_agents: unlearning needs a nonempty forget set",
+          sign=-1.0, forgotten=True, start=("dsvgd", "pvi"), local_stream=fed.STREAM_UNLEARN,
+          pvi_stream=3, retained_only=True,
+          overrides=("epsilon", "epsilon_local", "update_steps", "distill_steps"),
+          stop=_unlearn_should_stop),
+    Phase("retrain", "retrain from scratch on the retained agents", ("retrain", "retrain"),
+          no_agents="config.retrain.mode: federated retraining needs a retained agent",
+          forgotten=False, pvi_stream=None, retained_only=True),
+)}
+METHODS = tuple(sorted({method for phase in PHASES.values() for method in phase.methods}))
+
+
+def _method_phase(method: str) -> Phase:
+    """The phase that runs ``method``: the one check of a method named outside the config."""
+    for phase in PHASES.values():
+        if method in phase.methods:
+            return phase
+    raise ConfigError(f"method: expected one of {sorted(METHODS)}, got {method!r}")
+
+
+def resolve_method(config_method: str, command: str) -> str:
+    """Map the configured method family onto a subcommand's effective method."""
+    if command not in PHASES:
+        raise ValueError(f"unknown command {command!r}")
+    return PHASES[command].methods[config_method in PARAMETRIC_METHODS]
+
+
+def check_phase_agents(cfg: ExperimentConfig, phase: Phase) -> None:
+    """Reject a phase with no agent to schedule, or a fixed sequence that names one it cannot.
+
+    A phase that pools its agents' losses schedules none, so it passes.
+    Only the first ``rounds`` entries of a sequence are checked; running out
+    of entries stays a round's error, because an early stop may end the phase
+    first.
+    """
+    if phase.pooled(cfg):
+        return
+    eligible = phase.eligible(cfg)
+    if not eligible:
+        raise ConfigError(phase.no_agents)
+    if cfg.protocol.schedule == "fixed_sequence":
+        named = cfg.protocol.sequence[:getattr(cfg, phase.name).rounds]
+        ineligible = sorted(set(named) - set(eligible))
+        if ineligible:
+            raise ConfigError(f"config.protocol.sequence: the {phase.name} phase cannot schedule "
+                              f"agents {ineligible}; it schedules {list(eligible)}")
+
+
+# --- phase loop -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RunPaths:
+    metrics: str
+    transcript: str
+    snapshot: str
+    locals_json: str
+    plot: str
+
+
+def run_paths(cfg: ExperimentConfig, method: str) -> RunPaths:
+    """The files of ``method`` under ``out_dir``; a name that is no method is rejected."""
+    _method_phase(method)
+    base = cfg.out_dir
+    return RunPaths(
+        metrics=os.path.join(base, f"{method}_metrics.csv"),
+        transcript=os.path.join(base, f"{method}_transcript.jsonl"),
+        snapshot=os.path.join(base, f"{method}_snapshot.txt"),
+        locals_json=os.path.join(base, f"{method}_locals.json"),
+        plot=os.path.join(base, f"{method}_plot.csv"),
+    )
+
+
+@dataclass
+class RunResult:
+    method: str
+    records: list[MetricRecord]
+    paths: RunPaths
+    rounds_run: int
+
+
+def _protocol_config(cfg: ExperimentConfig, prior, phase: Phase) -> fed.ProtocolConfig:
+    """The configured protocol with the problem's prior and the phase's overrides that are set."""
+    settings = getattr(cfg, phase.name)
+    overrides = {key: getattr(settings, key) for key in phase.overrides
+                 if getattr(settings, key) is not None}
+    return dataclasses.replace(cfg.protocol, prior=prior, **overrides)
+
+
+def _ms_since(start: float) -> float:
+    return (time.perf_counter() - start) * 1000.0
+
+
+def _measure(problem, phase: Phase, method: str, array: np.ndarray, round_index: int,
+             wall_ms: float) -> tuple[MetricRecord, dict]:
+    """The CSV record and the transcript extras of a snapshot array.
+
+    The array holds particles, or for a parametric method mean and variance rows.
+    """
     if method in PARAMETRIC_METHODS:
-        return problem.parametric_metrics(array[0], array[1], retained_only)
-    return problem.particle_metrics(array, retained_only)
+        fields = problem.parametric_metrics(array[0], array[1], phase.retained_only)
+    else:
+        fields = problem.particle_metrics(array, phase.retained_only)
+    extra = {"per_class": fields.pop("per_class")} if "per_class" in fields else {}
+    return MetricRecord(round=round_index, phase=phase.name, wall_ms=wall_ms, **fields), extra
 
 
-def _run_phase(cfg: ExperimentConfig, problem, method: str, started: float, state, step,
-               snapshot, save_locals=None) -> RunResult:
+def _run_phase(cfg: ExperimentConfig, problem, phase: Phase, method: str, started: float, state,
+               step, snapshot, save_locals=None) -> RunResult:
     """Run one phase's rounds and write its metrics, transcript and final state.
 
     ``step(state, r)`` runs round ``r`` and returns the new state and the
@@ -657,8 +723,7 @@ def _run_phase(cfg: ExperimentConfig, problem, method: str, started: float, stat
     the transcript's ``eval_ms`` times the evaluation that builds its record,
     and round 0's ``setup_ms`` the time from ``started`` to that evaluation.
     """
-    phase = _METHOD_PHASE[method]
-    rounds = getattr(cfg, phase).rounds  # the learn, unlearn or retrain settings
+    settings = getattr(cfg, phase.name)  # the learn, unlearn or retrain section
     paths = run_paths(cfg, method)
     os.makedirs(cfg.out_dir, exist_ok=True)
     records: list[MetricRecord] = []
@@ -667,8 +732,7 @@ def _run_phase(cfg: ExperimentConfig, problem, method: str, started: float, stat
 
         def emit(agent, wall_ms: float, **setup) -> None:
             start = time.perf_counter()
-            record, extra = _record(_measure(problem, method, snapshot(state)), phase,
-                                    rounds_run, wall_ms)
+            record, extra = _measure(problem, phase, method, snapshot(state), rounds_run, wall_ms)
             eval_ms = _ms_since(start)
             records.append(record)
             metrics.append(record)
@@ -686,16 +750,16 @@ def _run_phase(cfg: ExperimentConfig, problem, method: str, started: float, stat
 
         try:
             emit(None, 0.0, setup_ms=_ms_since(started))
-            for r in range(rounds):
+            for r in range(settings.rounds):
                 start = time.perf_counter()
                 state, agent = step(state, r)
                 wall = _ms_since(start)
                 rounds_run = r + 1
                 emit(agent, wall)
-                if phase == "unlearn" and _unlearn_should_stop(cfg, problem, records):
+                if phase.stop is not None and phase.stop(settings, problem, records):
                     break
         except Exception as err:
-            transcript.append({"round": len(records), "phase": phase, "error": str(err)})
+            transcript.append({"round": len(records), "phase": phase.name, "error": str(err)})
             raise
     save_snapshot(paths.snapshot, snapshot(state), rounds_run, cfg.seed)
     if save_locals is not None:
@@ -703,49 +767,39 @@ def _run_phase(cfg: ExperimentConfig, problem, method: str, started: float, stat
     return RunResult(method, records, paths, rounds_run)
 
 
-def _run_particles(cfg: ExperimentConfig, problem, method: str, started: float) -> RunResult:
-    """DSVGD learning, Forget-SVGD unlearning, or retraining on the retained agents."""
-    phase = _METHOD_PHASE[method]
+def _learned(path: str) -> str:
+    """``path``, which an earlier phase must have written."""
+    if not os.path.exists(path):
+        raise MissingStateError(f"no learned state found at {path}; run learn first")
+    return path
+
+
+def _run_particles(cfg: ExperimentConfig, problem, phase: Phase, method: str,
+                   started: float) -> RunResult:
+    """DSVGD rounds with the phase's loss sign, or centralized rounds on the pooled losses."""
     pcfg = _protocol_config(cfg, problem.prior, phase)
-    losses = problem.losses
-    if phase == "retrain":
-        losses = {k: v for k, v in losses.items() if k not in problem.forget_ids}
-    if phase == "unlearn":
-        learned = run_paths(cfg, "dsvgd").snapshot
-        if not os.path.exists(learned):
-            raise MissingStateError(f"no learned state found at {learned}; run learn first")
+    losses = {k: problem.losses[k] for k in phase.eligible(cfg)}
+    server, agents = fed.initialize_states(losses, pcfg, cfg.particles, cfg.seed,
+                                           phase.local_stream)
+    if phase.start is not None:  # the learned global particles replace the prior draws
+        learned = _learned(run_paths(cfg, phase.start[0]).snapshot)
         server = fed.ServerState(load_snapshot(learned)[0])
-        agents = {
-            k: fed.AgentState(losses[k], fed.init_local_particles(
-                problem.prior, cfg.particles, cfg.seed, k, fed.STREAM_UNLEARN))
-            for k in problem.forget_ids
-        }
-    else:
-        server, agents = fed.initialize_states(losses, pcfg, cfg.particles, cfg.seed)
-    pooled = tuple(losses[k] for k in sorted(losses))
+    pooled = tuple(losses.values()) if phase.pooled(cfg) else None
 
     def step(server, r):
-        if phase == "retrain" and cfg.retrain.mode == "centralized":
+        if pooled is not None:
             return fed.centralized_round(server, pooled, pcfg), None
         k = fed.schedule(pcfg, r, tuple(agents))
-        play = fed.unlearning_round if phase == "unlearn" else fed.learning_round
+        play = fed.learning_round if phase.sign > 0 else fed.unlearning_round
         server, agents[k] = play(server, agents[k], pcfg)
         return server, k
 
-    return _run_phase(cfg, problem, method, started, server, step,
+    return _run_phase(cfg, problem, phase, method, started, server, step,
                       lambda server: server.global_particles)
 
 
 def _nat_to_json(nat: GaussianNatParams) -> dict:
     return {"eta1": nat.eta1.tolist(), "eta2": nat.eta2.tolist()}
-
-
-def _nat_from_json(data: dict, path: str) -> GaussianNatParams:
-    try:
-        return GaussianNatParams(np.asarray(data["eta1"], dtype=float),
-                                 np.asarray(data["eta2"], dtype=float))
-    except (KeyError, TypeError, ValueError) as err:
-        raise MissingStateError(f"{path}: malformed factor state ({err})") from None
 
 
 def _save_pvi_state(path: str, eta: GaussianNatParams,
@@ -758,81 +812,51 @@ def _save_pvi_state(path: str, eta: GaussianNatParams,
 
 
 def _load_pvi_state(path: str) -> tuple[GaussianNatParams, dict[int, GaussianNatParams]]:
-    if not os.path.exists(path):
-        raise MissingStateError(f"no learned state found at {path}; run learn first")
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        eta = _nat_from_json(data.get("global", {}), path)
-        locals_nat = {
-            int(k): _nat_from_json(v, path) for k, v in data.get("agents", {}).items()
-        }
-    except (AttributeError, ValueError) as err:  # not an object, a non-integer id, not JSON
+        eta = GaussianNatParams(**data.get("global", {}))
+        locals_nat = {int(k): GaussianNatParams(**v) for k, v in data.get("agents", {}).items()}
+    except (AttributeError, TypeError, ValueError) as err:  # not JSON, or not the layout
         raise MissingStateError(f"{path}: malformed factor state ({err})") from None
     return eta, locals_nat
 
 
-def _run_parametric(cfg: ExperimentConfig, problem, method: str, started: float) -> RunResult:
-    """PVI learning or ULPVI unlearning of diagonal-Gaussian factors."""
-    phase = _METHOD_PHASE[method]
-    if phase == "unlearn":
-        eta, locals_nat = _load_pvi_state(run_paths(cfg, "pvi").locals_json)
-        missing = [k for k in problem.forget_ids if k not in locals_nat]
+def _run_parametric(cfg: ExperimentConfig, problem, phase: Phase, method: str,
+                    started: float) -> RunResult:
+    """PVI rounds with the phase's loss sign on diagonal-Gaussian factors: PVI or ULPVI."""
+    eligible = phase.eligible(cfg)
+    eta = moment_to_nat([cfg.pvi.prior_mean], [cfg.pvi.prior_variance])
+    locals_nat = {k: GaussianNatParams.zeros(eta.dim) for k in eligible}
+    if phase.start is not None:  # the learned factors replace the prior and the zero factors
+        eta, locals_nat = _load_pvi_state(_learned(run_paths(cfg, phase.start[1]).locals_json))
+        missing = [k for k in eligible if k not in locals_nat]
         if missing:
             raise MissingStateError(f"learned state lacks factors for forget agents {missing}")
-        eligible = problem.forget_ids
-    else:
-        eta = moment_to_nat([cfg.pvi.prior_mean], [cfg.pvi.prior_variance])
-        locals_nat = {k: GaussianNatParams.zeros(eta.dim) for k in problem.losses}
-        eligible = tuple(problem.losses)
     pvicfg = dataclasses.replace(cfg.pvi, alpha=cfg.protocol.alpha)
-    rng = np.random.default_rng([cfg.seed, 3 if phase == "unlearn" else 2])
+    rng = np.random.default_rng([cfg.seed, phase.pvi_stream])
 
     def step(eta, r):
         k = fed.schedule(cfg.protocol, r, eligible)
-        play = ulpvi_round if phase == "unlearn" else pvi_round
+        play = pvi.pvi_round if phase.sign > 0 else pvi.ulpvi_round
         eta, locals_nat[k] = play(eta, locals_nat[k], problem.losses[k], pvicfg, rng)
         return eta, k
 
     return _run_phase(
-        cfg, problem, method, started, eta, step, lambda eta: np.vstack(nat_to_moment(eta)),
+        cfg, problem, phase, method, started, eta, step, lambda eta: np.vstack(nat_to_moment(eta)),
         lambda eta: _save_pvi_state(run_paths(cfg, method).locals_json, eta, locals_nat),
     )
-
-
-def _check_phase_agents(cfg: ExperimentConfig, phase: str) -> None:
-    """Reject a phase with no agent to schedule, or a fixed sequence that names one it cannot.
-
-    Learning schedules every agent, unlearning the forget agents, federated
-    retraining the retained ones, and centralized retraining none.  Only the
-    first ``rounds`` entries of a sequence are checked; running out of entries
-    stays a round's error, because an early stop may end the phase first.
-    """
-    if phase == "retrain" and cfg.retrain.mode == "centralized":
-        return
-    agents = cfg.experiment.agent_ids
-    eligible = {"learn": agents, "unlearn": cfg.forget_agents,
-                "retrain": tuple(k for k in agents if k not in cfg.forget_agents)}[phase]
-    if not eligible:  # learning always has an agent
-        raise ConfigError("config.forget_agents: unlearning needs a nonempty forget set"
-                          if phase == "unlearn" else
-                          "config.retrain.mode: federated retraining needs a retained agent")
-    if cfg.protocol.schedule == "fixed_sequence":
-        named = cfg.protocol.sequence[:getattr(cfg, phase).rounds]
-        ineligible = sorted(set(named) - set(eligible))
-        if ineligible:
-            raise ConfigError(f"config.protocol.sequence: the {phase} phase cannot schedule agents "
-                              f"{ineligible}; it schedules {list(eligible)}")
 
 
 def run_experiment(cfg: ExperimentConfig, command: str) -> RunResult:
     """Run one phase of the configured experiment and write its artifacts."""
     started = time.perf_counter()
     method = resolve_method(cfg.method, command)
-    _check_phase_agents(cfg, _METHOD_PHASE[method])
+    phase = PHASES[command]
+    check_phase_agents(cfg, phase)
     problem = build_problem(cfg)
     run = _run_parametric if method in PARAMETRIC_METHODS else _run_particles
-    return run(cfg, problem, method, started)
+    return run(cfg, problem, phase, method, started)
 
 
 # --- evaluation and export --------------------------------------------------------
@@ -844,22 +868,18 @@ def evaluate_snapshot(cfg: ExperimentConfig, method: str) -> dict:
     Uses the same measurement code as the phase loop, so the result matches
     the final metrics row of the run that wrote the snapshot exactly.
     """
-    if method not in METHODS:
-        raise ConfigError(f"method: expected one of {sorted(METHODS)}, got {method!r}")
+    phase = _method_phase(method)
     paths = run_paths(cfg, method)
     if not os.path.exists(paths.snapshot):
         raise MissingStateError(f"no saved state found at {paths.snapshot}; run {method} first")
+    if method in PARAMETRIC_METHODS and not isinstance(cfg.experiment, MixtureSpec):
+        raise ConfigError("config.method: parametric methods support the mixture experiment only")
     problem = build_problem(cfg)
     array, round_index, seed = load_snapshot(paths.snapshot)
-    if method in PARAMETRIC_METHODS:
-        if not isinstance(problem, MixtureProblem):
-            raise ConfigError("config.method: parametric methods support the mixture experiment only")
-        if array.shape[0] != 2:
-            raise MissingStateError(
-                f"{paths.snapshot}: parametric snapshot must hold mean and variance rows"
-            )
-    fields = _measure(problem, method, array)
-    record, extra = _record(fields, _METHOD_PHASE[method], round_index, 0.0)
+    if method in PARAMETRIC_METHODS and array.shape[0] != 2:
+        raise MissingStateError(
+            f"{paths.snapshot}: parametric snapshot must hold mean and variance rows")
+    record, extra = _measure(problem, phase, method, array, round_index, 0.0)
     return {"method": method, "round": round_index, "seed": seed, **record.metrics(), **extra}
 
 

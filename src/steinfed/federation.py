@@ -114,14 +114,15 @@ def init_local_particles(prior, n_particles: int, seed: int, agent_id: int,
 
 
 def initialize_states(
-    losses: Mapping[int, object], config: ProtocolConfig, n_particles: int, seed: int
+    losses: Mapping[int, object], config: ProtocolConfig, n_particles: int, seed: int,
+    stream: int = STREAM_LEARN,
 ) -> tuple[ServerState, dict[int, AgentState]]:
-    """Fresh server and agent states for a learning run."""
+    """Fresh server and agent states; ``stream`` tags the agents' local draws."""
     if config.prior is None:
         raise ProtocolError("initialization requires a prior in the protocol config")
     server = ServerState(init_global_particles(config.prior, n_particles, seed))
     agents = {
-        k: AgentState(loss, init_local_particles(config.prior, n_particles, seed, k))
+        k: AgentState(loss, init_local_particles(config.prior, n_particles, seed, k, stream))
         for k, loss in losses.items()
     }
     return server, agents

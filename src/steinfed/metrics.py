@@ -153,7 +153,7 @@ class MetricRecord:
         return {name: getattr(self, name) for name in METRIC_FIELDS}
 
 
-class _LineWriter:
+class _LineWriter(contextlib.AbstractContextManager):
     """Append-only text file, truncated on open.
 
     The file is line-buffered, so each line reaches the operating system as
@@ -166,9 +166,6 @@ class _LineWriter:
 
     def close(self) -> None:
         self._fh.close()
-
-    def __enter__(self):
-        return self
 
     def __exit__(self, *exc) -> None:
         self.close()

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import Dataset
 from .kernels import _as_particle_matrix, _as_rows, _logsumexp, _softmax
 from .rules import at_least, nonnegative, positive
 
@@ -204,27 +205,18 @@ class SoftmaxHeadLoss:
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int):
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels)
-        if features.ndim != 2:
-            raise ValueError(f"expected (n, f) features, got shape {features.shape}")
-        if labels.shape != (features.shape[0],):
-            raise ValueError(
-                f"label count {labels.shape} does not match feature count {features.shape[0]}"
-            )
         if num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {num_classes}")
-        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-            raise ValueError("labels outside [0, num_classes)")
-        self.features = features
-        self.labels = labels.astype(np.int64)
+        shard = Dataset(features, labels, num_classes)  # checks the shapes and the label range
+        self.features = shard.features
+        self.labels = shard.labels
         self.num_classes = num_classes
-        self.num_features = features.shape[1]
+        self.num_features = self.features.shape[1]
         self.dim = (self.num_features + 1) * num_classes
-        self._design = _with_bias(features)
-        self._onehot = np.zeros((features.shape[0], num_classes))
-        if labels.size:
-            self._onehot[np.arange(labels.size), self.labels] = 1.0
+        self._design = _with_bias(self.features)
+        self._onehot = np.zeros((self.labels.size, num_classes))
+        if self.labels.size:
+            self._onehot[np.arange(self.labels.size), self.labels] = 1.0
 
     def loss(self, theta: np.ndarray) -> np.ndarray:
         arr = _as_rows(theta, self.dim)

@@ -110,6 +110,34 @@ class TestCommands:
             assert ((tmp_path / "runs" / snapshot).read_bytes()
                     == (tmp_path / "apart" / snapshot).read_bytes())
 
+    @pytest.mark.parametrize("change,message", [
+        (lambda data: data["protocol"].update(schedule="fixed_sequence", sequence=[2, 1, 2, 1]),
+         "config.protocol.sequence: the unlearn phase cannot schedule agents [2]; "
+         "it schedules [1]"),
+        (lambda data: data.update(forget_agents=[]),
+         "config.forget_agents: unlearning needs a nonempty forget set"),
+    ], ids=["sequence", "no-forget-agents"])
+    def test_run_checks_every_phase_before_learning(self, tmp_path, capsys, change, message):
+        path = write_config(tmp_path, tmp_path / "runs")
+        data = json.loads(path.read_text())
+        change(data)
+        path.write_text(json.dumps(data))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "runs").exists()  # learning wrote no dsvgd_* file
+
+    @pytest.mark.parametrize("command", ["eval", "export-plot-data"])
+    def test_method_flag_must_name_a_method(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, tmp_path / "runs")
+        assert main(["learn", "--config", str(cfg)]) == 0
+        # a metrics file that a path-like method name would reach outside the output directory
+        shutil.copy(tmp_path / "runs" / "dsvgd_metrics.csv", tmp_path / "escape_metrics.csv")
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--method", "../escape"]) == 1
+        assert capsys.readouterr().err.startswith("error: method: expected one of ")
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+
     def test_eval_other_method_via_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tmp_path / "runs")
         main(["learn", "--config", str(cfg)])

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from steinfed.experiments import (
+    PHASES,
     ClassificationProblem,
     ConfigError,
     ExperimentConfig,
@@ -573,8 +574,8 @@ class TestBuildProblem:
         data["unlearn"]["update_steps"] = 7
         cfg = config_from_dict(data)
         prior = UniformPrior(-10.0, 10.0)
-        learn_cfg = _protocol_config(cfg, prior, "learn")
-        unlearn_cfg = _protocol_config(cfg, prior, "unlearn")
+        learn_cfg = _protocol_config(cfg, prior, PHASES["learn"])
+        unlearn_cfg = _protocol_config(cfg, prior, PHASES["unlearn"])
         assert learn_cfg.epsilon == 0.2
         assert learn_cfg.update_steps == 2
         assert unlearn_cfg.epsilon == 0.9
@@ -1002,7 +1003,8 @@ class TestRunOptions:
         unset = config_from_dict(data)
         assert (cfg.unlearn, cfg.protocol) == (unset.unlearn, unset.protocol)
         prior = UniformPrior(-10.0, 10.0)
-        assert _protocol_config(cfg, prior, "unlearn") == _protocol_config(unset, prior, "unlearn")
+        unlearn = PHASES["unlearn"]
+        assert _protocol_config(cfg, prior, unlearn) == _protocol_config(unset, prior, unlearn)
 
 
 # Round functions by defining module; each is wrapped in every module that binds it.
@@ -1012,8 +1014,11 @@ ROUND_FUNCTIONS = {
 }
 
 
-def _count_calls(monkeypatch, functions=ROUND_FUNCTIONS) -> collections.Counter:
-    """Wrap ``functions``, names by defining module, as ``perfbench/tracer.py`` wraps its layers."""
+def _count_calls(monkeypatch, functions=ROUND_FUNCTIONS, everywhere=True) -> collections.Counter:
+    """Wrap ``functions``, names by defining module, as ``perfbench/tracer.py`` wraps its layers.
+
+    ``everywhere=False`` wraps each function in its defining module only.
+    """
     counts = collections.Counter()
     modules = [m for name, m in list(sys.modules.items())
                if m is not None and (name == "steinfed" or name.startswith("steinfed."))]
@@ -1026,7 +1031,7 @@ def _count_calls(monkeypatch, functions=ROUND_FUNCTIONS) -> collections.Counter:
                 counts[_name] += 1
                 return _original(*args, **kwargs)
 
-            for module in modules:
+            for module in modules if everywhere else [owner]:
                 for key, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, key, counted)
@@ -1043,10 +1048,8 @@ ROUND_CASES = [
 ]
 
 
-@pytest.mark.parametrize("method,command,mode,name,rounds", ROUND_CASES,
-                         ids=[f"{m}-{c}-{mode}" for m, c, mode, _, _ in ROUND_CASES])
-def test_round_functions_are_looked_up_per_call(tmp_path, monkeypatch, method, command, mode,
-                                                name, rounds):
+def _round_case(tmp_path, method: str, command: str, mode: str):
+    """The mixture config of a ``ROUND_CASES`` row, learned first when ``command`` unlearns."""
     data = mixture_dict(tmp_path)
     data["method"] = method
     data["retrain"]["mode"] = mode
@@ -1054,7 +1057,28 @@ def test_round_functions_are_looked_up_per_call(tmp_path, monkeypatch, method, c
     cfg = config_from_dict(data)
     if command == "unlearn":
         run_experiment(cfg, "learn")
+    return cfg
+
+
+@pytest.mark.parametrize("method,command,mode,name,rounds", ROUND_CASES,
+                         ids=[f"{m}-{c}-{mode}" for m, c, mode, _, _ in ROUND_CASES])
+def test_round_functions_are_looked_up_per_call(tmp_path, monkeypatch, method, command, mode,
+                                                name, rounds):
+    cfg = _round_case(tmp_path, method, command, mode)
     counts = _count_calls(monkeypatch)
+    result = run_experiment(cfg, command)
+    assert result.rounds_run == rounds
+    assert dict(counts) == {name: rounds}
+
+
+@pytest.mark.parametrize("method,command,mode,name,rounds", ROUND_CASES,
+                         ids=[f"{m}-{c}-{mode}" for m, c, mode, _, _ in ROUND_CASES])
+def test_round_function_is_read_from_its_module_at_each_round(tmp_path, monkeypatch, method,
+                                                               command, mode, name, rounds):
+    # As a caller that rebinds ``fed.unlearning_round`` does: the phase must look each round
+    # function up in its module when the round runs.
+    cfg = _round_case(tmp_path, method, command, mode)
+    counts = _count_calls(monkeypatch, everywhere=False)
     result = run_experiment(cfg, command)
     assert result.rounds_run == rounds
     assert dict(counts) == {name: rounds}
