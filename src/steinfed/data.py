@@ -79,7 +79,9 @@ def _read_idx(path, magic: int, n_dims: int) -> tuple[tuple[int, ...], np.ndarra
 def load_idx_images(path) -> np.ndarray:
     """Read an IDX image file into a (n, rows, cols) float array in [0, 1]."""
     dims, pixels = _read_idx(path, IMAGE_MAGIC, 3)
-    return pixels.reshape(dims).astype(float) / 255.0
+    images = pixels.reshape(dims).astype(float)
+    images /= 255.0
+    return images
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -125,7 +127,10 @@ def make_synthetic(
     rng = np.random.default_rng([seed, stream])
     labels = np.arange(n_examples) % num_classes
     rng.shuffle(labels)
-    features = centers[labels] + noise * rng.standard_normal((n_examples, dim))
+    features = rng.standard_normal((n_examples, dim))
+    features *= noise
+    for cls, center in enumerate(centers):  # in place, so the matrix is allocated once
+        features[labels == cls] += center
     return Dataset(features, labels, num_classes)
 
 
@@ -147,19 +152,18 @@ def make_synthetic_pair(
 # --- partition ----------------------------------------------------------------
 
 
-def partition_non_iid(
+def pool_shards(
     dataset: Dataset,
     num_agents: int,
     labels_per_agent: int = 2,
     examples_per_agent: int = 100,
     seed: int = 0,
-) -> list[Shard]:
-    """Split a dataset into label-disjoint shards, one per agent.
+) -> tuple[Dataset, list[Shard]]:
+    """The rows of every agent's shard, gathered once, and the shards as views of them.
 
-    Classes are assigned in ascending order: agent 1 gets the first
-    ``labels_per_agent`` classes, agent 2 the next, and so on, which
-    requires ``num_agents * labels_per_agent == num_classes``.  Example
-    selection within each class is the only seeded choice.
+    The pool holds agent 1's rows, then agent 2's, and so on; each shard's
+    features and labels are its consecutive slice of the pool.  The choice
+    of rows is described under `partition_non_iid`.
     """
     if num_agents < 1:
         raise ValueError(f"need at least one agent, got {num_agents}")
@@ -177,12 +181,12 @@ def partition_non_iid(
         )
     per_label = examples_per_agent // labels_per_agent
 
-    shards: list[Shard] = []
+    agent_classes: list[tuple[int, ...]] = []
+    rows: list[np.ndarray] = []
     for idx in range(num_agents):
         agent_id = idx + 1
         classes = tuple(range(idx * labels_per_agent, (idx + 1) * labels_per_agent))
         rng = np.random.default_rng([seed, agent_id])
-        rows: list[np.ndarray] = []
         for cls in classes:
             candidates = np.flatnonzero(dataset.labels == cls)
             if candidates.size < per_label:
@@ -190,13 +194,32 @@ def partition_non_iid(
                     f"class {cls} has {candidates.size} examples, agent {agent_id} needs {per_label}"
                 )
             rows.append(rng.choice(candidates, size=per_label, replace=False))
-        chosen = np.concatenate(rows)
-        shards.append(
-            Shard(
-                agent_id=agent_id,
-                classes=classes,
-                features=dataset.features[chosen],
-                labels=dataset.labels[chosen],
-            )
-        )
-    return shards
+        agent_classes.append(classes)
+    chosen = np.concatenate(rows)
+    pool = Dataset(dataset.features[chosen], dataset.labels[chosen], dataset.num_classes)
+    shards = []
+    for idx, classes in enumerate(agent_classes):
+        part = slice(idx * examples_per_agent, (idx + 1) * examples_per_agent)
+        shards.append(Shard(idx + 1, classes, pool.features[part], pool.labels[part]))
+    return pool, shards
+
+
+def partition_non_iid(
+    dataset: Dataset,
+    num_agents: int,
+    labels_per_agent: int = 2,
+    examples_per_agent: int = 100,
+    seed: int = 0,
+) -> list[Shard]:
+    """Split a dataset into label-disjoint shards, one per agent.
+
+    Classes are assigned in ascending order: agent 1 gets the first
+    ``labels_per_agent`` classes, agent 2 the next, and so on, which
+    requires ``num_agents * labels_per_agent == num_classes``.  Example
+    selection within each class is the only seeded choice.
+
+    The shards' features and labels are disjoint, contiguous slices of one
+    copy of the chosen rows (see `pool_shards`): writing into a shard
+    changes neither ``dataset`` nor any other shard.
+    """
+    return pool_shards(dataset, num_agents, labels_per_agent, examples_per_agent, seed)[1]

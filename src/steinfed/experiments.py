@@ -28,7 +28,7 @@ import numpy as np
 
 from . import federation as fed
 from . import pvi
-from .data import load_idx_dataset, make_synthetic_pair, partition_non_iid
+from .data import load_idx_dataset, make_synthetic_pair, pool_shards
 from .kernels import kde_log_density
 from .metrics import (
     METRICS_COLUMNS,
@@ -504,15 +504,14 @@ def _classification_problem(spec: ClassificationSpec, seed: int,
         test = load_idx_dataset(spec.idx.test_images, spec.idx.test_labels, num_classes)
 
     try:
-        shards = partition_non_iid(
+        pool, shards = pool_shards(
             train, len(spec.agent_ids), spec.labels_per_agent, spec.examples_per_agent, seed
         )
     except ValueError as err:
         raise ConfigError(f"config.experiment: {err}") from None
+    del train  # the pool holds every row the shards use; the rest is not needed again
 
-    pool_features = np.concatenate([s.features for s in shards])
-    pool_labels = np.concatenate([s.labels for s in shards])
-    feature_map = pretrain_feature_map(pool_features, pool_labels, num_classes, spec.feature_map,
+    feature_map = pretrain_feature_map(pool.features, pool.labels, num_classes, spec.feature_map,
                                        np.random.default_rng(seed))
 
     losses = {
@@ -779,11 +778,11 @@ def _run_particles(cfg: ExperimentConfig, problem, phase: Phase, method: str,
     """DSVGD rounds with the phase's loss sign, or centralized rounds on the pooled losses."""
     pcfg = _protocol_config(cfg, problem.prior, phase)
     losses = {k: problem.losses[k] for k in phase.eligible(cfg)}
+    learned = None  # None: the global particles are drawn from the prior
+    if phase.start is not None:
+        learned = load_snapshot(_learned(run_paths(cfg, phase.start[0]).snapshot))[0]
     server, agents = fed.initialize_states(losses, pcfg, cfg.particles, cfg.seed,
-                                           phase.local_stream)
-    if phase.start is not None:  # the learned global particles replace the prior draws
-        learned = _learned(run_paths(cfg, phase.start[0]).snapshot)
-        server = fed.ServerState(load_snapshot(learned)[0])
+                                           phase.local_stream, learned)
     pooled = tuple(losses.values()) if phase.pooled(cfg) else None
 
     def step(server, r):

@@ -115,12 +115,18 @@ def init_local_particles(prior, n_particles: int, seed: int, agent_id: int,
 
 def initialize_states(
     losses: Mapping[int, object], config: ProtocolConfig, n_particles: int, seed: int,
-    stream: int = STREAM_LEARN,
+    stream: int = STREAM_LEARN, global_particles: np.ndarray | None = None,
 ) -> tuple[ServerState, dict[int, AgentState]]:
-    """Fresh server and agent states; ``stream`` tags the agents' local draws."""
+    """Fresh agent states, and a server holding ``global_particles`` or, if None, prior draws.
+
+    ``stream`` tags the agents' local draws.  The global draws have their own
+    generator, so passing ``global_particles`` leaves the local draws as they were.
+    """
     if config.prior is None:
         raise ProtocolError("initialization requires a prior in the protocol config")
-    server = ServerState(init_global_particles(config.prior, n_particles, seed))
+    if global_particles is None:
+        global_particles = init_global_particles(config.prior, n_particles, seed)
+    server = ServerState(global_particles)
     agents = {
         k: AgentState(loss, init_local_particles(config.prior, n_particles, seed, k, stream))
         for k, loss in losses.items()

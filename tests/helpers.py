@@ -1,5 +1,7 @@
 """Shared numeric oracles for the test suite."""
 
+import struct
+
 import numpy as np
 from scipy.spatial.distance import pdist
 from scipy.special import logsumexp, softmax
@@ -237,3 +239,50 @@ def grid_kl_allocating(log_q, log_p, x):
     integrand = np.where(q > 0, q * (np.log(np.maximum(q, 1e-300)) - np.log(p)), 0.0)
     value = float(np.trapezoid(integrand, x))
     return value if value > 0.0 else 0.0
+
+
+# --- the allocating classification build ---------------------------------------
+# The copying forms that `steinfed.data` and the classification builder replaced,
+# kept verbatim: the class centres gathered per row, the IDX scaling into a
+# second array, and per-shard row copies concatenated into the pretraining pool.
+
+
+def make_synthetic_allocating(num_classes, dim, n_examples, seed, center_scale=4.0, noise=1.0,
+                              stream=1):
+    """``data.make_synthetic``'s features and labels."""
+    center_rng = np.random.default_rng([seed, 0])
+    centers = center_rng.normal(0.0, center_scale, size=(num_classes, dim))
+    rng = np.random.default_rng([seed, stream])
+    labels = np.arange(n_examples) % num_classes
+    rng.shuffle(labels)
+    features = centers[labels] + noise * rng.standard_normal((n_examples, dim))
+    return features, labels
+
+
+def load_idx_images_allocating(path):
+    """``data.load_idx_images`` on a well-formed file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    dims = struct.unpack(">3i", data[4:16])
+    pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
+    return pixels.reshape(dims).astype(float) / 255.0
+
+
+def partition_allocating(features, labels, num_agents, labels_per_agent, examples_per_agent,
+                         seed):
+    """Each shard's (features, labels) copies, then the pool's features and labels."""
+    per_label = examples_per_agent // labels_per_agent
+    shards = []
+    for idx in range(num_agents):
+        agent_id = idx + 1
+        classes = tuple(range(idx * labels_per_agent, (idx + 1) * labels_per_agent))
+        rng = np.random.default_rng([seed, agent_id])
+        rows = []
+        for cls in classes:
+            candidates = np.flatnonzero(labels == cls)
+            rows.append(rng.choice(candidates, size=per_label, replace=False))
+        chosen = np.concatenate(rows)
+        shards.append((features[chosen], labels[chosen]))
+    pool_features = np.concatenate([f for f, _ in shards])
+    pool_labels = np.concatenate([y for _, y in shards])
+    return shards, pool_features, pool_labels

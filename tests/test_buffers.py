@@ -2,14 +2,20 @@
 
 Every hot-path expression that now writes into an array it owns must give
 the same bits as before, must leave its inputs alone, and must not write
-into an array that a caller handed it read-only.
+into an array that a caller handed it read-only.  The classification build,
+which now holds one float copy of the training rows, is checked the same
+way, and its traced memory peak is bounded.
 """
 
 import dataclasses
+import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steinfed.experiments as experiments
 from helpers import (
     adagrad_step_allocating,
     distill_target_allocating,
@@ -18,13 +24,18 @@ from helpers import (
     head_neg_loss_grad_allocating,
     kde_log_density_allocating,
     kde_log_density_grad_allocating,
+    load_idx_images_allocating,
+    make_synthetic_allocating,
     pairwise_sq_dists_allocating,
+    partition_allocating,
     pretrain_allocating,
     svgd_direction_allocating,
     tilted_target_allocating,
 )
+from steinfed.data import load_idx_images, make_synthetic, partition_non_iid, pool_shards
 from steinfed.experiments import (
     MixtureProblem,
+    _classification_problem,
     _forgot_loss,
     build_problem,
     config_from_dict,
@@ -55,6 +66,7 @@ from steinfed.models import (
     pretrain_feature_map,
 )
 from steinfed.svgd import AdaGradState, adagrad_step, svgd_direction
+from test_data import write_images
 from test_experiments import classification_dict, mixture_dict
 
 # (queries, particles, dimension): the mixture, its KL grid, desk and wide.
@@ -337,3 +349,137 @@ def test_grid_reference_is_read_only_and_tied_to_its_grid():
     assert not ref.log_density.flags.writeable
     with pytest.raises(GridError, match="normalized on"):
         grid_kl(log_p, ref, GridConfig(lo=-8.0, hi=8.0))
+
+
+# --- the classification build -----------------------------------------------------
+# The build keeps the raw training matrix and one gathered copy of the shards' rows.
+
+# (classes, dimension, training rows, agents, examples per agent): desk and wide.
+BUILD_SHAPES = {"desk": (4, 10, 400, 2, 200), "wide": (10, 784, 10000, 5, 2000)}
+# The same shapes as IDX images.
+IDX_SHAPES = {"desk": (400, 2, 5), "wide": (10000, 28, 28)}
+
+
+def build_case(name, out_dir):
+    """The shipped desk config, the test config (noise 0.5), or wide's shapes at one epoch."""
+    if name == "desk":
+        path = Path(__file__).resolve().parent.parent / "configs" / "classification_desk.json"
+        data = json.loads(path.read_text())
+        data["out_dir"] = str(out_dir)
+        return data
+    data = classification_dict(out_dir)
+    if name == "wide":
+        data["experiment"].update(
+            synthetic={"num_classes": 10, "dim": 784, "n_train": 10000, "n_test": 1000,
+                       "center_scale": 1.0, "noise": 1.0},
+            examples_per_agent=2000,
+            feature_map={"hidden_units": 100, "epochs": 1, "step_size": 0.1},
+        )
+        data["forget_agents"] = [1]
+    return data
+
+
+@pytest.fixture
+def empty_problem_cache():
+    _classification_problem.cache_clear()
+    yield
+    _classification_problem.cache_clear()
+
+
+class TestClassificationBuild:
+    @pytest.mark.parametrize("noise", [1.0, 0.5])
+    @pytest.mark.parametrize("shape", BUILD_SHAPES)
+    def test_make_synthetic(self, shape, noise):
+        classes, dim, rows, _, _ = BUILD_SHAPES[shape]
+        got = make_synthetic(classes, dim, rows, seed=3, center_scale=4.0, noise=noise, stream=2)
+        features, labels = make_synthetic_allocating(classes, dim, rows, 3, 4.0, noise, 2)
+        assert_bits(got.features, features)
+        assert np.array_equal(got.labels, labels)
+
+    @pytest.mark.parametrize("shape", IDX_SHAPES)
+    def test_load_idx_images(self, tmp_path, shape):
+        path = tmp_path / "images"
+        write_images(path, np.random.default_rng(5).integers(0, 256, IDX_SHAPES[shape]))
+        assert_bits(load_idx_images(path), load_idx_images_allocating(path))
+
+    @pytest.mark.parametrize("shape", BUILD_SHAPES)
+    def test_pool_and_shards(self, shape):
+        classes, dim, rows, agents, per_agent = BUILD_SHAPES[shape]
+        dataset = make_synthetic(classes, dim, rows, seed=4)
+        old_shards, old_features, old_labels = partition_allocating(
+            dataset.features, dataset.labels, agents, 2, per_agent, 4)
+        pool, shards = pool_shards(dataset, agents, 2, per_agent, 4)
+        assert_bits(pool.features, old_features)
+        assert np.array_equal(pool.labels, old_labels)
+        del pool, shards, old_features, old_labels
+        for shard, (features, labels) in zip(partition_non_iid(dataset, agents, 2, per_agent, 4),
+                                             old_shards):
+            assert_bits(shard.features, features)
+            assert np.array_equal(shard.labels, labels)
+
+    @pytest.mark.parametrize("case", ["desk", "noise", "wide"])
+    def test_built_problem(self, tmp_path, monkeypatch, empty_problem_cache, case):
+        cfg = config_from_dict(build_case(case, tmp_path))
+        spec, seed = cfg.experiment, cfg.seed
+        syn, classes = spec.synthetic, spec.num_classes
+        train = make_synthetic_allocating(classes, syn.dim, syn.n_train, seed, syn.center_scale,
+                                          syn.noise, 1)
+        test_features, _ = make_synthetic_allocating(classes, syn.dim, syn.n_test, seed,
+                                                     syn.center_scale, syn.noise, 2)
+        old_shards, pool_features, pool_labels = partition_allocating(
+            *train, len(spec.agent_ids), spec.labels_per_agent, spec.examples_per_agent, seed)
+        old_map = pretrain_feature_map(pool_features, pool_labels, classes, spec.feature_map,
+                                       np.random.default_rng(seed))
+        old_losses = [SoftmaxHeadLoss(old_map(x), y, classes) for x, y in old_shards]
+        old_test = old_map(test_features)
+        del train, old_shards, pool_features, pool_labels, test_features
+
+        maps = []
+        pretrain = experiments.pretrain_feature_map
+        monkeypatch.setattr(experiments, "pretrain_feature_map",
+                            lambda *args: maps.append(pretrain(*args)) or maps[-1])
+        problem = build_problem(cfg)
+        assert_bits(maps[0].weights, old_map.weights)
+        assert_bits(maps[0].biases, old_map.biases)
+        assert_bits(problem.test_features, old_test)
+        assert sorted(problem.losses) == list(spec.agent_ids)
+        for agent_id, old in zip(spec.agent_ids, old_losses):
+            loss = problem.losses[agent_id]
+            assert_bits(loss.features, old.features)
+            assert_bits(loss._design, old._design)
+            assert np.array_equal(loss.labels, old.labels)
+
+
+class TestBuildMemory:
+    """Traced peaks against the bytes of the float matrix that is read or drawn."""
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_classification_build(self, tmp_path, empty_problem_cache):
+        data = classification_dict(tmp_path)
+        data["experiment"].update(
+            synthetic={"num_classes": 10, "dim": 300, "n_train": 4000, "n_test": 400,
+                       "center_scale": 1.0, "noise": 1.0},
+            examples_per_agent=800,
+            feature_map={"hidden_units": 20, "epochs": 1, "step_size": 0.1},
+        )
+        cfg = config_from_dict(data)
+        _, peak = self.traced_peak(lambda: build_problem(cfg))
+        # The training matrix plus the pool that gathers all of its rows: 2x, and the rest.
+        assert peak <= 2.5 * 4000 * 300 * 8
+
+    def test_load_idx_images(self, tmp_path):
+        # 245 KiB of floats: under the 256 KiB at which numpy reuses a temporary operand
+        # for the result, so `astype(float) / 255.0` would hold two float copies here.
+        path = tmp_path / "images"
+        write_images(path, np.random.default_rng(6).integers(0, 256, (40, 28, 28)))
+        images, peak = self.traced_peak(lambda: load_idx_images(path))
+        # The file's bytes (an eighth) and the float images, scaled in place.
+        assert peak <= 1.5 * images.nbytes

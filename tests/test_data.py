@@ -162,6 +162,21 @@ class TestPartition:
                 assert matches.size >= 1
                 assert np.all(ds.labels[matches] == lab)
 
+    @pytest.mark.parametrize("written", [0, 1, 2])
+    def test_a_write_into_one_shard_changes_no_other_array(self, written):
+        ds = make_synthetic(6, 3, 300, seed=1)
+        source = (ds.features.copy(), ds.labels.copy())
+        shards = partition_non_iid(ds, 3, 2, 40, seed=7)
+        kept = [(s.features.copy(), s.labels.copy()) for s in shards]
+        shards[written].features[:] = np.nan
+        shards[written].labels[:] = 0
+        for idx, (shard, (features, labels)) in enumerate(zip(shards, kept)):
+            if idx != written:
+                assert np.array_equal(shard.features, features)
+                assert np.array_equal(shard.labels, labels)
+        assert np.array_equal(ds.features, source[0])
+        assert np.array_equal(ds.labels, source[1])
+
     def test_partition_deterministic_per_agent_stream(self):
         ds = make_synthetic(4, 2, 400, seed=2)
         a = partition_non_iid(ds, 2, 2, 100, seed=3)

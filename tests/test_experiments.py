@@ -36,6 +36,7 @@ from steinfed.experiments import (
     run_experiment,
     run_paths,
 )
+import steinfed.experiments as experiments
 import steinfed.federation as fed
 from steinfed.federation import (
     STREAM_UNLEARN,
@@ -636,6 +637,25 @@ class TestBuildOnce:
             assert build_problem(cfg).test_labels.shape == (n_test,)
         assert dict(counts) == {"pretrain_feature_map": 2}
 
+    def test_cached_arrays_are_read_only_and_apart_from_the_pool(self, tmp_path, monkeypatch):
+        pools = []
+        pretrain = experiments.pretrain_feature_map
+
+        def keep_pool(features, labels, *args):
+            pools.append((features, labels))
+            return pretrain(features, labels, *args)
+
+        monkeypatch.setattr(experiments, "pretrain_feature_map", keep_pool)
+        problem = build_problem(config_from_dict(classification_dict(tmp_path)))
+        [(pool_features, pool_labels)] = pools
+        arrays = [value for owner in (problem, problem.prior, *problem.losses.values())
+                  for value in vars(owner).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 4 + 4 * len(problem.losses)  # test set, prior, each loss's four
+        for value in arrays:
+            assert not value.flags.writeable
+            assert not np.shares_memory(value, pool_features)
+            assert not np.shares_memory(value, pool_labels)
+
 
 class TestStopRules:
     def rec(self, rnd, acc=None, loss=None):
@@ -1082,6 +1102,20 @@ def test_round_function_is_read_from_its_module_at_each_round(tmp_path, monkeypa
     result = run_experiment(cfg, command)
     assert result.rounds_run == rounds
     assert dict(counts) == {name: rounds}
+
+
+@pytest.mark.parametrize("command,mode,draws", [
+    ("learn", "centralized", 1),
+    ("unlearn", "centralized", 0),
+    ("retrain", "centralized", 1),
+    ("retrain", "federated", 1),
+], ids=["learn", "unlearn", "retrain-centralized", "retrain-federated"])
+def test_global_particles_are_drawn_only_when_a_phase_starts_from_the_prior(
+        tmp_path, monkeypatch, command, mode, draws):
+    cfg = _round_case(tmp_path, "dsvgd", command, mode)
+    counts = _count_calls(monkeypatch, {"federation": ("init_global_particles",)})
+    run_experiment(cfg, command)
+    assert counts["init_global_particles"] == draws
 
 
 class TestParametricRuns:
