@@ -1,26 +1,44 @@
 """Dataset loading, synthetic generation, and the label-based partition.
 
+A training set is built in two steps.  A `RowSource` holds the labels,
+checked, and makes float features only for the rows taken from it;
+`choose_rows` picks every agent's rows from the labels alone, and
+`pool_shards` takes those rows once, as the pool whose slices are the
+shards.  So a build holds the pool's floats, never the whole training
+matrix's.
+
 Image/label files use the IDX binary layout: a big-endian magic number
 (2051 for images, 2049 for labels), big-endian dimension sizes, then raw
-unsigned bytes.  Pixel values are scaled to [0, 1].  The synthetic
-generator produces Gaussian class blobs so the classification experiments
-run without any external download.
+unsigned bytes.  Every check on a pair of files runs before any row is
+chosen, and pixel values are scaled to [0, 1] for the rows taken only.  The
+synthetic generator produces Gaussian class blobs so the classification
+experiments run without any external download.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
+# Rows of synthetic noise drawn per call.  Drawing a stream in blocks gives the
+# same numbers as one draw of the whole matrix, and only the rows taken are kept.
+ROW_BLOCK = 256
 
 
 class IdxFormatError(ValueError):
     """An IDX file failed validation."""
+
+
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError("labels outside [0, num_classes)")
 
 
 @dataclass(frozen=True)
@@ -38,10 +56,33 @@ class Dataset:
             raise ValueError(
                 f"label count {labels.shape} does not match feature count {features.shape[0]}"
             )
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-            raise ValueError("labels outside [0, num_classes)")
+        _check_labels(labels, self.num_classes)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
+
+    def take(self, rows) -> Dataset:
+        """The examples at ``rows``, copied."""
+        return Dataset(self.features[rows], self.labels[rows], self.num_classes)
+
+
+@dataclass(frozen=True)
+class RowSource:
+    """A training or test set's labels, with float features made only for the rows taken.
+
+    ``features_of(rows)`` returns a new float array of the features at
+    ``rows``, an index array or a slice, in that order.
+    """
+
+    labels: np.ndarray
+    num_classes: int
+    features_of: Callable[..., np.ndarray]
+
+    def __post_init__(self) -> None:
+        _check_labels(self.labels, self.num_classes)
+
+    def take(self, rows=slice(None)) -> Dataset:
+        """The examples at ``rows`` (by default all of them), as floats."""
+        return Dataset(self.features_of(rows), self.labels[rows], self.num_classes)
 
 
 @dataclass(frozen=True)
@@ -76,12 +117,17 @@ def _read_idx(path, magic: int, n_dims: int) -> tuple[tuple[int, ...], np.ndarra
     return tuple(dims), np.frombuffer(data, dtype=np.uint8, offset=header_size)
 
 
+def _scaled(pixels: np.ndarray) -> np.ndarray:
+    """Unsigned bytes as floats in [0, 1], scaled in place."""
+    out = pixels.astype(float)
+    out /= 255.0
+    return out
+
+
 def load_idx_images(path) -> np.ndarray:
     """Read an IDX image file into a (n, rows, cols) float array in [0, 1]."""
     dims, pixels = _read_idx(path, IMAGE_MAGIC, 3)
-    images = pixels.reshape(dims).astype(float)
-    images /= 255.0
-    return images
+    return _scaled(pixels.reshape(dims))
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -89,18 +135,76 @@ def load_idx_labels(path) -> np.ndarray:
     return _read_idx(path, LABEL_MAGIC, 1)[1].astype(np.int64)
 
 
+def idx_source(images_path, labels_path, num_classes: int = 10) -> RowSource:
+    """Pair an image file with a label file, both checked; rows are flattened images.
+
+    Only the unsigned bytes are held: the rows taken are scaled to floats
+    when taken.
+    """
+    (count, height, width), pixels = _read_idx(images_path, IMAGE_MAGIC, 3)
+    labels = load_idx_labels(labels_path)
+    if count != labels.shape[0]:
+        raise IdxFormatError(f"image count {count} does not match label count {labels.shape[0]}")
+    pixels = pixels.reshape(count, height * width)
+    return RowSource(labels, num_classes, lambda taken: _scaled(pixels[taken]))
+
+
 def load_idx_dataset(images_path, labels_path, num_classes: int = 10) -> Dataset:
     """Pair an image file with a label file, flattening images to rows."""
-    images = load_idx_images(images_path)
-    labels = load_idx_labels(labels_path)
-    if images.shape[0] != labels.shape[0]:
-        raise IdxFormatError(
-            f"image count {images.shape[0]} does not match label count {labels.shape[0]}"
-        )
-    return Dataset(images.reshape(images.shape[0], -1), labels, num_classes)
+    return idx_source(images_path, labels_path, num_classes).take()
 
 
 # --- synthetic data -----------------------------------------------------------
+
+
+def synthetic_source(
+    num_classes: int,
+    dim: int,
+    n_examples: int,
+    seed: int,
+    center_scale: float = 4.0,
+    noise: float = 1.0,
+    stream: int = 1,
+) -> RowSource:
+    """Gaussian class blobs with class-balanced labels, drawn for the rows taken.
+
+    Class centres are drawn once from the ``[seed, 0]`` stream so a train
+    and a test set made with the same seed share geometry.  The labels'
+    shuffle and then the example noise, row by row, come from the
+    ``[seed, stream]`` stream.  Taking rows draws that noise in blocks of
+    `ROW_BLOCK` rows up to the last row taken and keeps only the rows taken,
+    so they hold the same numbers as in a draw of the whole matrix.
+    """
+    if num_classes < 2:
+        raise ValueError(f"need at least 2 classes, got {num_classes}")
+    if n_examples < num_classes:
+        raise ValueError(f"need at least one example per class, got {n_examples}")
+    center_rng = np.random.default_rng([seed, 0])
+    centers = center_rng.normal(0.0, center_scale, size=(num_classes, dim))
+    rng = np.random.default_rng([seed, stream])
+    labels = np.arange(n_examples) % num_classes
+    rng.shuffle(labels)
+
+    def features_of(taken) -> np.ndarray:
+        taken = np.arange(n_examples)[taken]
+        order = np.argsort(taken)
+        wanted = taken[order]
+        out = np.empty((taken.size, dim))
+        draws = copy.deepcopy(rng)  # each take starts where the shuffle left the stream
+        done = 0
+        for start in range(0, n_examples, ROW_BLOCK):
+            if done == taken.size:
+                break
+            block = draws.standard_normal((min(ROW_BLOCK, n_examples - start), dim))
+            stop = int(np.searchsorted(wanted, start + block.shape[0]))
+            kept = block[wanted[done:stop] - start]
+            kept *= noise
+            kept += centers[labels[wanted[done:stop]]]
+            out[order[done:stop]] = kept
+            done = stop
+        return out
+
+    return RowSource(labels, num_classes, features_of)
 
 
 def make_synthetic(
@@ -112,26 +216,8 @@ def make_synthetic(
     noise: float = 1.0,
     stream: int = 1,
 ) -> Dataset:
-    """Gaussian class blobs with class-balanced labels.
-
-    Class centres are drawn once from the ``[seed, 0]`` stream so a train
-    and a test set made with the same seed share geometry; example noise
-    comes from the ``[seed, stream]`` stream.
-    """
-    if num_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {num_classes}")
-    if n_examples < num_classes:
-        raise ValueError(f"need at least one example per class, got {n_examples}")
-    center_rng = np.random.default_rng([seed, 0])
-    centers = center_rng.normal(0.0, center_scale, size=(num_classes, dim))
-    rng = np.random.default_rng([seed, stream])
-    labels = np.arange(n_examples) % num_classes
-    rng.shuffle(labels)
-    features = rng.standard_normal((n_examples, dim))
-    features *= noise
-    for cls, center in enumerate(centers):  # in place, so the matrix is allocated once
-        features[labels == cls] += center
-    return Dataset(features, labels, num_classes)
+    """Every row of `synthetic_source`."""
+    return synthetic_source(num_classes, dim, n_examples, seed, center_scale, noise, stream).take()
 
 
 def make_synthetic_pair(
@@ -152,27 +238,26 @@ def make_synthetic_pair(
 # --- partition ----------------------------------------------------------------
 
 
-def pool_shards(
-    dataset: Dataset,
+def choose_rows(
+    labels: np.ndarray,
+    num_classes: int,
     num_agents: int,
     labels_per_agent: int = 2,
     examples_per_agent: int = 100,
     seed: int = 0,
-) -> tuple[Dataset, list[Shard]]:
-    """The rows of every agent's shard, gathered once, and the shards as views of them.
+) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """The rows of every agent's shard, agent 1's first, and each agent's classes.
 
-    The pool holds agent 1's rows, then agent 2's, and so on; each shard's
-    features and labels are its consecutive slice of the pool.  The choice
-    of rows is described under `partition_non_iid`.
+    Reads only the labels.  The choice is described under `partition_non_iid`.
     """
     if num_agents < 1:
         raise ValueError(f"need at least one agent, got {num_agents}")
     if labels_per_agent < 1:
         raise ValueError(f"need at least one label per agent, got {labels_per_agent}")
-    if num_agents * labels_per_agent != dataset.num_classes:
+    if num_agents * labels_per_agent != num_classes:
         raise ValueError(
             f"{num_agents} agents x {labels_per_agent} labels must cover "
-            f"{dataset.num_classes} classes exactly"
+            f"{num_classes} classes exactly"
         )
     if examples_per_agent % labels_per_agent != 0:
         raise ValueError(
@@ -188,15 +273,34 @@ def pool_shards(
         classes = tuple(range(idx * labels_per_agent, (idx + 1) * labels_per_agent))
         rng = np.random.default_rng([seed, agent_id])
         for cls in classes:
-            candidates = np.flatnonzero(dataset.labels == cls)
+            candidates = np.flatnonzero(labels == cls)
             if candidates.size < per_label:
                 raise ValueError(
                     f"class {cls} has {candidates.size} examples, agent {agent_id} needs {per_label}"
                 )
             rows.append(rng.choice(candidates, size=per_label, replace=False))
         agent_classes.append(classes)
-    chosen = np.concatenate(rows)
-    pool = Dataset(dataset.features[chosen], dataset.labels[chosen], dataset.num_classes)
+    return np.concatenate(rows), agent_classes
+
+
+def pool_shards(
+    dataset: Dataset | RowSource,
+    num_agents: int,
+    labels_per_agent: int = 2,
+    examples_per_agent: int = 100,
+    seed: int = 0,
+) -> tuple[Dataset, list[Shard]]:
+    """The rows of every agent's shard, taken once, and the shards as views of them.
+
+    The rows are chosen from ``dataset``'s labels by `choose_rows`, then
+    taken from ``dataset`` in one step, so a `RowSource` makes floats for
+    those rows only.  The pool holds agent 1's rows, then agent 2's, and so
+    on; each shard's features and labels are its consecutive slice of the
+    pool.
+    """
+    rows, agent_classes = choose_rows(dataset.labels, dataset.num_classes, num_agents,
+                                      labels_per_agent, examples_per_agent, seed)
+    pool = dataset.take(rows)
     shards = []
     for idx, classes in enumerate(agent_classes):
         part = slice(idx * examples_per_agent, (idx + 1) * examples_per_agent)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import federation as fed
 from . import pvi
-from .data import load_idx_dataset, make_synthetic_pair, pool_shards
+from .data import idx_source, pool_shards, synthetic_source
 from .kernels import kde_log_density
 from .metrics import (
     METRICS_COLUMNS,
@@ -495,21 +495,21 @@ def _classification_problem(spec: ClassificationSpec, seed: int,
     num_classes = spec.num_classes
     if spec.source == "synthetic":
         syn = spec.synthetic
-        train, test = make_synthetic_pair(
-            num_classes, syn.dim, syn.n_train, syn.n_test, seed,
-            center_scale=syn.center_scale, noise=syn.noise,
-        )
+        train_source = synthetic_source(num_classes, syn.dim, syn.n_train, seed,
+                                        syn.center_scale, syn.noise, stream=1)
+        test_source = synthetic_source(num_classes, syn.dim, syn.n_test, seed,
+                                       syn.center_scale, syn.noise, stream=2)
     else:
-        train = load_idx_dataset(spec.idx.train_images, spec.idx.train_labels, num_classes)
-        test = load_idx_dataset(spec.idx.test_images, spec.idx.test_labels, num_classes)
+        train_source = idx_source(spec.idx.train_images, spec.idx.train_labels, num_classes)
+        test_source = idx_source(spec.idx.test_images, spec.idx.test_labels, num_classes)
 
     try:
         pool, shards = pool_shards(
-            train, len(spec.agent_ids), spec.labels_per_agent, spec.examples_per_agent, seed
+            train_source, len(spec.agent_ids), spec.labels_per_agent, spec.examples_per_agent, seed
         )
     except ValueError as err:
         raise ConfigError(f"config.experiment: {err}") from None
-    del train  # the pool holds every row the shards use; the rest is not needed again
+    del train_source  # the pool holds every row the shards use; the rest is not needed again
 
     feature_map = pretrain_feature_map(pool.features, pool.labels, num_classes, spec.feature_map,
                                        np.random.default_rng(seed))
@@ -518,10 +518,13 @@ def _classification_problem(spec: ClassificationSpec, seed: int,
         s.agent_id: SoftmaxHeadLoss(feature_map(s.features), s.labels, num_classes)
         for s in shards
     }
+    shard_classes = {s.agent_id: s.classes for s in shards}
+    del pool, shards  # so that the test set's floats are never held beside the pool's
+    test = test_source.take()
     head_dim = (feature_map.num_features + 1) * num_classes
     problem = ClassificationProblem(
         losses=losses,
-        shard_classes={s.agent_id: s.classes for s in shards},
+        shard_classes=shard_classes,
         prior=spec.prior.build(dim=head_dim),
         forget_ids=(),
         test_features=feature_map(test.features),

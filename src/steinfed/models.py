@@ -354,11 +354,15 @@ def pretrain_feature_map(
     b2 = np.zeros(num_classes)
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), y] = 1.0
+    # The (n, h) arrays of an epoch, filled in place every epoch.
+    hidden = np.empty((n, h))
+    active = np.empty((n, h), dtype=bool)
+    back = np.empty((n, h))
 
     for _ in range(config.epochs):
-        hidden = x @ w1
+        np.matmul(x, w1, out=hidden)
         hidden += b1
-        active = hidden > 0.0
+        np.greater(hidden, 0.0, out=active)
         np.maximum(hidden, 0.0, out=hidden)
         log_probs = hidden @ w2
         log_probs += b2
@@ -371,7 +375,7 @@ def pretrain_feature_map(
         resid /= n
         grad_w2 = hidden.T @ resid
         grad_b2 = resid.sum(axis=0)
-        back = resid @ w2.T
+        np.matmul(resid, w2.T, out=back)
         back *= active
         grad_w1 = x.T @ back
         grad_b1 = back.sum(axis=0)

@@ -286,3 +286,24 @@ def partition_allocating(features, labels, num_agents, labels_per_agent, example
     pool_features = np.concatenate([f for f, _ in shards])
     pool_labels = np.concatenate([y for _, y in shards])
     return shards, pool_features, pool_labels
+
+
+# --- the full-matrix classification build -----------------------------------------
+# The draw that `steinfed.data.RowSource` replaced, kept verbatim: every training row
+# as floats in one matrix, from which `partition_allocating` gathers the shards' rows.
+
+
+def make_synthetic_full(num_classes, dim, n_examples, seed, center_scale=4.0, noise=1.0,
+                        stream=1):
+    """``data.make_synthetic``'s features and labels, from one draw of the whole matrix."""
+    center_rng = np.random.default_rng([seed, 0])
+    centers = center_rng.normal(0.0, center_scale, size=(num_classes, dim))
+    rng = np.random.default_rng([seed, stream])
+    labels = np.arange(n_examples) % num_classes
+    rng.shuffle(labels)
+    features = rng.standard_normal((n_examples, dim))
+    features *= noise
+    for cls, center in enumerate(centers):  # in place, so the matrix is allocated once
+        features[labels == cls] += center
+    return features, labels
+

@@ -3,8 +3,9 @@
 Every hot-path expression that now writes into an array it owns must give
 the same bits as before, must leave its inputs alone, and must not write
 into an array that a caller handed it read-only.  The classification build,
-which now holds one float copy of the training rows, is checked the same
-way, and its traced memory peak is bounded.
+which makes floats only for the rows of the pretraining pool, is checked
+the same way against the full-matrix build, and its traced memory peak is
+bounded.
 """
 
 import dataclasses
@@ -26,13 +27,25 @@ from helpers import (
     kde_log_density_grad_allocating,
     load_idx_images_allocating,
     make_synthetic_allocating,
+    make_synthetic_full,
     pairwise_sq_dists_allocating,
     partition_allocating,
     pretrain_allocating,
     svgd_direction_allocating,
     tilted_target_allocating,
 )
-from steinfed.data import load_idx_images, make_synthetic, partition_non_iid, pool_shards
+from steinfed.data import (
+    ROW_BLOCK,
+    choose_rows,
+    idx_source,
+    load_idx_dataset,
+    load_idx_images,
+    load_idx_labels,
+    make_synthetic,
+    partition_non_iid,
+    pool_shards,
+    synthetic_source,
+)
 from steinfed.experiments import (
     MixtureProblem,
     _classification_problem,
@@ -66,7 +79,7 @@ from steinfed.models import (
     pretrain_feature_map,
 )
 from steinfed.svgd import AdaGradState, adagrad_step, svgd_direction
-from test_data import write_images
+from test_data import write_images, write_labels
 from test_experiments import classification_dict, mixture_dict
 
 # (queries, particles, dimension): the mixture, its KL grid, desk and wide.
@@ -352,10 +365,15 @@ def test_grid_reference_is_read_only_and_tied_to_its_grid():
 
 
 # --- the classification build -----------------------------------------------------
-# The build keeps the raw training matrix and one gathered copy of the shards' rows.
+# The build chooses the shards' rows from the labels, then makes floats for those rows only.
 
 # (classes, dimension, training rows, agents, examples per agent): desk and wide.
 BUILD_SHAPES = {"desk": (4, 10, 400, 2, 200), "wide": (10, 784, 10000, 5, 2000)}
+# Also a pool that is a strict subset of the training rows, and row counts that the noise
+# block divides and does not divide.
+POOL_SHAPES = {**BUILD_SHAPES, "subset": (10, 30, 3000, 5, 200),
+               "whole_blocks": (4, 12, 4 * ROW_BLOCK, 2, 100),
+               "ragged": (4, 12, 2 * ROW_BLOCK + 7, 2, 100)}
 # The same shapes as IDX images.
 IDX_SHAPES = {"desk": (400, 2, 5), "wide": (10000, 28, 28)}
 
@@ -388,13 +406,54 @@ def empty_problem_cache():
 
 class TestClassificationBuild:
     @pytest.mark.parametrize("noise", [1.0, 0.5])
-    @pytest.mark.parametrize("shape", BUILD_SHAPES)
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
     def test_make_synthetic(self, shape, noise):
-        classes, dim, rows, _, _ = BUILD_SHAPES[shape]
+        classes, dim, rows, _, _ = POOL_SHAPES[shape]
         got = make_synthetic(classes, dim, rows, seed=3, center_scale=4.0, noise=noise, stream=2)
         features, labels = make_synthetic_allocating(classes, dim, rows, 3, 4.0, noise, 2)
         assert_bits(got.features, features)
         assert np.array_equal(got.labels, labels)
+        full_features, full_labels = make_synthetic_full(classes, dim, rows, 3, 4.0, noise, 2)
+        assert_bits(got.features, full_features)
+        assert np.array_equal(got.labels, full_labels)
+
+    @pytest.mark.parametrize("noise", [1.0, 0.5])
+    @pytest.mark.parametrize("shape", POOL_SHAPES)
+    def test_labels_first_pool(self, shape, noise):
+        classes, dim, rows, agents, per_agent = POOL_SHAPES[shape]
+        features, labels = make_synthetic_full(classes, dim, rows, 4, 2.0, noise, 1)
+        _, old_features, old_labels = partition_allocating(
+            features, labels, agents, 2, per_agent, 4)
+        del features
+        source = synthetic_source(classes, dim, rows, seed=4, center_scale=2.0, noise=noise)
+        assert np.array_equal(source.labels, labels)
+        pool, shards = pool_shards(source, agents, 2, per_agent, 4)
+        assert_bits(pool.features, old_features)
+        assert np.array_equal(pool.labels, old_labels)
+        for idx, shard in enumerate(shards):
+            part = slice(idx * per_agent, (idx + 1) * per_agent)
+            assert shard.features.base is pool.features
+            assert_bits(shard.features, old_features[part])
+
+    def test_taking_rows_again_draws_them_again(self):
+        source = synthetic_source(4, 12, 3 * ROW_BLOCK, seed=5)
+        rows = np.array([3 * ROW_BLOCK - 1, 0, ROW_BLOCK, 17])
+        first = source.take(rows)
+        assert_bits(source.take(rows).features, first.features)
+        assert_bits(source.take().features[rows], first.features)
+        assert np.array_equal(first.labels, source.labels[rows])
+
+    def test_idx_pool(self, tmp_path):
+        rng = np.random.default_rng(13)
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        write_images(images, rng.integers(0, 256, (600, 28, 28)))
+        write_labels(labels, rng.permutation(np.arange(600) % 10))
+        rows, _ = choose_rows(load_idx_labels(labels), 10, 5, 2, 40, seed=4)
+        assert rows.size == 200
+        pool, _ = pool_shards(idx_source(images, labels), 5, 2, 40, seed=4)
+        assert_bits(pool.features, load_idx_dataset(images, labels).features[rows])
+        assert_bits(pool.features, load_idx_images_allocating(images).reshape(600, -1)[rows])
+        assert np.array_equal(pool.labels, load_idx_labels(labels)[rows])
 
     @pytest.mark.parametrize("shape", IDX_SHAPES)
     def test_load_idx_images(self, tmp_path, shape):
@@ -450,6 +509,11 @@ class TestClassificationBuild:
             assert np.array_equal(loss.labels, old.labels)
 
 
+def pool_build_bytes(pool_rows, dim, hidden, idx_bytes=0):
+    """The pool's floats, pretraining's three (n, h) buffers and the IDX files' bytes."""
+    return pool_rows * dim * 8 + pool_rows * hidden * (8 + 1 + 8) + idx_bytes
+
+
 class TestBuildMemory:
     """Traced peaks against the bytes of the float matrix that is read or drawn."""
 
@@ -474,6 +538,38 @@ class TestBuildMemory:
         _, peak = self.traced_peak(lambda: build_problem(cfg))
         # The training matrix plus the pool that gathers all of its rows: 2x, and the rest.
         assert peak <= 2.5 * 4000 * 300 * 8
+
+    def test_strict_subset_synthetic_build(self, tmp_path, empty_problem_cache):
+        data = classification_dict(tmp_path)
+        data["experiment"].update(
+            synthetic={"num_classes": 10, "dim": 300, "n_train": 12000, "n_test": 400,
+                       "center_scale": 1.0, "noise": 1.0},
+            examples_per_agent=800,
+            feature_map={"hidden_units": 20, "epochs": 1, "step_size": 0.1},
+        )
+        cfg = config_from_dict(data)
+        _, peak = self.traced_peak(lambda: build_problem(cfg))
+        # A third of the training rows are drawn as floats; the whole matrix would be 3x the pool.
+        assert peak <= 1.5 * pool_build_bytes(5 * 800, 300, 20)
+
+    def test_idx_build(self, tmp_path, empty_problem_cache):
+        rng = np.random.default_rng(14)
+        files = {key: tmp_path / key for key in ("train_images", "train_labels",
+                                                 "test_images", "test_labels")}
+        for prefix, count in (("train", 3000), ("test", 500)):
+            write_images(files[f"{prefix}_images"], rng.integers(0, 256, (count, 28, 28)))
+            write_labels(files[f"{prefix}_labels"], rng.permutation(np.arange(count) % 10))
+        data = classification_dict(tmp_path / "runs")
+        data["experiment"].update(
+            source="idx",
+            idx={**{key: str(path) for key, path in files.items()}, "num_classes": 10},
+            examples_per_agent=200,
+            feature_map={"hidden_units": 20, "epochs": 1, "step_size": 0.1},
+        )
+        cfg = config_from_dict(data)
+        _, peak = self.traced_peak(lambda: build_problem(cfg))
+        # Floats for a third of the training images; the test images once the pool is let go.
+        assert peak <= 1.5 * pool_build_bytes(5 * 200, 784, 20, idx_bytes=3500 * 784)
 
     def test_load_idx_images(self, tmp_path):
         # 245 KiB of floats: under the 256 KiB at which numpy reuses a temporary operand

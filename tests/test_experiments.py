@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from steinfed.data import IdxFormatError, load_idx_dataset
 from steinfed.experiments import (
     PHASES,
     ClassificationProblem,
@@ -562,6 +564,41 @@ class TestBuildProblem:
         # head dimension is (hidden + 1) * classes
         assert problem.prior.dim == (4 + 1) * 4
         assert problem.test_features.shape == (80, 4)
+
+    @pytest.mark.parametrize("pair", ["train", "test"])
+    @pytest.mark.parametrize("defect", ["image count", "label count", "magic", "dimension",
+                                        "byte count"])
+    def test_bad_idx_pair_fails_before_rows_are_chosen(self, tmp_path, monkeypatch, pair, defect):
+        rng = np.random.default_rng(1)
+        files = {key: tmp_path / key for key in ("train_images", "train_labels",
+                                                 "test_images", "test_labels")}
+        for prefix, count in (("train", 80), ("test", 12)):
+            write_images(files[f"{prefix}_images"], rng.integers(0, 256, (count, 2, 2)))
+            write_labels(files[f"{prefix}_labels"], np.arange(count) % 4)
+        images, labels = files[f"{pair}_images"], files[f"{pair}_labels"]
+        if defect == "image count":
+            write_images(images, np.zeros((5, 2, 2)))
+        elif defect == "label count":
+            write_labels(labels, [0, 1, 2])
+        elif defect == "magic":
+            labels.write_bytes(struct.pack(">2i", 2051, 1) + bytes(1))
+        elif defect == "dimension":
+            images.write_bytes(struct.pack(">4i", 2051, 1, -2, 2))
+        else:
+            images.write_bytes(images.read_bytes()[:-1])
+        with pytest.raises(IdxFormatError) as direct:
+            load_idx_dataset(images, labels, num_classes=4)
+        if defect in ("image count", "label count"):
+            assert re.fullmatch(r"image count \d+ does not match label count \d+", str(direct.value))
+
+        def no_choice(*args):
+            raise AssertionError("rows chosen before every IDX check ran")
+
+        monkeypatch.setattr("steinfed.data.choose_rows", no_choice)
+        data = idx_dict(tmp_path / "runs")
+        data["experiment"]["idx"].update({key: str(path) for key, path in files.items()})
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(str(direct.value))}$"):
+            build_problem(config_from_dict(data))
 
     def test_classification_label_coverage_checked(self, tmp_path):
         data = classification_dict(tmp_path)
