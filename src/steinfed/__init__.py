@@ -4,12 +4,8 @@ from .data import (
     Dataset,
     IdxFormatError,
     Shard,
-    load_idx_dataset,
-    load_idx_images,
     load_idx_labels,
-    make_synthetic,
     make_synthetic_pair,
-    partition_non_iid,
 )
 from .experiments import (
     ConfigError,

@@ -1,18 +1,20 @@
-"""Dataset loading, synthetic generation, and the label-based partition.
+"""Training and test rows, and the label-based partition.
 
-A training set is built in two steps.  A `RowSource` holds the labels,
-checked, and makes float features only for the rows taken from it;
-`choose_rows` picks every agent's rows from the labels alone, and
-`pool_shards` takes those rows once, as the pool whose slices are the
-shards.  So a build holds the pool's floats, never the whole training
-matrix's.
+Every training or test set is a `RowSource`: its labels, checked, and a
+function that makes float features for the rows taken from it only.  An
+IDX file pair gives one (`idx_source`); so does the synthetic generator
+(`synthetic_source`, or `make_synthetic_pair` for a train and a test set
+over the same class centres).  `choose_rows` picks every agent's rows from
+the labels alone, and `pool_shards` takes those rows once, as the pool
+whose slices are the shards.  So a build holds the pool's floats, never
+the whole training matrix's.
 
 Image/label files use the IDX binary layout: a big-endian magic number
 (2051 for images, 2049 for labels), big-endian dimension sizes, then raw
-unsigned bytes.  Every check on a pair of files runs before any row is
-chosen, and pixel values are scaled to [0, 1] for the rows taken only.  The
-synthetic generator produces Gaussian class blobs so the classification
-experiments run without any external download.
+unsigned bytes.  Every check on a pair of files runs when its source is
+made, before any row is chosen, and pixel values are scaled to [0, 1] for
+the rows taken only.  The synthetic generator produces Gaussian class blobs
+so the classification experiments run without any external download.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ class Dataset:
         _check_labels(labels, self.num_classes)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
-
-    def take(self, rows) -> Dataset:
-        """The examples at ``rows``, copied."""
-        return Dataset(self.features[rows], self.labels[rows], self.num_classes)
 
 
 @dataclass(frozen=True)
@@ -124,12 +122,6 @@ def _scaled(pixels: np.ndarray) -> np.ndarray:
     return out
 
 
-def load_idx_images(path) -> np.ndarray:
-    """Read an IDX image file into a (n, rows, cols) float array in [0, 1]."""
-    dims, pixels = _read_idx(path, IMAGE_MAGIC, 3)
-    return _scaled(pixels.reshape(dims))
-
-
 def load_idx_labels(path) -> np.ndarray:
     """Read an IDX label file into a (n,) int array."""
     return _read_idx(path, LABEL_MAGIC, 1)[1].astype(np.int64)
@@ -147,11 +139,6 @@ def idx_source(images_path, labels_path, num_classes: int = 10) -> RowSource:
         raise IdxFormatError(f"image count {count} does not match label count {labels.shape[0]}")
     pixels = pixels.reshape(count, height * width)
     return RowSource(labels, num_classes, lambda taken: _scaled(pixels[taken]))
-
-
-def load_idx_dataset(images_path, labels_path, num_classes: int = 10) -> Dataset:
-    """Pair an image file with a label file, flattening images to rows."""
-    return idx_source(images_path, labels_path, num_classes).take()
 
 
 # --- synthetic data -----------------------------------------------------------
@@ -207,19 +194,6 @@ def synthetic_source(
     return RowSource(labels, num_classes, features_of)
 
 
-def make_synthetic(
-    num_classes: int,
-    dim: int,
-    n_examples: int,
-    seed: int,
-    center_scale: float = 4.0,
-    noise: float = 1.0,
-    stream: int = 1,
-) -> Dataset:
-    """Every row of `synthetic_source`."""
-    return synthetic_source(num_classes, dim, n_examples, seed, center_scale, noise, stream).take()
-
-
 def make_synthetic_pair(
     num_classes: int,
     dim: int,
@@ -228,10 +202,10 @@ def make_synthetic_pair(
     seed: int,
     center_scale: float = 4.0,
     noise: float = 1.0,
-) -> tuple[Dataset, Dataset]:
-    """Train and test sets over the same class centres."""
-    train = make_synthetic(num_classes, dim, n_train, seed, center_scale, noise, stream=1)
-    test = make_synthetic(num_classes, dim, n_test, seed, center_scale, noise, stream=2)
+) -> tuple[RowSource, RowSource]:
+    """The train (stream 1) and test (stream 2) `synthetic_source` over the same class centres."""
+    train = synthetic_source(num_classes, dim, n_train, seed, center_scale, noise, stream=1)
+    test = synthetic_source(num_classes, dim, n_test, seed, center_scale, noise, stream=2)
     return train, test
 
 
@@ -248,7 +222,10 @@ def choose_rows(
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """The rows of every agent's shard, agent 1's first, and each agent's classes.
 
-    Reads only the labels.  The choice is described under `partition_non_iid`.
+    Reads only the labels.  Classes are assigned in ascending order: agent 1
+    gets the first ``labels_per_agent`` classes, agent 2 the next, and so
+    on, which requires ``num_agents * labels_per_agent == num_classes``.
+    Example selection within each class is the only seeded choice.
     """
     if num_agents < 1:
         raise ValueError(f"need at least one agent, got {num_agents}")
@@ -284,46 +261,25 @@ def choose_rows(
 
 
 def pool_shards(
-    dataset: Dataset | RowSource,
+    source: RowSource,
     num_agents: int,
     labels_per_agent: int = 2,
     examples_per_agent: int = 100,
     seed: int = 0,
 ) -> tuple[Dataset, list[Shard]]:
-    """The rows of every agent's shard, taken once, and the shards as views of them.
+    """The label-disjoint shards' rows, taken once as the pool, and the shards as views of it.
 
-    The rows are chosen from ``dataset``'s labels by `choose_rows`, then
-    taken from ``dataset`` in one step, so a `RowSource` makes floats for
-    those rows only.  The pool holds agent 1's rows, then agent 2's, and so
-    on; each shard's features and labels are its consecutive slice of the
-    pool.
+    The rows are chosen from ``source``'s labels by `choose_rows`, then
+    taken from ``source`` in one step, so floats are made for those rows
+    only.  The pool holds agent 1's rows, then agent 2's, and so on; each
+    shard's features and labels are its consecutive, disjoint slice of the
+    pool, so writing into a shard changes no other shard.
     """
-    rows, agent_classes = choose_rows(dataset.labels, dataset.num_classes, num_agents,
+    rows, agent_classes = choose_rows(source.labels, source.num_classes, num_agents,
                                       labels_per_agent, examples_per_agent, seed)
-    pool = dataset.take(rows)
+    pool = source.take(rows)
     shards = []
     for idx, classes in enumerate(agent_classes):
         part = slice(idx * examples_per_agent, (idx + 1) * examples_per_agent)
         shards.append(Shard(idx + 1, classes, pool.features[part], pool.labels[part]))
     return pool, shards
-
-
-def partition_non_iid(
-    dataset: Dataset,
-    num_agents: int,
-    labels_per_agent: int = 2,
-    examples_per_agent: int = 100,
-    seed: int = 0,
-) -> list[Shard]:
-    """Split a dataset into label-disjoint shards, one per agent.
-
-    Classes are assigned in ascending order: agent 1 gets the first
-    ``labels_per_agent`` classes, agent 2 the next, and so on, which
-    requires ``num_agents * labels_per_agent == num_classes``.  Example
-    selection within each class is the only seeded choice.
-
-    The shards' features and labels are disjoint, contiguous slices of one
-    copy of the chosen rows (see `pool_shards`): writing into a shard
-    changes neither ``dataset`` nor any other shard.
-    """
-    return pool_shards(dataset, num_agents, labels_per_agent, examples_per_agent, seed)[1]

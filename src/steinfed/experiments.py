@@ -28,7 +28,7 @@ import numpy as np
 
 from . import federation as fed
 from . import pvi
-from .data import idx_source, pool_shards, synthetic_source
+from .data import idx_source, make_synthetic_pair, pool_shards
 from .kernels import kde_log_density
 from .metrics import (
     METRICS_COLUMNS,
@@ -495,10 +495,9 @@ def _classification_problem(spec: ClassificationSpec, seed: int,
     num_classes = spec.num_classes
     if spec.source == "synthetic":
         syn = spec.synthetic
-        train_source = synthetic_source(num_classes, syn.dim, syn.n_train, seed,
-                                        syn.center_scale, syn.noise, stream=1)
-        test_source = synthetic_source(num_classes, syn.dim, syn.n_test, seed,
-                                       syn.center_scale, syn.noise, stream=2)
+        train_source, test_source = make_synthetic_pair(num_classes, syn.dim, syn.n_train,
+                                                         syn.n_test, seed, syn.center_scale,
+                                                         syn.noise)
     else:
         train_source = idx_source(spec.idx.train_images, spec.idx.train_labels, num_classes)
         test_source = idx_source(spec.idx.test_images, spec.idx.test_labels, num_classes)
@@ -769,11 +768,16 @@ def _run_phase(cfg: ExperimentConfig, problem, phase: Phase, method: str, starte
     return RunResult(method, records, paths, rounds_run)
 
 
-def _learned(path: str) -> str:
-    """``path``, which an earlier phase must have written."""
+def _saved_snapshot(cfg: ExperimentConfig, method: str) -> tuple[np.ndarray, int]:
+    """The array and round of ``method``'s snapshot, which must exist and be of ``cfg.seed``."""
+    path = run_paths(cfg, method).snapshot
     if not os.path.exists(path):
-        raise MissingStateError(f"no learned state found at {path}; run learn first")
-    return path
+        raise MissingStateError(
+            f"no saved state found at {path}; run {_method_phase(method).name} first")
+    array, round_index, seed = load_snapshot(path)
+    if seed != cfg.seed:
+        raise MissingStateError(f"{path}: saved at seed {seed}, not at the run's seed {cfg.seed}")
+    return array, round_index
 
 
 def _run_particles(cfg: ExperimentConfig, problem, phase: Phase, method: str,
@@ -783,7 +787,7 @@ def _run_particles(cfg: ExperimentConfig, problem, phase: Phase, method: str,
     losses = {k: problem.losses[k] for k in phase.eligible(cfg)}
     learned = None  # None: the global particles are drawn from the prior
     if phase.start is not None:
-        learned = load_snapshot(_learned(run_paths(cfg, phase.start[0]).snapshot))[0]
+        learned = _saved_snapshot(cfg, phase.start[0])[0]
     server, agents = fed.initialize_states(losses, pcfg, cfg.particles, cfg.seed,
                                            phase.local_stream, learned)
     pooled = tuple(losses.values()) if phase.pooled(cfg) else None
@@ -819,6 +823,8 @@ def _load_pvi_state(path: str) -> tuple[GaussianNatParams, dict[int, GaussianNat
             data = json.load(fh)
         eta = GaussianNatParams(**data.get("global", {}))
         locals_nat = {int(k): GaussianNatParams(**v) for k, v in data.get("agents", {}).items()}
+    except FileNotFoundError:
+        raise MissingStateError(f"no saved state found at {path}; run learn first") from None
     except (AttributeError, TypeError, ValueError) as err:  # not JSON, or not the layout
         raise MissingStateError(f"{path}: malformed factor state ({err})") from None
     return eta, locals_nat
@@ -831,10 +837,11 @@ def _run_parametric(cfg: ExperimentConfig, problem, phase: Phase, method: str,
     eta = moment_to_nat([cfg.pvi.prior_mean], [cfg.pvi.prior_variance])
     locals_nat = {k: GaussianNatParams.zeros(eta.dim) for k in eligible}
     if phase.start is not None:  # the learned factors replace the prior and the zero factors
-        eta, locals_nat = _load_pvi_state(_learned(run_paths(cfg, phase.start[1]).locals_json))
+        eta, locals_nat = _load_pvi_state(run_paths(cfg, phase.start[1]).locals_json)
         missing = [k for k in eligible if k not in locals_nat]
         if missing:
             raise MissingStateError(f"learned state lacks factors for forget agents {missing}")
+        _saved_snapshot(cfg, phase.start[1])  # the factors were saved with it, at its seed
     pvicfg = dataclasses.replace(cfg.pvi, alpha=cfg.protocol.alpha)
     rng = np.random.default_rng([cfg.seed, phase.pvi_stream])
 
@@ -871,18 +878,15 @@ def evaluate_snapshot(cfg: ExperimentConfig, method: str) -> dict:
     the final metrics row of the run that wrote the snapshot exactly.
     """
     phase = _method_phase(method)
-    paths = run_paths(cfg, method)
-    if not os.path.exists(paths.snapshot):
-        raise MissingStateError(f"no saved state found at {paths.snapshot}; run {method} first")
+    array, round_index = _saved_snapshot(cfg, method)
     if method in PARAMETRIC_METHODS and not isinstance(cfg.experiment, MixtureSpec):
         raise ConfigError("config.method: parametric methods support the mixture experiment only")
     problem = build_problem(cfg)
-    array, round_index, seed = load_snapshot(paths.snapshot)
     if method in PARAMETRIC_METHODS and array.shape[0] != 2:
-        raise MissingStateError(
-            f"{paths.snapshot}: parametric snapshot must hold mean and variance rows")
+        raise MissingStateError(f"{run_paths(cfg, method).snapshot}: parametric snapshot must "
+                                "hold mean and variance rows")
     record, extra = _measure(problem, phase, method, array, round_index, 0.0)
-    return {"method": method, "round": round_index, "seed": seed, **record.metrics(), **extra}
+    return {"method": method, "round": round_index, "seed": cfg.seed, **record.metrics(), **extra}
 
 
 PLOT_COLUMNS = ("round", "forgotten_acc", "retained_acc", "kl", "wall_ms")

@@ -249,7 +249,7 @@ def grid_kl_allocating(log_q, log_p, x):
 
 def make_synthetic_allocating(num_classes, dim, n_examples, seed, center_scale=4.0, noise=1.0,
                               stream=1):
-    """``data.make_synthetic``'s features and labels."""
+    """The features and labels of every row of ``data.synthetic_source``."""
     center_rng = np.random.default_rng([seed, 0])
     centers = center_rng.normal(0.0, center_scale, size=(num_classes, dim))
     rng = np.random.default_rng([seed, stream])
@@ -260,7 +260,7 @@ def make_synthetic_allocating(num_classes, dim, n_examples, seed, center_scale=4
 
 
 def load_idx_images_allocating(path):
-    """``data.load_idx_images`` on a well-formed file."""
+    """A well-formed IDX image file as a (n, rows, cols) float array in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
     dims = struct.unpack(">3i", data[4:16])
@@ -295,7 +295,7 @@ def partition_allocating(features, labels, num_agents, labels_per_agent, example
 
 def make_synthetic_full(num_classes, dim, n_examples, seed, center_scale=4.0, noise=1.0,
                         stream=1):
-    """``data.make_synthetic``'s features and labels, from one draw of the whole matrix."""
+    """``make_synthetic_allocating``'s features and labels, from one draw of the whole matrix."""
     center_rng = np.random.default_rng([seed, 0])
     centers = center_rng.normal(0.0, center_scale, size=(num_classes, dim))
     rng = np.random.default_rng([seed, stream])

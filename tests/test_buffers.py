@@ -38,11 +38,8 @@ from steinfed.data import (
     ROW_BLOCK,
     choose_rows,
     idx_source,
-    load_idx_dataset,
-    load_idx_images,
     load_idx_labels,
-    make_synthetic,
-    partition_non_iid,
+    make_synthetic_pair,
     pool_shards,
     synthetic_source,
 )
@@ -374,8 +371,6 @@ BUILD_SHAPES = {"desk": (4, 10, 400, 2, 200), "wide": (10, 784, 10000, 5, 2000)}
 POOL_SHAPES = {**BUILD_SHAPES, "subset": (10, 30, 3000, 5, 200),
                "whole_blocks": (4, 12, 4 * ROW_BLOCK, 2, 100),
                "ragged": (4, 12, 2 * ROW_BLOCK + 7, 2, 100)}
-# The same shapes as IDX images.
-IDX_SHAPES = {"desk": (400, 2, 5), "wide": (10000, 28, 28)}
 
 
 def build_case(name, out_dir):
@@ -409,7 +404,8 @@ class TestClassificationBuild:
     @pytest.mark.parametrize("shape", POOL_SHAPES)
     def test_make_synthetic(self, shape, noise):
         classes, dim, rows, _, _ = POOL_SHAPES[shape]
-        got = make_synthetic(classes, dim, rows, seed=3, center_scale=4.0, noise=noise, stream=2)
+        got = make_synthetic_pair(classes, dim, rows, rows, seed=3, center_scale=4.0,
+                                  noise=noise)[1].take()
         features, labels = make_synthetic_allocating(classes, dim, rows, 3, 4.0, noise, 2)
         assert_bits(got.features, features)
         assert np.array_equal(got.labels, labels)
@@ -451,28 +447,22 @@ class TestClassificationBuild:
         rows, _ = choose_rows(load_idx_labels(labels), 10, 5, 2, 40, seed=4)
         assert rows.size == 200
         pool, _ = pool_shards(idx_source(images, labels), 5, 2, 40, seed=4)
-        assert_bits(pool.features, load_idx_dataset(images, labels).features[rows])
+        assert_bits(pool.features, idx_source(images, labels).take().features[rows])
         assert_bits(pool.features, load_idx_images_allocating(images).reshape(600, -1)[rows])
         assert np.array_equal(pool.labels, load_idx_labels(labels)[rows])
-
-    @pytest.mark.parametrize("shape", IDX_SHAPES)
-    def test_load_idx_images(self, tmp_path, shape):
-        path = tmp_path / "images"
-        write_images(path, np.random.default_rng(5).integers(0, 256, IDX_SHAPES[shape]))
-        assert_bits(load_idx_images(path), load_idx_images_allocating(path))
 
     @pytest.mark.parametrize("shape", BUILD_SHAPES)
     def test_pool_and_shards(self, shape):
         classes, dim, rows, agents, per_agent = BUILD_SHAPES[shape]
-        dataset = make_synthetic(classes, dim, rows, seed=4)
+        source = synthetic_source(classes, dim, rows, seed=4)
+        dataset = source.take()
         old_shards, old_features, old_labels = partition_allocating(
             dataset.features, dataset.labels, agents, 2, per_agent, 4)
-        pool, shards = pool_shards(dataset, agents, 2, per_agent, 4)
+        del dataset
+        pool, shards = pool_shards(source, agents, 2, per_agent, 4)
         assert_bits(pool.features, old_features)
         assert np.array_equal(pool.labels, old_labels)
-        del pool, shards, old_features, old_labels
-        for shard, (features, labels) in zip(partition_non_iid(dataset, agents, 2, per_agent, 4),
-                                             old_shards):
+        for shard, (features, labels) in zip(shards, old_shards):
             assert_bits(shard.features, features)
             assert np.array_equal(shard.labels, labels)
 
@@ -570,12 +560,3 @@ class TestBuildMemory:
         _, peak = self.traced_peak(lambda: build_problem(cfg))
         # Floats for a third of the training images; the test images once the pool is let go.
         assert peak <= 1.5 * pool_build_bytes(5 * 200, 784, 20, idx_bytes=3500 * 784)
-
-    def test_load_idx_images(self, tmp_path):
-        # 245 KiB of floats: under the 256 KiB at which numpy reuses a temporary operand
-        # for the result, so `astype(float) / 255.0` would hold two float copies here.
-        path = tmp_path / "images"
-        write_images(path, np.random.default_rng(6).integers(0, 256, (40, 28, 28)))
-        images, peak = self.traced_peak(lambda: load_idx_images(path))
-        # The file's bytes (an eighth) and the float images, scaled in place.
-        assert peak <= 1.5 * images.nbytes

@@ -176,6 +176,20 @@ class TestCommands:
         assert code == 1
         assert "run learn first" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["unlearn", "eval"])
+    def test_state_of_another_seed_is_refused(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, tmp_path / "ignored")
+        out = tmp_path / "runs"
+        assert main(["learn", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        snapshot = out / "dsvgd_snapshot.txt"
+        assert f"{snapshot}: saved at seed 0, not at the run's seed 1" in captured.err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "dsvgd_metrics.csv", "dsvgd_snapshot.txt", "dsvgd_transcript.jsonl"]
+
     def test_invalid_config_reports_field_path(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         data = json.loads(write_config(tmp_path, tmp_path / "runs").read_text())

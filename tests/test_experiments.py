@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steinfed.data import IdxFormatError, load_idx_dataset
+from steinfed.data import IdxFormatError, idx_source
 from steinfed.experiments import (
     PHASES,
     ClassificationProblem,
@@ -587,7 +587,7 @@ class TestBuildProblem:
         else:
             images.write_bytes(images.read_bytes()[:-1])
         with pytest.raises(IdxFormatError) as direct:
-            load_idx_dataset(images, labels, num_classes=4)
+            idx_source(images, labels, num_classes=4).take()
         if defect in ("image count", "label count"):
             assert re.fullmatch(r"image count \d+ does not match label count \d+", str(direct.value))
 
@@ -635,6 +635,12 @@ class TestBuildOnce:
             run_experiment(cfg, command)
         evaluate_snapshot(cfg, "forget_svgd")
         assert dict(counts) == {"pretrain_feature_map": 1}
+
+    def test_synthetic_build_draws_through_make_synthetic_pair(self, tmp_path, monkeypatch):
+        # ``perfbench`` times the synthetic build's sources as this layer.
+        counts = _count_calls(monkeypatch, {"data": ("make_synthetic_pair",)})
+        build_problem(config_from_dict(classification_dict(tmp_path)))
+        assert dict(counts) == {"make_synthetic_pair": 1}
 
     def test_shared_arrays_are_read_only(self, tmp_path):
         problem = build_problem(config_from_dict(classification_dict(tmp_path)))
@@ -1179,6 +1185,18 @@ class TestParametricRuns:
         cfg = config_from_dict(self.pvi_dict(tmp_path / "runs"))
         with pytest.raises(MissingStateError, match="run learn first"):
             run_experiment(cfg, "unlearn")
+
+    def test_pvi_state_of_another_seed_is_refused(self, tmp_path):
+        data = self.pvi_dict(tmp_path / "runs")
+        learned = run_experiment(config_from_dict(data), "learn")
+        data["seed"] = 1
+        cfg = config_from_dict(data)
+        refusal = f"^{re.escape(learned.paths.snapshot)}: saved at seed 0, not at the run's seed 1$"
+        with pytest.raises(MissingStateError, match=refusal):
+            run_experiment(cfg, "unlearn")
+        assert not os.path.exists(run_paths(cfg, "ulpvi").metrics)
+        with pytest.raises(MissingStateError, match=refusal):
+            evaluate_snapshot(cfg, "pvi")
 
     def test_pvi_unlearn_runs_from_saved_factors(self, tmp_path):
         cfg = config_from_dict(self.pvi_dict(tmp_path / "runs"))
