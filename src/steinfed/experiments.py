@@ -169,6 +169,9 @@ class ClassificationSpec:
         at_least(1, self, "labels_per_agent", "examples_per_agent")
         if self.num_classes % self.labels_per_agent != 0:
             raise FieldError("labels_per_agent", f"must divide the class count ({self.num_classes})")
+        if self.examples_per_agent % self.labels_per_agent != 0:
+            raise FieldError("examples_per_agent",
+                             f"must be a multiple of labels_per_agent ({self.labels_per_agent})")
 
     @property
     def num_classes(self) -> int:
@@ -395,17 +398,18 @@ class MixtureProblem:
                                                       self.grid)
         return self._references[key]
 
-    def _fields(self, log_q, loss_points: np.ndarray, retained_only: bool) -> dict:
+    def metrics(self, array: np.ndarray, parametric: bool, retained_only: bool) -> dict:
+        """Grid KL and forgotten-shard loss of a snapshot: particles, or mean and variance rows.
+
+        The loss is taken at each particle, or at the mean.
+        """
+        if parametric:
+            log_q = lambda x: gaussian_log_density_moments(array[0], array[1], x)
+        else:
+            log_q = lambda x: kde_log_density(array, x[:, None], self.kde_lam)
         return {"kl": grid_kl(log_q, self._grid_reference(retained_only), self.grid),
-                "forgot_loss": _forgot_loss(self.losses, self.forget_ids, loss_points)}
-
-    def particle_metrics(self, particles: np.ndarray, retained_only: bool) -> dict:
-        log_q = lambda x: kde_log_density(particles, np.asarray(x, dtype=float)[:, None], self.kde_lam)
-        return self._fields(log_q, particles, retained_only)
-
-    def parametric_metrics(self, mean: np.ndarray, variance: np.ndarray, retained_only: bool) -> dict:
-        log_q = lambda x: gaussian_log_density_moments(mean, variance, x)
-        return self._fields(log_q, np.asarray(mean, dtype=float)[None, :], retained_only)
+                "forgot_loss": _forgot_loss(self.losses, self.forget_ids,
+                                            array[:1] if parametric else array)}
 
 
 @dataclass
@@ -430,9 +434,10 @@ class ClassificationProblem:
         forgotten = set(self.forgotten_classes)
         return tuple(c for c in range(self.num_classes) if c not in forgotten)
 
-    def particle_metrics(self, particles: np.ndarray, retained_only: bool = False) -> dict:
+    def metrics(self, array: np.ndarray, parametric: bool, retained_only: bool) -> dict:
+        """Test accuracies and forgotten-shard loss of particles; the flags do not apply here."""
         acc = per_class_accuracy(
-            particles, self.test_features, self.test_labels, self.num_classes,
+            array, self.test_features, self.test_labels, self.num_classes,
             classes=tuple(range(self.num_classes)),
         )
         forgotten = self.forgotten_classes
@@ -441,7 +446,7 @@ class ClassificationProblem:
             "forgotten_acc": macro_accuracy(acc, forgotten) if forgotten else None,
             "retained_acc": macro_accuracy(acc, retained) if retained else None,
             "per_class": {str(c): acc[c] for c in sorted(acc)},
-            "forgot_loss": _forgot_loss(self.losses, self.forget_ids, particles),
+            "forgot_loss": _forgot_loss(self.losses, self.forget_ids, array),
         }
 
 
@@ -704,10 +709,7 @@ def _measure(problem, phase: Phase, method: str, array: np.ndarray, round_index:
 
     The array holds particles, or for a parametric method mean and variance rows.
     """
-    if method in PARAMETRIC_METHODS:
-        fields = problem.parametric_metrics(array[0], array[1], phase.retained_only)
-    else:
-        fields = problem.particle_metrics(array, phase.retained_only)
+    fields = problem.metrics(array, method in PARAMETRIC_METHODS, phase.retained_only)
     extra = {"per_class": fields.pop("per_class")} if "per_class" in fields else {}
     return MetricRecord(round=round_index, phase=phase.name, wall_ms=wall_ms, **fields), extra
 
@@ -780,14 +782,14 @@ def _saved_snapshot(cfg: ExperimentConfig, method: str) -> tuple[np.ndarray, int
     return array, round_index
 
 
-def _run_particles(cfg: ExperimentConfig, problem, phase: Phase, method: str,
-                   started: float) -> RunResult:
+def _run_particles(cfg: ExperimentConfig, phase: Phase, method: str, started: float) -> RunResult:
     """DSVGD rounds with the phase's loss sign, or centralized rounds on the pooled losses."""
-    pcfg = _protocol_config(cfg, problem.prior, phase)
-    losses = {k: problem.losses[k] for k in phase.eligible(cfg)}
     learned = None  # None: the global particles are drawn from the prior
     if phase.start is not None:
         learned = _saved_snapshot(cfg, phase.start[0])[0]
+    problem = build_problem(cfg)  # after the start state, so that a bad one fails fast
+    pcfg = _protocol_config(cfg, problem.prior, phase)
+    losses = {k: problem.losses[k] for k in phase.eligible(cfg)}
     server, agents = fed.initialize_states(losses, pcfg, cfg.particles, cfg.seed,
                                            phase.local_stream, learned)
     pooled = tuple(losses.values()) if phase.pooled(cfg) else None
@@ -830,8 +832,7 @@ def _load_pvi_state(path: str) -> tuple[GaussianNatParams, dict[int, GaussianNat
     return eta, locals_nat
 
 
-def _run_parametric(cfg: ExperimentConfig, problem, phase: Phase, method: str,
-                    started: float) -> RunResult:
+def _run_parametric(cfg: ExperimentConfig, phase: Phase, method: str, started: float) -> RunResult:
     """PVI rounds with the phase's loss sign on diagonal-Gaussian factors: PVI or ULPVI."""
     eligible = phase.eligible(cfg)
     eta = moment_to_nat([cfg.pvi.prior_mean], [cfg.pvi.prior_variance])
@@ -842,6 +843,7 @@ def _run_parametric(cfg: ExperimentConfig, problem, phase: Phase, method: str,
         if missing:
             raise MissingStateError(f"learned state lacks factors for forget agents {missing}")
         _saved_snapshot(cfg, phase.start[1])  # the factors were saved with it, at its seed
+    problem = build_problem(cfg)  # after the start state, so that a bad one fails fast
     pvicfg = dataclasses.replace(cfg.pvi, alpha=cfg.protocol.alpha)
     rng = np.random.default_rng([cfg.seed, phase.pvi_stream])
 
@@ -863,9 +865,8 @@ def run_experiment(cfg: ExperimentConfig, command: str) -> RunResult:
     method = resolve_method(cfg.method, command)
     phase = PHASES[command]
     check_phase_agents(cfg, phase)
-    problem = build_problem(cfg)
     run = _run_parametric if method in PARAMETRIC_METHODS else _run_particles
-    return run(cfg, problem, phase, method, started)
+    return run(cfg, phase, method, started)
 
 
 # --- evaluation and export --------------------------------------------------------

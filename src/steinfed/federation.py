@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -191,31 +191,24 @@ def distill_target_grad(
 # --- rounds -------------------------------------------------------------------
 
 
-def _support_projection(config: ProtocolConfig) -> Callable[[np.ndarray], np.ndarray] | None:
-    if config.prior is None:
-        return None
-    return config.prior.clamp
+def _svgd(particles: np.ndarray, target: TargetGradient, steps: int, epsilon: float,
+          carried: AdaGradState | None, config: ProtocolConfig):
+    """Move a particle set ``steps`` SVGD steps towards ``target``, clamped to the prior's support.
 
-
-def _optimizer(
-    config: ProtocolConfig, carried: AdaGradState | None, epsilon: float
-) -> AdaGradState:
-    """The AdaGrad state of one transport run: ``carried`` under ``persist_adagrad``, else fresh."""
-    if config.persist_adagrad and carried is not None:
-        return carried
-    return AdaGradState(epsilon=epsilon, fudge=config.fudge)
+    Returns the moved particles and, under ``persist_adagrad``, the AdaGrad state to carry
+    into the next round (None otherwise).  That state is ``carried`` when there is one, else
+    fresh with master step size ``epsilon``.
+    """
+    keep = config.persist_adagrad
+    opt = carried if keep and carried is not None else AdaGradState(epsilon, config.fudge)
+    project = None if config.prior is None else config.prior.clamp
+    return run_svgd(particles, target, steps, opt, config.bandwidth, project), opt if keep else None
 
 
 def _transport(server: ServerState, target: TargetGradient, config: ProtocolConfig) -> ServerState:
-    """Move the global particles ``update_steps`` steps towards ``target``.
-
-    This is the global half of a federated round and the whole of a
-    centralized one; it returns the next server state.
-    """
-    opt = _optimizer(config, server.global_opt, config.epsilon)
-    new_global = run_svgd(server.global_particles, target, config.update_steps, opt,
-                          config.bandwidth, project=_support_projection(config))
-    return ServerState(new_global, opt if config.persist_adagrad else None)
+    """The next server state: the global particles moved ``update_steps`` steps to ``target``."""
+    return ServerState(*_svgd(server.global_particles, target, config.update_steps,
+                              config.epsilon, server.global_opt, config))
 
 
 def _round(
@@ -225,14 +218,9 @@ def _round(
 
     distill = distill_target_grad(new_server.global_particles, server.global_particles,
                                   agent.local_particles, config.kde_lam)
-    distill_opt = _optimizer(config, agent.distill_opt, config.epsilon_local)
-    new_local = run_svgd(agent.local_particles, distill, config.distill_steps, distill_opt,
-                         config.bandwidth, project=_support_projection(config))
-    new_agent = dataclasses.replace(
-        agent,
-        local_particles=new_local,
-        distill_opt=distill_opt if config.persist_adagrad else None,
-    )
+    new_local, distill_opt = _svgd(agent.local_particles, distill, config.distill_steps,
+                                   config.epsilon_local, agent.distill_opt, config)
+    new_agent = dataclasses.replace(agent, local_particles=new_local, distill_opt=distill_opt)
     return new_server, new_agent
 
 

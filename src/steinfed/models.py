@@ -48,6 +48,12 @@ def _prior_parameters(a, b, dim: int | None, noun: str) -> tuple[np.ndarray, np.
     return a, b
 
 
+def _gaussian_log_density(x: np.ndarray, mean, variance) -> np.ndarray:
+    """Diagonal-Gaussian log density on the last axis; (M, 1, d) x, (K, d) parameters -> (M, K)."""
+    quad = ((x - mean) ** 2 / variance).sum(axis=-1)
+    return -0.5 * (quad + np.log(2.0 * np.pi * variance).sum(axis=-1))
+
+
 class UniformPrior:
     """Box-uniform prior on an open axis-aligned support."""
 
@@ -98,10 +104,7 @@ class GaussianPrior:
         return self.mean + np.sqrt(self.variance) * rng.standard_normal((n, self.dim))
 
     def log_density(self, theta: np.ndarray) -> np.ndarray:
-        arr = _as_rows(theta, self.dim)
-        quad = ((arr - self.mean) ** 2 / self.variance).sum(axis=1)
-        const = float(np.log(2.0 * np.pi * self.variance).sum())
-        return -0.5 * (quad + const)
+        return _gaussian_log_density(_as_rows(theta, self.dim), self.mean, self.variance)
 
     def score(self, theta: np.ndarray) -> np.ndarray:
         return (self.mean - _as_rows(theta, self.dim)) / self.variance
@@ -152,10 +155,7 @@ class GaussianMixtureLoss:
         self._variances = np.stack([c.variance for c in components])
 
     def _component_log_densities(self, arr: np.ndarray) -> np.ndarray:
-        diff = arr[:, None, :] - self._means[None, :, :]
-        quad = (diff ** 2 / self._variances[None, :, :]).sum(axis=2)
-        const = np.log(2.0 * np.pi * self._variances).sum(axis=1)
-        return self._log_weights[None, :] - 0.5 * (quad + const[None, :])
+        return self._log_weights + _gaussian_log_density(arr[:, None], self._means, self._variances)
 
     def log_mixture_density(self, theta: np.ndarray) -> np.ndarray:
         arr = _as_rows(theta, self.dim)

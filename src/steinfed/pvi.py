@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import _gaussian_log_density
 from .rules import at_least, nonnegative, positive
 
 MAX_STEP_HALVINGS = 30
@@ -71,11 +72,16 @@ class GaussianNatParams:
         return cls(np.zeros(dim), np.zeros(dim))
 
 
-def moment_to_nat(mean, variance) -> GaussianNatParams:
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    variance = np.atleast_1d(np.asarray(variance, dtype=float))
+def _moments(mean, variance) -> tuple[np.ndarray, np.ndarray]:
+    """A (mean, variance) pair as float vectors, with every variance positive."""
+    mean, variance = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (mean, variance))
     if not np.all(variance > 0):
         raise ValueError("variances must be positive")
+    return mean, variance
+
+
+def moment_to_nat(mean, variance) -> GaussianNatParams:
+    mean, variance = _moments(mean, variance)
     return GaussianNatParams(mean / variance, -0.5 / variance)
 
 
@@ -89,16 +95,11 @@ def nat_to_moment(nat: GaussianNatParams) -> tuple[np.ndarray, np.ndarray]:
 
 def gaussian_log_density_moments(mean, variance, x: np.ndarray) -> np.ndarray:
     """Log density of a diagonal Gaussian given mean and variance directly."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    variance = np.atleast_1d(np.asarray(variance, dtype=float))
-    if not np.all(variance > 0):
-        raise ValueError("variances must be positive")
+    mean, variance = _moments(mean, variance)
     q = np.asarray(x, dtype=float)
     if q.ndim == 1 and mean.size == 1:
         q = q[:, None]
-    quad = ((q - mean) ** 2 / variance).sum(axis=-1)
-    const = float(np.log(2.0 * np.pi * variance).sum())
-    return -0.5 * (quad + const)
+    return _gaussian_log_density(q, mean, variance)
 
 
 def expected_loss_grad_moment(

@@ -46,7 +46,6 @@ from steinfed.data import (
 from steinfed.experiments import (
     MixtureProblem,
     _classification_problem,
-    _forgot_loss,
     build_problem,
     config_from_dict,
     run_experiment,
@@ -321,10 +320,9 @@ class TestReadOnlyOperands:
 # --- the mixture reference density ---------------------------------------------
 
 
-def _fields_per_round(self, log_q, loss_points, retained_only):
-    """``MixtureProblem._fields`` as it was: the reference evaluated every round."""
-    return {"kl": grid_kl(log_q, self.reference_log_density(retained_only), self.grid),
-            "forgot_loss": _forgot_loss(self.losses, self.forget_ids, loss_points)}
+def _grid_reference_per_round(self, retained_only):
+    """``MixtureProblem._grid_reference`` as it was: the reference evaluated every round."""
+    return GridReference.of(self.reference_log_density(retained_only), self.grid)
 
 
 @pytest.mark.parametrize("method", ["dsvgd", "pvi"])
@@ -345,7 +343,7 @@ def test_mixture_reference_is_built_once_per_phase(tmp_path, monkeypatch, method
     assert calls == [False, True]
 
     calls.clear()
-    monkeypatch.setattr(MixtureProblem, "_fields", _fields_per_round)
+    monkeypatch.setattr(MixtureProblem, "_grid_reference", _grid_reference_per_round)
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "every"))
     every = {command: run_experiment(cfg, command) for command in ("learn", "unlearn")}
     assert len(calls) == sum(len(res.records) for res in every.values())

@@ -13,7 +13,7 @@ import steinfed
 from steinfed.cli import build_parser, main
 from steinfed.experiments import _classification_problem
 from steinfed.metrics import read_metrics_csv
-from test_experiments import _count_calls, classification_dict
+from test_experiments import REPO_ROOT, _count_calls, classification_dict
 
 
 def write_config(tmp_path, out_dir, seed=0):
@@ -189,6 +189,31 @@ class TestCommands:
         assert f"{snapshot}: saved at seed 0, not at the run's seed 1" in captured.err
         assert sorted(p.name for p in out.iterdir()) == [
             "dsvgd_metrics.csv", "dsvgd_snapshot.txt", "dsvgd_transcript.jsonl"]
+
+    @pytest.mark.parametrize("config,start,state", [
+        ("classification_desk.json", "dsvgd", "dsvgd_snapshot.txt"),
+        ("mixture.json", "pvi", "pvi_locals.json"),
+    ], ids=["desk", "mixture-pvi"])
+    def test_start_state_is_checked_before_the_build(self, tmp_path, capsys, monkeypatch,
+                                                     config, start, state):
+        data = json.loads((REPO_ROOT / "configs" / config).read_text())
+        data.update(method=start, learn={"rounds": 1})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out, empty = tmp_path / "runs", tmp_path / "empty"
+        assert main(["learn", "--config", str(path), "--seed", "0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        _classification_problem.cache_clear()
+        counts = _count_calls(monkeypatch, {"experiments": ("build_problem",)})
+        for args, message in (
+            (["--seed", "1", "--out", str(out)],
+             f"{out / f'{start}_snapshot.txt'}: saved at seed 0, not at the run's seed 1"),
+            (["--out", str(empty)], f"no saved state found at {empty / state}; run learn first"),
+        ):
+            assert main(["unlearn", "--config", str(path), *args]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not counts
+        assert not empty.exists()
 
     def test_invalid_config_reports_field_path(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -411,6 +411,8 @@ CONFIG_ERRORS = [
      "config.experiment.examples_per_agent: must be at least 1, got 0"),
     ("cls", EXP + ("examples_per_agent",), "x",
      "config.experiment.examples_per_agent: expected an integer, got str"),
+    ("cls", EXP + ("examples_per_agent",), 201,
+     "config.experiment.examples_per_agent: must be a multiple of labels_per_agent (2)"),
     # protocol
     ("mix", ("protocol",), [], "config.protocol: expected an object, got list"),
     ("mix", ("protocol",), None, "config.protocol: expected an object, got NoneType"),

@@ -236,6 +236,22 @@ class TestRounds:
         assert persisted.global_opt.accumulator is not None
         assert not np.array_equal(fresh.global_particles, persisted.global_particles)
 
+    def test_persisted_adagrad_carries_the_distillation_state(self):
+        _, losses, _, _, _ = two_agent_setup(seed=15)
+        config = ProtocolConfig(update_steps=5, distill_steps=5, epsilon=0.3, epsilon_local=0.2,
+                                persist_adagrad=True, prior=UniformPrior(-10.0, 10.0))
+        server, agents = initialize_states(losses, config, 10, seed=15)
+        server, agent = learning_round(server, agents[1], config)
+        opt = agent.distill_opt
+        assert opt is not None and opt is not server.global_opt
+        assert opt.epsilon == 0.2
+        sums = [opt.accumulator.sum()]
+        for _ in range(2):
+            server, agent = learning_round(server, agent, config)
+            assert agent.distill_opt is opt
+            sums.append(opt.accumulator.sum())
+        assert sums[0] < sums[1] < sums[2]
+
     def test_single_agent_matching_locals_reduces_to_plain_transport(self):
         # when the local set equals the global set the two density scores
         # cancel exactly, so the server update must match direct transport

@@ -20,6 +20,7 @@ from steinfed.models import (
     per_class_accuracy,
     pretrain_feature_map,
 )
+from steinfed.pvi import gaussian_log_density_moments
 
 from helpers import (
     fd_gradient,
@@ -116,6 +117,21 @@ class TestGaussianPrior:
     def test_invalid_variance(self):
         with pytest.raises(ValueError):
             GaussianPrior(0.0, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_diagonal_gaussian_log_densities_equal_the_formula(d):
+    """The prior, a one-component mixture and the PVI density share one formula, bit for bit."""
+    rng = np.random.default_rng(40 + d)
+    mean, variance = rng.normal(size=d), rng.uniform(0.2, 3.0, size=d)
+    x = rng.normal(scale=2.0, size=(7, d))
+    const = np.log(2.0 * np.pi * variance).sum()
+    want = np.array([-0.5 * (((row - mean) ** 2 / variance).sum() + const) for row in x])
+    mixture = GaussianMixtureLoss([MixtureComponent(1.0, mean, variance)])
+    for got in (GaussianPrior(mean, variance).log_density(x), mixture.log_mixture_density(x),
+                gaussian_log_density_moments(mean, variance, x)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestGaussianMixtureLoss:
