@@ -78,6 +78,6 @@ from .pvi import (
     pvi_round,
     ulpvi_round,
 )
-from .svgd import AdaGradState, adagrad_step, run_svgd, svgd_direction
+from .svgd import adagrad_step, run_svgd, svgd_direction
 
 __version__ = "0.1.0"

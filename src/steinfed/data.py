@@ -12,15 +12,17 @@ the whole training matrix's.
 Image/label files use the IDX binary layout: a big-endian magic number
 (2051 for images, 2049 for labels), big-endian dimension sizes, then raw
 unsigned bytes.  Every check on a pair of files runs when its source is
-made, before any row is chosen, and pixel values are scaled to [0, 1] for
-the rows taken only.  The synthetic generator produces Gaussian class blobs
-so the classification experiments run without any external download.
+made, before any row is chosen; the image bytes are mapped, not read, and
+pixel values are scaled to [0, 1] for the rows taken only.  The synthetic
+generator produces Gaussian class blobs so the classification experiments
+run without any external download.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import os
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -97,22 +99,29 @@ class Shard:
 
 
 def _read_idx(path, magic: int, n_dims: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """The header dimensions and the unsigned-byte payload of an IDX file, both checked."""
+    """The header dimensions and the unsigned-byte payload of an IDX file, both checked.
+
+    The payload is a read-only map of the file, so only the pages of the bytes
+    used are read; the file must not be rewritten while the payload is in use.
+    """
     path = str(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
     header_size = 4 * (1 + n_dims)
-    if len(data) < header_size:
-        raise IdxFormatError(f"{path}: truncated header ({len(data)} bytes)")
-    found, *dims = struct.unpack(f">{1 + n_dims}i", data[:header_size])
-    if found != magic:
-        raise IdxFormatError(f"{path}: bad magic {found}, expected {magic}")
-    if min(dims) < 0:
-        raise IdxFormatError(f"{path}: negative dimension in header")
-    expected = header_size + math.prod(dims)
-    if len(data) != expected:
-        raise IdxFormatError(f"{path}: expected {expected} bytes, found {len(data)}")
-    return tuple(dims), np.frombuffer(data, dtype=np.uint8, offset=header_size)
+    with open(path, "rb") as fh:
+        header = fh.read(header_size)
+        if len(header) < header_size:
+            raise IdxFormatError(f"{path}: truncated header ({len(header)} bytes)")
+        found, *dims = struct.unpack(f">{1 + n_dims}i", header)
+        if found != magic:
+            raise IdxFormatError(f"{path}: bad magic {found}, expected {magic}")
+        if min(dims) < 0:
+            raise IdxFormatError(f"{path}: negative dimension in header")
+        expected = header_size + math.prod(dims)
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise IdxFormatError(f"{path}: expected {expected} bytes, found {size}")
+        payload = np.memmap(fh, dtype=np.uint8, mode="r", offset=header_size,
+                            shape=(expected - header_size,))
+    return tuple(dims), np.asarray(payload)
 
 
 def _scaled(pixels: np.ndarray) -> np.ndarray:
@@ -130,8 +139,8 @@ def load_idx_labels(path) -> np.ndarray:
 def idx_source(images_path, labels_path, num_classes: int = 10) -> RowSource:
     """Pair an image file with a label file, both checked; rows are flattened images.
 
-    Only the unsigned bytes are held: the rows taken are scaled to floats
-    when taken.
+    Only a map of the image file is held: the rows taken are read and scaled
+    to floats when taken.
     """
     (count, height, width), pixels = _read_idx(images_path, IMAGE_MAGIC, 3)
     labels = load_idx_labels(labels_path)

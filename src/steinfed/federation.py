@@ -29,7 +29,7 @@ import numpy as np
 
 from .kernels import _as_particle_matrix, kde_log_density_grad
 from .rules import FieldError, nonnegative, one_of, positive
-from .svgd import AdaGradState, TargetGradient, run_svgd
+from .svgd import TargetGradient, run_svgd
 
 # Seed-stream tags separating learning-phase draws from unlearning re-draws.
 STREAM_LEARN = 0
@@ -45,22 +45,22 @@ class ServerState:
     """Global particle set, updated functionally."""
 
     global_particles: np.ndarray
-    global_opt: AdaGradState | None = None
+    global_acc: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "global_particles", _as_particle_matrix(self.global_particles))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentState:
-    """One agent: its loss and its local particles."""
+    """One agent: its loss and its local particles, updated functionally."""
 
     loss: object
     local_particles: np.ndarray
-    distill_opt: AdaGradState | None = None
+    distill_acc: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.local_particles = np.asarray(self.local_particles, dtype=float)
+        object.__setattr__(self, "local_particles", np.asarray(self.local_particles, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -192,23 +192,24 @@ def distill_target_grad(
 
 
 def _svgd(particles: np.ndarray, target: TargetGradient, steps: int, epsilon: float,
-          carried: AdaGradState | None, config: ProtocolConfig):
+          carried: np.ndarray | None, config: ProtocolConfig):
     """Move a particle set ``steps`` SVGD steps towards ``target``, clamped to the prior's support.
 
-    Returns the moved particles and, under ``persist_adagrad``, the AdaGrad state to carry
-    into the next round (None otherwise).  That state is ``carried`` when there is one, else
-    fresh with master step size ``epsilon``.
+    Under ``persist_adagrad`` the run starts from the ``carried`` AdaGrad accumulator and
+    returns the moved particles with the accumulator to carry into the next round;
+    otherwise it starts from zeros and returns None in its place.
     """
     keep = config.persist_adagrad
-    opt = carried if keep and carried is not None else AdaGradState(epsilon, config.fudge)
     project = None if config.prior is None else config.prior.clamp
-    return run_svgd(particles, target, steps, opt, config.bandwidth, project), opt if keep else None
+    moved, acc = run_svgd(particles, target, steps, epsilon, config.fudge,
+                          carried if keep else None, config.bandwidth, project)
+    return moved, acc if keep else None
 
 
 def _transport(server: ServerState, target: TargetGradient, config: ProtocolConfig) -> ServerState:
     """The next server state: the global particles moved ``update_steps`` steps to ``target``."""
     return ServerState(*_svgd(server.global_particles, target, config.update_steps,
-                              config.epsilon, server.global_opt, config))
+                              config.epsilon, server.global_acc, config))
 
 
 def _round(
@@ -218,9 +219,9 @@ def _round(
 
     distill = distill_target_grad(new_server.global_particles, server.global_particles,
                                   agent.local_particles, config.kde_lam)
-    new_local, distill_opt = _svgd(agent.local_particles, distill, config.distill_steps,
-                                   config.epsilon_local, agent.distill_opt, config)
-    new_agent = dataclasses.replace(agent, local_particles=new_local, distill_opt=distill_opt)
+    new_local, distill_acc = _svgd(agent.local_particles, distill, config.distill_steps,
+                                   config.epsilon_local, agent.distill_acc, config)
+    new_agent = dataclasses.replace(agent, local_particles=new_local, distill_acc=distill_acc)
     return new_server, new_agent
 
 

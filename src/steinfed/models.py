@@ -137,8 +137,7 @@ class GaussianMixtureLoss:
     The loss is defined as ``-alpha * log sum_i w_i N(theta; mu_i, var_i)``
     for the protocol temperature alpha, so the score of the tempered
     likelihood, ``neg_loss_grad``, is the mixture score independent of
-    alpha.  Weights are normalized internally; ``loss`` reports the alpha=1
-    value unless told otherwise.
+    alpha.  Weights are normalized internally; ``loss`` is the alpha=1 value.
     """
 
     def __init__(self, components: list[MixtureComponent] | tuple[MixtureComponent, ...]):
@@ -161,9 +160,8 @@ class GaussianMixtureLoss:
         arr = _as_rows(theta, self.dim)
         return _logsumexp(self._component_log_densities(arr), axis=1)
 
-    def loss(self, theta: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-        log_mix = self.log_mixture_density(theta)
-        return -alpha * log_mix
+    def loss(self, theta: np.ndarray) -> np.ndarray:
+        return -self.log_mixture_density(theta)
 
     def neg_loss_grad(self, theta: np.ndarray, alpha: float = 1.0) -> np.ndarray:
         arr = _as_rows(theta, self.dim)

@@ -7,12 +7,11 @@ The direction applied to particle theta_n is
 
 where ``score`` is the gradient of the log target density evaluated at each
 particle.  Step sizes are scaled per coordinate by AdaGrad with an
-accumulator of squared directions.
+accumulator of squared directions, a plain (N, d) array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -21,25 +20,6 @@ from .kernels import _as_particle_matrix, _median_bandwidth, pairwise_sq_dists
 
 # Row-wise score function: maps an (N, d) particle array to (N, d) gradients.
 TargetGradient = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass
-class AdaGradState:
-    """Per-coordinate AdaGrad scaling state.
-
-    The accumulator is allocated on first use and mutated in place on every
-    step; construct a fresh state to reset the schedule.
-    """
-
-    epsilon: float = 0.05
-    fudge: float = 1e-6
-    accumulator: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.epsilon >= 0:
-            raise ValueError(f"master step size must be nonnegative, got {self.epsilon}")
-        if not self.fudge > 0:
-            raise ValueError(f"fudge factor must be positive, got {self.fudge}")
 
 
 def svgd_direction(
@@ -82,23 +62,23 @@ def svgd_direction(
     return phi
 
 
-def adagrad_step(state: AdaGradState, particles: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Apply one AdaGrad-scaled step and return the moved particles."""
+def adagrad_step(accumulator: np.ndarray, particles: np.ndarray, direction: np.ndarray,
+                 epsilon: float, fudge: float) -> np.ndarray:
+    """Apply one AdaGrad-scaled step and return the moved particles.
+
+    The squared direction is added into ``accumulator`` in place.
+    """
     theta = np.asarray(particles, dtype=float)
     phi = np.asarray(direction, dtype=float)
     if phi.shape != theta.shape:
         raise ValueError(f"direction shape {phi.shape} does not match particles {theta.shape}")
-    if state.accumulator is None:
-        state.accumulator = np.zeros_like(theta)
-    elif state.accumulator.shape != theta.shape:
-        raise ValueError(
-            f"accumulator shape {state.accumulator.shape} does not match particles {theta.shape}"
-        )
+    if accumulator.shape != theta.shape:
+        raise ValueError(f"accumulator shape {accumulator.shape} does not match particles {theta.shape}")
     denom = np.square(phi)
-    state.accumulator += denom
-    np.sqrt(state.accumulator, out=denom)
-    denom += state.fudge
-    step = state.epsilon * phi
+    accumulator += denom
+    np.sqrt(accumulator, out=denom)
+    denom += fudge
+    step = epsilon * phi
     step /= denom
     step += theta
     return step
@@ -108,23 +88,31 @@ def run_svgd(
     particles: np.ndarray,
     target: TargetGradient,
     steps: int,
-    opt: AdaGradState,
+    epsilon: float,
+    fudge: float = 1e-6,
+    accumulator: np.ndarray | None = None,
     bandwidth: float | None = None,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Run ``steps`` transport updates and return the final particles.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``steps`` transport updates; return the final particles and AdaGrad accumulator.
 
-    The input array is never mutated.  ``steps=0`` returns an identical
-    copy; a zero master step size leaves particle values unchanged while
-    still advancing the accumulator.  ``project`` is applied after each
-    step (support clamping).
+    No input is mutated: the accumulator starts as a copy of ``accumulator``,
+    or as zeros when it is None.  ``steps=0`` returns identical copies; a
+    zero master step size ``epsilon`` leaves particle values unchanged while
+    still advancing the accumulator.  ``project`` is applied after each step
+    (support clamping).
     """
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
+    if not epsilon >= 0:
+        raise ValueError(f"master step size must be nonnegative, got {epsilon}")
+    if not fudge > 0:
+        raise ValueError(f"fudge factor must be positive, got {fudge}")
     theta = _as_particle_matrix(particles).copy()
+    acc = np.zeros_like(theta) if accumulator is None else np.array(accumulator, dtype=float)
     for _ in range(steps):
         phi = svgd_direction(theta, target, bandwidth)
-        theta = adagrad_step(opt, theta, phi)
+        theta = adagrad_step(acc, theta, phi, epsilon, fudge)
         if project is not None:
             theta = project(theta)
-    return theta
+    return theta, acc

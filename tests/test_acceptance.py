@@ -37,7 +37,7 @@ from steinfed.pvi import (
     nat_to_moment,
     pvi_round,
 )
-from steinfed.svgd import AdaGradState, adagrad_step, run_svgd, svgd_direction
+from steinfed.svgd import adagrad_step, run_svgd, svgd_direction
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -61,7 +61,7 @@ class TestCriterion1:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             theta = rng.normal(0.0, 1.0, size=(50, 1))
-            out = run_svgd(theta, lambda t: -t, 500, opt=AdaGradState(epsilon=0.2))
+            out, _ = run_svgd(theta, lambda t: -t, 500, epsilon=0.2)
             m, v = float(out.mean()), float(out.var())
             bands.append((m, v))
             hits += int(-0.05 <= m <= 0.05 and 0.9 <= v <= 1.1)
@@ -341,11 +341,11 @@ class TestCriterion6:
             return (1.0 - theta) / 4.0
 
         start = np.array([[3.0]])
-        via_svgd = run_svgd(start, score, 50, opt=AdaGradState(epsilon=0.1))
-        opt = AdaGradState(epsilon=0.1)
+        via_svgd, _ = run_svgd(start, score, 50, epsilon=0.1)
+        acc = np.zeros_like(start)
         theta = start.copy()
         for _ in range(50):
-            theta = adagrad_step(opt, theta, score(theta))
+            theta = adagrad_step(acc, theta, score(theta), 0.1, 1e-6)
         ok, line = report(
             6, via_svgd.tobytes() == theta.tobytes(),
             "single-particle trajectory identical to plain AdaGrad gradient ascent",

@@ -74,7 +74,7 @@ from steinfed.models import (
     SoftmaxHeadLoss,
     pretrain_feature_map,
 )
-from steinfed.svgd import AdaGradState, adagrad_step, svgd_direction
+from steinfed.svgd import adagrad_step, svgd_direction
 from test_data import write_images, write_labels
 from test_experiments import classification_dict, mixture_dict
 
@@ -162,15 +162,14 @@ class TestTransport:
     def test_adagrad_steps(self, n, d):
         rng = np.random.default_rng(2)
         theta = points(rng, n, d)
-        state = AdaGradState(epsilon=0.3, fudge=1e-6)
-        acc = np.zeros((n, d))
+        acc, ref_acc = np.zeros((n, d)), np.zeros((n, d))
         old = theta
         for _ in range(3):
             phi = points(rng, n, d, 4.0)
-            theta = adagrad_step(state, theta, phi)
-            acc, old = adagrad_step_allocating(acc, 0.3, 1e-6, old, phi)
+            theta = adagrad_step(acc, theta, phi, 0.3, 1e-6)
+            ref_acc, old = adagrad_step_allocating(ref_acc, 0.3, 1e-6, old, phi)
             assert_bits(theta, old)
-            assert_bits(state.accumulator, acc)
+            assert_bits(acc, ref_acc)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("with_prior", [False, True])
@@ -249,7 +248,7 @@ def test_inputs_keep_their_bytes():
     kde_log_density(theta, query, LAM)
     kde_log_density_grad(theta, query, LAM)
     svgd_direction(theta, lambda t: phi)
-    adagrad_step(AdaGradState(), theta, phi)
+    adagrad_step(np.zeros_like(theta), theta, phi, 0.05, 1e-6)
     tilted_grad(ServerState(theta), AgentState(loss, query), config, -1.0)(phi)
     distill_target_grad(theta, query, phi, LAM)(query)
     loss.neg_loss_grad(theta)
@@ -540,12 +539,14 @@ class TestBuildMemory:
         # A third of the training rows are drawn as floats; the whole matrix would be 3x the pool.
         assert peak <= 1.5 * pool_build_bytes(5 * 800, 300, 20)
 
-    def test_idx_build(self, tmp_path, empty_problem_cache):
-        rng = np.random.default_rng(14)
+    def idx_build_peak(self, tmp_path, seed, n_train, n_test):
+        """Traced peak of a build on random IDX files: 5 agents of 200 rows, 20 hidden units."""
+        rng = np.random.default_rng(seed)
         files = {key: tmp_path / key for key in ("train_images", "train_labels",
                                                  "test_images", "test_labels")}
-        for prefix, count in (("train", 3000), ("test", 500)):
-            write_images(files[f"{prefix}_images"], rng.integers(0, 256, (count, 28, 28)))
+        for prefix, count in (("train", n_train), ("test", n_test)):
+            write_images(files[f"{prefix}_images"],
+                         rng.integers(0, 256, (count, 28, 28), dtype=np.uint8))
             write_labels(files[f"{prefix}_labels"], rng.permutation(np.arange(count) % 10))
         data = classification_dict(tmp_path / "runs")
         data["experiment"].update(
@@ -555,6 +556,14 @@ class TestBuildMemory:
             feature_map={"hidden_units": 20, "epochs": 1, "step_size": 0.1},
         )
         cfg = config_from_dict(data)
-        _, peak = self.traced_peak(lambda: build_problem(cfg))
+        return self.traced_peak(lambda: build_problem(cfg))[1]
+
+    def test_idx_build(self, tmp_path, empty_problem_cache):
+        peak = self.idx_build_peak(tmp_path, 14, 3000, 500)
         # Floats for a third of the training images; the test images once the pool is let go.
         assert peak <= 1.5 * pool_build_bytes(5 * 200, 784, 20, idx_bytes=3500 * 784)
+
+    def test_idx_build_leaves_the_image_file_unread(self, tmp_path, empty_problem_cache):
+        # The training images outweigh the pool's floats threefold; only the taken rows are read.
+        peak = self.idx_build_peak(tmp_path, 15, 24000, 200)
+        assert peak <= 1.5 * pool_build_bytes(5 * 200, 784, 20)

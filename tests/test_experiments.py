@@ -810,7 +810,7 @@ class TestParticleRuns:
 
         def record(server, agent, config):
             calls.append((server.global_particles.copy(), agent.local_particles.copy(),
-                          agent.distill_opt))
+                          agent.distill_acc))
             return original(server, agent, config)
 
         monkeypatch.setattr(fed, "unlearning_round", record)
@@ -819,10 +819,10 @@ class TestParticleRuns:
         assert np.array_equal(calls[0][0], load_snapshot(learned.paths.snapshot)[0])
         prior = build_problem(cfg).prior
         # round robin over the forget set: agents 1 and 3 run their first rounds
-        for k, (_, local, opt) in zip((1, 3), calls):
+        for k, (_, local, acc) in zip((1, 3), calls):
             want = init_local_particles(prior, cfg.particles, cfg.seed, k, STREAM_UNLEARN)
             assert np.array_equal(local, want)
-            assert opt is None
+            assert acc is None
 
     def test_retained_agent_never_runs_an_unlearning_round(self, tmp_path):
         data = mixture_dict(tmp_path / "runs")

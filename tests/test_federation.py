@@ -25,7 +25,7 @@ from steinfed.federation import (
 )
 from steinfed.kernels import kde_log_density_grad
 from steinfed.models import GaussianMixtureLoss, GaussianPrior, MixtureComponent, UniformPrior
-from steinfed.svgd import AdaGradState, run_svgd
+from steinfed.svgd import run_svgd
 
 
 def gaussian_loss(mean, variance):
@@ -61,13 +61,13 @@ class TestInitialization:
     def test_initialize_states_draws_each_agent_stream(self):
         prior, losses, _, server, agents = two_agent_setup(seed=5)
         assert np.array_equal(server.global_particles, init_global_particles(prior, 12, seed=5))
-        assert server.global_opt is None
+        assert server.global_acc is None
         assert list(agents) == [1, 2]
         for k, agent in agents.items():
             assert agent.loss is losses[k]
             assert np.array_equal(agent.local_particles,
                                   init_local_particles(prior, 12, seed=5, agent_id=k))
-            assert agent.distill_opt is None
+            assert agent.distill_acc is None
 
     def test_initialize_states_requires_prior(self):
         losses = {1: gaussian_loss(0.0, 1.0)}
@@ -213,8 +213,8 @@ class TestRounds:
     def test_fresh_adagrad_each_round_by_default(self):
         _, _, config, server, agents = two_agent_setup(seed=14)
         new_server, new_agent = learning_round(server, agents[1], config)
-        assert new_server.global_opt is None
-        assert new_agent.distill_opt is None
+        assert new_server.global_acc is None
+        assert new_agent.distill_acc is None
 
     def test_persisted_adagrad_changes_later_rounds(self):
         _, losses, _, _, _ = two_agent_setup(seed=15)
@@ -232,8 +232,7 @@ class TestRounds:
 
         fresh = two_rounds(base)
         persisted = two_rounds(keep)
-        assert persisted.global_opt is not None
-        assert persisted.global_opt.accumulator is not None
+        assert persisted.global_acc is not None
         assert not np.array_equal(fresh.global_particles, persisted.global_particles)
 
     def test_persisted_adagrad_carries_the_distillation_state(self):
@@ -242,15 +241,33 @@ class TestRounds:
                                 persist_adagrad=True, prior=UniformPrior(-10.0, 10.0))
         server, agents = initialize_states(losses, config, 10, seed=15)
         server, agent = learning_round(server, agents[1], config)
-        opt = agent.distill_opt
-        assert opt is not None and opt is not server.global_opt
-        assert opt.epsilon == 0.2
-        sums = [opt.accumulator.sum()]
+        assert agent.distill_acc is not None
+        assert not np.array_equal(agent.distill_acc, server.global_acc)
+        sums = [agent.distill_acc.sum()]
         for _ in range(2):
             server, agent = learning_round(server, agent, config)
-            assert agent.distill_opt is opt
-            sums.append(opt.accumulator.sum())
+            sums.append(agent.distill_acc.sum())
         assert sums[0] < sums[1] < sums[2]
+
+    @pytest.mark.parametrize("play", [learning_round, unlearning_round])
+    def test_persisted_adagrad_round_replays_bit_identically(self, play):
+        # the carried accumulators are round inputs like the particles: a round
+        # returns advanced copies and leaves its inputs as they were
+        _, losses, _, _, _ = two_agent_setup(seed=17)
+        config = ProtocolConfig(update_steps=4, distill_steps=4, epsilon=0.3, epsilon_local=0.2,
+                                persist_adagrad=True, prior=UniformPrior(-10.0, 10.0))
+        server, agents = initialize_states(losses, config, 10, seed=17)
+        server, agent = play(server, agents[1], config)
+
+        def fields(server, agent):
+            return (server.global_particles, server.global_acc,
+                    agent.local_particles, agent.distill_acc)
+
+        before = [a.copy() for a in fields(server, agent)]
+        first = fields(*play(server, agent, config))
+        second = fields(*play(server, agent, config))
+        assert all(np.array_equal(a, b) for a, b in zip(fields(server, agent), before))
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
 
     def test_single_agent_matching_locals_reduces_to_plain_transport(self):
         # when the local set equals the global set the two density scores
@@ -264,8 +281,8 @@ class TestRounds:
         server = ServerState(global_particles=start)
         agents = {1: AgentState(loss=loss, local_particles=start.copy())}
         new_server, _ = learning_round(server, agents[1], config)
-        direct = run_svgd(start, lambda t: loss.neg_loss_grad(t, config.alpha),
-                          6, AdaGradState(epsilon=0.1, fudge=config.fudge), None)
+        direct, _ = run_svgd(start, lambda t: loss.neg_loss_grad(t, config.alpha),
+                             6, 0.1, config.fudge)
         assert np.array_equal(new_server.global_particles, direct)
 
 

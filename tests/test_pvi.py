@@ -22,7 +22,7 @@ def gaussian_nll(mean, variance):
     return GaussianMixtureLoss([MixtureComponent(1.0, np.array([mean]), np.array([variance]))])
 
 
-def quadrature_moment_gradient(loss, mu1, mu2, alpha=1.0, eps=1e-6):
+def quadrature_moment_gradient(loss, mu1, mu2, eps=1e-6):
     """Central differences of E_q[loss] as a function of the mean parameters.
 
     The expectation is computed on a fixed trapezoid grid so that the
@@ -30,7 +30,7 @@ def quadrature_moment_gradient(loss, mu1, mu2, alpha=1.0, eps=1e-6):
     differences.
     """
     grid = np.linspace(-20.0, 20.0, 80001)
-    vals = loss.loss(grid[:, None], alpha)
+    vals = loss.loss(grid[:, None])
 
     def expected(m1, m2):
         v = m2 - m1 ** 2

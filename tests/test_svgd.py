@@ -6,7 +6,7 @@ import pytest
 from helpers import rbf_kernel, rbf_kernel_grad_first
 
 from steinfed.kernels import median_bandwidth
-from steinfed.svgd import AdaGradState, adagrad_step, run_svgd, svgd_direction
+from steinfed.svgd import adagrad_step, run_svgd, svgd_direction
 
 
 def brute_force_direction(theta, grads, h):
@@ -101,75 +101,83 @@ class TestSvgdDirection:
 
 class TestAdaGradStep:
     def test_hand_values_two_steps(self):
-        state = AdaGradState(epsilon=0.5, fudge=1e-6)
+        acc = np.zeros((1, 1))
         theta = np.zeros((1, 1))
-        theta = adagrad_step(state, theta, np.array([[2.0]]))
+        theta = adagrad_step(acc, theta, np.array([[2.0]]), 0.5, 1e-6)
         assert np.isclose(theta[0, 0], 0.5 * 2.0 / (1e-6 + 2.0), rtol=1e-14)
-        assert np.isclose(state.accumulator[0, 0], 4.0)
-        theta2 = adagrad_step(state, theta, np.array([[1.0]]))
+        assert np.isclose(acc[0, 0], 4.0)
+        theta2 = adagrad_step(acc, theta, np.array([[1.0]]), 0.5, 1e-6)
         want = theta[0, 0] + 0.5 * 1.0 / (1e-6 + np.sqrt(5.0))
         assert np.isclose(theta2[0, 0], want, rtol=1e-14)
 
-    def test_accumulator_allocated_lazily_and_mutated_in_place(self):
-        state = AdaGradState(epsilon=0.1)
-        assert state.accumulator is None
-        adagrad_step(state, np.zeros((2, 3)), np.ones((2, 3)))
-        acc = state.accumulator
-        assert acc.shape == (2, 3)
-        adagrad_step(state, np.zeros((2, 3)), np.full((2, 3), 2.0))
-        assert state.accumulator is acc
+    def test_accumulator_mutated_in_place(self):
+        acc = np.zeros((2, 3))
+        adagrad_step(acc, np.zeros((2, 3)), np.ones((2, 3)), 0.1, 1e-6)
+        adagrad_step(acc, np.zeros((2, 3)), np.full((2, 3), 2.0), 0.1, 1e-6)
         assert np.allclose(acc, 5.0)
 
     def test_zero_master_step_freezes_particles_but_not_accumulator(self):
-        state = AdaGradState(epsilon=0.0)
+        acc = np.zeros((1, 2))
         theta = np.array([[1.0, -1.0]])
-        moved = adagrad_step(state, theta, np.array([[3.0, 3.0]]))
+        moved = adagrad_step(acc, theta, np.array([[3.0, 3.0]]), 0.0, 1e-6)
         assert np.array_equal(moved, theta)
-        assert np.allclose(state.accumulator, 9.0)
+        assert np.allclose(acc, 9.0)
 
     def test_input_particles_not_mutated(self):
-        state = AdaGradState(epsilon=0.2)
         theta = np.ones((2, 2))
         before = theta.copy()
-        adagrad_step(state, theta, np.ones((2, 2)))
+        adagrad_step(np.zeros((2, 2)), theta, np.ones((2, 2)), 0.2, 1e-6)
         assert np.array_equal(theta, before)
 
     def test_shape_mismatches_rejected(self):
-        state = AdaGradState()
-        with pytest.raises(ValueError):
-            adagrad_step(state, np.zeros((2, 2)), np.zeros((3, 2)))
-        state2 = AdaGradState(accumulator=np.zeros((4, 1)))
-        with pytest.raises(ValueError):
-            adagrad_step(state2, np.zeros((2, 1)), np.zeros((2, 1)))
-
-    def test_invalid_settings_rejected(self):
-        with pytest.raises(ValueError):
-            AdaGradState(epsilon=-0.1)
-        with pytest.raises(ValueError):
-            AdaGradState(fudge=0.0)
+        with pytest.raises(ValueError, match="direction shape"):
+            adagrad_step(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((3, 2)), 0.05, 1e-6)
+        with pytest.raises(ValueError, match="accumulator shape"):
+            adagrad_step(np.zeros((4, 1)), np.zeros((2, 1)), np.zeros((2, 1)), 0.05, 1e-6)
 
 
 class TestRunSvgd:
     def test_zero_steps_returns_equal_copy(self):
         theta = np.random.default_rng(0).normal(size=(5, 2))
-        out = run_svgd(theta, lambda t: -t, steps=0, opt=AdaGradState())
+        out, acc = run_svgd(theta, lambda t: -t, steps=0, epsilon=0.05)
         assert out is not theta
         assert np.array_equal(out, theta)
+        assert np.array_equal(acc, np.zeros_like(theta))
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
-            run_svgd(np.zeros((2, 1)), lambda t: -t, steps=-1, opt=AdaGradState())
+            run_svgd(np.zeros((2, 1)), lambda t: -t, steps=-1, epsilon=0.05)
+
+    def test_invalid_settings_rejected(self):
+        theta = np.zeros((2, 1))
+        with pytest.raises(ValueError, match="master step size must be nonnegative"):
+            run_svgd(theta, lambda t: -t, steps=1, epsilon=-0.1)
+        with pytest.raises(ValueError, match="fudge factor must be positive"):
+            run_svgd(theta, lambda t: -t, steps=1, epsilon=0.05, fudge=0.0)
 
     def test_input_never_mutated(self):
         theta = np.random.default_rng(1).normal(size=(6, 2))
         before = theta.copy()
-        run_svgd(theta, lambda t: -t, steps=20, opt=AdaGradState(epsilon=0.1))
+        run_svgd(theta, lambda t: -t, steps=20, epsilon=0.1)
         assert np.array_equal(theta, before)
+
+    def test_given_accumulator_left_unchanged_and_continued(self):
+        # a run from a carried accumulator advances a copy of it, so running
+        # 10 steps and then 5 from the returned accumulator is one 15-step run
+        theta = np.random.default_rng(4).normal(size=(6, 2))
+        mid, acc = run_svgd(theta, lambda t: -t, steps=10, epsilon=0.1)
+        carried = acc.copy()
+        end, acc_end = run_svgd(mid, lambda t: -t, steps=5, epsilon=0.1, accumulator=acc)
+        assert np.array_equal(acc, carried)
+        assert acc_end is not acc
+        whole, acc_whole = run_svgd(theta, lambda t: -t, steps=15, epsilon=0.1)
+        assert np.array_equal(end, whole)
+        assert np.array_equal(acc_end, acc_whole)
 
     def test_deterministic(self):
         theta = np.random.default_rng(2).normal(size=(8, 3))
-        a = run_svgd(theta, lambda t: -t, steps=15, opt=AdaGradState(epsilon=0.05))
-        b = run_svgd(theta, lambda t: -t, steps=15, opt=AdaGradState(epsilon=0.05))
+        a, _ = run_svgd(theta, lambda t: -t, steps=15, epsilon=0.05)
+        b, _ = run_svgd(theta, lambda t: -t, steps=15, epsilon=0.05)
         assert np.array_equal(a, b)
 
     def test_project_applied_every_step(self):
@@ -180,8 +188,7 @@ class TestRunSvgd:
             seen.append(t.min())
             return np.clip(t, 0.25, None)
 
-        out = run_svgd(theta, lambda t: -10.0 * t, steps=30,
-                       opt=AdaGradState(epsilon=0.5), project=project)
+        out, _ = run_svgd(theta, lambda t: -10.0 * t, steps=30, epsilon=0.5, project=project)
         assert len(seen) == 30
         assert out.min() >= 0.25
 
@@ -192,19 +199,20 @@ class TestRunSvgd:
             return 3.0 - t
 
         theta = np.array([[0.0]])
-        svgd_path = run_svgd(theta, score, steps=40, opt=AdaGradState(epsilon=0.3))
+        svgd_path, svgd_acc = run_svgd(theta, score, steps=40, epsilon=0.3)
 
-        state = AdaGradState(epsilon=0.3)
+        acc = np.zeros_like(theta)
         manual = theta.copy()
         for _ in range(40):
-            manual = adagrad_step(state, manual, score(manual))
+            manual = adagrad_step(acc, manual, score(manual), 0.3, 1e-6)
         assert np.array_equal(svgd_path, manual)
+        assert np.array_equal(svgd_acc, acc)
 
     def test_gaussian_target_moments(self):
         # loose smoke test; the tight accuracy check lives in the acceptance
         # suite with the full iteration budget
         rng = np.random.default_rng(11)
         theta = rng.normal(loc=4.0, scale=0.5, size=(40, 1))
-        out = run_svgd(theta, lambda t: -t, steps=400, opt=AdaGradState(epsilon=0.2))
+        out, _ = run_svgd(theta, lambda t: -t, steps=400, epsilon=0.2)
         assert abs(out.mean()) < 0.15
         assert abs(out.var() - 1.0) < 0.25
