@@ -69,7 +69,6 @@ from .models import (
     pretrain_feature_map,
 )
 from .pvi import (
-    GaussianNatParams,
     PviConfig,
     expected_loss_grad_moment,
     gaussian_log_density_moments,

@@ -54,13 +54,7 @@ from .models import (
     per_class_accuracy,
     pretrain_feature_map,
 )
-from .pvi import (
-    GaussianNatParams,
-    PviConfig,
-    gaussian_log_density_moments,
-    moment_to_nat,
-    nat_to_moment,
-)
+from .pvi import PviConfig, gaussian_log_density_moments, moment_to_nat, nat_to_moment
 from .rules import FieldError, at_least, nonnegative, one_of, positive
 
 PARAMETRIC_METHODS = ("pvi", "ulpvi")
@@ -771,7 +765,7 @@ def _run_phase(cfg: ExperimentConfig, problem, phase: Phase, method: str, starte
 
 
 def _saved_snapshot(cfg: ExperimentConfig, method: str) -> tuple[np.ndarray, int]:
-    """The array and round of ``method``'s snapshot, which must exist and be of ``cfg.seed``."""
+    """The array and round of ``method``'s snapshot, which must exist and be of ``cfg``'s run."""
     path = run_paths(cfg, method).snapshot
     if not os.path.exists(path):
         raise MissingStateError(
@@ -779,6 +773,12 @@ def _saved_snapshot(cfg: ExperimentConfig, method: str) -> tuple[np.ndarray, int
     array, round_index, seed = load_snapshot(path)
     if seed != cfg.seed:
         raise MissingStateError(f"{path}: saved at seed {seed}, not at the run's seed {cfg.seed}")
+    if method in PARAMETRIC_METHODS and array.shape[0] != 2:
+        raise MissingStateError(f"{path}: parametric snapshot must hold mean and variance rows, "
+                                f"got {array.shape[0]} rows")
+    if method not in PARAMETRIC_METHODS and array.shape[0] != cfg.particles:
+        raise MissingStateError(
+            f"{path}: holds {array.shape[0]} particles, not the run's {cfg.particles}")
     return array, round_index
 
 
@@ -806,12 +806,11 @@ def _run_particles(cfg: ExperimentConfig, phase: Phase, method: str, started: fl
                       lambda server: server.global_particles)
 
 
-def _nat_to_json(nat: GaussianNatParams) -> dict:
-    return {"eta1": nat.eta1.tolist(), "eta2": nat.eta2.tolist()}
+def _nat_to_json(nat: np.ndarray) -> dict:
+    return {"eta1": nat[0].tolist(), "eta2": nat[1].tolist()}
 
 
-def _save_pvi_state(path: str, eta: GaussianNatParams,
-                    locals_nat: dict[int, GaussianNatParams]) -> None:
+def _save_pvi_state(path: str, eta: np.ndarray, locals_nat: dict[int, np.ndarray]) -> None:
     state = {
         "global": _nat_to_json(eta),
         "agents": {str(k): _nat_to_json(v) for k, v in sorted(locals_nat.items())},
@@ -819,15 +818,33 @@ def _save_pvi_state(path: str, eta: GaussianNatParams,
     write_atomic(path, json.dumps(state, sort_keys=True) + "\n")
 
 
-def _load_pvi_state(path: str) -> tuple[GaussianNatParams, dict[int, GaussianNatParams]]:
+def _nat_from_json(value, shape: tuple[int, int]) -> np.ndarray:
+    """A saved factor as a finite float array of ``shape``; ValueError names the broken rule."""
+    if not isinstance(value, dict) or sorted(value) != ["eta1", "eta2"]:
+        raise ValueError(f"expected exactly the keys eta1 and eta2, got {json.dumps(value)}")
+    rows = (value["eta1"], value["eta2"])
+    if not all(isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in rows):
+        raise ValueError(f"eta1 and eta2 must be lists of numbers, got {json.dumps(value)}")
+    if [len(row) for row in rows] != [shape[1]] * 2:
+        raise ValueError(f"expected {shape[1]} coordinates in eta1 and eta2, "
+                         f"got {len(rows[0])} and {len(rows[1])}")
+    nat = np.array(rows, dtype=float)
+    if not np.all(np.isfinite(nat)):
+        raise ValueError(f"values must be finite, got {json.dumps(value)}")
+    return nat
+
+
+def _load_pvi_state(path: str, shape: tuple[int, int]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The saved global and per-agent factors; the global must be a proper Gaussian."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        eta = GaussianNatParams(**data.get("global", {}))
-        locals_nat = {int(k): GaussianNatParams(**v) for k, v in data.get("agents", {}).items()}
+        eta = _nat_from_json(data.get("global"), shape)
+        nat_to_moment(eta)  # agent factors may have eta2 >= 0; the global may not
+        locals_nat = {int(k): _nat_from_json(v, shape) for k, v in data.get("agents", {}).items()}
     except FileNotFoundError:
         raise MissingStateError(f"no saved state found at {path}; run learn first") from None
-    except (AttributeError, TypeError, ValueError) as err:  # not JSON, or not the layout
+    except (AttributeError, OverflowError, ValueError) as err:  # not JSON, or not the layout
         raise MissingStateError(f"{path}: malformed factor state ({err})") from None
     return eta, locals_nat
 
@@ -836,9 +853,9 @@ def _run_parametric(cfg: ExperimentConfig, phase: Phase, method: str, started: f
     """PVI rounds with the phase's loss sign on diagonal-Gaussian factors: PVI or ULPVI."""
     eligible = phase.eligible(cfg)
     eta = moment_to_nat([cfg.pvi.prior_mean], [cfg.pvi.prior_variance])
-    locals_nat = {k: GaussianNatParams.zeros(eta.dim) for k in eligible}
+    locals_nat = {k: np.zeros_like(eta) for k in eligible}
     if phase.start is not None:  # the learned factors replace the prior and the zero factors
-        eta, locals_nat = _load_pvi_state(run_paths(cfg, phase.start[1]).locals_json)
+        eta, locals_nat = _load_pvi_state(run_paths(cfg, phase.start[1]).locals_json, eta.shape)
         missing = [k for k in eligible if k not in locals_nat]
         if missing:
             raise MissingStateError(f"learned state lacks factors for forget agents {missing}")
@@ -854,7 +871,7 @@ def _run_parametric(cfg: ExperimentConfig, phase: Phase, method: str, started: f
         return eta, k
 
     return _run_phase(
-        cfg, problem, phase, method, started, eta, step, lambda eta: np.vstack(nat_to_moment(eta)),
+        cfg, problem, phase, method, started, eta, step, nat_to_moment,
         lambda eta: _save_pvi_state(run_paths(cfg, method).locals_json, eta, locals_nat),
     )
 
@@ -883,9 +900,6 @@ def evaluate_snapshot(cfg: ExperimentConfig, method: str) -> dict:
     if method in PARAMETRIC_METHODS and not isinstance(cfg.experiment, MixtureSpec):
         raise ConfigError("config.method: parametric methods support the mixture experiment only")
     problem = build_problem(cfg)
-    if method in PARAMETRIC_METHODS and array.shape[0] != 2:
-        raise MissingStateError(f"{run_paths(cfg, method).snapshot}: parametric snapshot must "
-                                "hold mean and variance rows")
     record, extra = _measure(problem, phase, method, array, round_index, 0.0)
     return {"method": method, "round": round_index, "seed": cfg.seed, **record.metrics(), **extra}
 

@@ -19,6 +19,10 @@ expectation.
 Per-agent factors approximate likelihoods, not densities: the update can
 legitimately drive a factor's eta2 nonnegative, so validity (eta2 < 0) is
 enforced only where a coordinate pair is used as a Gaussian.
+
+Every such state is a float (2, d) array: row 0 is eta1 and row 1 is eta2,
+so factors add and scale with numpy's own arithmetic.  ``nat_to_moment``
+returns the same form, a mean row over a variance row.
 """
 
 from __future__ import annotations
@@ -33,45 +37,6 @@ from .rules import at_least, nonnegative, positive
 MAX_STEP_HALVINGS = 30
 
 
-@dataclass(frozen=True)
-class GaussianNatParams:
-    """Natural parameters of a diagonal Gaussian (or an additive factor)."""
-
-    eta1: np.ndarray
-    eta2: np.ndarray
-
-    def __post_init__(self) -> None:
-        eta1 = np.atleast_1d(np.asarray(self.eta1, dtype=float))
-        eta2 = np.atleast_1d(np.asarray(self.eta2, dtype=float))
-        if eta1.shape != eta2.shape or eta1.ndim != 1:
-            raise ValueError(f"natural parameter shapes differ: {eta1.shape} vs {eta2.shape}")
-        object.__setattr__(self, "eta1", eta1)
-        object.__setattr__(self, "eta2", eta2)
-
-    @property
-    def dim(self) -> int:
-        return self.eta1.size
-
-    def __add__(self, other: "GaussianNatParams") -> "GaussianNatParams":
-        return GaussianNatParams(self.eta1 + other.eta1, self.eta2 + other.eta2)
-
-    def __sub__(self, other: "GaussianNatParams") -> "GaussianNatParams":
-        return GaussianNatParams(self.eta1 - other.eta1, self.eta2 - other.eta2)
-
-    def __mul__(self, scale: float) -> "GaussianNatParams":
-        return GaussianNatParams(self.eta1 * scale, self.eta2 * scale)
-
-    __rmul__ = __mul__
-
-    def is_valid(self) -> bool:
-        """True when the pair parameterizes a proper Gaussian."""
-        return bool(np.all(self.eta2 < 0))
-
-    @classmethod
-    def zeros(cls, dim: int) -> "GaussianNatParams":
-        return cls(np.zeros(dim), np.zeros(dim))
-
-
 def _moments(mean, variance) -> tuple[np.ndarray, np.ndarray]:
     """A (mean, variance) pair as float vectors, with every variance positive."""
     mean, variance = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (mean, variance))
@@ -80,17 +45,22 @@ def _moments(mean, variance) -> tuple[np.ndarray, np.ndarray]:
     return mean, variance
 
 
-def moment_to_nat(mean, variance) -> GaussianNatParams:
+def moment_to_nat(mean, variance) -> np.ndarray:
     mean, variance = _moments(mean, variance)
-    return GaussianNatParams(mean / variance, -0.5 / variance)
+    return np.stack((mean / variance, -0.5 / variance))
 
 
-def nat_to_moment(nat: GaussianNatParams) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of a valid Gaussian coordinate pair."""
-    if not nat.is_valid():
+def _is_proper(nat: np.ndarray) -> bool:
+    """True when every coordinate pair parameterizes a proper Gaussian."""
+    return bool(np.all(nat[1] < 0))
+
+
+def nat_to_moment(nat: np.ndarray) -> np.ndarray:
+    """The (2, d) mean and variance rows of a valid Gaussian."""
+    if not _is_proper(nat):
         raise ValueError("natural parameters do not describe a proper Gaussian (eta2 >= 0)")
-    variance = -0.5 / nat.eta2
-    return nat.eta1 * variance, variance
+    variance = -0.5 / nat[1]
+    return np.stack((nat[0] * variance, variance))
 
 
 def gaussian_log_density_moments(mean, variance, x: np.ndarray) -> np.ndarray:
@@ -103,24 +73,24 @@ def gaussian_log_density_moments(mean, variance, x: np.ndarray) -> np.ndarray:
 
 
 def expected_loss_grad_moment(
-    nat: GaussianNatParams,
+    nat: np.ndarray,
     loss,
     alpha: float,
     n_samples: int,
     rng: np.random.Generator,
-) -> GaussianNatParams:
+) -> np.ndarray:
     """Pathwise Monte Carlo estimate of grad_mu E_q[loss].
 
     Draws theta_s = m + sqrt(v) * zeta_s, evaluates the loss gradients, and
     chain-rules them into gradients with respect to the mean parameters
-    mu = (E[theta], E[theta^2]), returned as a coordinate pair aligned with
+    mu = (E[theta], E[theta^2]), returned as a (2, d) array aligned with
     (eta1, eta2).  The draws advance ``rng`` in place.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     mean, variance = nat_to_moment(nat)
     root = np.sqrt(variance)
-    zeta = rng.standard_normal((n_samples, nat.dim))
+    zeta = rng.standard_normal((n_samples, nat.shape[1]))
     theta = mean + root * zeta
     # loss gradient = -alpha * score of the tempered likelihood
     grads = -alpha * loss.neg_loss_grad(theta, alpha)
@@ -128,7 +98,7 @@ def expected_loss_grad_moment(
         raise FloatingPointError("loss gradient is not finite")
     grad_mean = grads.mean(axis=0)
     grad_var = (grads * zeta).mean(axis=0) / (2.0 * root)
-    return GaussianNatParams(grad_mean - 2.0 * mean * grad_var, grad_var)
+    return np.stack((grad_mean - 2.0 * mean * grad_var, grad_var))
 
 
 @dataclass(frozen=True)
@@ -148,14 +118,12 @@ class PviConfig:
         at_least(1, self, "mc_samples")
 
 
-def _damped_step(
-    eta: GaussianNatParams, drift: GaussianNatParams, epsilon: float
-) -> GaussianNatParams:
+def _damped_step(eta: np.ndarray, drift: np.ndarray, epsilon: float) -> np.ndarray:
     """Take eta - step*drift, halving the step until the result stays valid."""
     step = epsilon
     for _ in range(MAX_STEP_HALVINGS + 1):
         candidate = eta - step * drift
-        if candidate.is_valid():
+        if _is_proper(candidate):
             return candidate
         step *= 0.5
     raise FloatingPointError(
@@ -164,13 +132,13 @@ def _damped_step(
 
 
 def _pvi_round(
-    global_nat: GaussianNatParams,
-    local_nat: GaussianNatParams,
+    global_nat: np.ndarray,
+    local_nat: np.ndarray,
     loss,
     config: PviConfig,
     rng: np.random.Generator,
     sign: float,
-) -> tuple[GaussianNatParams, GaussianNatParams]:
+) -> tuple[np.ndarray, np.ndarray]:
     eta = global_nat
     for _ in range(config.local_iters):
         grad = expected_loss_grad_moment(eta, loss, config.alpha, config.mc_samples, rng)
@@ -181,12 +149,12 @@ def _pvi_round(
 
 
 def pvi_round(
-    global_nat: GaussianNatParams,
-    local_nat: GaussianNatParams,
+    global_nat: np.ndarray,
+    local_nat: np.ndarray,
     loss,
     config: PviConfig,
     rng: np.random.Generator,
-) -> tuple[GaussianNatParams, GaussianNatParams]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One learning round of the scheduled agent.
 
     Returns the new global iterate and the agent's rewritten factor
@@ -197,11 +165,11 @@ def pvi_round(
 
 
 def ulpvi_round(
-    global_nat: GaussianNatParams,
-    local_nat: GaussianNatParams,
+    global_nat: np.ndarray,
+    local_nat: np.ndarray,
     loss,
     config: PviConfig,
     rng: np.random.Generator,
-) -> tuple[GaussianNatParams, GaussianNatParams]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One unlearning round: identical structure, flipped loss sign."""
     return _pvi_round(global_nat, local_nat, loss, config, rng, sign=-1.0)

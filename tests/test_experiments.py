@@ -28,6 +28,7 @@ from steinfed.experiments import (
     _classification_problem,
     _forgetting_achieved,
     _forgot_loss_plateaued,
+    _load_pvi_state,
     _protocol_config,
     build_problem,
     config_from_dict,
@@ -787,6 +788,19 @@ class TestParticleRuns:
         with pytest.raises(MissingStateError, match="run learn first"):
             run_experiment(cfg, "unlearn")
 
+    def test_snapshot_of_another_particle_count_is_refused(self, tmp_path):
+        data = mixture_dict(tmp_path / "runs")
+        learned = run_experiment(config_from_dict(data), "learn")
+        data["particles"] = 20
+        cfg = config_from_dict(data)
+        refusal = f"^{re.escape(learned.paths.snapshot)}: holds 12 particles, not the run's 20$"
+        with pytest.raises(MissingStateError, match=refusal):
+            run_experiment(cfg, "unlearn")
+        assert sorted(os.listdir(cfg.out_dir)) == [
+            "dsvgd_metrics.csv", "dsvgd_snapshot.txt", "dsvgd_transcript.jsonl"]
+        with pytest.raises(MissingStateError, match=refusal):
+            evaluate_snapshot(cfg, "dsvgd")
+
     def test_unlearn_resumes_and_reports_retained_reference(self, tmp_path):
         cfg = config_from_dict(mixture_dict(tmp_path / "runs"))
         run_experiment(cfg, "learn")
@@ -1163,6 +1177,14 @@ def test_global_particles_are_drawn_only_when_a_phase_starts_from_the_prior(
     assert counts["init_global_particles"] == draws
 
 
+PROPER = {"eta1": [0.0], "eta2": [-0.5]}
+
+
+def factor_state(glob=PROPER, agent=PROPER):
+    """A ``*_locals.json`` text for the two mixture agents, both holding ``agent``."""
+    return json.dumps({"global": glob, "agents": {"1": agent, "2": agent}})
+
+
 class TestParametricRuns:
     def pvi_dict(self, out_dir):
         data = mixture_dict(out_dir)
@@ -1215,14 +1237,33 @@ class TestParametricRuns:
         '{"global": {"eta1": [0.0], "eta2": [-0.5]},'
         ' "agents": {"one": {"eta1": [0.0], "eta2": [0.0]}}}',
         "not json",
-    ], ids=["list", "non-integer-id", "not-json"])
+        factor_state(glob={"eta1": [0.0]}),
+        factor_state(agent={**PROPER, "eta3": [0.0]}),
+        factor_state(agent={"eta1": [0.0, 1.0], "eta2": [0.0]}),
+        factor_state(agent={"eta1": [[0.0]], "eta2": [[0.0]]}),
+        factor_state(glob={"eta1": [None], "eta2": [-0.5]}),
+        factor_state(glob={"eta1": [0.0], "eta2": [float("-inf")]}),
+        factor_state(agent={"eta1": [0.0, 0.0], "eta2": [0.0, 0.0]}),
+        factor_state(glob={"eta1": [0.0], "eta2": [0.5]}),
+    ], ids=["list", "non-integer-id", "not-json", "missing-key", "unknown-key", "unequal-lengths",
+            "nested-lists", "null", "non-finite", "two-coordinates", "improper-global"])
     def test_malformed_factor_state_names_its_file(self, tmp_path, content):
         cfg = config_from_dict(self.pvi_dict(tmp_path / "runs"))
+        run_experiment(cfg, "learn")
         path = run_paths(cfg, "pvi").locals_json
-        os.makedirs(cfg.out_dir)
         Path(path).write_text(content)
+        earlier = Path(run_paths(cfg, "ulpvi").metrics)
+        earlier.write_bytes(b"an earlier run's rows\n")
         with pytest.raises(MissingStateError, match=f"^{re.escape(path)}: malformed factor state"):
             run_experiment(cfg, "unlearn")
+        assert earlier.read_bytes() == b"an earlier run's rows\n"
+
+    def test_agent_factor_may_be_improper(self, tmp_path):
+        path = tmp_path / "pvi_locals.json"
+        path.write_text(factor_state(agent={"eta1": [0.5], "eta2": [0.25]}))
+        eta, locals_nat = _load_pvi_state(str(path), (2, 1))
+        assert eta.tolist() == [[0.0], [-0.5]]
+        assert locals_nat[1].tolist() == [[0.5], [0.25]] and set(locals_nat) == {1, 2}
 
     def test_unlearn_needs_factors_of_forget_agents(self, tmp_path):
         cfg = config_from_dict(self.pvi_dict(tmp_path / "runs"))
