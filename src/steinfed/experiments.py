@@ -55,7 +55,7 @@ from .models import (
     pretrain_feature_map,
 )
 from .pvi import PviConfig, gaussian_log_density_moments, moment_to_nat, nat_to_moment
-from .rules import FieldError, at_least, nonnegative, one_of, positive
+from .rules import FieldError, at_least, nonnegative, one_of
 
 PARAMETRIC_METHODS = ("pvi", "ulpvi")
 
@@ -72,36 +72,9 @@ class MissingStateError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class UniformSpec:
-    kind: ClassVar[str] = "uniform"
-    lo: float = -10.0
-    hi: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"lo must be below hi, got [{self.lo}, {self.hi}]")
-
-    def build(self, dim: int) -> UniformPrior:
-        return UniformPrior(self.lo, self.hi, dim=dim)
-
-
-@dataclass(frozen=True)
-class GaussianSpec:
-    kind: ClassVar[str] = "gaussian"
-    mean: float = 0.0
-    variance: float = 1.0
-
-    def __post_init__(self) -> None:
-        positive(self, "variance")
-
-    def build(self, dim: int) -> GaussianPrior:
-        return GaussianPrior(self.mean, self.variance, dim=dim)
-
-
-@dataclass(frozen=True)
 class MixtureSpec:
     kind: ClassVar[str] = "mixture"
-    prior: UniformSpec | GaussianSpec = UniformSpec()
+    prior: UniformPrior | GaussianPrior = UniformPrior()
     agents: tuple[tuple[MixtureComponent, ...], ...] = ()  # absent reads as empty: rejected below
 
     def __post_init__(self) -> None:
@@ -154,7 +127,7 @@ class ClassificationSpec:
     labels_per_agent: int = 2
     examples_per_agent: int = 100
     feature_map: FeatureMapConfig = FeatureMapConfig()
-    prior: GaussianSpec = GaussianSpec()
+    prior: GaussianPrior = GaussianPrior()
 
     def __post_init__(self) -> None:
         one_of(("synthetic", "idx"), self, "source")
@@ -466,7 +439,7 @@ def build_problem(cfg: ExperimentConfig):
         return MixtureProblem(
             losses={i + 1: GaussianMixtureLoss(list(components))
                     for i, components in enumerate(cfg.experiment.agents)},
-            prior=cfg.experiment.prior.build(dim=1),
+            prior=cfg.experiment.prior,
             forget_ids=cfg.forget_agents,
             grid=cfg.grid,
             kde_lam=cfg.protocol.kde_lam,
@@ -519,17 +492,16 @@ def _classification_problem(spec: ClassificationSpec, seed: int,
     shard_classes = {s.agent_id: s.classes for s in shards}
     del pool, shards  # so that the test set's floats are never held beside the pool's
     test = test_source.take()
-    head_dim = (feature_map.num_features + 1) * num_classes
     problem = ClassificationProblem(
         losses=losses,
         shard_classes=shard_classes,
-        prior=spec.prior.build(dim=head_dim),
+        prior=spec.prior,
         forget_ids=(),
         test_features=feature_map(test.features),
         test_labels=test.labels,
         num_classes=num_classes,
     )
-    for owner in (problem, problem.prior, *losses.values()):  # shared: no caller may write
+    for owner in (problem, *losses.values()):  # shared: no caller may write
         for value in vars(owner).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -790,8 +762,10 @@ def _run_particles(cfg: ExperimentConfig, phase: Phase, method: str, started: fl
     problem = build_problem(cfg)  # after the start state, so that a bad one fails fast
     pcfg = _protocol_config(cfg, problem.prior, phase)
     losses = {k: problem.losses[k] for k in phase.eligible(cfg)}
-    server, agents = fed.initialize_states(losses, pcfg, cfg.particles, cfg.seed,
-                                           phase.local_stream, learned)
+    # Every agent's loss, forgotten or not, so a retrain that retains none still has a width.
+    shape = (cfg.particles, next(iter(problem.losses.values())).dim)
+    server, agents = fed.initialize_states(losses, pcfg, shape, cfg.seed, phase.local_stream,
+                                           learned)
     pooled = tuple(losses.values()) if phase.pooled(cfg) else None
 
     def step(server, r):
@@ -896,9 +870,9 @@ def evaluate_snapshot(cfg: ExperimentConfig, method: str) -> dict:
     the final metrics row of the run that wrote the snapshot exactly.
     """
     phase = _method_phase(method)
-    array, round_index = _saved_snapshot(cfg, method)
     if method in PARAMETRIC_METHODS and not isinstance(cfg.experiment, MixtureSpec):
         raise ConfigError("config.method: parametric methods support the mixture experiment only")
+    array, round_index = _saved_snapshot(cfg, method)
     problem = build_problem(cfg)
     record, extra = _measure(problem, phase, method, array, round_index, 0.0)
     return {"method": method, "round": round_index, "seed": cfg.seed, **record.metrics(), **extra}

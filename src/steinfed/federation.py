@@ -100,35 +100,36 @@ class ProtocolConfig:
 # --- initialization -----------------------------------------------------------
 
 
-def init_global_particles(prior, n_particles: int, seed: int) -> np.ndarray:
-    """Draw the initial global particles from the prior."""
+def init_global_particles(prior, shape: tuple[int, int], seed: int) -> np.ndarray:
+    """Draw the initial ``(N, d)`` global particles from the prior."""
     rng = np.random.default_rng([seed, 0])
-    return prior.sample(rng, n_particles)
+    return prior.sample(rng, shape)
 
 
-def init_local_particles(prior, n_particles: int, seed: int, agent_id: int,
+def init_local_particles(prior, shape: tuple[int, int], seed: int, agent_id: int,
                          stream: int = STREAM_LEARN) -> np.ndarray:
-    """Draw one agent's local particles with a per-agent, per-stream generator."""
+    """Draw one agent's ``(N, d)`` local particles with a per-agent, per-stream generator."""
     rng = np.random.default_rng([seed, stream, agent_id])
-    return prior.sample(rng, n_particles)
+    return prior.sample(rng, shape)
 
 
 def initialize_states(
-    losses: Mapping[int, object], config: ProtocolConfig, n_particles: int, seed: int,
+    losses: Mapping[int, object], config: ProtocolConfig, shape: tuple[int, int], seed: int,
     stream: int = STREAM_LEARN, global_particles: np.ndarray | None = None,
 ) -> tuple[ServerState, dict[int, AgentState]]:
     """Fresh agent states, and a server holding ``global_particles`` or, if None, prior draws.
 
-    ``stream`` tags the agents' local draws.  The global draws have their own
-    generator, so passing ``global_particles`` leaves the local draws as they were.
+    Every particle set drawn has the ``(N, d)`` ``shape``.  ``stream`` tags the
+    agents' local draws.  The global draws have their own generator, so
+    passing ``global_particles`` leaves the local draws as they were.
     """
     if config.prior is None:
         raise ProtocolError("initialization requires a prior in the protocol config")
     if global_particles is None:
-        global_particles = init_global_particles(config.prior, n_particles, seed)
+        global_particles = init_global_particles(config.prior, shape, seed)
     server = ServerState(global_particles)
     agents = {
-        k: AgentState(loss, init_local_particles(config.prior, n_particles, seed, k, stream))
+        k: AgentState(loss, init_local_particles(config.prior, shape, seed, k, stream))
         for k, loss in losses.items()
     }
     return server, agents

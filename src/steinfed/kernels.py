@@ -93,9 +93,11 @@ def _upper_pairs(n: int) -> np.ndarray:
     return mask
 
 
-def _as_rows(x: np.ndarray, dim: int) -> np.ndarray:
-    """``x`` as a float (M, dim) matrix of rows."""
+def _as_rows(x: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """``x`` as a float (M, dim) matrix of rows; ``dim=None`` takes the width of ``x``."""
     arr = np.asarray(x, dtype=float)
+    if dim is None and arr.ndim:
+        dim = arr.shape[-1]
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise ValueError(f"expected an (M, {dim}) array, got shape {arr.shape}")
     return arr

@@ -9,13 +9,16 @@ Local models expose two methods consumed by the federation layer:
     (1/alpha) times the gradient of minus the loss, i.e. the score of the
     tempered local likelihood exp(-loss/alpha), one row per parameter row.
 
-Priors additionally expose samples, log densities, scores, and a support
-clamp used to keep particles inside a bounded support.
+Priors are config sections of two scalars, the same in every coordinate:
+they hold no dimension, draw ``(N, d)`` particle arrays of any ``d``, and
+take ``d`` from the rows they are given for log densities, scores, and the
+support clamp that keeps particles inside a bounded support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,51 +36,36 @@ class OutOfSupportError(ValueError):
 # --- priors -----------------------------------------------------------------
 
 
-def _prior_parameters(a, b, dim: int | None, noun: str) -> tuple[np.ndarray, np.ndarray]:
-    """Two scalars filled to ``dim`` (default 1), or two arrays broadcast to one length."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim == 0 and b.ndim == 0:
-        dim = 1 if dim is None else dim
-        return np.full(dim, float(a)), np.full(dim, float(b))
-    a, b = np.broadcast_arrays(a, b)
-    a = np.array(a, dtype=float).ravel()
-    b = np.array(b, dtype=float).ravel()
-    if dim is not None and dim != a.size:
-        raise ValueError(f"dim {dim} conflicts with {noun} length {a.size}")
-    return a, b
-
-
 def _gaussian_log_density(x: np.ndarray, mean, variance) -> np.ndarray:
     """Diagonal-Gaussian log density on the last axis; (M, 1, d) x, (K, d) parameters -> (M, K)."""
     quad = ((x - mean) ** 2 / variance).sum(axis=-1)
     return -0.5 * (quad + np.log(2.0 * np.pi * variance).sum(axis=-1))
 
 
+@dataclass(frozen=True)
 class UniformPrior:
-    """Box-uniform prior on an open axis-aligned support."""
+    """Uniform prior on the open box (lo, hi) in every coordinate."""
 
-    def __init__(self, lo, hi, dim: int | None = None):
-        lo, hi = _prior_parameters(lo, hi, dim, "bound")
-        if not np.all(lo < hi):
-            raise ValueError("lower bounds must be strictly below upper bounds")
-        self.lo = lo
-        self.hi = hi
-        self.dim = lo.size
-        self._log_volume = float(np.log(hi - lo).sum())
+    kind: ClassVar[str] = "uniform"
+    lo: float = -10.0
+    hi: float = 10.0
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=(n, self.dim))
+    def __post_init__(self) -> None:
+        if not self.lo < self.hi:
+            raise ValueError(f"lo must be below hi, got [{self.lo}, {self.hi}]")
+
+    def sample(self, rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+        return rng.uniform(self.lo, self.hi, size=shape)
 
     def log_density(self, theta: np.ndarray) -> np.ndarray:
         """Normalized log density; the closed box carries the mass."""
-        arr = _as_rows(theta, self.dim)
+        arr = _as_rows(theta)
         inside = np.all((arr >= self.lo) & (arr <= self.hi), axis=1)
-        return np.where(inside, -self._log_volume, -np.inf)
+        return np.where(inside, -arr.shape[1] * float(np.log(self.hi - self.lo)), -np.inf)
 
     def score(self, theta: np.ndarray) -> np.ndarray:
         """Gradient of the log density; the support is treated as open."""
-        arr = _as_rows(theta, self.dim)
+        arr = _as_rows(theta)
         inside = np.all((arr > self.lo) & (arr < self.hi), axis=1)
         if not np.all(inside):
             bad = arr[np.flatnonzero(~inside)[0]]
@@ -89,25 +77,26 @@ class UniformPrior:
         return np.clip(theta, self.lo + CLAMP_MARGIN, self.hi - CLAMP_MARGIN)
 
 
+@dataclass(frozen=True)
 class GaussianPrior:
-    """Diagonal Gaussian prior."""
+    """Gaussian prior with the same mean and variance in every coordinate."""
 
-    def __init__(self, mean, variance, dim: int | None = None):
-        mean, variance = _prior_parameters(mean, variance, dim, "parameter")
-        if not np.all(variance > 0):
-            raise ValueError("variances must be positive")
-        self.mean = mean
-        self.variance = variance
-        self.dim = mean.size
+    kind: ClassVar[str] = "gaussian"
+    mean: float = 0.0
+    variance: float = 1.0
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.mean + np.sqrt(self.variance) * rng.standard_normal((n, self.dim))
+    def __post_init__(self) -> None:
+        positive(self, "variance")
+
+    def sample(self, rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+        return self.mean + np.sqrt(self.variance) * rng.standard_normal(shape)
 
     def log_density(self, theta: np.ndarray) -> np.ndarray:
-        return _gaussian_log_density(_as_rows(theta, self.dim), self.mean, self.variance)
+        arr = _as_rows(theta)
+        return _gaussian_log_density(arr, self.mean, np.full(arr.shape[1], self.variance))
 
     def score(self, theta: np.ndarray) -> np.ndarray:
-        return (self.mean - _as_rows(theta, self.dim)) / self.variance
+        return (self.mean - _as_rows(theta)) / self.variance
 
     def clamp(self, theta: np.ndarray) -> np.ndarray:
         """Unbounded support: clamping is the identity."""

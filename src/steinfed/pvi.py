@@ -139,7 +139,7 @@ def _pvi_round(
     rng: np.random.Generator,
     sign: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    eta = global_nat
+    eta = global_nat.copy()  # so that no round hands back the caller's array
     for _ in range(config.local_iters):
         grad = expected_loss_grad_moment(eta, loss, config.alpha, config.mc_samples, rng)
         drift = local_nat + (sign / config.alpha) * grad

@@ -307,3 +307,48 @@ def make_synthetic_full(num_classes, dim, n_examples, seed, center_scale=4.0, no
         features[labels == cls] += center
     return features, labels
 
+
+
+# --- per-coordinate priors ------------------------------------------------------
+# The prior formulas with one (lo, hi) or (mean, variance) pair per coordinate, which
+# the scalar priors of `steinfed.models` replaced.  Filled with one value in every
+# coordinate, they must give the scalar priors' draws, clamps and scores bit for bit.
+
+
+class UniformPerCoordinate:
+    def __init__(self, lo, hi, dim, margin):
+        self.lo, self.hi, self.margin = np.full(dim, lo), np.full(dim, hi), margin
+        self.dim = dim
+
+    def sample(self, rng, n):
+        return rng.uniform(self.lo, self.hi, size=(n, self.dim))
+
+    def log_density(self, theta):
+        inside = np.all((theta >= self.lo) & (theta <= self.hi), axis=1)
+        return np.where(inside, -float(np.log(self.hi - self.lo).sum()), -np.inf)
+
+    def score(self, theta):
+        assert np.all((theta > self.lo) & (theta < self.hi))
+        return np.zeros_like(theta)
+
+    def clamp(self, theta):
+        return np.clip(theta, self.lo + self.margin, self.hi - self.margin)
+
+
+class GaussianPerCoordinate:
+    def __init__(self, mean, variance, dim):
+        self.mean, self.variance = np.full(dim, mean), np.full(dim, variance)
+        self.dim = dim
+
+    def sample(self, rng, n):
+        return self.mean + np.sqrt(self.variance) * rng.standard_normal((n, self.dim))
+
+    def log_density(self, theta):
+        quad = ((theta - self.mean) ** 2 / self.variance).sum(axis=-1)
+        return -0.5 * (quad + np.log(2.0 * np.pi * self.variance).sum(axis=-1))
+
+    def score(self, theta):
+        return (self.mean - theta) / self.variance
+
+    def clamp(self, theta):
+        return np.asarray(theta, dtype=float)

@@ -297,7 +297,7 @@ class TestCriterion6:
         }
         pcfg = fed.ProtocolConfig(update_steps=4, distill_steps=4, epsilon=0.2,
                                   epsilon_local=0.2, prior=GaussianPrior(0.0, 9.0))
-        server, agents = fed.initialize_states(losses, pcfg, 10, 123)
+        server, agents = fed.initialize_states(losses, pcfg, (10, 1), 123)
         before = {k: agents[k].local_particles.tobytes() for k in agents}
         server, agents[2] = fed.learning_round(server, agents[2], pcfg)
         untouched = [k for k in (1, 3)

@@ -176,7 +176,7 @@ class TestTransport:
     def test_tilted_target(self, n, d, sign, with_prior):
         rng = np.random.default_rng(3)
         theta, global_ref, local_ref = points(rng, n, d), points(rng, n, d), points(rng, n, d)
-        loss, prior = loss_for(d), GaussianPrior(0.5, 4.0, dim=d)
+        loss, prior = loss_for(d), GaussianPrior(0.5, 4.0)
         config = ProtocolConfig(alpha=0.8, kde_lam=LAM, include_prior_score=with_prior, prior=prior)
         target = tilted_grad(ServerState(global_ref), AgentState(loss, local_ref), config, sign)
         assert_bits(target(theta), tilted_target_allocating(
@@ -242,7 +242,7 @@ def test_inputs_keep_their_bytes():
     inputs = [theta, query, phi, x, weights, biases, loss._design, loss._onehot]
     before = [a.tobytes() for a in inputs]
     config = ProtocolConfig(kde_lam=LAM, include_prior_score=True,
-                            prior=GaussianPrior(0.0, 4.0, dim=104))
+                            prior=GaussianPrior(0.0, 4.0))
     pairwise_sq_dists(query, theta)
     pairwise_sq_dists(query, theta, row_norms=False)
     kde_log_density(theta, query, LAM)
@@ -274,7 +274,7 @@ class TestReadOnlyOperands:
     def setup_method(self):
         rng = np.random.default_rng(11)
         self.theta, self.global_ref, self.local_ref = (points(rng, 30, 104) for _ in range(3))
-        self.loss, self.prior = head_loss(104), GaussianPrior(0.5, 4.0, dim=104)
+        self.loss, self.prior = head_loss(104), GaussianPrior(0.5, 4.0)
 
     def expected(self, prior):
         return tilted_target_allocating(self.global_ref, self.local_ref, self.loss, 1.0, -1.0,

@@ -215,6 +215,19 @@ class TestCommands:
         assert not counts
         assert not empty.exists()
 
+    @pytest.mark.parametrize("method", ["pvi", "ulpvi"])
+    def test_eval_of_a_parametric_method_on_classification_names_the_rule(self, tmp_path, capsys,
+                                                                          method):
+        # learn can never write a parametric snapshot there, so the missing file is not the fault
+        config = REPO_ROOT / "configs" / "classification_desk.json"
+        out = tmp_path / "runs"
+        assert main(["eval", "--config", str(config), "--out", str(out), "--method", method]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: config.method: parametric methods support the mixture "
+                                "experiment only\n")
+        assert not out.exists()
+
     def test_invalid_config_reports_field_path(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         data = json.loads(write_config(tmp_path, tmp_path / "runs").read_text())

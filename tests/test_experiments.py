@@ -21,10 +21,8 @@ from steinfed.experiments import (
     ClassificationProblem,
     ConfigError,
     ExperimentConfig,
-    GaussianSpec,
     MissingStateError,
     MixtureProblem,
-    UniformSpec,
     _classification_problem,
     _forgetting_achieved,
     _forgot_loss_plateaued,
@@ -217,10 +215,29 @@ class TestConfigParsing:
         assert snapshots[0] == snapshots[1]
 
     def test_null_prior_reads_as_the_default(self, tmp_path):
-        for base, default in (("mix", UniformSpec()), ("cls", GaussianSpec())):
+        for base, default in (("mix", UniformPrior()), ("cls", GaussianPrior())):
             data = BASES[base](tmp_path)
             data["experiment"]["prior"] = None
             assert config_from_dict(data).experiment.prior == default
+
+    @pytest.mark.parametrize("base,section,want", [
+        ("mix", {"kind": "uniform", "lo": -3, "hi": 4.5}, UniformPrior(-3.0, 4.5)),
+        ("mix", {"hi": 2}, UniformPrior(-10.0, 2.0)),
+        ("mix", {"kind": "gaussian", "mean": 0.5, "variance": 4}, GaussianPrior(0.5, 4.0)),
+        ("cls", {"variance": 9}, GaussianPrior(0.0, 9.0)),
+        ("cls", {"kind": "gaussian"}, GaussianPrior()),
+    ], ids=["uniform", "uniform-kind-omitted", "gaussian-on-mixture", "gaussian-variance",
+            "gaussian-defaults"])
+    def test_prior_section_is_the_prior(self, tmp_path, base, section, want):
+        data = BASES[base](tmp_path)
+        data["experiment"]["prior"] = section
+        cfg = config_from_dict(data)
+        prior = cfg.experiment.prior
+        assert type(prior) is type(want) and prior == want
+        assert hash(prior) == hash(want)  # the classification problem cache keys on the section
+        assert all(type(value) is float for value in vars(prior).values())  # no dimension
+        if base == "mix":
+            assert build_problem(cfg).prior is prior
 
     def test_prior_bounds_validated(self, tmp_path):
         data = mixture_dict(tmp_path)
@@ -565,7 +582,7 @@ class TestBuildProblem:
         assert problem.retained_classes == (0, 1)
         assert isinstance(problem.prior, GaussianPrior)
         # head dimension is (hidden + 1) * classes
-        assert problem.prior.dim == (4 + 1) * 4
+        assert all(loss.dim == (4 + 1) * 4 for loss in problem.losses.values())
         assert problem.test_features.shape == (80, 4)
 
     @pytest.mark.parametrize("pair", ["train", "test"])
@@ -696,7 +713,7 @@ class TestBuildOnce:
         [(pool_features, pool_labels)] = pools
         arrays = [value for owner in (problem, problem.prior, *problem.losses.values())
                   for value in vars(owner).values() if isinstance(value, np.ndarray)]
-        assert len(arrays) == 4 + 4 * len(problem.losses)  # test set, prior, each loss's four
+        assert len(arrays) == 2 + 4 * len(problem.losses)  # test set, each loss's four; no prior
         for value in arrays:
             assert not value.flags.writeable
             assert not np.shares_memory(value, pool_features)
@@ -834,7 +851,7 @@ class TestParticleRuns:
         prior = build_problem(cfg).prior
         # round robin over the forget set: agents 1 and 3 run their first rounds
         for k, (_, local, acc) in zip((1, 3), calls):
-            want = init_local_particles(prior, cfg.particles, cfg.seed, k, STREAM_UNLEARN)
+            want = init_local_particles(prior, (cfg.particles, 1), cfg.seed, k, STREAM_UNLEARN)
             assert np.array_equal(local, want)
             assert acc is None
 
@@ -970,7 +987,8 @@ class TestRetrainRuns:
             result = run_experiment(cfg, "retrain")
             particles, rnd, _ = load_snapshot(result.paths.snapshot)
             prior = build_problem(cfg).prior
-            assert np.array_equal(particles, init_global_particles(prior, cfg.particles, cfg.seed))
+            assert np.array_equal(particles,
+                                  init_global_particles(prior, (cfg.particles, 1), cfg.seed))
             assert rnd == 0 and result.rounds_run == 0
 
     def test_retrain_centralized_accepts_empty_retained_set(self, tmp_path):
@@ -1010,7 +1028,7 @@ class TestRetrainRuns:
         problem = build_problem(cfg)
         retained = {k: problem.losses[k] for k in (2, 3)}
         config = dataclasses.replace(cfg.protocol, prior=problem.prior)
-        server, agents = initialize_states(retained, config, cfg.particles, cfg.seed)
+        server, agents = initialize_states(retained, config, (cfg.particles, 1), cfg.seed)
         for r in range(5):
             k = schedule(config, r, agents.keys())
             server, agents[k] = learning_round(server, agents[k], config)
@@ -1028,7 +1046,7 @@ class TestRetrainRuns:
         with pytest.raises(ConfigError, match="config.retrain.rounds"):
             config_from_dict(data)
         with pytest.raises(ProtocolError, match="prior"):
-            initialize_states({}, ProtocolConfig(), 4, seed=0)
+            initialize_states({}, ProtocolConfig(), (4, 1), seed=0)
 
 
 def _gaussian_prior_dict(out_dir):

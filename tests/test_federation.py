@@ -37,42 +37,45 @@ def two_agent_setup(n=12, seed=0):
     losses = {1: gaussian_loss(1.0, 4.0), 2: gaussian_loss(-2.0, 1.0)}
     config = ProtocolConfig(update_steps=3, distill_steps=3, epsilon=0.2,
                             epsilon_local=0.2, prior=prior)
-    server, agents = initialize_states(losses, config, n, seed)
+    server, agents = initialize_states(losses, config, (n, 1), seed)
     return prior, losses, config, server, agents
 
 
 class TestInitialization:
     def test_global_particles_use_dedicated_stream(self):
         prior = UniformPrior(-10.0, 10.0)
-        got = init_global_particles(prior, 6, seed=42)
-        want = prior.sample(np.random.default_rng([42, 0]), 6)
+        got = init_global_particles(prior, (6, 1), seed=42)
+        want = prior.sample(np.random.default_rng([42, 0]), (6, 1))
         assert np.array_equal(got, want)
 
     def test_local_streams_split_by_agent_and_phase(self):
         prior = UniformPrior(-10.0, 10.0)
-        a1 = init_local_particles(prior, 5, seed=7, agent_id=1)
-        a2 = init_local_particles(prior, 5, seed=7, agent_id=2)
-        a1u = init_local_particles(prior, 5, seed=7, agent_id=1, stream=STREAM_UNLEARN)
+        a1 = init_local_particles(prior, (5, 1), seed=7, agent_id=1)
+        a2 = init_local_particles(prior, (5, 1), seed=7, agent_id=2)
+        a1u = init_local_particles(prior, (5, 1), seed=7, agent_id=1, stream=STREAM_UNLEARN)
         assert not np.array_equal(a1, a2)
         assert not np.array_equal(a1, a1u)
-        assert np.array_equal(a1, prior.sample(np.random.default_rng([7, STREAM_LEARN, 1]), 5))
-        assert np.array_equal(a1u, prior.sample(np.random.default_rng([7, STREAM_UNLEARN, 1]), 5))
+        assert np.array_equal(a1, prior.sample(np.random.default_rng([7, STREAM_LEARN, 1]),
+                                               (5, 1)))
+        assert np.array_equal(a1u, prior.sample(np.random.default_rng([7, STREAM_UNLEARN, 1]),
+                                                (5, 1)))
 
     def test_initialize_states_draws_each_agent_stream(self):
         prior, losses, _, server, agents = two_agent_setup(seed=5)
-        assert np.array_equal(server.global_particles, init_global_particles(prior, 12, seed=5))
+        assert np.array_equal(server.global_particles,
+                              init_global_particles(prior, (12, 1), seed=5))
         assert server.global_acc is None
         assert list(agents) == [1, 2]
         for k, agent in agents.items():
             assert agent.loss is losses[k]
             assert np.array_equal(agent.local_particles,
-                                  init_local_particles(prior, 12, seed=5, agent_id=k))
+                                  init_local_particles(prior, (12, 1), seed=5, agent_id=k))
             assert agent.distill_acc is None
 
     def test_initialize_states_requires_prior(self):
         losses = {1: gaussian_loss(0.0, 1.0)}
         with pytest.raises(ProtocolError):
-            initialize_states(losses, ProtocolConfig(), 4, 0)
+            initialize_states(losses, ProtocolConfig(), (4, 1), 0)
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
@@ -204,7 +207,7 @@ class TestRounds:
         losses = {1: gaussian_loss(5.0, 0.25)}  # pulls hard towards the boundary
         config = ProtocolConfig(update_steps=25, distill_steps=25, epsilon=1.0,
                                 epsilon_local=1.0, prior=prior)
-        server, agents = initialize_states(losses, config, 10, seed=3)
+        server, agents = initialize_states(losses, config, (10, 1), seed=3)
         new_server, new_agent = learning_round(server, agents[1], config)
         assert new_server.global_particles.max() <= 1.0
         assert new_server.global_particles.min() >= -1.0
@@ -224,7 +227,7 @@ class TestRounds:
         keep = dataclasses.replace(base, persist_adagrad=True)
 
         def two_rounds(cfg):
-            server, agents = initialize_states(losses, cfg, 10, seed=15)
+            server, agents = initialize_states(losses, cfg, (10, 1), seed=15)
             agents = dict(agents)
             for r in range(2):
                 server, agents[1] = learning_round(server, agents[1], cfg)
@@ -239,7 +242,7 @@ class TestRounds:
         _, losses, _, _, _ = two_agent_setup(seed=15)
         config = ProtocolConfig(update_steps=5, distill_steps=5, epsilon=0.3, epsilon_local=0.2,
                                 persist_adagrad=True, prior=UniformPrior(-10.0, 10.0))
-        server, agents = initialize_states(losses, config, 10, seed=15)
+        server, agents = initialize_states(losses, config, (10, 1), seed=15)
         server, agent = learning_round(server, agents[1], config)
         assert agent.distill_acc is not None
         assert not np.array_equal(agent.distill_acc, server.global_acc)
@@ -256,7 +259,7 @@ class TestRounds:
         _, losses, _, _, _ = two_agent_setup(seed=17)
         config = ProtocolConfig(update_steps=4, distill_steps=4, epsilon=0.3, epsilon_local=0.2,
                                 persist_adagrad=True, prior=UniformPrior(-10.0, 10.0))
-        server, agents = initialize_states(losses, config, 10, seed=17)
+        server, agents = initialize_states(losses, config, (10, 1), seed=17)
         server, agent = play(server, agents[1], config)
 
         def fields(server, agent):
@@ -322,13 +325,13 @@ class TestUnlearningBehavior:
         losses = {1: gaussian_loss(1.0, 4.0)}
         config = ProtocolConfig(update_steps=5, distill_steps=5, epsilon=0.3,
                                 epsilon_local=0.3, prior=prior)
-        server, agents = initialize_states(losses, config, 20, seed=1)
+        server, agents = initialize_states(losses, config, (20, 1), seed=1)
         agents = dict(agents)
         for _ in range(15):
             server, agents[1] = learning_round(server, agents[1], config)
         learned_loss = float(np.mean(losses[1].loss(server.global_particles)))
 
-        fresh = init_local_particles(prior, 20, seed=1, agent_id=1, stream=STREAM_UNLEARN)
+        fresh = init_local_particles(prior, (20, 1), seed=1, agent_id=1, stream=STREAM_UNLEARN)
         agents = {1: AgentState(loss=losses[1], local_particles=fresh)}
         for _ in range(10):
             server, agents[1] = unlearning_round(server, agents[1], config)
@@ -338,7 +341,7 @@ class TestUnlearningBehavior:
 
 class TestRetraining:
     def test_pooled_target_without_losses_is_prior_score(self):
-        prior = GaussianPrior(1.0, 2.0, dim=2)
+        prior = GaussianPrior(1.0, 2.0)
         target = pooled_target((), alpha=1.0, prior=prior)
         theta = np.random.default_rng(17).normal(size=(5, 2))
         assert np.array_equal(target(theta), prior.score(theta))
@@ -353,7 +356,7 @@ class TestRetraining:
 
     def test_retrain_federated_rejects_empty_retained_set(self):
         config = ProtocolConfig(prior=UniformPrior(-1.0, 1.0))
-        server, agents = initialize_states({}, config, 6, seed=2)
+        server, agents = initialize_states({}, config, (6, 1), seed=2)
         assert agents == {}
         with pytest.raises(ProtocolError, match="no eligible agents"):
             schedule(config, 0, agents.keys())

@@ -23,6 +23,8 @@ from steinfed.models import (
 from steinfed.pvi import gaussian_log_density_moments
 
 from helpers import (
+    GaussianPerCoordinate,
+    UniformPerCoordinate,
     fd_gradient,
     head_logits_einsum,
     head_loss_einsum,
@@ -49,7 +51,7 @@ class TestUniformPrior:
         assert abs(np.trapezoid(dens, grid) - 1.0) < 1e-2
 
     def test_score_zero_inside(self):
-        prior = UniformPrior(np.array([-1.0, 0.0]), np.array([1.0, 5.0]))
+        prior = UniformPrior(-1.0, 5.0)
         assert np.array_equal(prior.score(np.array([[0.5, 2.0]])), np.zeros((1, 2)))
 
     def test_score_raises_outside_open_support(self):
@@ -70,22 +72,21 @@ class TestUniformPrior:
         prior.score(prior.clamp(np.array([[15.0]])))
 
     def test_samples_land_inside(self):
-        prior = UniformPrior(np.array([0.0, -5.0]), np.array([1.0, -4.0]))
-        draws = prior.sample(np.random.default_rng(3), 200)
+        prior = UniformPrior(-5.0, -4.0)
+        draws = prior.sample(np.random.default_rng(3), (200, 2))
         assert draws.shape == (200, 2)
         assert np.all(draws >= prior.lo)
         assert np.all(draws <= prior.hi)
 
-    def test_scalar_bounds_with_dim(self):
-        prior = UniformPrior(0.0, 1.0, dim=3)
-        assert prior.dim == 3
-        assert prior.lo.shape == (3,)
+    def test_width_comes_from_the_rows(self):
+        prior = UniformPrior(0.0, 2.0)
+        assert prior.sample(np.random.default_rng(4), (5, 3)).shape == (5, 3)
+        assert np.array_equal(prior.log_density(np.ones((2, 3))), np.full(2, -3.0 * np.log(2.0)))
+        assert np.array_equal(prior.score(np.ones((2, 3))), np.zeros((2, 3)))
 
     def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^lo must be below hi, got \[1.0, 1.0\]$"):
             UniformPrior(1.0, 1.0)
-        with pytest.raises(ValueError):
-            UniformPrior(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
 
 
 class TestGaussianPrior:
@@ -94,9 +95,9 @@ class TestGaussianPrior:
         assert np.isclose(prior.log_density(np.array([[0.0]]))[0], -0.5 * np.log(2 * np.pi))
 
     def test_score_hand_value_and_fd(self):
-        prior = GaussianPrior(np.array([1.0, -2.0]), np.array([4.0, 0.5]))
+        prior = GaussianPrior(1.0, 4.0)
         x = np.array([[3.0, -1.0]])
-        assert np.allclose(prior.score(x), np.array([[(1.0 - 3.0) / 4.0, (-2.0 + 1.0) / 0.5]]))
+        assert np.allclose(prior.score(x), np.array([[(1.0 - 3.0) / 4.0, (1.0 + 1.0) / 4.0]]))
         rng = np.random.default_rng(5)
         for _ in range(100):
             pt = rng.normal(size=2)
@@ -105,30 +106,63 @@ class TestGaussianPrior:
 
     def test_sample_moments(self):
         prior = GaussianPrior(2.0, 9.0)
-        draws = prior.sample(np.random.default_rng(0), 20000)
+        draws = prior.sample(np.random.default_rng(0), (20000, 1))
         assert abs(draws.mean() - 2.0) < 0.1
         assert abs(draws.var() - 9.0) < 0.3
 
     def test_clamp_is_identity(self):
-        prior = GaussianPrior(0.0, 1.0, dim=2)
+        prior = GaussianPrior(0.0, 1.0)
         pts = np.array([[100.0, -100.0]])
         assert np.array_equal(prior.clamp(pts), pts)
 
     def test_invalid_variance(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^variance: must be positive, got 0.0$"):
             GaussianPrior(0.0, 0.0)
+
+
+# scalar prior: its per-coordinate reference at width d
+PRIOR_REFERENCES = {
+    "uniform-default": (UniformPrior(), lambda d: UniformPerCoordinate(-10.0, 10.0, d,
+                                                                       CLAMP_MARGIN)),
+    "uniform": (UniformPrior(-2.5, 3.7), lambda d: UniformPerCoordinate(-2.5, 3.7, d,
+                                                                        CLAMP_MARGIN)),
+    "gaussian-default": (GaussianPrior(), lambda d: GaussianPerCoordinate(0.0, 1.0, d)),
+    "gaussian": (GaussianPrior(0.5, 4.0), lambda d: GaussianPerCoordinate(0.5, 4.0, d)),
+}
+
+
+@pytest.mark.parametrize("shape", [(100, 1), (30, 104), (100, 1010)],
+                         ids=["mixture", "desk", "wide"])
+@pytest.mark.parametrize("name", sorted(PRIOR_REFERENCES))
+def test_scalar_priors_match_the_per_coordinate_formulas(name, shape):
+    """Draws, clamps and scores keep their bits at every width; log densities at d = 1."""
+    prior, reference = PRIOR_REFERENCES[name]
+    ref = reference(shape[1])
+    draws = prior.sample(np.random.default_rng(21), shape)
+    assert draws.shape == shape
+    assert draws.tobytes() == ref.sample(np.random.default_rng(21), shape[0]).tobytes()
+    wide = np.random.default_rng(22).normal(0.0, 20.0, size=shape)  # partly outside a box
+    assert prior.clamp(wide).tobytes() == ref.clamp(wide).tobytes()
+    assert prior.score(draws).tobytes() == ref.score(draws).tobytes()
+    for points in (draws, wide):
+        got, want = prior.log_density(points), ref.log_density(points)
+        if shape[1] == 1:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_diagonal_gaussian_log_densities_equal_the_formula(d):
     """The prior, a one-component mixture and the PVI density share one formula, bit for bit."""
     rng = np.random.default_rng(40 + d)
-    mean, variance = rng.normal(size=d), rng.uniform(0.2, 3.0, size=d)
+    # one value in every coordinate, which the prior takes as two scalars
+    mean, variance = np.full(d, rng.normal()), np.full(d, rng.uniform(0.2, 3.0))
     x = rng.normal(scale=2.0, size=(7, d))
     const = np.log(2.0 * np.pi * variance).sum()
     want = np.array([-0.5 * (((row - mean) ** 2 / variance).sum() + const) for row in x])
     mixture = GaussianMixtureLoss([MixtureComponent(1.0, mean, variance)])
-    for got in (GaussianPrior(mean, variance).log_density(x), mixture.log_mixture_density(x),
+    for got in (GaussianPrior(mean[0], variance[0]).log_density(x), mixture.log_mixture_density(x),
                 gaussian_log_density_moments(mean, variance, x)):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -436,10 +470,10 @@ _PARTICLES_3D = np.arange(6.0).reshape(2, 3)
 ROW_FUNCTIONS = {
     "kde_log_density": (lambda x: kde_log_density(_PARTICLES_3D, x, 0.5), 3, True),
     "kde_log_density_grad": (lambda x: kde_log_density_grad(_PARTICLES_3D, x, 0.5), 3, False),
-    "UniformPrior.log_density": (UniformPrior(-1.0, 1.0, dim=3).log_density, 3, True),
-    "UniformPrior.score": (UniformPrior(-1.0, 1.0, dim=3).score, 3, False),
-    "GaussianPrior.log_density": (GaussianPrior(0.0, 1.0, dim=3).log_density, 3, True),
-    "GaussianPrior.score": (GaussianPrior(0.0, 1.0, dim=3).score, 3, False),
+    "UniformPrior.log_density": (UniformPrior(-1.0, 1.0).log_density, 3, True),
+    "UniformPrior.score": (UniformPrior(-1.0, 1.0).score, 3, False),
+    "GaussianPrior.log_density": (GaussianPrior(0.0, 1.0).log_density, 3, True),
+    "GaussianPrior.score": (GaussianPrior(0.0, 1.0).score, 3, False),
     "GaussianMixtureLoss.log_mixture_density": (_MIXTURE_3D.log_mixture_density, 3, True),
     "GaussianMixtureLoss.loss": (_MIXTURE_3D.loss, 3, True),
     "GaussianMixtureLoss.neg_loss_grad": (_MIXTURE_3D.neg_loss_grad, 3, False),

@@ -205,11 +205,17 @@ class TestPviRounds:
         global_nat = moment_to_nat(0.5, 2.0)
         local = np.array([[0.3], [-0.1]])
         config = PviConfig(local_iters=0, epsilon=0.1, mc_samples=16)
-        new_global, new_local = pvi_round(global_nat, local, gaussian_nll(0.0, 1.0),
-                                          config, np.random.default_rng(0))
-        assert np.array_equal(new_global[0], global_nat[0])
-        assert np.array_equal(new_local[0], local[0])
-        assert np.array_equal(new_local[1], local[1])
+        before = global_nat.tobytes()
+        for play in (pvi_round, ulpvi_round):
+            new_global, new_local = play(global_nat, local, gaussian_nll(0.0, 1.0),
+                                         config, np.random.default_rng(0))
+            assert np.array_equal(new_global[0], global_nat[0])
+            assert np.array_equal(new_local[0], local[0])
+            assert np.array_equal(new_local[1], local[1])
+            # a new array: writing into it leaves the caller's global as it was
+            assert new_global is not global_nat
+            new_global += 1.0
+            assert global_nat.tobytes() == before
 
     def test_learn_unlearn_single_iter_antisymmetry(self):
         # with one inner iteration and shared draws the two rounds move by
