@@ -152,20 +152,34 @@ def test_scalar_priors_match_the_per_coordinate_formulas(name, shape):
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+def _diagonal_gaussian_formula(mean, variance, x):
+    const = np.log(2.0 * np.pi * variance).sum()
+    return np.array([-0.5 * (((row - mean) ** 2 / variance).sum() + const) for row in x])
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_diagonal_gaussian_log_densities_equal_the_formula(d):
-    """The prior, a one-component mixture and the PVI density share one formula, bit for bit."""
+    """A one-component mixture and the PVI density share one formula, bit for bit."""
     rng = np.random.default_rng(40 + d)
-    # one value in every coordinate, which the prior takes as two scalars
-    mean, variance = np.full(d, rng.normal()), np.full(d, rng.uniform(0.2, 3.0))
+    mean, variance = rng.normal(size=d), rng.uniform(0.2, 3.0, size=d)
     x = rng.normal(scale=2.0, size=(7, d))
-    const = np.log(2.0 * np.pi * variance).sum()
-    want = np.array([-0.5 * (((row - mean) ** 2 / variance).sum() + const) for row in x])
+    want = _diagonal_gaussian_formula(mean, variance, x)
     mixture = GaussianMixtureLoss([MixtureComponent(1.0, mean, variance)])
-    for got in (GaussianPrior(mean[0], variance[0]).log_density(x), mixture.log_mixture_density(x),
-                gaussian_log_density_moments(mean, variance, x)):
+    for got in (mixture.log_mixture_density(x), gaussian_log_density_moments(mean, variance, x)):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_gaussian_prior_log_density_equals_the_formula(d):
+    """The scalar prior matches the formula with its mean and variance in every coordinate."""
+    rng = np.random.default_rng(50 + d)
+    mean, variance = rng.normal(), rng.uniform(0.2, 3.0)
+    x = rng.normal(scale=2.0, size=(7, d))
+    want = _diagonal_gaussian_formula(np.full(d, mean), np.full(d, variance), x)
+    got = GaussianPrior(mean, variance).log_density(x)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 class TestGaussianMixtureLoss:
