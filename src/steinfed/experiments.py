@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import os
 import time
 import types
@@ -189,7 +190,7 @@ class ExperimentConfig:
     """A validated run config; each JSON section is the type that uses it.
 
     ``protocol`` carries no prior, and ``pvi`` keeps its default ``alpha``:
-    each phase adds the problem's prior and the protocol's ``alpha``.
+    each phase adds ``experiment.prior`` and the protocol's ``alpha``.
     ``forget_agents`` holds sorted, distinct, 1-based agent ids; it and
     ``protocol.sequence`` may name only the experiment's agents.
     """
@@ -278,7 +279,7 @@ def _value(hint, value, where: str, default=dataclasses.MISSING):
     A field typed as kinded sections is read as the one its ``kind`` names;
     ``kind`` defaults to the kind of ``default``, and ``null`` means ``default``.
     ``null`` passes where the hint admits ``None``; ``tuple[X, ...]`` reads a
-    list item by item, with ``[i]`` in the path; numbers become floats.
+    list item by item, with ``[i]`` in the path; numbers become finite floats.
     """
     members = hint.__args__ if isinstance(hint, types.UnionType) else (hint,)
     kinds = {m.kind: m for m in members if isinstance(getattr(m, "kind", None), str)}
@@ -308,7 +309,12 @@ def _value(hint, value, where: str, default=dataclasses.MISSING):
     accepted = (int, float) if hint is float else hint
     if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
         raise ConfigError(f"{where}: expected {_KIND_NAMES[hint]}, got {type(value).__name__}")
-    return float(value) if hint is float else value
+    if hint is not float:
+        return value
+    number = float(value)
+    if not math.isfinite(number):  # JSON's NaN, Infinity and -Infinity
+        raise ConfigError(f"{where}: expected a finite number, got {number}")
+    return number
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -333,57 +339,25 @@ def load_config(path) -> ExperimentConfig:
 @dataclass
 class MixtureProblem:
     losses: dict[int, GaussianMixtureLoss]
-    prior: UniformPrior | GaussianPrior
     forget_ids: tuple[int, ...]
-    grid: GridConfig
-    kde_lam: float
-    # The reference density on the grid is the same every round of a phase,
-    # so it is evaluated and normalized once per (retained_only, forget_ids, grid).
-    _references: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
-                                          compare=False)
 
-    @property
-    def retained_ids(self) -> tuple[int, ...]:
-        return tuple(k for k in sorted(self.losses) if k not in self.forget_ids)
-
-    def reference_log_density(self, retained_only: bool):
-        ids = self.retained_ids if retained_only else tuple(sorted(self.losses))
+    def reference_log_density(self, prior, ids: tuple[int, ...]):
+        """The unnormalized log posterior of ``prior`` and the losses of agents ``ids``."""
 
         def log_ref(x: np.ndarray) -> np.ndarray:
             rows = np.asarray(x, dtype=float)[:, None]
-            total = self.prior.log_density(rows)
+            total = prior.log_density(rows)
             for k in ids:
                 total = total + self.losses[k].log_mixture_density(rows)
             return total
 
         return log_ref
 
-    def _grid_reference(self, retained_only: bool) -> GridReference:
-        key = (retained_only, self.forget_ids, self.grid)
-        if key not in self._references:
-            self._references[key] = GridReference.of(self.reference_log_density(retained_only),
-                                                      self.grid)
-        return self._references[key]
-
-    def metrics(self, array: np.ndarray, parametric: bool, retained_only: bool) -> dict:
-        """Grid KL and forgotten-shard loss of a snapshot: particles, or mean and variance rows.
-
-        The loss is taken at each particle, or at the mean.
-        """
-        if parametric:
-            log_q = lambda x: gaussian_log_density_moments(array[0], array[1], x)
-        else:
-            log_q = lambda x: kde_log_density(array, x[:, None], self.kde_lam)
-        return {"kl": grid_kl(log_q, self._grid_reference(retained_only), self.grid),
-                "forgot_loss": _forgot_loss(self.losses, self.forget_ids,
-                                            array[:1] if parametric else array)}
-
 
 @dataclass
 class ClassificationProblem:
     losses: dict[int, SoftmaxHeadLoss]
     shard_classes: dict[int, tuple[int, ...]]
-    prior: GaussianPrior
     forget_ids: tuple[int, ...]
     test_features: np.ndarray
     test_labels: np.ndarray
@@ -401,35 +375,13 @@ class ClassificationProblem:
         forgotten = set(self.forgotten_classes)
         return tuple(c for c in range(self.num_classes) if c not in forgotten)
 
-    def metrics(self, array: np.ndarray, parametric: bool, retained_only: bool) -> dict:
-        """Test accuracies and forgotten-shard loss of particles; the flags do not apply here."""
-        acc = per_class_accuracy(
-            array, self.test_features, self.test_labels, self.num_classes,
-            classes=tuple(range(self.num_classes)),
-        )
-        forgotten = self.forgotten_classes
-        retained = self.retained_classes
-        return {
-            "forgotten_acc": macro_accuracy(acc, forgotten) if forgotten else None,
-            "retained_acc": macro_accuracy(acc, retained) if retained else None,
-            "per_class": {str(c): acc[c] for c in sorted(acc)},
-            "forgot_loss": _forgot_loss(self.losses, self.forget_ids, array),
-        }
-
-
-def _forgot_loss(losses: dict, forget_ids: tuple[int, ...], points: np.ndarray) -> float | None:
-    """Mean over the forgotten shards of each shard's mean loss at ``points``."""
-    if not forget_ids:
-        return None
-    return float(np.mean([float(np.mean(losses[k].loss(points))) for k in forget_ids]))
-
 
 # Distinct (experiment, seed) pairs whose classification problem a process keeps built.
 _CACHED_PROBLEMS = 4
 
 
 def build_problem(cfg: ExperimentConfig):
-    """Instantiate losses, prior, and evaluation data for a config.
+    """Instantiate the losses and evaluation data of a config, and its forget set.
 
     A classification problem is built once per experiment spec and seed in
     a process, with its arrays read-only; every config that differs only in
@@ -439,10 +391,7 @@ def build_problem(cfg: ExperimentConfig):
         return MixtureProblem(
             losses={i + 1: GaussianMixtureLoss(list(components))
                     for i, components in enumerate(cfg.experiment.agents)},
-            prior=cfg.experiment.prior,
             forget_ids=cfg.forget_agents,
-            grid=cfg.grid,
-            kde_lam=cfg.protocol.kde_lam,
         )
     try:
         shared = _classification_problem(cfg.experiment, cfg.seed, _idx_stamps(cfg.experiment))
@@ -495,7 +444,6 @@ def _classification_problem(spec: ClassificationSpec, seed: int,
     problem = ClassificationProblem(
         losses=losses,
         shard_classes=shard_classes,
-        prior=spec.prior,
         forget_ids=(),
         test_features=feature_map(test.features),
         test_labels=test.labels,
@@ -657,27 +605,65 @@ class RunResult:
     rounds_run: int
 
 
-def _protocol_config(cfg: ExperimentConfig, prior, phase: Phase) -> fed.ProtocolConfig:
-    """The configured protocol with the problem's prior and the phase's overrides that are set."""
+def _protocol_config(cfg: ExperimentConfig, phase: Phase) -> fed.ProtocolConfig:
+    """The configured protocol with ``experiment.prior`` and the phase's overrides that are set."""
     settings = getattr(cfg, phase.name)
     overrides = {key: getattr(settings, key) for key in phase.overrides
                  if getattr(settings, key) is not None}
-    return dataclasses.replace(cfg.protocol, prior=prior, **overrides)
+    return dataclasses.replace(cfg.protocol, prior=cfg.experiment.prior, **overrides)
 
 
 def _ms_since(start: float) -> float:
     return (time.perf_counter() - start) * 1000.0
 
 
-def _measure(problem, phase: Phase, method: str, array: np.ndarray, round_index: int,
-             wall_ms: float) -> tuple[MetricRecord, dict]:
-    """The CSV record and the transcript extras of a snapshot array.
+def _measurement(cfg: ExperimentConfig, problem, phase: Phase, method: str) -> Callable:
+    """``measure(array, round_index, wall_ms)``: the CSV record and transcript extras of a state.
 
-    The array holds particles, or for a parametric method mean and variance rows.
+    The array holds particles, or for a parametric method mean and variance
+    rows.  What every round shares is made here, once: the mixture's grid
+    reference, or the forgotten and retained class sets.
     """
-    fields = problem.metrics(array, method in PARAMETRIC_METHODS, phase.retained_only)
-    extra = {"per_class": fields.pop("per_class")} if "per_class" in fields else {}
-    return MetricRecord(round=round_index, phase=phase.name, wall_ms=wall_ms, **fields), extra
+    losses, forget_ids = problem.losses, problem.forget_ids
+    parametric = method in PARAMETRIC_METHODS
+
+    def forgot_loss(array: np.ndarray) -> float | None:
+        """Mean over the forgotten shards of each shard's mean loss, at each particle or the mean."""
+        if not forget_ids:
+            return None
+        points = array[:1] if parametric else array
+        return float(np.mean([float(np.mean(losses[k].loss(points))) for k in forget_ids]))
+
+    if isinstance(problem, MixtureProblem):
+        ids = tuple(k for k in sorted(losses) if not (phase.retained_only and k in forget_ids))
+        grid, lam = cfg.grid, cfg.protocol.kde_lam
+        reference = GridReference.of(problem.reference_log_density(cfg.experiment.prior, ids), grid)
+
+        def measure(array: np.ndarray, round_index: int, wall_ms: float):
+            if parametric:
+                log_q = lambda x: gaussian_log_density_moments(array[0], array[1], x)
+            else:
+                log_q = lambda x: kde_log_density(array, x[:, None], lam)
+            return MetricRecord(round=round_index, phase=phase.name, wall_ms=wall_ms,
+                                kl=grid_kl(log_q, reference, grid),
+                                forgot_loss=forgot_loss(array)), {}
+
+        return measure
+
+    classes = tuple(range(problem.num_classes))
+    forgotten, retained = problem.forgotten_classes, problem.retained_classes
+
+    def measure(array: np.ndarray, round_index: int, wall_ms: float):
+        acc = per_class_accuracy(array, problem.test_features, problem.test_labels,
+                                 problem.num_classes, classes=classes)
+        record = MetricRecord(
+            round=round_index, phase=phase.name, wall_ms=wall_ms,
+            forgotten_acc=macro_accuracy(acc, forgotten) if forgotten else None,
+            retained_acc=macro_accuracy(acc, retained) if retained else None,
+            forgot_loss=forgot_loss(array))
+        return record, {"per_class": {str(c): acc[c] for c in sorted(acc)}}
+
+    return measure
 
 
 def _run_phase(cfg: ExperimentConfig, problem, phase: Phase, method: str, started: float, state,
@@ -691,7 +677,9 @@ def _run_phase(cfg: ExperimentConfig, problem, phase: Phase, method: str, starte
     ``wall_ms`` (and the transcript's ``round_ms``) times the round alone;
     the transcript's ``eval_ms`` times the evaluation that builds its record,
     and round 0's ``setup_ms`` the time from ``started`` to that evaluation.
+    The measurement is built before any file is opened, so its failure writes none.
     """
+    measure = _measurement(cfg, problem, phase, method)
     settings = getattr(cfg, phase.name)  # the learn, unlearn or retrain section
     paths = run_paths(cfg, method)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -701,7 +689,7 @@ def _run_phase(cfg: ExperimentConfig, problem, phase: Phase, method: str, starte
 
         def emit(agent, wall_ms: float, **setup) -> None:
             start = time.perf_counter()
-            record, extra = _measure(problem, phase, method, snapshot(state), rounds_run, wall_ms)
+            record, extra = measure(snapshot(state), rounds_run, wall_ms)
             eval_ms = _ms_since(start)
             records.append(record)
             metrics.append(record)
@@ -760,13 +748,14 @@ def _run_particles(cfg: ExperimentConfig, phase: Phase, method: str, started: fl
     if phase.start is not None:
         learned = _saved_snapshot(cfg, phase.start[0])[0]
     problem = build_problem(cfg)  # after the start state, so that a bad one fails fast
-    pcfg = _protocol_config(cfg, problem.prior, phase)
+    pcfg = _protocol_config(cfg, phase)
     losses = {k: problem.losses[k] for k in phase.eligible(cfg)}
+    pooled = tuple(losses.values()) if phase.pooled(cfg) else None
     # Every agent's loss, forgotten or not, so a retrain that retains none still has a width.
     shape = (cfg.particles, next(iter(problem.losses.values())).dim)
-    server, agents = fed.initialize_states(losses, pcfg, shape, cfg.seed, phase.local_stream,
-                                           learned)
-    pooled = tuple(losses.values()) if phase.pooled(cfg) else None
+    # A pooled phase schedules no agent, so it draws no local particles.
+    server, agents = fed.initialize_states({} if pooled is not None else losses, pcfg, shape,
+                                           cfg.seed, phase.local_stream, learned)
 
     def step(server, r):
         if pooled is not None:
@@ -873,8 +862,7 @@ def evaluate_snapshot(cfg: ExperimentConfig, method: str) -> dict:
     if method in PARAMETRIC_METHODS and not isinstance(cfg.experiment, MixtureSpec):
         raise ConfigError("config.method: parametric methods support the mixture experiment only")
     array, round_index = _saved_snapshot(cfg, method)
-    problem = build_problem(cfg)
-    record, extra = _measure(problem, phase, method, array, round_index, 0.0)
+    record, extra = _measurement(cfg, build_problem(cfg), phase, method)(array, round_index, 0.0)
     return {"method": method, "round": round_index, "seed": cfg.seed, **record.metrics(), **extra}
 
 

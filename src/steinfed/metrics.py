@@ -52,6 +52,8 @@ class GridConfig:
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise ValueError(f"grid range [{self.lo}, {self.hi}] is empty")
+        if not np.isfinite(self.hi - self.lo):
+            raise ValueError(f"grid range [{self.lo}, {self.hi}] is too wide: hi - lo overflows")
         at_least(2, self, "points")
 
     def linspace(self) -> np.ndarray:

@@ -53,6 +53,8 @@ class UniformPrior:
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise ValueError(f"lo must be below hi, got [{self.lo}, {self.hi}]")
+        if not np.isfinite(self.hi - self.lo):
+            raise ValueError(f"hi - lo overflows, got [{self.lo}, {self.hi}]")
 
     def sample(self, rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=shape)

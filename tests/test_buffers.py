@@ -11,6 +11,7 @@ bounded.
 import dataclasses
 import json
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -300,17 +301,17 @@ class TestReadOnlyOperands:
                                               self.local_ref))
 
     def test_targets_on_the_cached_classification_problem(self, tmp_path):
-        problem = build_problem(config_from_dict(classification_dict(tmp_path)))
-        loss = problem.losses[1]
+        cfg = config_from_dict(classification_dict(tmp_path))
+        prior, loss = cfg.experiment.prior, build_problem(cfg).losses[1]
         assert not loss._design.flags.writeable
         rng = np.random.default_rng(12)
         theta, global_ref, local_ref = (points(rng, 6, loss.dim, 0.3) for _ in range(3))
         config = ProtocolConfig(alpha=0.8, kde_lam=LAM, include_prior_score=True,
-                                prior=problem.prior)
+                                prior=prior)
         for sign in (1.0, -1.0):
             target = tilted_grad(ServerState(global_ref), AgentState(loss, local_ref), config, sign)
             assert_bits(target(theta), tilted_target_allocating(
-                global_ref, local_ref, loss, 0.8, sign, problem.prior, LAM, theta))
+                global_ref, local_ref, loss, 0.8, sign, prior, LAM, theta))
         server, agent = learning_round(ServerState(global_ref), AgentState(loss, local_ref), config)
         assert np.all(np.isfinite(server.global_particles))
         assert np.all(np.isfinite(agent.local_particles))
@@ -319,19 +320,14 @@ class TestReadOnlyOperands:
 # --- the mixture reference density ---------------------------------------------
 
 
-def _grid_reference_per_round(self, retained_only):
-    """``MixtureProblem._grid_reference`` as it was: the reference evaluated every round."""
-    return GridReference.of(self.reference_log_density(retained_only), self.grid)
-
-
 @pytest.mark.parametrize("method", ["dsvgd", "pvi"])
 def test_mixture_reference_is_built_once_per_phase(tmp_path, monkeypatch, method):
     calls = []
     original = MixtureProblem.reference_log_density
 
-    def counted(self, retained_only):
-        calls.append(retained_only)
-        return original(self, retained_only)
+    def counted(self, prior, ids):
+        calls.append(ids)
+        return original(self, prior, ids)
 
     monkeypatch.setattr(MixtureProblem, "reference_log_density", counted)
     data = mixture_dict(tmp_path / "once")
@@ -339,13 +335,23 @@ def test_mixture_reference_is_built_once_per_phase(tmp_path, monkeypatch, method
     data["pvi"] = {"local_iters": 3, "epsilon": 0.05, "mc_samples": 64}
     cfg = config_from_dict(data)
     once = {command: run_experiment(cfg, command) for command in ("learn", "unlearn")}
-    assert calls == [False, True]
+    assert calls == [(1, 2), (2,)]  # the learn phase's posterior, then the retained one
 
-    calls.clear()
-    monkeypatch.setattr(MixtureProblem, "_grid_reference", _grid_reference_per_round)
+    evaluations = []
+
+    def every_round(log_p, grid):
+        """A stand-in for ``GridReference.of``: ``grid_kl`` evaluates and normalizes p each round."""
+
+        def log_ref(x):
+            evaluations.append(len(x))
+            return log_p(x)
+
+        return log_ref
+
+    monkeypatch.setattr(experiments, "GridReference", types.SimpleNamespace(of=every_round))
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "every"))
     every = {command: run_experiment(cfg, command) for command in ("learn", "unlearn")}
-    assert len(calls) == sum(len(res.records) for res in every.values())
+    assert evaluations == [cfg.grid.points] * sum(len(res.records) for res in every.values())
     for command in once:
         assert [r.kl for r in once[command].records] == [r.kl for r in every[command].records]
 

@@ -50,6 +50,7 @@ from steinfed.federation import (
     schedule,
 )
 from steinfed.metrics import (
+    GridError,
     MetricRecord,
     load_snapshot,
     read_metrics_csv,
@@ -236,8 +237,6 @@ class TestConfigParsing:
         assert type(prior) is type(want) and prior == want
         assert hash(prior) == hash(want)  # the classification problem cache keys on the section
         assert all(type(value) is float for value in vars(prior).values())  # no dimension
-        if base == "mix":
-            assert build_problem(cfg).prior is prior
 
     def test_prior_bounds_validated(self, tmp_path):
         data = mixture_dict(tmp_path)
@@ -343,6 +342,18 @@ CONFIG_ERRORS = [
      "config.experiment.prior: lo must be below hi, got [-10.0, -10.0]"),
     ("mix", EXP + ("prior",), {"kind": "gaussian", "variance": 0},
      "config.experiment.prior.variance: must be positive, got 0.0"),
+    # JSON's NaN, Infinity and -Infinity, and ranges whose width overflows
+    ("mix", EXP + ("prior",), {"kind": "gaussian", "mean": float("nan"), "variance": 1.0},
+     "config.experiment.prior.mean: expected a finite number, got nan"),
+    ("mix", EXP + ("prior", "lo"), float("-inf"),
+     "config.experiment.prior.lo: expected a finite number, got -inf"),
+    ("mix", EXP + ("prior",), {"lo": -1e308, "hi": 1e308},
+     "config.experiment.prior: hi - lo overflows, got [-1e+308, 1e+308]"),
+    ("mix", ("protocol", "epsilon"), float("inf"),
+     "config.protocol.epsilon: expected a finite number, got inf"),
+    ("mix", ("grid", "hi"), float("inf"), "config.grid.hi: expected a finite number, got inf"),
+    ("mix", ("grid",), {"lo": -1e308, "hi": 1e308},
+     "config.grid: grid range [-1e+308, 1e+308] is too wide: hi - lo overflows"),
     ("mix", EXP + ("prior",), {"kind": "gaussian", "lo": 0},
      "config.experiment.prior: unknown key(s) ['lo']"),
     ("mix", EXP + ("agents",), DELETE, "config.experiment.agents: expected a nonempty list"),
@@ -562,9 +573,10 @@ class TestBuildProblem:
         problem = build_problem(cfg)
         assert isinstance(problem, MixtureProblem)
         assert sorted(problem.losses) == [1, 2]
-        assert isinstance(problem.prior, UniformPrior)
+        assert [f.name for f in dataclasses.fields(problem)] == ["losses", "forget_ids"]
+        assert isinstance(cfg.experiment.prior, UniformPrior)
         assert problem.forget_ids == (1,)
-        assert problem.retained_ids == (2,)
+        assert PHASES["retrain"].eligible(cfg) == (2,)
 
     def test_mixture_unknown_forget_agent(self, tmp_path):
         data = mixture_dict(tmp_path)
@@ -580,7 +592,9 @@ class TestBuildProblem:
         assert problem.shard_classes == {1: (0, 1), 2: (2, 3)}
         assert problem.forgotten_classes == (2, 3)
         assert problem.retained_classes == (0, 1)
-        assert isinstance(problem.prior, GaussianPrior)
+        assert [f.name for f in dataclasses.fields(problem)] == [
+            "losses", "shard_classes", "forget_ids", "test_features", "test_labels", "num_classes"]
+        assert isinstance(cfg.experiment.prior, GaussianPrior)
         # head dimension is (hidden + 1) * classes
         assert all(loss.dim == (4 + 1) * 4 for loss in problem.losses.values())
         assert problem.test_features.shape == (80, 4)
@@ -631,9 +645,9 @@ class TestBuildProblem:
         data["unlearn"]["epsilon"] = 0.9
         data["unlearn"]["update_steps"] = 7
         cfg = config_from_dict(data)
-        prior = UniformPrior(-10.0, 10.0)
-        learn_cfg = _protocol_config(cfg, prior, PHASES["learn"])
-        unlearn_cfg = _protocol_config(cfg, prior, PHASES["unlearn"])
+        learn_cfg = _protocol_config(cfg, PHASES["learn"])
+        unlearn_cfg = _protocol_config(cfg, PHASES["unlearn"])
+        assert learn_cfg.prior is unlearn_cfg.prior is cfg.experiment.prior
         assert learn_cfg.epsilon == 0.2
         assert learn_cfg.update_steps == 2
         assert unlearn_cfg.epsilon == 0.9
@@ -711,7 +725,7 @@ class TestBuildOnce:
         monkeypatch.setattr(experiments, "pretrain_feature_map", keep_pool)
         problem = build_problem(config_from_dict(classification_dict(tmp_path)))
         [(pool_features, pool_labels)] = pools
-        arrays = [value for owner in (problem, problem.prior, *problem.losses.values())
+        arrays = [value for owner in (problem, *problem.losses.values())
                   for value in vars(owner).values() if isinstance(value, np.ndarray)]
         assert len(arrays) == 2 + 4 * len(problem.losses)  # test set, each loss's four; no prior
         for value in arrays:
@@ -781,6 +795,16 @@ class TestParticleRuns:
         assert events[0]["agent"] is None
         assert events[1]["agent"] == 1  # round robin starts at the lowest id
 
+    def test_grid_too_narrow_for_the_reference_fails_before_any_file_is_opened(self, tmp_path):
+        data = mixture_dict(tmp_path / "runs")
+        paths = run_experiment(config_from_dict(data), "learn").paths
+        before = {path: Path(path).read_bytes()
+                  for path in (paths.metrics, paths.transcript, paths.snapshot)}
+        data["grid"] = {"lo": -3, "hi": 3, "points": 601}
+        with pytest.raises(GridError, match="^grid too narrow for p"):
+            run_experiment(config_from_dict(data), "learn")
+        assert {path: Path(path).read_bytes() for path in before} == before
+
     def test_runs_are_deterministic_modulo_wall_time(self, tmp_path):
         cfg_a = config_from_dict(mixture_dict(tmp_path / "a"))
         cfg_b = config_from_dict(mixture_dict(tmp_path / "b"))
@@ -848,7 +872,7 @@ class TestParticleRuns:
         run_experiment(cfg, "unlearn")
         assert len(calls) == 3
         assert np.array_equal(calls[0][0], load_snapshot(learned.paths.snapshot)[0])
-        prior = build_problem(cfg).prior
+        prior = cfg.experiment.prior
         # round robin over the forget set: agents 1 and 3 run their first rounds
         for k, (_, local, acc) in zip((1, 3), calls):
             want = init_local_particles(prior, (cfg.particles, 1), cfg.seed, k, STREAM_UNLEARN)
@@ -986,10 +1010,21 @@ class TestRetrainRuns:
             cfg = config_from_dict(data)
             result = run_experiment(cfg, "retrain")
             particles, rnd, _ = load_snapshot(result.paths.snapshot)
-            prior = build_problem(cfg).prior
+            prior = cfg.experiment.prior
             assert np.array_equal(particles,
                                   init_global_particles(prior, (cfg.particles, 1), cfg.seed))
             assert rnd == 0 and result.rounds_run == 0
+
+    @pytest.mark.parametrize("mode,draws", [("centralized", 0), ("federated", 2)])
+    def test_retrain_draws_local_particles_only_for_agents_it_schedules(self, tmp_path,
+                                                                      monkeypatch, mode, draws):
+        data = mixture_dict(tmp_path / "runs")
+        data["experiment"]["agents"].append([{"weight": 1.0, "mean": -2.0, "variance": 1.0}])
+        data["retrain"]["mode"] = mode
+        cfg = config_from_dict(data)
+        counts = _count_calls(monkeypatch, {"federation": ("init_local_particles",)})
+        run_experiment(cfg, "retrain")
+        assert counts["init_local_particles"] == draws  # federated: one per retained agent
 
     def test_retrain_centralized_accepts_empty_retained_set(self, tmp_path):
         data = mixture_dict(tmp_path / "runs")
@@ -1027,7 +1062,7 @@ class TestRetrainRuns:
 
         problem = build_problem(cfg)
         retained = {k: problem.losses[k] for k in (2, 3)}
-        config = dataclasses.replace(cfg.protocol, prior=problem.prior)
+        config = dataclasses.replace(cfg.protocol, prior=cfg.experiment.prior)
         server, agents = initialize_states(retained, config, (cfg.particles, 1), cfg.seed)
         for r in range(5):
             k = schedule(config, r, agents.keys())
@@ -1099,9 +1134,8 @@ class TestRunOptions:
         del data[section][key]
         unset = config_from_dict(data)
         assert (cfg.unlearn, cfg.protocol) == (unset.unlearn, unset.protocol)
-        prior = UniformPrior(-10.0, 10.0)
         unlearn = PHASES["unlearn"]
-        assert _protocol_config(cfg, prior, unlearn) == _protocol_config(unset, prior, unlearn)
+        assert _protocol_config(cfg, unlearn) == _protocol_config(unset, unlearn)
 
 
 # Round functions by defining module; each is wrapped in every module that binds it.
