@@ -14,6 +14,7 @@ additionally persist their per-agent factors as ``<method>_locals.json``.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import json
@@ -311,7 +312,10 @@ def _value(hint, value, where: str, default=dataclasses.MISSING):
         raise ConfigError(f"{where}: expected {_KIND_NAMES[hint]}, got {type(value).__name__}")
     if hint is not float:
         return value
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        raise ConfigError(f"{where}: expected a number within the float range") from None
     if not math.isfinite(number):  # JSON's NaN, Infinity and -Infinity
         raise ConfigError(f"{where}: expected a finite number, got {number}")
     return number
@@ -385,7 +389,7 @@ def build_problem(cfg: ExperimentConfig):
 
     A classification problem is built once per experiment spec and seed in
     a process, with its arrays read-only; every config that differs only in
-    its forget set, method, protocol or output directory shares that build.
+    its forget set, prior, method, protocol or output directory shares that build.
     """
     if isinstance(cfg.experiment, MixtureSpec):
         return MixtureProblem(
@@ -393,8 +397,9 @@ def build_problem(cfg: ExperimentConfig):
                     for i, components in enumerate(cfg.experiment.agents)},
             forget_ids=cfg.forget_agents,
         )
+    spec = dataclasses.replace(cfg.experiment, prior=GaussianPrior())  # the build reads no prior
     try:
-        shared = _classification_problem(cfg.experiment, cfg.seed, _idx_stamps(cfg.experiment))
+        shared = _classification_problem(spec, cfg.seed, _idx_stamps(spec))
     except FileNotFoundError as err:
         raise ConfigError(f"config.experiment.idx: {err}") from None
     return dataclasses.replace(shared, forget_ids=cfg.forget_agents)
@@ -670,10 +675,13 @@ def _run_phase(cfg: ExperimentConfig, problem, phase: Phase, method: str, starte
                step, snapshot, save_locals=None) -> RunResult:
     """Run one phase's rounds and write its metrics, transcript and final state.
 
-    ``step(state, r)`` runs round ``r`` and returns the new state and the
-    scheduled agent; ``snapshot(state)`` returns the array that each round
-    measures and the phase saves; ``save_locals(state)``, when given, writes
-    the state the snapshot array leaves out.
+    ``state`` is one value that no function writes to: ``(server, agents)``
+    for the particle family, ``(eta, factors, generator)`` for the parametric
+    one.  ``step(state, r)`` runs round ``r`` and returns a new state and the
+    scheduled agent.  ``snapshot(state)`` is the array that each round
+    measures and the phase saves: the global particles, or ``eta``'s mean and
+    variance rows.  ``save_locals(state)``, when given, writes ``eta`` and the
+    factors.  Neither keeps local particles, AdaGrad accumulators or the generator.
     ``wall_ms`` (and the transcript's ``round_ms``) times the round alone;
     the transcript's ``eval_ms`` times the evaluation that builds its record,
     and round 0's ``setup_ms`` the time from ``started`` to that evaluation.
@@ -684,12 +692,11 @@ def _run_phase(cfg: ExperimentConfig, problem, phase: Phase, method: str, starte
     paths = run_paths(cfg, method)
     os.makedirs(cfg.out_dir, exist_ok=True)
     records: list[MetricRecord] = []
-    rounds_run = 0
     with MetricsWriter(paths.metrics) as metrics, TranscriptWriter(paths.transcript) as transcript:
 
-        def emit(agent, wall_ms: float, **setup) -> None:
+        def emit(state, agent, wall_ms: float, **setup) -> None:
             start = time.perf_counter()
-            record, extra = measure(snapshot(state), rounds_run, wall_ms)
+            record, extra = measure(snapshot(state), len(records), wall_ms)
             eval_ms = _ms_since(start)
             records.append(record)
             metrics.append(record)
@@ -706,22 +713,20 @@ def _run_phase(cfg: ExperimentConfig, problem, phase: Phase, method: str, starte
             })
 
         try:
-            emit(None, 0.0, setup_ms=_ms_since(started))
+            emit(state, None, 0.0, setup_ms=_ms_since(started))
             for r in range(settings.rounds):
                 start = time.perf_counter()
                 state, agent = step(state, r)
-                wall = _ms_since(start)
-                rounds_run = r + 1
-                emit(agent, wall)
+                emit(state, agent, _ms_since(start))
                 if phase.stop is not None and phase.stop(settings, problem, records):
                     break
         except Exception as err:
             transcript.append({"round": len(records), "phase": phase.name, "error": str(err)})
             raise
-    save_snapshot(paths.snapshot, snapshot(state), rounds_run, cfg.seed)
+    save_snapshot(paths.snapshot, snapshot(state), len(records) - 1, cfg.seed)
     if save_locals is not None:
         save_locals(state)
-    return RunResult(method, records, paths, rounds_run)
+    return RunResult(method, records, paths, len(records) - 1)
 
 
 def _saved_snapshot(cfg: ExperimentConfig, method: str) -> tuple[np.ndarray, int]:
@@ -754,31 +759,28 @@ def _run_particles(cfg: ExperimentConfig, phase: Phase, method: str, started: fl
     # Every agent's loss, forgotten or not, so a retrain that retains none still has a width.
     shape = (cfg.particles, next(iter(problem.losses.values())).dim)
     # A pooled phase schedules no agent, so it draws no local particles.
-    server, agents = fed.initialize_states({} if pooled is not None else losses, pcfg, shape,
-                                           cfg.seed, phase.local_stream, learned)
+    start = fed.initialize_states({} if pooled is not None else losses, pcfg, shape,
+                                  cfg.seed, phase.local_stream, learned)
 
-    def step(server, r):
+    def step(state, r):
+        server, agents = state
         if pooled is not None:
-            return fed.centralized_round(server, pooled, pcfg), None
+            return (fed.centralized_round(server, pooled, pcfg), agents), None
         k = fed.schedule(pcfg, r, tuple(agents))
         play = fed.learning_round if phase.sign > 0 else fed.unlearning_round
-        server, agents[k] = play(server, agents[k], pcfg)
-        return server, k
+        server, agent = play(server, agents[k], pcfg)
+        return (server, {**agents, k: agent}), k
 
-    return _run_phase(cfg, problem, phase, method, started, server, step,
-                      lambda server: server.global_particles)
-
-
-def _nat_to_json(nat: np.ndarray) -> dict:
-    return {"eta1": nat[0].tolist(), "eta2": nat[1].tolist()}
+    return _run_phase(cfg, problem, phase, method, started, start, step,
+                      lambda state: state[0].global_particles)
 
 
-def _save_pvi_state(path: str, eta: np.ndarray, locals_nat: dict[int, np.ndarray]) -> None:
-    state = {
-        "global": _nat_to_json(eta),
-        "agents": {str(k): _nat_to_json(v) for k, v in sorted(locals_nat.items())},
-    }
-    write_atomic(path, json.dumps(state, sort_keys=True) + "\n")
+def _save_pvi_state(path: str, state: tuple) -> None:
+    """Write the global and per-agent factors of a parametric state; its generator is dropped."""
+    eta, factors, _ = state
+    rows = lambda nat: {"eta1": nat[0].tolist(), "eta2": nat[1].tolist()}
+    saved = {"global": rows(eta), "agents": {str(k): rows(v) for k, v in sorted(factors.items())}}
+    write_atomic(path, json.dumps(saved, sort_keys=True) + "\n")
 
 
 def _nat_from_json(value, shape: tuple[int, int]) -> np.ndarray:
@@ -816,27 +818,29 @@ def _run_parametric(cfg: ExperimentConfig, phase: Phase, method: str, started: f
     """PVI rounds with the phase's loss sign on diagonal-Gaussian factors: PVI or ULPVI."""
     eligible = phase.eligible(cfg)
     eta = moment_to_nat([cfg.pvi.prior_mean], [cfg.pvi.prior_variance])
-    locals_nat = {k: np.zeros_like(eta) for k in eligible}
+    factors = {k: np.zeros_like(eta) for k in eligible}
     if phase.start is not None:  # the learned factors replace the prior and the zero factors
-        eta, locals_nat = _load_pvi_state(run_paths(cfg, phase.start[1]).locals_json, eta.shape)
-        missing = [k for k in eligible if k not in locals_nat]
+        path = run_paths(cfg, phase.start[1]).locals_json
+        eta, factors = _load_pvi_state(path, eta.shape)
+        missing = [k for k in eligible if k not in factors]
         if missing:
-            raise MissingStateError(f"learned state lacks factors for forget agents {missing}")
+            raise MissingStateError(f"{path}: learned state lacks factors for forget agents {missing}")
         _saved_snapshot(cfg, phase.start[1])  # the factors were saved with it, at its seed
     problem = build_problem(cfg)  # after the start state, so that a bad one fails fast
     pvicfg = dataclasses.replace(cfg.pvi, alpha=cfg.protocol.alpha)
-    rng = np.random.default_rng([cfg.seed, phase.pvi_stream])
 
-    def step(eta, r):
+    def step(state, r):
+        eta, factors, rng = state
+        rng = copy.deepcopy(rng)  # the round draws from a copy, so the given state stays as it was
         k = fed.schedule(cfg.protocol, r, eligible)
         play = pvi.pvi_round if phase.sign > 0 else pvi.ulpvi_round
-        eta, locals_nat[k] = play(eta, locals_nat[k], problem.losses[k], pvicfg, rng)
-        return eta, k
+        eta, factor = play(eta, factors[k], problem.losses[k], pvicfg, rng)
+        return (eta, {**factors, k: factor}, rng), k
 
-    return _run_phase(
-        cfg, problem, phase, method, started, eta, step, nat_to_moment,
-        lambda eta: _save_pvi_state(run_paths(cfg, method).locals_json, eta, locals_nat),
-    )
+    start = (eta, factors, np.random.default_rng([cfg.seed, phase.pvi_stream]))
+    return _run_phase(cfg, problem, phase, method, started, start, step,
+                      lambda state: nat_to_moment(state[0]),
+                      functools.partial(_save_pvi_state, run_paths(cfg, method).locals_json))
 
 
 def run_experiment(cfg: ExperimentConfig, command: str) -> RunResult:

@@ -3,6 +3,7 @@
 import collections
 import copy
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -518,6 +519,7 @@ CONFIG_ERRORS = [
     ("mix", ("grid", "points"), [1], "config.grid.points: expected an integer, got list"),
     ("mix", ("grid",), {"lo": 1, "hi": 0}, "config.grid: grid range [1.0, 0.0] is empty"),
     ("mix", ("grid", "points"), 1, "config.grid.points: must be at least 2, got 1"),
+    ("mix", ("grid", "hi"), 10**400, "config.grid.hi: expected a number within the float range"),
 ]
 
 
@@ -535,8 +537,9 @@ def _with_fault(base, path, value, out_dir):
     return data
 
 
+# Each id shows at most 60 characters of its value: one value has 401 digits.
 @pytest.mark.parametrize("base,path,value,message", CONFIG_ERRORS,
-                         ids=[f"{b}:{'.'.join(map(str, p))}={v!r}" if v is not DELETE
+                         ids=[f"{b}:{'.'.join(map(str, p))}={v!r:.60}" if v is not DELETE
                               else f"{b}:{'.'.join(map(str, p))}:del"
                               for b, p, v, _ in CONFIG_ERRORS])
 def test_config_error_messages(tmp_path, base, path, value, message):
@@ -687,8 +690,11 @@ class TestBuildOnce:
         counts = _count_calls(monkeypatch, {"models": ("pretrain_feature_map",)})
         cfg = config_from_dict(classification_dict(tmp_path))
         other = build_problem(dataclasses.replace(cfg, forget_agents=(1,)))
+        prior = GaussianPrior(mean=0.5, variance=4.0)
+        reprior = build_problem(dataclasses.replace(
+            cfg, experiment=dataclasses.replace(cfg.experiment, prior=prior)))
         problem = build_problem(cfg)
-        assert problem.losses is other.losses
+        assert problem.losses is other.losses is reprior.losses
         assert (problem.forget_ids, other.forget_ids) == ((2,), (1,))
         assert (problem.forgotten_classes, other.forgotten_classes) == ((2, 3), (0, 1))
         with pytest.raises(FieldError, match=r"^forget_agents: unknown agent ids \[3\]$"):
@@ -768,6 +774,47 @@ class TestStopRules:
     def test_short_history_never_plateaus(self):
         records = [self.rec(1, loss=5.0)]
         assert not _forgot_loss_plateaued(records, window=1)
+
+
+class TestPhaseState:
+    """A phase's state is one value that no round writes to, so any kept state can be replayed."""
+
+    @pytest.mark.parametrize("method,command,rounds,split", [
+        ("dsvgd", "learn", 4, 2), ("dsvgd", "unlearn", 3, 1),
+        ("pvi", "learn", 4, 2), ("pvi", "unlearn", 1, 0),
+    ], ids=["dsvgd", "forget_svgd", "pvi", "ulpvi"])
+    def test_rounds_from_a_kept_state_repeat_the_run(self, tmp_path, monkeypatch, method, command,
+                                                     rounds, split):
+        data = mixture_dict(tmp_path)
+        data.update(method=method, pvi={"local_iters": 3, "mc_samples": 64})
+        data[command]["rounds"] = rounds
+        cfg = config_from_dict(data)
+        if command == "unlearn":
+            run_experiment(cfg, "learn")
+        run_phase, handed = experiments._run_phase, []
+
+        def keep(*args, **kwargs):
+            handed.append(inspect.signature(run_phase).bind(*args, **kwargs).arguments)
+            return run_phase(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_run_phase", keep)
+        result = run_experiment(cfg, command)
+        assert result.rounds_run == rounds
+        [args] = handed
+        step, snapshot, state = args["step"], args["snapshot"], args["state"]
+        for r in range(split):
+            state, _ = step(state, r)
+        saved = load_snapshot(result.paths.snapshot)[0]
+        factors = Path(result.paths.locals_json)
+        saved_factors = factors.read_bytes() if method == "pvi" else None
+        for _ in range(2):  # twice from the one kept state
+            replayed = state
+            for r in range(split, rounds):
+                replayed, _ = step(replayed, r)
+            assert np.array_equal(snapshot(replayed), saved)
+            if method == "pvi":  # the factors it writes are those of the state it is given
+                args["save_locals"](replayed)
+                assert factors.read_bytes() == saved_factors
 
 
 class TestParticleRuns:
@@ -1323,7 +1370,9 @@ class TestParametricRuns:
         state = json.loads(Path(result.paths.locals_json).read_text())
         del state["agents"]["1"]
         Path(result.paths.locals_json).write_text(json.dumps(state))
-        with pytest.raises(MissingStateError, match=r"lacks factors for forget agents \[1\]"):
+        refusal = (rf"^{re.escape(result.paths.locals_json)}: "
+                   r"learned state lacks factors for forget agents \[1\]$")
+        with pytest.raises(MissingStateError, match=refusal):
             run_experiment(cfg, "unlearn")
 
     def test_pvi_runs_deterministic(self, tmp_path):
