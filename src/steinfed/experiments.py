@@ -274,6 +274,17 @@ def _read(cls, data, path: str):
         raise ConfigError(f"{path}: {err}") from None
 
 
+class _LongInteger(str):
+    """A JSON integer literal with more digits than ``int`` reads; ``_value`` refuses it."""
+
+
+def _parse_int(text: str) -> int | _LongInteger:
+    try:
+        return int(text)
+    except ValueError:  # past ``sys.get_int_max_str_digits()``
+        return _LongInteger(text)
+
+
 def _value(hint, value, where: str, default=dataclasses.MISSING):
     """Check one JSON value against a field's type hint and ``default``, and build it.
 
@@ -282,6 +293,9 @@ def _value(hint, value, where: str, default=dataclasses.MISSING):
     ``null`` passes where the hint admits ``None``; ``tuple[X, ...]`` reads a
     list item by item, with ``[i]`` in the path; numbers become finite floats.
     """
+    if isinstance(value, _LongInteger):
+        digits = len(value.lstrip("-"))
+        raise ConfigError(f"{where}: integer literal of {digits} digits is too long")
     members = hint.__args__ if isinstance(hint, types.UnionType) else (hint,)
     kinds = {m.kind: m for m in members if isinstance(getattr(m, "kind", None), str)}
     if kinds:
@@ -329,7 +343,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     try:
         with open(str(path), encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_parse_int)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as err:

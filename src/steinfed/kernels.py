@@ -28,6 +28,7 @@ division.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -73,15 +74,18 @@ def _median_bandwidth(sq_dists: np.ndarray) -> float:
 
     The square root is monotone, so the middle distances are the roots of
     the middle squared distances; a pair of them is averaged as ``np.median``
-    averages it.
+    averages it.  One partition places the upper middle value, and the lower
+    one of an even count is the largest value below it.
     """
     n = sq_dists.shape[0]
     if n < 2:
         raise ValueError("median bandwidth needs at least 2 particles")
-    pairs = np.sort(sq_dists[_upper_pairs(n)])
+    pairs = sq_dists[_upper_pairs(n)]
     mid = pairs.size // 2
-    middle = pairs[mid:mid + 1] if pairs.size % 2 else pairs[mid - 1:mid + 1]
-    med = float(np.mean(np.sqrt(middle)))
+    pairs.partition(mid)
+    med = math.sqrt(pairs[mid])
+    if pairs.size % 2 == 0:
+        med = (math.sqrt(pairs[:mid].max()) + med) / 2
     return max(med * med / np.log(n), BANDWIDTH_FLOOR)
 
 
@@ -112,9 +116,10 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray, row_norms: bool = True) -> n
     inner dimension 1, where each entry is a single product either way.
     """
     sq = np.dot(2.0 * x, y.T)
-    np.subtract((y ** 2).sum(axis=1), sq, out=sq)
+    y_norms = (y ** 2).sum(axis=1)
+    np.subtract(y_norms, sq, out=sq)
     if row_norms:
-        sq += (x ** 2).sum(axis=1)[:, None]
+        sq += (y_norms if x is y else (x ** 2).sum(axis=1))[:, None]
         np.maximum(sq, 0.0, out=sq)
     return sq
 

@@ -27,6 +27,8 @@ from .kernels import _as_particle_matrix, _as_rows, _logsumexp, _softmax
 from .rules import at_least, nonnegative, positive
 
 CLAMP_MARGIN = 1e-6
+# Rows per block of a head evaluation: see ``_row_blocks``.
+EVAL_ROWS = 256
 
 
 class OutOfSupportError(ValueError):
@@ -166,23 +168,30 @@ def _with_bias(features: np.ndarray) -> np.ndarray:
     return np.hstack([features, np.ones((features.shape[0], 1))])
 
 
-def _head_logits(design: np.ndarray, heads: np.ndarray, num_classes: int) -> np.ndarray:
-    """Logits ``(n, C, Q)`` of every head on every design row, as one GEMM.
+def _side_by_side(heads: np.ndarray, num_classes: int) -> np.ndarray:
+    """The Q flattened ``(f + 1, C)`` heads laid side by side as one ``(f + 1, C * Q)`` matrix.
 
-    Each row of ``heads`` is a flattened ``(f + 1, C)`` head matrix; the Q
-    heads are laid side by side into one ``(f + 1, C * Q)`` matrix.  Classes
-    sit on the middle axis so that reductions over them are vectorised
-    across heads.
+    A design matrix times it, reshaped to ``(n, C, Q)``, is the logits of every
+    head on every row in one GEMM.  Classes sit on the middle axis so that
+    reductions over them are vectorised across heads.
     """
-    q = heads.shape[0]
-    rows = design.shape[1]
-    side_by_side = heads.reshape(q, rows, num_classes).transpose(1, 2, 0).reshape(rows, -1)
-    return (design @ side_by_side).reshape(design.shape[0], num_classes, q)
+    q, rows = heads.shape[0], heads.shape[1] // num_classes
+    return heads.reshape(q, rows, num_classes).transpose(1, 2, 0).reshape(rows, -1)
 
 
-def _head_probs(design: np.ndarray, heads: np.ndarray, num_classes: int) -> np.ndarray:
-    """Softmax class probabilities ``(n, C, Q)`` of every head on every design row."""
-    return _softmax(_head_logits(design, heads, num_classes), axis=1)
+def _row_blocks(design: np.ndarray, heads: np.ndarray, num_classes: int):
+    """Each block of up to ``EVAL_ROWS`` design rows: its slice and its ``(rows, C, Q)`` logits.
+
+    A per-row result filled block by block holds one block's logits at a
+    time instead of the ``(n, C, Q)`` array.  Each row's logits keep their
+    bits as long as the BLAS gives a product's row the same bits however many
+    rows share the GEMM; ``tests/test_buffers.py`` checks it at the shipped shapes.
+    """
+    laid = _side_by_side(heads, num_classes)
+    for start in range(0, design.shape[0], EVAL_ROWS):
+        rows = slice(start, start + EVAL_ROWS)
+        logits = design[rows] @ laid
+        yield rows, logits.reshape(logits.shape[0], num_classes, -1)
 
 
 class SoftmaxHeadLoss:
@@ -190,37 +199,47 @@ class SoftmaxHeadLoss:
 
     The parameter vector is the flattened ``(f + 1, C)`` matrix whose first
     ``f`` rows are the weights and last row the biases.  An empty shard
-    yields a loss of exactly 0 and a zero gradient.
+    yields a loss of exactly 0 and a zero gradient.  The shard's features
+    are held once, inside the design matrix.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int):
         if num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {num_classes}")
         shard = Dataset(features, labels, num_classes)  # checks the shapes and the label range
-        self.features = shard.features
         self.labels = shard.labels
         self.num_classes = num_classes
-        self.num_features = self.features.shape[1]
+        self.num_features = shard.features.shape[1]
         self.dim = (self.num_features + 1) * num_classes
-        self._design = _with_bias(self.features)
+        self._design = _with_bias(shard.features)
         self._onehot = np.zeros((self.labels.size, num_classes))
         if self.labels.size:
             self._onehot[np.arange(self.labels.size), self.labels] = 1.0
+
+    @property
+    def features(self) -> np.ndarray:
+        """The shard's features: a read-only view of the design matrix without its bias column."""
+        view = self._design[:, :-1]
+        view.setflags(write=False)
+        return view
 
     def loss(self, theta: np.ndarray) -> np.ndarray:
         arr = _as_rows(theta, self.dim)
         if self.labels.size == 0:
             return np.zeros(arr.shape[0])
-        logits = _head_logits(self._design, arr, self.num_classes)
-        picked = logits[np.arange(self.labels.size), self.labels, :]
-        return (_logsumexp(logits, axis=1) - picked).mean(axis=0)
+        per_row = np.empty((self.labels.size, arr.shape[0]))
+        for rows, logits in _row_blocks(self._design, arr, self.num_classes):
+            picked = logits[np.arange(logits.shape[0]), self.labels[rows], :]
+            np.subtract(_logsumexp(logits, axis=1), picked, out=per_row[rows])
+        return per_row.mean(axis=0)
 
     def neg_loss_grad(self, theta: np.ndarray, alpha: float = 1.0) -> np.ndarray:
         arr = _as_rows(theta, self.dim)
         if self.labels.size == 0:
             return np.zeros_like(arr)
         q = arr.shape[0]
-        resid = _head_probs(self._design, arr, self.num_classes)
+        logits = self._design @ _side_by_side(arr, self.num_classes)
+        resid = _softmax(logits.reshape(self.labels.size, self.num_classes, q), axis=1)
         resid -= self._onehot[:, :, None]
         grad = self._design.T @ resid.reshape(self.labels.size, -1)
         grad = grad.reshape(-1, self.num_classes, q).transpose(2, 0, 1).reshape(q, self.dim)
@@ -243,7 +262,10 @@ def averaged_class_probabilities(
             f"particle dimension {theta.shape[1]} does not match head layout "
             f"({num_features} features, {num_classes} classes)"
         )
-    return _head_probs(_with_bias(features), theta, num_classes).mean(axis=2)
+    probs = np.empty((features.shape[0], num_classes))
+    for rows, logits in _row_blocks(_with_bias(features), theta, num_classes):
+        np.mean(_softmax(logits, axis=1), axis=2, out=probs[rows])
+    return probs
 
 
 def per_class_accuracy(
@@ -343,10 +365,10 @@ def pretrain_feature_map(
     b2 = np.zeros(num_classes)
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), y] = 1.0
-    # The (n, h) arrays of an epoch, filled in place every epoch.
+    # The (n, h) arrays of an epoch, filled in place every epoch.  Once grad_w2
+    # is taken, ``hidden`` holds the backward signal into the hidden layer.
     hidden = np.empty((n, h))
     active = np.empty((n, h), dtype=bool)
-    back = np.empty((n, h))
 
     for _ in range(config.epochs):
         np.matmul(x, w1, out=hidden)
@@ -364,10 +386,10 @@ def pretrain_feature_map(
         resid /= n
         grad_w2 = hidden.T @ resid
         grad_b2 = resid.sum(axis=0)
-        np.matmul(resid, w2.T, out=back)
-        back *= active
-        grad_w1 = x.T @ back
-        grad_b1 = back.sum(axis=0)
+        np.matmul(resid, w2.T, out=hidden)
+        hidden *= active
+        grad_w1 = x.T @ hidden
+        grad_b1 = hidden.sum(axis=0)
         w2 -= config.step_size * grad_w2
         b2 -= config.step_size * grad_b2
         w1 -= config.step_size * grad_w1

@@ -130,6 +130,16 @@ def pairwise_sq_dists_allocating(x, y, row_norms=True):
     return sq
 
 
+def median_bandwidth_sorted(sq_dists):
+    """``kernels._median_bandwidth`` by a full sort of the pairs and ``np.mean`` of the middle."""
+    n = sq_dists.shape[0]
+    pairs = np.sort(sq_dists[np.triu_indices(n, 1)])
+    mid = pairs.size // 2
+    middle = pairs[mid:mid + 1] if pairs.size % 2 else pairs[mid - 1:mid + 1]
+    med = float(np.mean(np.sqrt(middle)))
+    return max(med * med / np.log(n), 1e-8)
+
+
 def _kde_logits_allocating(theta, q, lam):
     logits = pairwise_sq_dists_allocating(q, theta, row_norms=False)
     logits /= -2.0 * lam * lam
@@ -192,6 +202,28 @@ def head_neg_loss_grad_allocating(design, onehot, num_classes, theta, alpha):
     grad = design.T @ resid.reshape(n, -1)
     grad = grad.reshape(-1, num_classes, q).transpose(2, 0, 1).reshape(q, theta.shape[1])
     return grad / (-alpha * n)
+
+
+def _head_logits_allocating(design, theta, num_classes):
+    """The ``(n, C, Q)`` logits of every head on every design row, as one GEMM."""
+    n, rows = design.shape
+    q = theta.shape[0]
+    side_by_side = theta.reshape(q, rows, num_classes).transpose(1, 2, 0).reshape(rows, -1)
+    return (design @ side_by_side).reshape(n, num_classes, q)
+
+
+def averaged_probabilities_unblocked(theta, features, num_classes):
+    """``models.averaged_class_probabilities`` from one ``(n, C, Q)`` array of every row."""
+    design = np.hstack([features, np.ones((features.shape[0], 1))])
+    probs = _softmax_in_place(_head_logits_allocating(design, theta, num_classes), axis=1)
+    return probs.mean(axis=2)
+
+
+def head_loss_unblocked(design, labels, num_classes, theta):
+    """``SoftmaxHeadLoss.loss`` from one ``(n, C, Q)`` array of every row."""
+    logits = _head_logits_allocating(design, theta, num_classes)
+    picked = logits[np.arange(labels.size), labels, :]
+    return (_logsumexp_in_place(logits, axis=1) - picked).mean(axis=0)
 
 
 def feature_map_allocating(weights, biases, x):

@@ -20,15 +20,18 @@ import pytest
 import steinfed.experiments as experiments
 from helpers import (
     adagrad_step_allocating,
+    averaged_probabilities_unblocked,
     distill_target_allocating,
     feature_map_allocating,
     grid_kl_allocating,
+    head_loss_unblocked,
     head_neg_loss_grad_allocating,
     kde_log_density_allocating,
     kde_log_density_grad_allocating,
     load_idx_images_allocating,
     make_synthetic_allocating,
     make_synthetic_full,
+    median_bandwidth_sorted,
     pairwise_sq_dists_allocating,
     partition_allocating,
     pretrain_allocating,
@@ -67,12 +70,14 @@ from steinfed.kernels import (
 )
 from steinfed.metrics import GridConfig, GridError, GridReference, grid_kl
 from steinfed.models import (
+    EVAL_ROWS,
     FeatureMap,
     FeatureMapConfig,
     GaussianMixtureLoss,
     GaussianPrior,
     MixtureComponent,
     SoftmaxHeadLoss,
+    averaged_class_probabilities,
     pretrain_feature_map,
 )
 from steinfed.svgd import adagrad_step, svgd_direction
@@ -85,6 +90,9 @@ KERNEL_SHAPES = [(100, 100, 1), (2001, 100, 1), (30, 30, 104), (100, 100, 1010)]
 PARTICLE_SHAPES = [(100, 1), (30, 104), (100, 1010)]
 # Dimension -> (features, classes) of a softmax head with (f + 1) * C = d.
 HEAD_LAYOUTS = {104: (25, 4), 1010: (100, 10)}
+# (rows, particles, dimension) of a head evaluation: desk's test set, one full row block and
+# one partial; wide's shards and test set; the headline's 10 000 test points.
+EVAL_SHAPES = [(400, 30, 104), (1000, 100, 1010), (2000, 100, 1010), (10_000, 100, 1010)]
 LAM = 0.55
 
 
@@ -147,6 +155,14 @@ class TestKernels:
         theta, query = kernel_inputs(q, n, d)
         assert_bits(kde_log_density_grad(theta, query, LAM),
                     kde_log_density_grad_allocating(theta, query, LAM))
+
+
+# The particle shapes, and 7 particles: an odd count of pairs, whose median is one value.
+@pytest.mark.parametrize("n, d", [*PARTICLE_SHAPES, (7, 3)])
+def test_median_bandwidth(n, d):
+    theta = points(np.random.default_rng(10), n, d)
+    sq_dists = frozen(pairwise_sq_dists(theta, theta))
+    assert _median_bandwidth(sq_dists) == median_bandwidth_sorted(sq_dists)
 
 
 @pytest.mark.parametrize("n, d", PARTICLE_SHAPES)
@@ -216,6 +232,18 @@ class TestModels:
         w1, b1 = pretrain_allocating(x, y, classes, hidden, 3, 0.1, np.random.default_rng(8))
         assert_bits(fmap.weights, w1)
         assert_bits(fmap.biases, b1)
+
+    @pytest.mark.parametrize("rows, n, d", EVAL_SHAPES)
+    def test_evaluation_in_row_blocks(self, rows, n, d):
+        f, c = HEAD_LAYOUTS[d]
+        rng = np.random.default_rng(9)
+        features = frozen(np.maximum(rng.standard_normal((rows, f)), 0.0))
+        labels = rng.integers(0, c, rows)
+        theta = points(rng, n, d, 0.3)
+        assert_bits(averaged_class_probabilities(theta, features, c),
+                    averaged_probabilities_unblocked(theta, features, c))
+        loss = SoftmaxHeadLoss(features, labels, c)
+        assert_bits(loss.loss(theta), head_loss_unblocked(loss._design, labels, c, theta))
 
 
 def test_grid_kl_with_and_without_reference():
@@ -501,10 +529,15 @@ class TestClassificationBuild:
             assert_bits(loss._design, old._design)
             assert np.array_equal(loss.labels, old.labels)
 
+    def test_shard_features_are_a_view_of_the_design(self, tmp_path, empty_problem_cache):
+        for loss in build_problem(config_from_dict(build_case("desk", tmp_path))).losses.values():
+            assert np.shares_memory(loss.features, loss._design)
+            assert not loss.features.flags.writeable
+
 
 def pool_build_bytes(pool_rows, dim, hidden, idx_bytes=0):
-    """The pool's floats, pretraining's three (n, h) buffers and the IDX files' bytes."""
-    return pool_rows * dim * 8 + pool_rows * hidden * (8 + 1 + 8) + idx_bytes
+    """The pool's floats, pretraining's float and bool (n, h) buffers and the IDX files' bytes."""
+    return pool_rows * dim * 8 + pool_rows * hidden * (8 + 1) + idx_bytes
 
 
 class TestBuildMemory:
@@ -544,6 +577,25 @@ class TestBuildMemory:
         _, peak = self.traced_peak(lambda: build_problem(cfg))
         # A third of the training rows are drawn as floats; the whole matrix would be 3x the pool.
         assert peak <= 1.5 * pool_build_bytes(5 * 800, 300, 20)
+
+    def test_wide_build(self, tmp_path, empty_problem_cache):
+        cfg = config_from_dict(build_case("wide", tmp_path))
+        _, peak = self.traced_peak(lambda: build_problem(cfg))
+        # 76 MB. A second (n, h) float buffer in pretraining, or each shard's features held
+        # beside its design matrix, would add 8 MB.
+        assert peak <= 1.1 * pool_build_bytes(5 * 2000, 784, 100)
+
+    def test_evaluation_at_10000_points(self):
+        rows, n, f, c = 10_000, 100, 100, 10
+        rng = np.random.default_rng(16)
+        features, labels = rng.standard_normal((rows, f)), rng.integers(0, c, rows)
+        theta = rng.standard_normal((n, (f + 1) * c))
+        loss = SoftmaxHeadLoss(features, labels, c)
+        block = 4 * EVAL_ROWS * c * n * 8  # a few blocks' logits; all rows' would be 80 MB
+        _, peak = self.traced_peak(lambda: averaged_class_probabilities(theta, features, c))
+        assert peak <= rows * (f + 1) * 8 + block  # the design matrix that the call builds
+        _, peak = self.traced_peak(lambda: loss.loss(theta))
+        assert peak <= rows * n * 8 + block  # the per-row losses, averaged in one reduction
 
     def idx_build_peak(self, tmp_path, seed, n_train, n_test):
         """Traced peak of a build on random IDX files: 5 agents of 200 rows, 20 hidden units."""

@@ -549,6 +549,17 @@ def test_config_error_messages(tmp_path, base, path, value, message):
     assert str(info.value) == message
 
 
+# A literal past Python's 4300-digit limit for reading an integer; json.dumps cannot write it.
+@pytest.mark.parametrize("path", [("grid", "hi"), ("learn", "rounds"), ("forget_agents",)])
+def test_config_error_for_an_oversized_integer_literal(tmp_path, path):
+    data = _with_fault("mix", path, "LONG", tmp_path)
+    config = tmp_path / "long.json"
+    config.write_text(json.dumps(data).replace('"LONG"', "-" + "9" * 5001))
+    with pytest.raises(ConfigError) as info:
+        load_config(config)
+    assert str(info.value) == f"config.{'.'.join(path)}: integer literal of 5001 digits is too long"
+
+
 class TestMethodResolution:
     def test_learn_maps_to_family_learner(self):
         assert resolve_method("dsvgd", "learn") == "dsvgd"
@@ -733,7 +744,8 @@ class TestBuildOnce:
         [(pool_features, pool_labels)] = pools
         arrays = [value for owner in (problem, *problem.losses.values())
                   for value in vars(owner).values() if isinstance(value, np.ndarray)]
-        assert len(arrays) == 2 + 4 * len(problem.losses)  # test set, each loss's four; no prior
+        # The test set, and each loss's labels, one-hot labels and design matrix; no prior.
+        assert len(arrays) == 2 + 3 * len(problem.losses)
         for value in arrays:
             assert not value.flags.writeable
             assert not np.shares_memory(value, pool_features)
