@@ -21,10 +21,9 @@ from .experiments import (
     run_paths,
 )
 from .federation import (
-    AgentState,
+    ParticleSet,
     ProtocolConfig,
     ProtocolError,
-    ServerState,
     centralized_round,
     distill_target_grad,
     init_global_particles,

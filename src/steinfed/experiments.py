@@ -525,7 +525,6 @@ class Phase:
     start: tuple[str, str] | None = None  # methods whose saved state it starts from; None: prior
     local_stream: int = fed.STREAM_LEARN  # seed-stream tag of the agents' fresh local particles
     pvi_stream: int | None = 2  # seed-stream tag of the PVI Monte Carlo draws
-    retained_only: bool = False  # measured against the retained-data posterior
     overrides: tuple[str, ...] = ()  # keys of its section that, when set, replace the protocol's
     stop: Callable | None = None  # ``stop(section, problem, records)``: end before the budget
 
@@ -545,12 +544,12 @@ PHASES = {phase.name: phase for phase in (
     Phase("unlearn", "run unlearning from a saved learned state", ("forget_svgd", "ulpvi"),
           no_agents="config.forget_agents: unlearning needs a nonempty forget set",
           sign=-1.0, forgotten=True, start=("dsvgd", "pvi"), local_stream=fed.STREAM_UNLEARN,
-          pvi_stream=3, retained_only=True,
+          pvi_stream=3,
           overrides=("epsilon", "epsilon_local", "update_steps", "distill_steps"),
           stop=_unlearn_should_stop),
     Phase("retrain", "retrain from scratch on the retained agents", ("retrain", "retrain"),
           no_agents="config.retrain.mode: federated retraining needs a retained agent",
-          forgotten=False, pvi_stream=None, retained_only=True),
+          forgotten=False, pvi_stream=None),
 )}
 METHODS = tuple(sorted({method for phase in PHASES.values() for method in phase.methods}))
 
@@ -654,7 +653,8 @@ def _measurement(cfg: ExperimentConfig, problem, phase: Phase, method: str) -> C
         return float(np.mean([float(np.mean(losses[k].loss(points))) for k in forget_ids]))
 
     if isinstance(problem, MixtureProblem):
-        ids = tuple(k for k in sorted(losses) if not (phase.retained_only and k in forget_ids))
+        # Learning is measured against every agent's posterior, the others against the retained.
+        ids = tuple(k for k in sorted(losses) if phase.forgotten is None or k not in forget_ids)
         grid, lam = cfg.grid, cfg.protocol.kde_lam
         reference = GridReference.of(problem.reference_log_density(cfg.experiment.prior, ids), grid)
 
@@ -689,13 +689,15 @@ def _run_phase(cfg: ExperimentConfig, problem, phase: Phase, method: str, starte
                step, snapshot, save_locals=None) -> RunResult:
     """Run one phase's rounds and write its metrics, transcript and final state.
 
-    ``state`` is one value that no function writes to: ``(server, agents)``
-    for the particle family, ``(eta, factors, generator)`` for the parametric
-    one.  ``step(state, r)`` runs round ``r`` and returns a new state and the
-    scheduled agent.  ``snapshot(state)`` is the array that each round
-    measures and the phase saves: the global particles, or ``eta``'s mean and
-    variance rows.  ``save_locals(state)``, when given, writes ``eta`` and the
-    factors.  Neither keeps local particles, AdaGrad accumulators or the generator.
+    ``state`` is one value that no function writes to and that holds no part
+    of the problem: ``(server, agents)``, the global and each agent's
+    ``ParticleSet``, for the particle family, ``(eta, factors, generator)``
+    for the parametric one.  ``step(state, r)`` runs round ``r`` and returns
+    a new state and the scheduled agent.  ``snapshot(state)`` is the array
+    that each round measures and the phase saves: the global particles, or
+    ``eta``'s mean and variance rows.  ``save_locals(state)``, when given,
+    writes ``eta`` and the factors.  Neither keeps local particles, AdaGrad
+    accumulators or the generator.
     ``wall_ms`` (and the transcript's ``round_ms``) times the round alone;
     the transcript's ``eval_ms`` times the evaluation that builds its record,
     and round 0's ``setup_ms`` the time from ``started`` to that evaluation.
@@ -758,7 +760,21 @@ def _saved_snapshot(cfg: ExperimentConfig, method: str) -> tuple[np.ndarray, int
     if method not in PARAMETRIC_METHODS and array.shape[0] != cfg.particles:
         raise MissingStateError(
             f"{path}: holds {array.shape[0]} particles, not the run's {cfg.particles}")
+    if not np.isfinite(array).all():
+        raise MissingStateError(f"{path}: holds a value that is not finite")
     return array, round_index
+
+
+def _width(problem) -> int:
+    """The particle width ``d``, from any agent's loss: a retrain that retains none has one too."""
+    return next(iter(problem.losses.values())).dim
+
+
+def _check_width(cfg: ExperimentConfig, method: str, array: np.ndarray, problem) -> None:
+    """Refuse ``method``'s saved array when its rows are not of the built problem's width."""
+    if array.shape[1] != _width(problem):
+        raise MissingStateError(f"{run_paths(cfg, method).snapshot}: holds rows of width "
+                                f"{array.shape[1]}, not the problem's width {_width(problem)}")
 
 
 def _run_particles(cfg: ExperimentConfig, phase: Phase, method: str, started: float) -> RunResult:
@@ -767,13 +783,14 @@ def _run_particles(cfg: ExperimentConfig, phase: Phase, method: str, started: fl
     if phase.start is not None:
         learned = _saved_snapshot(cfg, phase.start[0])[0]
     problem = build_problem(cfg)  # after the start state, so that a bad one fails fast
+    if learned is not None:
+        _check_width(cfg, phase.start[0], learned, problem)
     pcfg = _protocol_config(cfg, phase)
-    losses = {k: problem.losses[k] for k in phase.eligible(cfg)}
-    pooled = tuple(losses.values()) if phase.pooled(cfg) else None
-    # Every agent's loss, forgotten or not, so a retrain that retains none still has a width.
-    shape = (cfg.particles, next(iter(problem.losses.values())).dim)
+    eligible = phase.eligible(cfg)
+    pooled = tuple(problem.losses[k] for k in eligible) if phase.pooled(cfg) else None
+    shape = (cfg.particles, _width(problem))
     # A pooled phase schedules no agent, so it draws no local particles.
-    start = fed.initialize_states({} if pooled is not None else losses, pcfg, shape,
+    start = fed.initialize_states(eligible if pooled is None else (), pcfg.prior, shape,
                                   cfg.seed, phase.local_stream, learned)
 
     def step(state, r):
@@ -782,11 +799,11 @@ def _run_particles(cfg: ExperimentConfig, phase: Phase, method: str, started: fl
             return (fed.centralized_round(server, pooled, pcfg), agents), None
         k = fed.schedule(pcfg, r, tuple(agents))
         play = fed.learning_round if phase.sign > 0 else fed.unlearning_round
-        server, agent = play(server, agents[k], pcfg)
+        server, agent = play(server, agents[k], problem.losses[k], pcfg)
         return (server, {**agents, k: agent}), k
 
     return _run_phase(cfg, problem, phase, method, started, start, step,
-                      lambda state: state[0].global_particles)
+                      lambda state: state[0].particles)
 
 
 def _save_pvi_state(path: str, state: tuple) -> None:
@@ -880,7 +897,9 @@ def evaluate_snapshot(cfg: ExperimentConfig, method: str) -> dict:
     if method in PARAMETRIC_METHODS and not isinstance(cfg.experiment, MixtureSpec):
         raise ConfigError("config.method: parametric methods support the mixture experiment only")
     array, round_index = _saved_snapshot(cfg, method)
-    record, extra = _measurement(cfg, build_problem(cfg), phase, method)(array, round_index, 0.0)
+    problem = build_problem(cfg)
+    _check_width(cfg, method, array, problem)
+    record, extra = _measurement(cfg, problem, phase, method)(array, round_index, 0.0)
     return {"method": method, "round": round_index, "seed": cfg.seed, **record.metrics(), **extra}
 
 

@@ -1,7 +1,8 @@
 """Parameter-server protocol for particle-based federated learning.
 
-One communication round: the scheduled agent downloads the global
-particles, runs L transport steps on the tilted target
+The server's global particles and each agent's local particles are one kind
+of value, a ``ParticleSet``.  One communication round: the scheduled agent
+downloads the global particles, runs L transport steps on the tilted target
 
     score(q_kde) - score(t_k_kde) + sign * (1/alpha) * (-grad loss_k)
 
@@ -12,18 +13,18 @@ towards
 
     score(new global kde) - score(old global kde) + score(old local kde).
 
-Learning and unlearning rounds differ only in ``sign``: a learning round
-has sign +1 and pulls the posterior towards the agent's data; an
-unlearning round has sign -1 and pushes it away.  Retraining from scratch
-runs plain transport on the pooled retained-data target starting from
-fresh prior draws.
+The agent's loss is an argument of the round, not part of any state, so a
+phase's state holds arrays only.  Learning and unlearning rounds differ only
+in ``sign``: a learning round has sign +1 and pulls the posterior towards
+the agent's data; an unlearning round has sign -1 and pushes it away.
+Retraining from scratch runs plain transport on the pooled retained-data
+target starting from fresh prior draws.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -41,26 +42,18 @@ class ProtocolError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ServerState:
-    """Global particle set, updated functionally."""
+class ParticleSet:
+    """An ``(N, d)`` particle set that SVGD moves: the server's global particles or an agent's.
 
-    global_particles: np.ndarray
-    global_acc: np.ndarray | None = None
+    ``acc`` is the AdaGrad accumulator that the set's next move starts from under
+    ``persist_adagrad``, and None otherwise.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "global_particles", _as_particle_matrix(self.global_particles))
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """One agent: its loss and its local particles, updated functionally."""
-
-    loss: object
-    local_particles: np.ndarray
-    distill_acc: np.ndarray | None = None
+    particles: np.ndarray
+    acc: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "local_particles", np.asarray(self.local_particles, dtype=float))
+        object.__setattr__(self, "particles", _as_particle_matrix(self.particles))
 
 
 @dataclass(frozen=True)
@@ -114,49 +107,44 @@ def init_local_particles(prior, shape: tuple[int, int], seed: int, agent_id: int
 
 
 def initialize_states(
-    losses: Mapping[int, object], config: ProtocolConfig, shape: tuple[int, int], seed: int,
+    agent_ids: Iterable[int], prior, shape: tuple[int, int], seed: int,
     stream: int = STREAM_LEARN, global_particles: np.ndarray | None = None,
-) -> tuple[ServerState, dict[int, AgentState]]:
-    """Fresh agent states, and a server holding ``global_particles`` or, if None, prior draws.
+) -> tuple[ParticleSet, dict[int, ParticleSet]]:
+    """Fresh local particles for each of ``agent_ids``, and the global ``global_particles``.
 
-    Every particle set drawn has the ``(N, d)`` ``shape``.  ``stream`` tags the
-    agents' local draws.  The global draws have their own generator, so
-    passing ``global_particles`` leaves the local draws as they were.
+    Every set drawn from ``prior`` has the ``(N, d)`` ``shape``; the global set
+    is drawn when ``global_particles`` is None.  ``stream`` tags the agents'
+    local draws.  The global draws have their own generator, so passing
+    ``global_particles`` leaves the local draws as they were.
     """
-    if config.prior is None:
-        raise ProtocolError("initialization requires a prior in the protocol config")
     if global_particles is None:
-        global_particles = init_global_particles(config.prior, shape, seed)
-    server = ServerState(global_particles)
-    agents = {
-        k: AgentState(loss, init_local_particles(config.prior, shape, seed, k, stream))
-        for k, loss in losses.items()
-    }
-    return server, agents
+        global_particles = init_global_particles(prior, shape, seed)
+    agents = {k: ParticleSet(init_local_particles(prior, shape, seed, k, stream))
+              for k in agent_ids}
+    return ParticleSet(global_particles), agents
 
 
 # --- tilted targets -----------------------------------------------------------
 
 
 def tilted_grad(
-    server: ServerState, agent: AgentState, config: ProtocolConfig, sign: float
+    server: ParticleSet, agent: ParticleSet, loss, config: ProtocolConfig, sign: float
 ) -> TargetGradient:
     """Score of the scheduled agent's tilted target, frozen at round start.
 
-    The agent's tempered loss gradient enters with ``sign``: ``+1.0`` in a
-    learning round pulls the particles towards its data, ``-1.0`` in an
-    unlearning round pushes them away.  The returned closure captures copies
-    of the current global and local particle sets, so later moves of either
-    set do not leak into the target.  The loss is tempered by
-    ``config.alpha``, the KDEs have width ``config.kde_lam``, and the prior
-    score of ``config.prior`` is added when ``config.include_prior_score`` is
-    set.
+    The gradient of the agent's tempered ``loss`` enters with ``sign``:
+    ``+1.0`` in a learning round pulls the particles towards its data,
+    ``-1.0`` in an unlearning round pushes them away.  The returned closure
+    captures copies of the current global and local particle sets, so later
+    moves of either set do not leak into the target.  The loss is tempered
+    by ``config.alpha``, the KDEs have width ``config.kde_lam``, and the
+    prior score of ``config.prior`` is added when
+    ``config.include_prior_score`` is set.
     """
-    global_ref = server.global_particles.copy()
-    local_ref = agent.local_particles.copy()
+    global_ref = server.particles.copy()
+    local_ref = agent.particles.copy()
     lam, alpha = config.kde_lam, config.alpha
     prior = config.prior if config.include_prior_score else None
-    loss = agent.loss
 
     def target(theta: np.ndarray) -> np.ndarray:
         grad = kde_log_density_grad(global_ref, theta, lam)
@@ -192,56 +180,45 @@ def distill_target_grad(
 # --- rounds -------------------------------------------------------------------
 
 
-def _svgd(particles: np.ndarray, target: TargetGradient, steps: int, epsilon: float,
-          carried: np.ndarray | None, config: ProtocolConfig):
-    """Move a particle set ``steps`` SVGD steps towards ``target``, clamped to the prior's support.
+def _svgd(start: ParticleSet, target: TargetGradient, steps: int, epsilon: float,
+          config: ProtocolConfig) -> ParticleSet:
+    """``start`` moved ``steps`` SVGD steps towards ``target``, clamped to the prior's support.
 
-    Under ``persist_adagrad`` the run starts from the ``carried`` AdaGrad accumulator and
-    returns the moved particles with the accumulator to carry into the next round;
-    otherwise it starts from zeros and returns None in its place.
+    Under ``persist_adagrad`` the run starts from ``start.acc`` and the moved set
+    carries the advanced accumulator; otherwise it starts from zeros and carries None.
     """
     keep = config.persist_adagrad
     project = None if config.prior is None else config.prior.clamp
-    moved, acc = run_svgd(particles, target, steps, epsilon, config.fudge,
-                          carried if keep else None, config.bandwidth, project)
-    return moved, acc if keep else None
-
-
-def _transport(server: ServerState, target: TargetGradient, config: ProtocolConfig) -> ServerState:
-    """The next server state: the global particles moved ``update_steps`` steps to ``target``."""
-    return ServerState(*_svgd(server.global_particles, target, config.update_steps,
-                              config.epsilon, server.global_acc, config))
+    moved, acc = run_svgd(start.particles, target, steps, epsilon, config.fudge,
+                          start.acc if keep else None, config.bandwidth, project)
+    return ParticleSet(moved, acc if keep else None)
 
 
 def _round(
-    server: ServerState, agent: AgentState, config: ProtocolConfig, sign: float
-) -> tuple[ServerState, AgentState]:
-    new_server = _transport(server, tilted_grad(server, agent, config, sign), config)
-
-    distill = distill_target_grad(new_server.global_particles, server.global_particles,
-                                  agent.local_particles, config.kde_lam)
-    new_local, distill_acc = _svgd(agent.local_particles, distill, config.distill_steps,
-                                   config.epsilon_local, agent.distill_acc, config)
-    new_agent = dataclasses.replace(agent, local_particles=new_local, distill_acc=distill_acc)
-    return new_server, new_agent
+    server: ParticleSet, agent: ParticleSet, loss, config: ProtocolConfig, sign: float
+) -> tuple[ParticleSet, ParticleSet]:
+    new_server = _svgd(server, tilted_grad(server, agent, loss, config, sign),
+                       config.update_steps, config.epsilon, config)
+    distill = distill_target_grad(new_server.particles, server.particles, agent.particles,
+                                  config.kde_lam)
+    return new_server, _svgd(agent, distill, config.distill_steps, config.epsilon_local, config)
 
 
 def learning_round(
-    server: ServerState, agent: AgentState, config: ProtocolConfig
-) -> tuple[ServerState, AgentState]:
-    """Run one learning round with the scheduled ``agent``.
+    server: ParticleSet, agent: ParticleSet, loss, config: ProtocolConfig
+) -> tuple[ParticleSet, ParticleSet]:
+    """Run one learning round with the scheduled agent's particles and ``loss``.
 
-    Returns the new server state and the updated agent; inputs are not
-    mutated.
+    Returns the new global and local particle sets; inputs are not mutated.
     """
-    return _round(server, agent, config, sign=1.0)
+    return _round(server, agent, loss, config, sign=1.0)
 
 
 def unlearning_round(
-    server: ServerState, agent: AgentState, config: ProtocolConfig
-) -> tuple[ServerState, AgentState]:
+    server: ParticleSet, agent: ParticleSet, loss, config: ProtocolConfig
+) -> tuple[ParticleSet, ParticleSet]:
     """Run one unlearning round: a learning round with the loss gradient's sign flipped."""
-    return _round(server, agent, config, sign=-1.0)
+    return _round(server, agent, loss, config, sign=-1.0)
 
 
 def schedule(config: ProtocolConfig, round_index: int, eligible) -> int:
@@ -287,9 +264,10 @@ def pooled_target(losses, alpha: float, prior) -> TargetGradient:
 
 
 def centralized_round(
-    server: ServerState, losses, config: ProtocolConfig
-) -> ServerState:
+    server: ParticleSet, losses, config: ProtocolConfig
+) -> ParticleSet:
     """One retraining round: ``update_steps`` transport steps on the pooled target."""
     if config.prior is None:
         raise ProtocolError("retraining requires a prior in the protocol config")
-    return _transport(server, pooled_target(losses, config.alpha, config.prior), config)
+    return _svgd(server, pooled_target(losses, config.alpha, config.prior), config.update_steps,
+                 config.epsilon, config)

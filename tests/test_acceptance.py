@@ -16,9 +16,8 @@ import steinfed.federation as fed
 from helpers import fd_gradient, rbf_kernel, rbf_kernel_grad_first, relative_error
 from steinfed.experiments import load_config, run_experiment, run_paths
 from steinfed.federation import (
-    AgentState,
+    ParticleSet,
     ProtocolConfig,
-    ServerState,
     distill_target_grad,
     tilted_grad,
 )
@@ -163,10 +162,9 @@ class TestCriterion3:
         glob = rng.normal(0.0, 2.0, size=(10, 1))
         loc = rng.normal(0.0, 2.0, size=(8, 1))
         config = ProtocolConfig(alpha=1.0, kde_lam=0.9)
-        server = ServerState(global_particles=glob)
-        agent = AgentState(loss=mixture, local_particles=loc)
-        tilt_learn = tilted_grad(server, agent, config, sign=1.0)
-        tilt_unlearn = tilted_grad(server, agent, config, sign=-1.0)
+        server, agent = ParticleSet(glob), ParticleSet(loc)
+        tilt_learn = tilted_grad(server, agent, mixture, config, sign=1.0)
+        tilt_unlearn = tilted_grad(server, agent, mixture, config, sign=-1.0)
 
         def tilted_scalar(x, sign):
             val = float(kde_log_density(glob, x[None, :], 0.9)[0])
@@ -297,11 +295,11 @@ class TestCriterion6:
         }
         pcfg = fed.ProtocolConfig(update_steps=4, distill_steps=4, epsilon=0.2,
                                   epsilon_local=0.2, prior=GaussianPrior(0.0, 9.0))
-        server, agents = fed.initialize_states(losses, pcfg, (10, 1), 123)
-        before = {k: agents[k].local_particles.tobytes() for k in agents}
-        server, agents[2] = fed.learning_round(server, agents[2], pcfg)
+        server, agents = fed.initialize_states(losses, pcfg.prior, (10, 1), 123)
+        before = {k: agents[k].particles.tobytes() for k in agents}
+        server, agents[2] = fed.learning_round(server, agents[2], losses[2], pcfg)
         untouched = [k for k in (1, 3)
-                     if agents[k].local_particles.tobytes() == before[k]]
+                     if agents[k].particles.tobytes() == before[k]]
         ok, line = report(
             6, len(untouched) == 2,
             f"round isolation: untouched agents bit-identical {untouched} == [1, 3]",

@@ -55,9 +55,8 @@ from steinfed.experiments import (
     run_experiment,
 )
 from steinfed.federation import (
-    AgentState,
+    ParticleSet,
     ProtocolConfig,
-    ServerState,
     distill_target_grad,
     learning_round,
     tilted_grad,
@@ -195,7 +194,7 @@ class TestTransport:
         theta, global_ref, local_ref = points(rng, n, d), points(rng, n, d), points(rng, n, d)
         loss, prior = loss_for(d), GaussianPrior(0.5, 4.0)
         config = ProtocolConfig(alpha=0.8, kde_lam=LAM, include_prior_score=with_prior, prior=prior)
-        target = tilted_grad(ServerState(global_ref), AgentState(loss, local_ref), config, sign)
+        target = tilted_grad(ParticleSet(global_ref), ParticleSet(local_ref), loss, config, sign)
         assert_bits(target(theta), tilted_target_allocating(
             global_ref, local_ref, loss, 0.8, sign, prior if with_prior else None, LAM, theta))
 
@@ -278,7 +277,7 @@ def test_inputs_keep_their_bytes():
     kde_log_density_grad(theta, query, LAM)
     svgd_direction(theta, lambda t: phi)
     adagrad_step(np.zeros_like(theta), theta, phi, 0.05, 1e-6)
-    tilted_grad(ServerState(theta), AgentState(loss, query), config, -1.0)(phi)
+    tilted_grad(ParticleSet(theta), ParticleSet(query), loss, config, -1.0)(phi)
     distill_target_grad(theta, query, phi, LAM)(query)
     loss.neg_loss_grad(theta)
     FeatureMap(weights, biases)(x)
@@ -311,14 +310,14 @@ class TestReadOnlyOperands:
 
     def test_tilted_grad_with_read_only_loss_gradient(self):
         config = ProtocolConfig(kde_lam=LAM, prior=self.prior)
-        target = tilted_grad(ServerState(self.global_ref),
-                             AgentState(_ReadOnlyScores(self.loss), self.local_ref), config, -1.0)
+        target = tilted_grad(ParticleSet(self.global_ref), ParticleSet(self.local_ref),
+                             _ReadOnlyScores(self.loss), config, -1.0)
         assert_bits(target(self.theta), self.expected(None))
 
     def test_tilted_grad_with_read_only_prior_score(self):
         config = ProtocolConfig(kde_lam=LAM, include_prior_score=True,
                                 prior=_ReadOnlyScores(self.prior))
-        target = tilted_grad(ServerState(self.global_ref), AgentState(self.loss, self.local_ref),
+        target = tilted_grad(ParticleSet(self.global_ref), ParticleSet(self.local_ref), self.loss,
                              config, -1.0)
         assert_bits(target(self.theta), self.expected(self.prior))
 
@@ -337,12 +336,14 @@ class TestReadOnlyOperands:
         config = ProtocolConfig(alpha=0.8, kde_lam=LAM, include_prior_score=True,
                                 prior=prior)
         for sign in (1.0, -1.0):
-            target = tilted_grad(ServerState(global_ref), AgentState(loss, local_ref), config, sign)
+            target = tilted_grad(ParticleSet(global_ref), ParticleSet(local_ref), loss, config,
+                                 sign)
             assert_bits(target(theta), tilted_target_allocating(
                 global_ref, local_ref, loss, 0.8, sign, prior, LAM, theta))
-        server, agent = learning_round(ServerState(global_ref), AgentState(loss, local_ref), config)
-        assert np.all(np.isfinite(server.global_particles))
-        assert np.all(np.isfinite(agent.local_particles))
+        server, agent = learning_round(ParticleSet(global_ref), ParticleSet(local_ref), loss,
+                                       config)
+        assert np.all(np.isfinite(server.particles))
+        assert np.all(np.isfinite(agent.particles))
 
 
 # --- the mixture reference density ---------------------------------------------

@@ -42,8 +42,6 @@ import steinfed.experiments as experiments
 import steinfed.federation as fed
 from steinfed.federation import (
     STREAM_UNLEARN,
-    ProtocolConfig,
-    ProtocolError,
     init_global_particles,
     init_local_particles,
     initialize_states,
@@ -829,6 +827,47 @@ class TestPhaseState:
                 assert factors.read_bytes() == saved_factors
 
 
+def _leaves(value):
+    """The values inside the tuples, lists, dicts (values only) and dataclasses of ``value``."""
+    if isinstance(value, (tuple, list)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    if isinstance(value, dict):
+        return _leaves(list(value.values()))
+    if dataclasses.is_dataclass(value):
+        return _leaves([getattr(value, f.name) for f in dataclasses.fields(value)])
+    return [value]
+
+
+@pytest.mark.parametrize("command,mode", [
+    ("learn", "centralized"), ("unlearn", "centralized"),
+    ("retrain", "centralized"), ("retrain", "federated"),
+])
+def test_particle_phase_state_holds_arrays_only(tmp_path, monkeypatch, command, mode):
+    data = mixture_dict(tmp_path)
+    data["protocol"]["persist_adagrad"] = True  # so that the accumulators are arrays too
+    data["retrain"]["mode"] = mode
+    cfg = config_from_dict(data)
+    if command == "unlearn":
+        run_experiment(cfg, "learn")
+    run_phase, states = experiments._run_phase, []
+
+    def keep(cfg, problem, phase, method, started, state, step, *rest):
+        def kept_step(state, r):
+            new_state, agent = step(state, r)
+            states.append(new_state)
+            return new_state, agent
+
+        states.append(state)
+        return run_phase(cfg, problem, phase, method, started, state, kept_step, *rest)
+
+    monkeypatch.setattr(experiments, "_run_phase", keep)
+    rounds = run_experiment(cfg, command).rounds_run
+    assert len(states) == rounds + 1
+    leaves = [leaf for state in states for leaf in _leaves(state)]
+    assert all(leaf is None or type(leaf) is np.ndarray for leaf in leaves)
+    assert sum(type(leaf) is np.ndarray for leaf in _leaves(states[-1])) > 1
+
+
 class TestParticleRuns:
     def test_learn_writes_all_artifacts(self, tmp_path):
         cfg = config_from_dict(mixture_dict(tmp_path / "runs"))
@@ -901,6 +940,43 @@ class TestParticleRuns:
         with pytest.raises(MissingStateError, match=refusal):
             evaluate_snapshot(cfg, "dsvgd")
 
+    def test_snapshot_of_another_width_is_refused_before_any_file_is_opened(self, tmp_path):
+        data = classification_dict(tmp_path / "runs")
+        cfg = config_from_dict(data)
+        learned = run_experiment(cfg, "learn")
+        paths = run_experiment(cfg, "unlearn").paths
+        before = {path: Path(path).read_bytes()
+                  for path in (paths.metrics, paths.transcript, paths.snapshot)}
+        data["experiment"]["feature_map"]["hidden_units"] = 3  # d = 4 * (3 + 1), not 4 * (4 + 1)
+        narrow = config_from_dict(data)
+        refusal = (f"^{re.escape(learned.paths.snapshot)}: holds rows of width 20, "
+                   f"not the problem's width 16$")
+        with pytest.raises(MissingStateError, match=refusal):
+            run_experiment(narrow, "unlearn")
+        assert {path: Path(path).read_bytes() for path in before} == before
+        with pytest.raises(MissingStateError, match=refusal):
+            evaluate_snapshot(narrow, "dsvgd")
+
+    def test_snapshot_with_a_non_finite_value_is_refused_before_the_build(self, tmp_path,
+                                                                          monkeypatch):
+        cfg = config_from_dict(mixture_dict(tmp_path / "runs"))
+        learned = run_experiment(cfg, "learn")
+        paths = run_experiment(cfg, "unlearn").paths
+        before = {path: Path(path).read_bytes()
+                  for path in (paths.metrics, paths.transcript, paths.snapshot)}
+        snapshot = Path(learned.paths.snapshot)
+        lines = snapshot.read_text().splitlines()
+        lines[3] = "nan"
+        snapshot.write_text("\n".join(lines) + "\n")
+        counts = _count_calls(monkeypatch, {"experiments": ("build_problem",)})
+        refusal = f"^{re.escape(str(snapshot))}: holds a value that is not finite$"
+        with pytest.raises(MissingStateError, match=refusal):
+            run_experiment(cfg, "unlearn")
+        with pytest.raises(MissingStateError, match=refusal):
+            evaluate_snapshot(cfg, "dsvgd")
+        assert not counts
+        assert {path: Path(path).read_bytes() for path in before} == before
+
     def test_unlearn_resumes_and_reports_retained_reference(self, tmp_path):
         cfg = config_from_dict(mixture_dict(tmp_path / "runs"))
         run_experiment(cfg, "learn")
@@ -922,10 +998,9 @@ class TestParticleRuns:
         calls = []
         original = fed.unlearning_round
 
-        def record(server, agent, config):
-            calls.append((server.global_particles.copy(), agent.local_particles.copy(),
-                          agent.distill_acc))
-            return original(server, agent, config)
+        def record(server, agent, loss, config):
+            calls.append((server.particles.copy(), agent.particles.copy(), agent.acc, loss))
+            return original(server, agent, loss, config)
 
         monkeypatch.setattr(fed, "unlearning_round", record)
         run_experiment(cfg, "unlearn")
@@ -933,10 +1008,12 @@ class TestParticleRuns:
         assert np.array_equal(calls[0][0], load_snapshot(learned.paths.snapshot)[0])
         prior = cfg.experiment.prior
         # round robin over the forget set: agents 1 and 3 run their first rounds
-        for k, (_, local, acc) in zip((1, 3), calls):
+        for k, (_, local, acc, _) in zip((1, 3), calls):
             want = init_local_particles(prior, (cfg.particles, 1), cfg.seed, k, STREAM_UNLEARN)
             assert np.array_equal(local, want)
             assert acc is None
+        # each round is passed its scheduled agent's loss: means 1.0 (agent 1) and -2.0 (agent 3)
+        assert [float(loss.components[0].mean[0]) for *_, loss in calls] == [1.0, -2.0, 1.0]
 
     def test_retained_agent_never_runs_an_unlearning_round(self, tmp_path):
         data = mixture_dict(tmp_path / "runs")
@@ -1119,14 +1196,13 @@ class TestRetrainRuns:
         result = run_experiment(cfg, "retrain")
         got, rnd, _ = load_snapshot(result.paths.snapshot)
 
-        problem = build_problem(cfg)
-        retained = {k: problem.losses[k] for k in (2, 3)}
+        losses = build_problem(cfg).losses
         config = dataclasses.replace(cfg.protocol, prior=cfg.experiment.prior)
-        server, agents = initialize_states(retained, config, (cfg.particles, 1), cfg.seed)
+        server, agents = initialize_states((2, 3), config.prior, (cfg.particles, 1), cfg.seed)
         for r in range(5):
             k = schedule(config, r, agents.keys())
-            server, agents[k] = learning_round(server, agents[k], config)
-        assert np.array_equal(got, server.global_particles)
+            server, agents[k] = learning_round(server, agents[k], losses[k], config)
+        assert np.array_equal(got, server.particles)
         assert rnd == 5
         events = read_transcript(result.paths.transcript)
         assert [e["agent"] for e in events] == [None, 2, 3, 2, 3, 2]
@@ -1139,8 +1215,6 @@ class TestRetrainRuns:
         data["retrain"] = {"rounds": -1}
         with pytest.raises(ConfigError, match="config.retrain.rounds"):
             config_from_dict(data)
-        with pytest.raises(ProtocolError, match="prior"):
-            initialize_states({}, ProtocolConfig(), (4, 1), seed=0)
 
 
 def _gaussian_prior_dict(out_dir):

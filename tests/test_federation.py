@@ -8,10 +8,9 @@ import pytest
 from steinfed.federation import (
     STREAM_LEARN,
     STREAM_UNLEARN,
-    AgentState,
+    ParticleSet,
     ProtocolConfig,
     ProtocolError,
-    ServerState,
     centralized_round,
     distill_target_grad,
     init_global_particles,
@@ -37,7 +36,7 @@ def two_agent_setup(n=12, seed=0):
     losses = {1: gaussian_loss(1.0, 4.0), 2: gaussian_loss(-2.0, 1.0)}
     config = ProtocolConfig(update_steps=3, distill_steps=3, epsilon=0.2,
                             epsilon_local=0.2, prior=prior)
-    server, agents = initialize_states(losses, config, (n, 1), seed)
+    server, agents = initialize_states(losses, prior, (n, 1), seed)
     return prior, losses, config, server, agents
 
 
@@ -61,25 +60,19 @@ class TestInitialization:
                                                 (5, 1)))
 
     def test_initialize_states_draws_each_agent_stream(self):
-        prior, losses, _, server, agents = two_agent_setup(seed=5)
-        assert np.array_equal(server.global_particles,
-                              init_global_particles(prior, (12, 1), seed=5))
-        assert server.global_acc is None
+        prior, _, _, server, agents = two_agent_setup(seed=5)
+        assert np.array_equal(server.particles, init_global_particles(prior, (12, 1), seed=5))
+        assert server.acc is None
         assert list(agents) == [1, 2]
         for k, agent in agents.items():
-            assert agent.loss is losses[k]
-            assert np.array_equal(agent.local_particles,
+            assert np.array_equal(agent.particles,
                                   init_local_particles(prior, (12, 1), seed=5, agent_id=k))
-            assert agent.distill_acc is None
-
-    def test_initialize_states_requires_prior(self):
-        losses = {1: gaussian_loss(0.0, 1.0)}
-        with pytest.raises(ProtocolError):
-            initialize_states(losses, ProtocolConfig(), (4, 1), 0)
+            assert agent.acc is None
 
     def test_state_validation(self):
-        with pytest.raises(ValueError):
-            ServerState(global_particles=np.zeros((0, 1)))
+        for shape in ((0, 1), (3,)):
+            with pytest.raises(ValueError):
+                ParticleSet(np.zeros(shape))
         with pytest.raises(ValueError):
             ProtocolConfig(alpha=0.0)
         with pytest.raises(ValueError):
@@ -93,48 +86,48 @@ class TestInitialization:
 
 class TestTiltedTargets:
     def test_learning_target_decomposition(self):
-        _, _, _, server, agents = two_agent_setup(seed=2)
+        _, losses, _, server, agents = two_agent_setup(seed=2)
         agent = agents[1]
         lam = ProtocolConfig().kde_lam
-        g0 = server.global_particles.copy()
-        l0 = agent.local_particles.copy()
-        target = tilted_grad(server, agent, ProtocolConfig(alpha=1.5), sign=1.0)
+        g0 = server.particles.copy()
+        l0 = agent.particles.copy()
+        target = tilted_grad(server, agent, losses[1], ProtocolConfig(alpha=1.5), sign=1.0)
         theta = np.random.default_rng(3).uniform(-5, 5, size=(9, 1))
         want = (kde_log_density_grad(g0, theta, lam)
                 - kde_log_density_grad(l0, theta, lam)
-                + agent.loss.neg_loss_grad(theta, 1.5))
+                + losses[1].neg_loss_grad(theta, 1.5))
         assert np.max(np.abs(target(theta) - want)) < 1e-12
 
     def test_unlearning_flips_only_the_loss_term(self):
-        _, _, _, server, agents = two_agent_setup(seed=4)
+        _, losses, _, server, agents = two_agent_setup(seed=4)
         agent = agents[1]
         lam = ProtocolConfig().kde_lam
-        learn = tilted_grad(server, agent, ProtocolConfig(alpha=1.0), sign=1.0)
-        unlearn = tilted_grad(server, agent, ProtocolConfig(alpha=1.0), sign=-1.0)
+        learn = tilted_grad(server, agent, losses[1], ProtocolConfig(alpha=1.0), sign=1.0)
+        unlearn = tilted_grad(server, agent, losses[1], ProtocolConfig(alpha=1.0), sign=-1.0)
         theta = np.random.default_rng(5).uniform(-5, 5, size=(7, 1))
-        kde_part = (kde_log_density_grad(server.global_particles, theta, lam)
-                    - kde_log_density_grad(agent.local_particles, theta, lam))
+        kde_part = (kde_log_density_grad(server.particles, theta, lam)
+                    - kde_log_density_grad(agent.particles, theta, lam))
         assert np.max(np.abs(learn(theta) + unlearn(theta) - 2.0 * kde_part)) < 1e-12
 
     def test_prior_score_added_when_requested(self):
         prior = GaussianPrior(0.0, 4.0)
-        _, _, _, server, agents = two_agent_setup(seed=6)
+        _, losses, _, server, agents = two_agent_setup(seed=6)
         agent = agents[1]
-        base = tilted_grad(server, agent, ProtocolConfig(alpha=1.0), sign=1.0)
+        base = tilted_grad(server, agent, losses[1], ProtocolConfig(alpha=1.0), sign=1.0)
         with_prior = tilted_grad(
-            server, agent, ProtocolConfig(alpha=1.0, prior=prior, include_prior_score=True),
-            sign=1.0)
+            server, agent, losses[1],
+            ProtocolConfig(alpha=1.0, prior=prior, include_prior_score=True), sign=1.0)
         theta = np.array([[2.0], [-3.0]])
         assert np.allclose(with_prior(theta) - base(theta), prior.score(theta), atol=1e-14)
 
     def test_targets_are_frozen_at_build_time(self):
-        _, _, _, server, agents = two_agent_setup(seed=7)
+        _, losses, _, server, agents = two_agent_setup(seed=7)
         agent = agents[1]
-        target = tilted_grad(server, agent, ProtocolConfig(alpha=1.0), sign=1.0)
+        target = tilted_grad(server, agent, losses[1], ProtocolConfig(alpha=1.0), sign=1.0)
         theta = np.array([[0.5], [-0.5]])
         before = target(theta)
-        server.global_particles[:] = 9.0
-        agent.local_particles[:] = -9.0
+        server.particles[:] = 9.0
+        agent.particles[:] = -9.0
         assert np.array_equal(target(theta), before)
 
     def test_distillation_target_decomposition(self):
@@ -162,62 +155,63 @@ class TestTiltedTargets:
 
 class TestRounds:
     def test_zero_step_round_copies_particles_unchanged(self):
-        _, _, _, server, agents = two_agent_setup()
+        _, losses, _, server, agents = two_agent_setup()
         cfg = dataclasses.replace(
             ProtocolConfig(prior=UniformPrior(-10.0, 10.0)), update_steps=0, distill_steps=0
         )
-        new_server, new_agent = learning_round(server, agents[1], cfg)
-        assert np.array_equal(new_server.global_particles, server.global_particles)
-        assert new_server.global_particles is not server.global_particles
-        assert np.array_equal(new_agent.local_particles, agents[1].local_particles)
+        new_server, new_agent = learning_round(server, agents[1], losses[1], cfg)
+        assert np.array_equal(new_server.particles, server.particles)
+        assert new_server.particles is not server.particles
+        assert np.array_equal(new_agent.particles, agents[1].particles)
 
     def test_round_does_not_mutate_inputs(self):
-        _, _, config, server, agents = two_agent_setup(seed=11)
-        g_before = server.global_particles.copy()
-        l1_before = agents[1].local_particles.copy()
-        l2_before = agents[2].local_particles.copy()
-        learning_round(server, agents[1], config)
-        assert np.array_equal(server.global_particles, g_before)
-        assert np.array_equal(agents[1].local_particles, l1_before)
-        assert np.array_equal(agents[2].local_particles, l2_before)
+        _, losses, config, server, agents = two_agent_setup(seed=11)
+        g_before = server.particles.copy()
+        l1_before = agents[1].particles.copy()
+        l2_before = agents[2].particles.copy()
+        learning_round(server, agents[1], losses[1], config)
+        assert np.array_equal(server.particles, g_before)
+        assert np.array_equal(agents[1].particles, l1_before)
+        assert np.array_equal(agents[2].particles, l2_before)
 
     def test_round_is_deterministic(self):
-        _, _, config, server, agents = two_agent_setup(seed=12)
-        s1, a1 = learning_round(server, agents[2], config)
-        s2, a2 = learning_round(server, agents[2], config)
-        assert np.array_equal(s1.global_particles, s2.global_particles)
-        assert np.array_equal(a1.local_particles, a2.local_particles)
+        _, losses, config, server, agents = two_agent_setup(seed=12)
+        s1, a1 = learning_round(server, agents[2], losses[2], config)
+        s2, a2 = learning_round(server, agents[2], losses[2], config)
+        assert np.array_equal(s1.particles, s2.particles)
+        assert np.array_equal(a1.particles, a2.particles)
 
     def test_replayed_round_is_bit_identical(self):
         # run three rounds, snapshot inputs of the third, replay it alone
-        _, _, config, server, agents = two_agent_setup(seed=13)
+        _, losses, config, server, agents = two_agent_setup(seed=13)
         agents = dict(agents)
         inputs = None
         for r in range(3):
             k = schedule(config, r, agents.keys())
             if r == 2:
                 inputs = (server, dataclasses.replace(agents[k]), k)
-            server, agents[k] = learning_round(server, agents[k], config)
-        replay_server, replay_agent = learning_round(inputs[0], inputs[1], config)
-        assert np.array_equal(replay_server.global_particles, server.global_particles)
-        assert np.array_equal(replay_agent.local_particles, agents[inputs[2]].local_particles)
+            server, agents[k] = learning_round(server, agents[k], losses[k], config)
+        replay_server, replay_agent = learning_round(inputs[0], inputs[1], losses[inputs[2]],
+                                                     config)
+        assert np.array_equal(replay_server.particles, server.particles)
+        assert np.array_equal(replay_agent.particles, agents[inputs[2]].particles)
 
     def test_particles_stay_inside_uniform_support(self):
         prior = UniformPrior(-1.0, 1.0)
         losses = {1: gaussian_loss(5.0, 0.25)}  # pulls hard towards the boundary
         config = ProtocolConfig(update_steps=25, distill_steps=25, epsilon=1.0,
                                 epsilon_local=1.0, prior=prior)
-        server, agents = initialize_states(losses, config, (10, 1), seed=3)
-        new_server, new_agent = learning_round(server, agents[1], config)
-        assert new_server.global_particles.max() <= 1.0
-        assert new_server.global_particles.min() >= -1.0
-        assert new_agent.local_particles.max() <= 1.0
+        server, agents = initialize_states(losses, prior, (10, 1), seed=3)
+        new_server, new_agent = learning_round(server, agents[1], losses[1], config)
+        assert new_server.particles.max() <= 1.0
+        assert new_server.particles.min() >= -1.0
+        assert new_agent.particles.max() <= 1.0
 
     def test_fresh_adagrad_each_round_by_default(self):
-        _, _, config, server, agents = two_agent_setup(seed=14)
-        new_server, new_agent = learning_round(server, agents[1], config)
-        assert new_server.global_acc is None
-        assert new_agent.distill_acc is None
+        _, losses, config, server, agents = two_agent_setup(seed=14)
+        new_server, new_agent = learning_round(server, agents[1], losses[1], config)
+        assert new_server.acc is None
+        assert new_agent.acc is None
 
     def test_persisted_adagrad_changes_later_rounds(self):
         _, losses, _, _, _ = two_agent_setup(seed=15)
@@ -227,29 +221,28 @@ class TestRounds:
         keep = dataclasses.replace(base, persist_adagrad=True)
 
         def two_rounds(cfg):
-            server, agents = initialize_states(losses, cfg, (10, 1), seed=15)
-            agents = dict(agents)
+            server, agents = initialize_states(losses, prior, (10, 1), seed=15)
             for r in range(2):
-                server, agents[1] = learning_round(server, agents[1], cfg)
+                server, agents[1] = learning_round(server, agents[1], losses[1], cfg)
             return server
 
         fresh = two_rounds(base)
         persisted = two_rounds(keep)
-        assert persisted.global_acc is not None
-        assert not np.array_equal(fresh.global_particles, persisted.global_particles)
+        assert persisted.acc is not None
+        assert not np.array_equal(fresh.particles, persisted.particles)
 
     def test_persisted_adagrad_carries_the_distillation_state(self):
         _, losses, _, _, _ = two_agent_setup(seed=15)
         config = ProtocolConfig(update_steps=5, distill_steps=5, epsilon=0.3, epsilon_local=0.2,
                                 persist_adagrad=True, prior=UniformPrior(-10.0, 10.0))
-        server, agents = initialize_states(losses, config, (10, 1), seed=15)
-        server, agent = learning_round(server, agents[1], config)
-        assert agent.distill_acc is not None
-        assert not np.array_equal(agent.distill_acc, server.global_acc)
-        sums = [agent.distill_acc.sum()]
+        server, agents = initialize_states(losses, config.prior, (10, 1), seed=15)
+        server, agent = learning_round(server, agents[1], losses[1], config)
+        assert agent.acc is not None
+        assert not np.array_equal(agent.acc, server.acc)
+        sums = [agent.acc.sum()]
         for _ in range(2):
-            server, agent = learning_round(server, agent, config)
-            sums.append(agent.distill_acc.sum())
+            server, agent = learning_round(server, agent, losses[1], config)
+            sums.append(agent.acc.sum())
         assert sums[0] < sums[1] < sums[2]
 
     @pytest.mark.parametrize("play", [learning_round, unlearning_round])
@@ -259,16 +252,15 @@ class TestRounds:
         _, losses, _, _, _ = two_agent_setup(seed=17)
         config = ProtocolConfig(update_steps=4, distill_steps=4, epsilon=0.3, epsilon_local=0.2,
                                 persist_adagrad=True, prior=UniformPrior(-10.0, 10.0))
-        server, agents = initialize_states(losses, config, (10, 1), seed=17)
-        server, agent = play(server, agents[1], config)
+        server, agents = initialize_states(losses, config.prior, (10, 1), seed=17)
+        server, agent = play(server, agents[1], losses[1], config)
 
         def fields(server, agent):
-            return (server.global_particles, server.global_acc,
-                    agent.local_particles, agent.distill_acc)
+            return server.particles, server.acc, agent.particles, agent.acc
 
         before = [a.copy() for a in fields(server, agent)]
-        first = fields(*play(server, agent, config))
-        second = fields(*play(server, agent, config))
+        first = fields(*play(server, agent, losses[1], config))
+        second = fields(*play(server, agent, losses[1], config))
         assert all(np.array_equal(a, b) for a, b in zip(fields(server, agent), before))
         assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
 
@@ -281,12 +273,10 @@ class TestRounds:
         start = rng.uniform(-3, 3, size=(9, 1))
         config = ProtocolConfig(update_steps=6, distill_steps=0, epsilon=0.1,
                                 prior=GaussianPrior(0.0, 100.0))
-        server = ServerState(global_particles=start)
-        agents = {1: AgentState(loss=loss, local_particles=start.copy())}
-        new_server, _ = learning_round(server, agents[1], config)
+        new_server, _ = learning_round(ParticleSet(start), ParticleSet(start.copy()), loss, config)
         direct, _ = run_svgd(start, lambda t: loss.neg_loss_grad(t, config.alpha),
                              6, 0.1, config.fudge)
-        assert np.array_equal(new_server.global_particles, direct)
+        assert np.array_equal(new_server.particles, direct)
 
 
 class TestSchedule:
@@ -325,17 +315,16 @@ class TestUnlearningBehavior:
         losses = {1: gaussian_loss(1.0, 4.0)}
         config = ProtocolConfig(update_steps=5, distill_steps=5, epsilon=0.3,
                                 epsilon_local=0.3, prior=prior)
-        server, agents = initialize_states(losses, config, (20, 1), seed=1)
-        agents = dict(agents)
+        server, agents = initialize_states(losses, prior, (20, 1), seed=1)
         for _ in range(15):
-            server, agents[1] = learning_round(server, agents[1], config)
-        learned_loss = float(np.mean(losses[1].loss(server.global_particles)))
+            server, agents[1] = learning_round(server, agents[1], losses[1], config)
+        learned_loss = float(np.mean(losses[1].loss(server.particles)))
 
         fresh = init_local_particles(prior, (20, 1), seed=1, agent_id=1, stream=STREAM_UNLEARN)
-        agents = {1: AgentState(loss=losses[1], local_particles=fresh)}
+        agent = ParticleSet(fresh)
         for _ in range(10):
-            server, agents[1] = unlearning_round(server, agents[1], config)
-        unlearned_loss = float(np.mean(losses[1].loss(server.global_particles)))
+            server, agent = unlearning_round(server, agent, losses[1], config)
+        unlearned_loss = float(np.mean(losses[1].loss(server.particles)))
         assert unlearned_loss > learned_loss
 
 
@@ -356,12 +345,11 @@ class TestRetraining:
 
     def test_retrain_federated_rejects_empty_retained_set(self):
         config = ProtocolConfig(prior=UniformPrior(-1.0, 1.0))
-        server, agents = initialize_states({}, config, (6, 1), seed=2)
+        server, agents = initialize_states((), config.prior, (6, 1), seed=2)
         assert agents == {}
         with pytest.raises(ProtocolError, match="no eligible agents"):
             schedule(config, 0, agents.keys())
 
     def test_centralized_requires_prior(self):
-        server = ServerState(global_particles=np.zeros((3, 1)))
         with pytest.raises(ProtocolError):
-            centralized_round(server, (), ProtocolConfig())
+            centralized_round(ParticleSet(np.zeros((3, 1))), (), ProtocolConfig())
