@@ -21,6 +21,7 @@ from .experiments import (
     run_paths,
 )
 from .federation import (
+    Distillation,
     ParticleSet,
     ProtocolConfig,
     ProtocolError,
@@ -32,6 +33,7 @@ from .federation import (
     learning_round,
     pooled_target,
     schedule,
+    settle,
     tilted_grad,
     unlearning_round,
 )

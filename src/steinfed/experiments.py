@@ -690,15 +690,18 @@ def _run_phase(cfg: ExperimentConfig, problem, phase: Phase, method: str, starte
     """Run one phase's rounds and write its metrics, transcript and final state.
 
     ``state`` is one value that no function writes to and that holds no part
-    of the problem: ``(server, agents)``, the global and each agent's
-    ``ParticleSet``, for the particle family, ``(eta, factors, generator)``
-    for the parametric one.  ``step(state, r)`` runs round ``r`` and returns
-    a new state and the scheduled agent.  ``snapshot(state)`` is the array
-    that each round measures and the phase saves: the global particles, or
-    ``eta``'s mean and variance rows.  ``save_locals(state)``, when given,
-    writes ``eta`` and the factors.  Neither keeps local particles, AdaGrad
-    accumulators or the generator.
-    ``wall_ms`` (and the transcript's ``round_ms``) times the round alone;
+    of the problem: ``(server, agents)``, the global ``ParticleSet`` and each
+    agent's ``ParticleSet`` or pending ``Distillation``, for the particle
+    family, ``(eta, factors, generator)`` for the parametric one.
+    ``step(state, r)`` runs round ``r`` and returns a new state and the
+    scheduled agent; a particle round first settles that agent's pending
+    distillation, and one still pending when the phase ends never runs.
+    ``snapshot(state)`` is the array that each round measures and the phase
+    saves: the global particles, or ``eta``'s mean and variance rows.
+    ``save_locals(state)``, when given, writes ``eta`` and the factors.
+    Neither keeps local particles, AdaGrad accumulators or the generator.
+    ``wall_ms`` (and the transcript's ``round_ms``) times the round alone,
+    with the distillation it settles;
     the transcript's ``eval_ms`` times the evaluation that builds its record,
     and round 0's ``setup_ms`` the time from ``started`` to that evaluation.
     The measurement is built before any file is opened, so its failure writes none.

@@ -7,11 +7,17 @@ downloads the global particles, runs L transport steps on the tilted target
     score(q_kde) - score(t_k_kde) + sign * (1/alpha) * (-grad loss_k)
 
 with both kernel density scores frozen at their round-start particle sets,
-uploads the moved particles as the new global set, and then distils its own
-likelihood approximation by moving its local particles for L_local steps
-towards
+and uploads the moved particles as the new global set.  The agent then
+distils its own likelihood approximation by moving its local particles for
+L_local steps towards
 
     score(new global kde) - score(old global kde) + score(old local kde).
+
+Only that agent's next round reads the distilled particles, so a round
+returns the distillation pending, as a ``Distillation``, and the agent's next
+round ``settle``s it before its transport.  A distillation that no later
+round needs never runs; one that does runs the same arithmetic on the same
+arrays as it would at the end of its own round.
 
 The agent's loss is an argument of the round, not part of any state, so a
 phase's state holds arrays only.  Learning and unlearning rounds differ only
@@ -194,29 +200,55 @@ def _svgd(start: ParticleSet, target: TargetGradient, steps: int, epsilon: float
     return ParticleSet(moved, acc if keep else None)
 
 
+@dataclass(frozen=True)
+class Distillation:
+    """An agent's distillation, pending until the agent next plays.
+
+    ``start`` is the agent's particle set at the start of the round that left
+    it; ``new_global`` and ``old_global`` are the global particles after and
+    before that round's transport.  They are the round's own arrays, not
+    copies, and no function writes to them.
+    """
+
+    start: ParticleSet
+    new_global: np.ndarray
+    old_global: np.ndarray
+
+
+def settle(agent: ParticleSet | Distillation, config: ProtocolConfig) -> ParticleSet:
+    """The agent's local particle set: ``agent`` itself, or its pending distillation run."""
+    if isinstance(agent, ParticleSet):
+        return agent
+    distill = distill_target_grad(agent.new_global, agent.old_global, agent.start.particles,
+                                  config.kde_lam)
+    return _svgd(agent.start, distill, config.distill_steps, config.epsilon_local, config)
+
+
 def _round(
-    server: ParticleSet, agent: ParticleSet, loss, config: ProtocolConfig, sign: float
-) -> tuple[ParticleSet, ParticleSet]:
+    server: ParticleSet, agent: ParticleSet | Distillation, loss, config: ProtocolConfig,
+    sign: float,
+) -> tuple[ParticleSet, Distillation]:
+    agent = settle(agent, config)
     new_server = _svgd(server, tilted_grad(server, agent, loss, config, sign),
                        config.update_steps, config.epsilon, config)
-    distill = distill_target_grad(new_server.particles, server.particles, agent.particles,
-                                  config.kde_lam)
-    return new_server, _svgd(agent, distill, config.distill_steps, config.epsilon_local, config)
+    return new_server, Distillation(agent, new_server.particles, server.particles)
 
 
 def learning_round(
-    server: ParticleSet, agent: ParticleSet, loss, config: ProtocolConfig
-) -> tuple[ParticleSet, ParticleSet]:
+    server: ParticleSet, agent: ParticleSet | Distillation, loss, config: ProtocolConfig
+) -> tuple[ParticleSet, Distillation]:
     """Run one learning round with the scheduled agent's particles and ``loss``.
 
-    Returns the new global and local particle sets; inputs are not mutated.
+    ``agent`` is the agent's particle set or the distillation its last round
+    left pending, which is settled first.  Returns the new global particle
+    set and the agent's pending distillation; inputs are not mutated.
     """
     return _round(server, agent, loss, config, sign=1.0)
 
 
 def unlearning_round(
-    server: ParticleSet, agent: ParticleSet, loss, config: ProtocolConfig
-) -> tuple[ParticleSet, ParticleSet]:
+    server: ParticleSet, agent: ParticleSet | Distillation, loss, config: ProtocolConfig
+) -> tuple[ParticleSet, Distillation]:
     """Run one unlearning round: a learning round with the loss gradient's sign flipped."""
     return _round(server, agent, loss, config, sign=-1.0)
 

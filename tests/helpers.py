@@ -6,6 +6,9 @@ import numpy as np
 from scipy.spatial.distance import pdist
 from scipy.special import logsumexp, softmax
 
+from steinfed.federation import ParticleSet, distill_target_grad, tilted_grad
+from steinfed.svgd import run_svgd
+
 
 def fd_gradient(f, x, eps=1e-6):
     """Central-difference gradient of a scalar function at a 1-D point."""
@@ -384,3 +387,29 @@ class GaussianPerCoordinate:
 
     def clamp(self, theta):
         return np.asarray(theta, dtype=float)
+
+
+# --- the eager round ------------------------------------------------------------
+# A round that distils the scheduled agent at the end of its own round.
+# `steinfed.federation` defers that distillation to the agent's next round; its
+# global particles, and each agent's settled particles, must match these bit for bit.
+
+
+def eager_round(server, agent, loss, config, sign):
+    """Transport, then the agent's distillation at once.
+
+    Returns the new global set and the agent's distilled set.
+    """
+    keep = config.persist_adagrad
+    project = None if config.prior is None else config.prior.clamp
+
+    def svgd(start, target, steps, epsilon):
+        moved, acc = run_svgd(start.particles, target, steps, epsilon, config.fudge,
+                              start.acc if keep else None, config.bandwidth, project)
+        return ParticleSet(moved, acc if keep else None)
+
+    new_server = svgd(server, tilted_grad(server, agent, loss, config, sign),
+                      config.update_steps, config.epsilon)
+    distill = distill_target_grad(new_server.particles, server.particles, agent.particles,
+                                  config.kde_lam)
+    return new_server, svgd(agent, distill, config.distill_steps, config.epsilon_local)

@@ -59,6 +59,7 @@ from steinfed.federation import (
     ProtocolConfig,
     distill_target_grad,
     learning_round,
+    settle,
     tilted_grad,
 )
 from steinfed.kernels import (
@@ -343,7 +344,7 @@ class TestReadOnlyOperands:
         server, agent = learning_round(ParticleSet(global_ref), ParticleSet(local_ref), loss,
                                        config)
         assert np.all(np.isfinite(server.particles))
-        assert np.all(np.isfinite(agent.particles))
+        assert np.all(np.isfinite(settle(agent, config).particles))
 
 
 # --- the mixture reference density ---------------------------------------------

@@ -910,8 +910,8 @@ class TestParticleRuns:
         rb = run_experiment(cfg_b, "learn")
         for x, y in zip(ra.records, rb.records):
             assert (x.round, x.phase, x.kl, x.forgot_loss) == (y.round, y.phase, y.kl, y.forgot_loss)
-        snap_a = open(ra.paths.snapshot, "rb").read()
-        snap_b = open(rb.paths.snapshot, "rb").read()
+        snap_a = Path(ra.paths.snapshot).read_bytes()
+        snap_b = Path(rb.paths.snapshot).read_bytes()
         assert snap_a == snap_b
 
     def test_seed_changes_trajectories(self, tmp_path):
@@ -999,6 +999,7 @@ class TestParticleRuns:
         original = fed.unlearning_round
 
         def record(server, agent, loss, config):
+            agent = fed.settle(agent, config)
             calls.append((server.particles.copy(), agent.particles.copy(), agent.acc, loss))
             return original(server, agent, loss, config)
 
@@ -1362,6 +1363,21 @@ def test_global_particles_are_drawn_only_when_a_phase_starts_from_the_prior(
     assert counts["init_global_particles"] == draws
 
 
+@pytest.mark.parametrize("command,calls", [("learn", 58), ("unlearn", 1)])
+def test_a_distillation_that_no_later_round_reads_never_runs(tmp_path, monkeypatch, command,
+                                                             calls):
+    # The shipped mixture's rounds: 30 learning rounds over two agents leave each agent's
+    # last distillation pending, and the one unlearning round leaves its only one.
+    data = mixture_dict(tmp_path)
+    data["learn"]["rounds"], data["unlearn"]["rounds"] = 30, 1
+    cfg = config_from_dict(data)
+    if command == "unlearn":
+        run_experiment(cfg, "learn")
+    counts = _count_calls(monkeypatch, {"svgd": ("run_svgd",)})
+    run_experiment(cfg, command)
+    assert counts["run_svgd"] == calls
+
+
 PROPER = {"eta1": [0.0], "eta2": [-0.5]}
 
 
@@ -1385,7 +1401,7 @@ class TestParametricRuns:
         assert array.shape == (2, 1)  # mean row and variance row
         assert array[1, 0] > 0
         assert rnd == 4
-        state = json.loads(open(result.paths.locals_json).read())
+        state = json.loads(Path(result.paths.locals_json).read_text())
         assert set(state["agents"]) == {"1", "2"}
         assert set(state["global"]) == {"eta1", "eta2"}
         assert all(r.kl is not None for r in result.records)

@@ -8,6 +8,7 @@ import pytest
 from steinfed.federation import (
     STREAM_LEARN,
     STREAM_UNLEARN,
+    Distillation,
     ParticleSet,
     ProtocolConfig,
     ProtocolError,
@@ -19,12 +20,20 @@ from steinfed.federation import (
     learning_round,
     pooled_target,
     schedule,
+    settle,
     tilted_grad,
     unlearning_round,
 )
 from steinfed.kernels import kde_log_density_grad
-from steinfed.models import GaussianMixtureLoss, GaussianPrior, MixtureComponent, UniformPrior
+from steinfed.models import (
+    GaussianMixtureLoss,
+    GaussianPrior,
+    MixtureComponent,
+    SoftmaxHeadLoss,
+    UniformPrior,
+)
 from steinfed.svgd import run_svgd
+from helpers import eager_round
 
 
 def gaussian_loss(mean, variance):
@@ -159,7 +168,8 @@ class TestRounds:
         cfg = dataclasses.replace(
             ProtocolConfig(prior=UniformPrior(-10.0, 10.0)), update_steps=0, distill_steps=0
         )
-        new_server, new_agent = learning_round(server, agents[1], losses[1], cfg)
+        new_server, pending = learning_round(server, agents[1], losses[1], cfg)
+        new_agent = settle(pending, cfg)
         assert np.array_equal(new_server.particles, server.particles)
         assert new_server.particles is not server.particles
         assert np.array_equal(new_agent.particles, agents[1].particles)
@@ -169,15 +179,24 @@ class TestRounds:
         g_before = server.particles.copy()
         l1_before = agents[1].particles.copy()
         l2_before = agents[2].particles.copy()
-        learning_round(server, agents[1], losses[1], config)
+        new_server, pending = learning_round(server, agents[1], losses[1], config)
         assert np.array_equal(server.particles, g_before)
         assert np.array_equal(agents[1].particles, l1_before)
         assert np.array_equal(agents[2].particles, l2_before)
+        # the pending distillation holds the round's arrays, and the next round leaves them be
+        assert pending.start is agents[1]
+        assert pending.new_global is new_server.particles
+        assert pending.old_global is server.particles
+        held = [pending.start.particles, pending.new_global, pending.old_global]
+        before = [a.copy() for a in held]
+        learning_round(new_server, pending, losses[1], config)
+        assert all(np.array_equal(a, b) for a, b in zip(held, before))
 
     def test_round_is_deterministic(self):
         _, losses, config, server, agents = two_agent_setup(seed=12)
         s1, a1 = learning_round(server, agents[2], losses[2], config)
         s2, a2 = learning_round(server, agents[2], losses[2], config)
+        a1, a2 = settle(a1, config), settle(a2, config)
         assert np.array_equal(s1.particles, s2.particles)
         assert np.array_equal(a1.particles, a2.particles)
 
@@ -194,7 +213,8 @@ class TestRounds:
         replay_server, replay_agent = learning_round(inputs[0], inputs[1], losses[inputs[2]],
                                                      config)
         assert np.array_equal(replay_server.particles, server.particles)
-        assert np.array_equal(replay_agent.particles, agents[inputs[2]].particles)
+        assert np.array_equal(settle(replay_agent, config).particles,
+                              settle(agents[inputs[2]], config).particles)
 
     def test_particles_stay_inside_uniform_support(self):
         prior = UniformPrior(-1.0, 1.0)
@@ -202,14 +222,16 @@ class TestRounds:
         config = ProtocolConfig(update_steps=25, distill_steps=25, epsilon=1.0,
                                 epsilon_local=1.0, prior=prior)
         server, agents = initialize_states(losses, prior, (10, 1), seed=3)
-        new_server, new_agent = learning_round(server, agents[1], losses[1], config)
+        new_server, pending = learning_round(server, agents[1], losses[1], config)
+        new_agent = settle(pending, config)
         assert new_server.particles.max() <= 1.0
         assert new_server.particles.min() >= -1.0
         assert new_agent.particles.max() <= 1.0
 
     def test_fresh_adagrad_each_round_by_default(self):
         _, losses, config, server, agents = two_agent_setup(seed=14)
-        new_server, new_agent = learning_round(server, agents[1], losses[1], config)
+        new_server, pending = learning_round(server, agents[1], losses[1], config)
+        new_agent = settle(pending, config)
         assert new_server.acc is None
         assert new_agent.acc is None
 
@@ -237,11 +259,13 @@ class TestRounds:
                                 persist_adagrad=True, prior=UniformPrior(-10.0, 10.0))
         server, agents = initialize_states(losses, config.prior, (10, 1), seed=15)
         server, agent = learning_round(server, agents[1], losses[1], config)
+        agent = settle(agent, config)
         assert agent.acc is not None
         assert not np.array_equal(agent.acc, server.acc)
         sums = [agent.acc.sum()]
         for _ in range(2):
             server, agent = learning_round(server, agent, losses[1], config)
+            agent = settle(agent, config)
             sums.append(agent.acc.sum())
         assert sums[0] < sums[1] < sums[2]
 
@@ -254,8 +278,10 @@ class TestRounds:
                                 persist_adagrad=True, prior=UniformPrior(-10.0, 10.0))
         server, agents = initialize_states(losses, config.prior, (10, 1), seed=17)
         server, agent = play(server, agents[1], losses[1], config)
+        agent = settle(agent, config)
 
         def fields(server, agent):
+            agent = settle(agent, config)
             return server.particles, server.acc, agent.particles, agent.acc
 
         before = [a.copy() for a in fields(server, agent)]
@@ -277,6 +303,51 @@ class TestRounds:
         direct, _ = run_svgd(start, lambda t: loss.neg_loss_grad(t, config.alpha),
                              6, 0.1, config.fudge)
         assert np.array_equal(new_server.particles, direct)
+
+
+def three_agent_case(shape):
+    """Three agents' losses and a protocol config at the mixture's or desk's particle shape."""
+    if shape == "mixture":
+        losses = {1: gaussian_loss(1.0, 4.0), 2: gaussian_loss(-3.0, 1.0),
+                  3: gaussian_loss(3.0, 2.0)}
+        return (100, 1), losses, ProtocolConfig(update_steps=4, distill_steps=6, epsilon=0.1,
+                                                epsilon_local=0.2, prior=UniformPrior(-10.0, 10.0))
+    rng = np.random.default_rng(29)  # desk: 30 softmax heads over 25 features and 4 classes
+    losses = {k: SoftmaxHeadLoss(rng.standard_normal((60, 25)), rng.integers(0, 4, 60), 4)
+              for k in (1, 2, 3)}
+    return (30, 104), losses, ProtocolConfig(update_steps=3, distill_steps=5, epsilon=0.01,
+                                             epsilon_local=0.05, kde_lam=10.0,
+                                             prior=GaussianPrior(0.0, 10.0))
+
+
+@pytest.mark.parametrize("persist", [False, True], ids=["fresh", "persist"])
+@pytest.mark.parametrize("play,sign", [(learning_round, 1.0), (unlearning_round, -1.0)],
+                         ids=["learn", "unlearn"])
+@pytest.mark.parametrize("shape", ["mixture", "desk"])
+def test_deferred_distillation_matches_the_eager_round(shape, play, sign, persist):
+    # A revisiting sequence: agents 1 and 2 settle a pending distillation, and
+    # agent 3's is left pending at the end.
+    shape_nd, losses, config = three_agent_case(shape)
+    config = dataclasses.replace(config, schedule="fixed_sequence", sequence=(1, 2, 1, 3, 2),
+                                 persist_adagrad=persist)
+    server, agents = initialize_states(losses, config.prior, shape_nd, seed=29)
+    eager_server, eager_agents = server, dict(agents)
+
+    def fields(particle_set):  # the bytes of its particles and AdaGrad accumulator
+        acc = particle_set.acc
+        return particle_set.particles.tobytes(), None if acc is None else acc.tobytes()
+
+    for r in range(len(config.sequence)):
+        k = schedule(config, r, agents)
+        server, pending = play(server, agents[k], losses[k], config)
+        agents = {**agents, k: pending}
+        eager_server, eager_agents[k] = eager_round(eager_server, eager_agents[k], losses[k],
+                                                    config, sign)
+        assert fields(server) == fields(eager_server)
+        assert (server.acc is not None) == persist
+        for j, agent in agents.items():
+            assert fields(settle(agent, config)) == fields(eager_agents[j])
+    assert isinstance(agents[3], Distillation)
 
 
 class TestSchedule:
