@@ -70,8 +70,9 @@ class UniformPrior:
     def score(self, theta: np.ndarray) -> np.ndarray:
         """Gradient of the log density; the support is treated as open."""
         arr = _as_rows(theta)
-        inside = np.all((arr > self.lo) & (arr < self.hi), axis=1)
-        if not np.all(inside):
+        # Two reductions clear the usual case; NaN fails them and the mask names it.
+        if arr.size and not (arr.min() > self.lo and arr.max() < self.hi):
+            inside = np.all((arr > self.lo) & (arr < self.hi), axis=1)
             bad = arr[np.flatnonzero(~inside)[0]]
             raise OutOfSupportError(f"point {bad} is outside the prior support")
         return np.zeros_like(arr)

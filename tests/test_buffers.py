@@ -65,6 +65,7 @@ from steinfed.federation import (
 from steinfed.kernels import (
     _median_bandwidth,
     kde_log_density,
+    kde_log_density_1d,
     kde_log_density_grad,
     pairwise_sq_dists,
 )
@@ -275,6 +276,7 @@ def test_inputs_keep_their_bytes():
     pairwise_sq_dists(query, theta)
     pairwise_sq_dists(query, theta, row_norms=False)
     kde_log_density(theta, query, LAM)
+    kde_log_density_1d(theta[:, :1], query[:, 0], LAM)
     kde_log_density_grad(theta, query, LAM)
     svgd_direction(theta, lambda t: phi)
     adagrad_step(np.zeros_like(theta), theta, phi, 0.05, 1e-6)

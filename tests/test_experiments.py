@@ -48,9 +48,11 @@ from steinfed.federation import (
     learning_round,
     schedule,
 )
+from steinfed.kernels import kde_log_density
 from steinfed.metrics import (
     GridError,
     MetricRecord,
+    grid_kl,
     load_snapshot,
     read_metrics_csv,
     read_transcript,
@@ -1139,6 +1141,56 @@ class TestParticleRuns:
         assert all(e["agent"] in (None, 2) for e in ev)
 
 
+def shipped_mixture_dict(out_dir, seed):
+    data = json.loads((REPO_ROOT / "configs" / "mixture.json").read_text())
+    data.update(seed=seed, out_dir=str(out_dir))
+    return data
+
+
+class TestMixtureKl:
+    """The particle methods' grid KL, with the 1-D KDE as q, against the general-d KDE."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_particle_kl_matches_the_general_kde(self, tmp_path, monkeypatch, seed):
+        cfg = config_from_dict(shipped_mixture_dict(tmp_path, seed))
+        seen, pairs = [], []
+        kde_1d = experiments.kde_log_density_1d
+
+        def recording_kde_1d(particles, x, lam):
+            seen.append((particles, lam))
+            return kde_1d(particles, x, lam)
+
+        def checked_grid_kl(log_q, reference, grid):
+            new = grid_kl(log_q, reference, grid)
+            particles, lam = seen[-1]
+            pairs.append((new, grid_kl(lambda x: kde_log_density(particles, x[:, None], lam),
+                                       reference, grid)))
+            return new
+
+        monkeypatch.setattr(experiments, "kde_log_density_1d", recording_kde_1d)
+        monkeypatch.setattr(experiments, "grid_kl", checked_grid_kl)
+        for command in ("learn", "unlearn", "retrain"):
+            before = len(pairs)
+            result = run_experiment(cfg, command)
+            assert [r.kl for r in result.records] == [new for new, _ in pairs[before:]]
+        assert len(pairs) == 31 + 2 + 31
+        for new, old in pairs:
+            assert abs(new - old) <= 1e-12 * abs(old)
+
+    @pytest.mark.parametrize("offset", [0.5, 1e3])
+    def test_particles_outside_the_grid_fail_with_the_general_kde_text(self, tmp_path, offset):
+        cfg = config_from_dict(shipped_mixture_dict(tmp_path, 0))
+        problem = build_problem(cfg)
+        particles = cfg.grid.hi + offset + np.random.default_rng(3).uniform(0.0, 1.0, (100, 1))
+        with pytest.raises(GridError) as old:
+            grid_kl(lambda x: kde_log_density(particles, x[:, None], cfg.protocol.kde_lam),
+                    lambda x: -x * x, cfg.grid)
+        assert re.fullmatch(r"grid too narrow for q: edge mass \S+ exceeds 1e-03", str(old.value))
+        measure = experiments._measurement(cfg, problem, PHASES["learn"], "dsvgd")
+        with pytest.raises(GridError, match=f"^{re.escape(str(old.value))}$"):
+            measure(particles, 0, 0.0)
+
+
 class TestRetrainRuns:
     def test_retrain_zero_rounds_returns_prior_draws(self, tmp_path):
         for mode in ("centralized", "federated"):
@@ -1592,3 +1644,32 @@ class TestBlasThreadDeterminism:
             cfg = config_from_dict(data)
             snapshots.append(Path(run_paths(cfg, "dsvgd").snapshot).read_bytes())
         assert snapshots[0] == snapshots[1]
+
+    def test_mixture_artifacts_independent_of_blas_threads(self, tmp_path):
+        # The 1-D grid KDE's GEMM and GEMV reach every kl cell of the particle methods.
+        data = shipped_mixture_dict(tmp_path, 0)
+        data["learn"]["rounds"] = data["retrain"]["rounds"] = 4
+        script = (
+            "import json, sys\n"
+            "from steinfed.experiments import config_from_dict, run_experiment\n"
+            "cfg = config_from_dict(json.loads(sys.argv[1]))\n"
+            "for command in ('learn', 'unlearn', 'retrain'):\n"
+            "    run_experiment(cfg, command)\n"
+        )
+        runs = []
+        for threads in ("1", "2"):
+            data["out_dir"] = str(tmp_path / f"threads{threads}")
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": str(REPO_ROOT / "src")}
+            subprocess.run([sys.executable, "-c", script, json.dumps(data)], env=env,
+                           check=True, timeout=300)
+            cfg = config_from_dict(data)
+            run = {}
+            for method in ("dsvgd", "forget_svgd", "retrain"):
+                paths = run_paths(cfg, method)
+                records = [dataclasses.replace(r, wall_ms=0.0)
+                           for r in read_metrics_csv(paths.metrics)]
+                run[method] = (Path(paths.snapshot).read_bytes(), records)
+            runs.append(run)
+        assert all(record.kl is not None for _, records in runs[0].values() for record in records)
+        assert runs[0] == runs[1]

@@ -17,6 +17,7 @@ from steinfed.federation import ProtocolConfig
 from steinfed.kernels import (
     BANDWIDTH_FLOOR,
     kde_log_density,
+    kde_log_density_1d,
     kde_log_density_grad,
     median_bandwidth,
     pairwise_sq_dists,
@@ -297,6 +298,46 @@ class TestKdeMatchesBroadcastOracle:
         assert max_relative_deviation(
             value, kde_log_density_broadcast(particles, far, lam)
         ) < 1e-12
+
+
+def grid_particles(n, offset=0.0):
+    return offset + np.random.default_rng(12).normal(scale=3.0, size=(n, 1))
+
+
+class TestKde1dMatchesBroadcastOracle:
+    """The shifted-GEMM 1-D KDE agrees with the broadcast formula and stays finite."""
+
+    GRID = np.linspace(-10.0, 10.0, 2001)
+
+    def check(self, particles, x, lam):
+        value = kde_log_density_1d(particles, x, lam)
+        assert value.shape == x.shape
+        assert np.all(np.isfinite(value))
+        assert max_relative_deviation(
+            value, kde_log_density_broadcast(particles, x[:, None], lam)) < 1e-12
+
+    @pytest.mark.parametrize("lam", [0.05, 0.55, 10.0])
+    def test_grid_against_100_particles(self, lam):
+        self.check(grid_particles(100), self.GRID, lam)
+
+    @pytest.mark.parametrize("particles", [[[0.3]], [[0.3], [0.3]]], ids=["one", "identical-pair"])
+    @pytest.mark.parametrize("lam", [0.05, 0.55])
+    def test_one_and_two_identical_particles(self, particles, lam):
+        self.check(np.array(particles), self.GRID, lam)
+
+    @pytest.mark.parametrize("offset", [-1e3, 1e3])
+    @pytest.mark.parametrize("lam", [0.05, 0.55, 10.0])
+    def test_particles_far_outside_the_grid(self, offset, lam):
+        self.check(grid_particles(100, offset), self.GRID, lam)
+
+    def test_unsorted_points(self):
+        self.check(grid_particles(100), np.random.default_rng(13).permutation(self.GRID), 0.55)
+
+    def test_shapes_refused(self):
+        with pytest.raises(ValueError, match=r"\(N, 1\) particles"):
+            kde_log_density_1d(np.zeros((3, 2)), self.GRID, 0.55)
+        with pytest.raises(ValueError, match="1-D vector"):
+            kde_log_density_1d(np.zeros((3, 1)), self.GRID[:, None], 0.55)
 
 
 class TestKdeMemory:

@@ -1,5 +1,7 @@
 """Tests for priors, local losses, model averaging, and the feature map."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import softmax
@@ -60,6 +62,19 @@ class TestUniformPrior:
             prior.score(np.array([[1.0]]))
         with pytest.raises(OutOfSupportError):
             prior.score(np.array([[0.0], [2.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0, 1.0])
+    def test_score_names_the_first_point_outside(self, value):
+        prior = UniformPrior(-1.0, 1.0)
+        points = np.array([[0.0, 0.5], [0.5, value], [value, 0.0]])
+        with pytest.raises(OutOfSupportError,
+                           match=re.escape(f"point {points[1]} is outside the prior support")):
+            prior.score(points)
+
+    def test_score_refuses_nan_with_its_text(self):
+        with pytest.raises(OutOfSupportError,
+                           match=r"^point \[nan\] is outside the prior support$"):
+            UniformPrior(-10.0, 10.0).score(np.array([[0.0], [np.nan]]))
 
     def test_clamp_pulls_back_inside(self):
         prior = UniformPrior(-10.0, 10.0)
