@@ -1,5 +1,15 @@
 """Particle-based Bayesian federated learning and unlearning simulator."""
 
+import os
+
+# One BLAS thread, set before numpy is first imported: OpenBLAS's own threads
+# sum a product in an order that depends on their count, so the bytes would
+# too.  The package splits its large products itself (``blocks``).  A caller
+# that imported numpy first keeps whatever its BLAS was started with.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .data import (
     Dataset,
     IdxFormatError,

@@ -496,14 +496,18 @@ def _forgot_loss_plateaued(records: list[MetricRecord], window: int) -> bool:
     return len(values) - 1 - best >= window
 
 
-def _unlearn_should_stop(settings: UnlearnSettings, problem, records: list[MetricRecord]) -> bool:
-    if not settings.early_stop:
-        return False
-    if isinstance(problem, ClassificationProblem) and _forgetting_achieved(
-        records, problem.num_classes, settings.margin, settings.patience
-    ):
-        return True
-    return _forgot_loss_plateaued(records, settings.loss_window)
+def _unlearn_should_stop(settings: UnlearnSettings, problem,
+                         records: list[MetricRecord]) -> str | None:
+    """Why unlearning ends after the last record: ``accuracy_bar``, ``loss_plateau`` or
+    ``budget``; None while it goes on."""
+    if settings.early_stop:
+        if isinstance(problem, ClassificationProblem) and _forgetting_achieved(
+            records, problem.num_classes, settings.margin, settings.patience
+        ):
+            return "accuracy_bar"
+        if _forgot_loss_plateaued(records, settings.loss_window):
+            return "loss_plateau"
+    return "budget" if records[-1].round >= settings.rounds else None
 
 
 @dataclass(frozen=True)
@@ -526,7 +530,7 @@ class Phase:
     local_stream: int = fed.STREAM_LEARN  # seed-stream tag of the agents' fresh local particles
     pvi_stream: int | None = 2  # seed-stream tag of the PVI Monte Carlo draws
     overrides: tuple[str, ...] = ()  # keys of its section that, when set, replace the protocol's
-    stop: Callable | None = None  # ``stop(section, problem, records)``: end before the budget
+    stop: Callable | None = None  # ``stop(section, problem, records)``: why it ends there, or None
 
     def pooled(self, cfg: ExperimentConfig) -> bool:
         """True when its section's ``mode`` is centralized: one pooled target, no agents."""
@@ -713,12 +717,14 @@ def _run_phase(cfg: ExperimentConfig, problem, phase: Phase, method: str, starte
     records: list[MetricRecord] = []
     with MetricsWriter(paths.metrics) as metrics, TranscriptWriter(paths.transcript) as transcript:
 
-        def emit(state, agent, wall_ms: float, **setup) -> None:
+        def emit(state, agent, wall_ms: float, **setup) -> str | None:
+            """Measure and write one record; the phase's stop reason, if it ends here."""
             start = time.perf_counter()
             record, extra = measure(snapshot(state), len(records), wall_ms)
             eval_ms = _ms_since(start)
             records.append(record)
             metrics.append(record)
+            reason = phase.stop(settings, problem, records) if phase.stop is not None else None
             transcript.append({
                 "round": record.round,
                 "phase": record.phase,
@@ -729,15 +735,16 @@ def _run_phase(cfg: ExperimentConfig, problem, phase: Phase, method: str, starte
                 **setup,
                 "metrics": record.metrics(),
                 **extra,
+                **({"stop_reason": reason} if reason is not None else {}),
             })
+            return reason
 
         try:
             emit(state, None, 0.0, setup_ms=_ms_since(started))
             for r in range(settings.rounds):
                 start = time.perf_counter()
                 state, agent = step(state, r)
-                emit(state, agent, _ms_since(start))
-                if phase.stop is not None and phase.stop(settings, problem, records):
+                if emit(state, agent, _ms_since(start)) is not None:
                     break
         except Exception as err:
             transcript.append({"round": len(records), "phase": phase.name, "error": str(err)})

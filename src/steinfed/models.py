@@ -22,13 +22,24 @@ from typing import ClassVar
 
 import numpy as np
 
+from .blocks import blocks, run_blocks
 from .data import Dataset
 from .kernels import _as_particle_matrix, _as_rows, _logsumexp, _softmax
 from .rules import at_least, nonnegative, positive
 
 CLAMP_MARGIN = 1e-6
-# Rows per block of a head evaluation: see ``_row_blocks``.
+# Rows per block of a head evaluation: see ``_eval_blocks``.
 EVAL_ROWS = 256
+# Rows per worker's share of the head gradient and evaluation, a multiple of
+# EVAL_ROWS; fewer rows run inline.  Desk's 200-row shards and 400-row test
+# set are one share: at its shapes a thread hand-off costs more than it saves.
+HEAD_ROWS = 2 * EVAL_ROWS
+# Design columns per block of the head gradient's ``design.T @ resid``.
+HEAD_COLS = 51
+# Input rows per block of the feature map's layer, and input columns per block
+# of pretraining's first-layer gradient.
+INPUT_ROWS = 2500
+INPUT_COLS = 196
 
 
 class OutOfSupportError(ValueError):
@@ -180,19 +191,27 @@ def _side_by_side(heads: np.ndarray, num_classes: int) -> np.ndarray:
     return heads.reshape(q, rows, num_classes).transpose(1, 2, 0).reshape(rows, -1)
 
 
-def _row_blocks(design: np.ndarray, heads: np.ndarray, num_classes: int):
-    """Each block of up to ``EVAL_ROWS`` design rows: its slice and its ``(rows, C, Q)`` logits.
+def _logits(design: np.ndarray, laid: np.ndarray, num_classes: int) -> np.ndarray:
+    """The ``(rows, C, Q)`` logits of design rows against heads laid side by side."""
+    logits = design @ laid
+    return logits.reshape(logits.shape[0], num_classes, -1)
 
-    A per-row result filled block by block holds one block's logits at a
-    time instead of the ``(n, C, Q)`` array.  Each row's logits keep their
-    bits as long as the BLAS gives a product's row the same bits however many
-    rows share the GEMM; ``tests/test_buffers.py`` checks it at the shipped shapes.
+
+def _eval_blocks(n: int, fill) -> None:
+    """Call ``fill(rows)`` on each block of up to ``EVAL_ROWS`` of ``n`` rows.
+
+    A per-row result filled block by block holds one block's logits per
+    worker instead of the ``(n, C, Q)`` array.  Each worker takes
+    ``HEAD_ROWS`` rows at a time.  Each row's logits keep their bits as long
+    as the BLAS gives a product's row the same bits however many rows share
+    the GEMM; ``tests/test_buffers.py`` checks it at the shipped shapes.
     """
-    laid = _side_by_side(heads, num_classes)
-    for start in range(0, design.shape[0], EVAL_ROWS):
-        rows = slice(start, start + EVAL_ROWS)
-        logits = design[rows] @ laid
-        yield rows, logits.reshape(logits.shape[0], num_classes, -1)
+
+    def share(span: slice) -> None:
+        for start in range(span.start, span.stop, EVAL_ROWS):
+            fill(slice(start, min(start + EVAL_ROWS, span.stop)))
+
+    run_blocks(share, blocks(n, HEAD_ROWS, align=EVAL_ROWS))
 
 
 class SoftmaxHeadLoss:
@@ -228,23 +247,42 @@ class SoftmaxHeadLoss:
         arr = _as_rows(theta, self.dim)
         if self.labels.size == 0:
             return np.zeros(arr.shape[0])
+        laid = _side_by_side(arr, self.num_classes)
         per_row = np.empty((self.labels.size, arr.shape[0]))
-        for rows, logits in _row_blocks(self._design, arr, self.num_classes):
+
+        def fill(rows: slice) -> None:
+            logits = _logits(self._design[rows], laid, self.num_classes)
             picked = logits[np.arange(logits.shape[0]), self.labels[rows], :]
             np.subtract(_logsumexp(logits, axis=1), picked, out=per_row[rows])
+
+        _eval_blocks(self.labels.size, fill)
         return per_row.mean(axis=0)
 
     def neg_loss_grad(self, theta: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+        """Softmax residuals in blocks of ``HEAD_ROWS`` rows, then ``design.T @ resid``
+        in blocks of ``HEAD_COLS`` design columns: every entry sums all rows in one GEMM."""
         arr = _as_rows(theta, self.dim)
-        if self.labels.size == 0:
+        n = self.labels.size
+        if n == 0:
             return np.zeros_like(arr)
-        q = arr.shape[0]
-        logits = self._design @ _side_by_side(arr, self.num_classes)
-        resid = _softmax(logits.reshape(self.labels.size, self.num_classes, q), axis=1)
-        resid -= self._onehot[:, :, None]
-        grad = self._design.T @ resid.reshape(self.labels.size, -1)
-        grad = grad.reshape(-1, self.num_classes, q).transpose(2, 0, 1).reshape(q, self.dim)
-        grad /= -alpha * self.labels.size
+        q, c = arr.shape[0], self.num_classes
+        laid = _side_by_side(arr, c)
+        resid = np.empty((n, c * q))
+        grad = np.empty((self.num_features + 1, c * q))
+
+        def residual(rows: slice) -> None:
+            np.matmul(self._design[rows], laid, out=resid[rows])
+            block = _softmax(resid[rows].reshape(-1, c, q), axis=1)
+            block -= self._onehot[rows, :, None]
+
+        def gradient(cols: slice) -> None:
+            np.matmul(self._design[:, cols].T, resid, out=grad[cols])
+
+        rows = blocks(n, HEAD_ROWS)
+        run_blocks(residual, rows)
+        run_blocks(gradient, blocks(self.num_features + 1, HEAD_COLS, split=len(rows) > 1))
+        grad = grad.reshape(-1, c, q).transpose(2, 0, 1).reshape(q, self.dim)
+        grad /= -alpha * n
         return grad
 
 
@@ -263,9 +301,14 @@ def averaged_class_probabilities(
             f"particle dimension {theta.shape[1]} does not match head layout "
             f"({num_features} features, {num_classes} classes)"
         )
+    laid = _side_by_side(theta, num_classes)
     probs = np.empty((features.shape[0], num_classes))
-    for rows, logits in _row_blocks(_with_bias(features), theta, num_classes):
+
+    def fill(rows: slice) -> None:  # the bias column is appended per block, never to every row
+        logits = _logits(_with_bias(features[rows]), laid, num_classes)
         np.mean(_softmax(logits, axis=1), axis=2, out=probs[rows])
+
+    _eval_blocks(features.shape[0], fill)
     return probs
 
 
@@ -330,13 +373,25 @@ class FeatureMap:
     biases: np.ndarray
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(x, dtype=float) @ self.weights
-        out += self.biases
-        return np.maximum(out, 0.0, out=out)
+        x = np.asarray(x, dtype=float)
+        out = np.empty((x.shape[0], self.num_features))
+        run_blocks(lambda rows: _relu_layer(x[rows], self.weights, self.biases, out[rows]),
+                   blocks(x.shape[0], INPUT_ROWS))
+        return out
 
     @property
     def num_features(self) -> int:
         return self.weights.shape[1]
+
+
+def _relu_layer(x: np.ndarray, weights: np.ndarray, biases: np.ndarray, out: np.ndarray,
+                active: np.ndarray | None = None) -> None:
+    """``out = max(x @ weights + biases, 0)``, and ``active`` the mask where it is positive."""
+    np.matmul(x, weights, out=out)
+    out += biases
+    if active is not None:
+        np.greater(out, 0.0, out=active)
+    np.maximum(out, 0.0, out=out)
 
 
 def pretrain_feature_map(
@@ -366,16 +421,27 @@ def pretrain_feature_map(
     b2 = np.zeros(num_classes)
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), y] = 1.0
-    # The (n, h) arrays of an epoch, filled in place every epoch.  Once grad_w2
-    # is taken, ``hidden`` holds the backward signal into the hidden layer.
+    # The arrays of an epoch, filled in place every epoch.  Once grad_w2 is
+    # taken, ``hidden`` holds the backward signal into the hidden layer.
     hidden = np.empty((n, h))
     active = np.empty((n, h), dtype=bool)
+    grad_w1 = np.empty((f, h))
+    # The input-wide products run in blocks.  The (h, C) logits product stays
+    # one GEMM: it is a hundredth of the work, and at C = 10 columns a split
+    # of it rounds differently at some row counts.
+    rows = blocks(n, INPUT_ROWS)
+    cols = blocks(f, INPUT_COLS, split=len(rows) > 1)
+
+    def backward(r: slice) -> None:  # reads the epoch's ``resid``, set before it runs
+        signal = hidden[r]
+        np.matmul(resid[r], w2.T, out=signal)
+        signal *= active[r]
+
+    def first_layer_grad(c: slice) -> None:  # each entry sums over all n rows in one GEMM
+        np.matmul(x[:, c].T, hidden, out=grad_w1[c])
 
     for _ in range(config.epochs):
-        np.matmul(x, w1, out=hidden)
-        hidden += b1
-        np.greater(hidden, 0.0, out=active)
-        np.maximum(hidden, 0.0, out=hidden)
+        run_blocks(lambda r: _relu_layer(x[r], w1, b1, hidden[r], active[r]), rows)
         log_probs = hidden @ w2
         log_probs += b2
         log_probs -= _logsumexp(log_probs.copy(), axis=1)[:, None]
@@ -387,9 +453,8 @@ def pretrain_feature_map(
         resid /= n
         grad_w2 = hidden.T @ resid
         grad_b2 = resid.sum(axis=0)
-        np.matmul(resid, w2.T, out=hidden)
-        hidden *= active
-        grad_w1 = x.T @ hidden
+        run_blocks(backward, rows)
+        run_blocks(first_layer_grad, cols)
         grad_b1 = hidden.sum(axis=0)
         w2 -= config.step_size * grad_w2
         b2 -= config.step_size * grad_b2

@@ -38,6 +38,7 @@ from helpers import (
     svgd_direction_allocating,
     tilted_target_allocating,
 )
+from steinfed.blocks import blocks
 from steinfed.data import (
     ROW_BLOCK,
     choose_rows,
@@ -72,6 +73,8 @@ from steinfed.kernels import (
 from steinfed.metrics import GridConfig, GridError, GridReference, grid_kl
 from steinfed.models import (
     EVAL_ROWS,
+    HEAD_COLS,
+    HEAD_ROWS,
     FeatureMap,
     FeatureMapConfig,
     GaussianMixtureLoss,
@@ -217,14 +220,26 @@ class TestModels:
                     head_neg_loss_grad_allocating(loss._design, loss._onehot, loss.num_classes,
                                                   theta, 0.8))
 
-    @pytest.mark.parametrize("n, inputs, hidden", [(30, 104, 25), (100, 784, 100)])
+    @pytest.mark.parametrize("rows", [1000, 2000])
+    def test_head_neg_loss_grad_in_blocks(self, rows):
+        # wide's shards and 100 particles: row blocks for the residual, column blocks for the GEMM.
+        loss = head_loss(1010, examples=rows)
+        assert len(blocks(rows, HEAD_ROWS)) >= 2 and len(blocks(101, HEAD_COLS)) >= 2
+        theta = points(np.random.default_rng(5), 100, 1010, 0.3)
+        assert_bits(loss.neg_loss_grad(theta, 0.8),
+                    head_neg_loss_grad_allocating(loss._design, loss._onehot, loss.num_classes,
+                                                  theta, 0.8))
+
+    @pytest.mark.parametrize("n, inputs, hidden", [(30, 104, 25), (100, 784, 100), (5000, 784, 100)])
     def test_feature_map(self, n, inputs, hidden):
         rng = np.random.default_rng(6)
         weights, biases, x = points(rng, inputs, hidden), frozen(rng.standard_normal(hidden)), \
             points(rng, n, inputs)
         assert_bits(FeatureMap(weights, biases)(x), feature_map_allocating(weights, biases, x))
 
-    @pytest.mark.parametrize("n, inputs, hidden, classes", [(300, 20, 16, 4), (500, 784, 100, 10)])
+    # The last case is in blocks: two of rows, four of wide's 784 input columns.
+    @pytest.mark.parametrize("n, inputs, hidden, classes",
+                             [(300, 20, 16, 4), (500, 784, 100, 10), (5000, 784, 100, 10)])
     def test_three_pretraining_epochs(self, n, inputs, hidden, classes):
         rng = np.random.default_rng(7)
         x, y = points(rng, n, inputs), rng.integers(0, classes, n)
@@ -597,7 +612,7 @@ class TestBuildMemory:
         loss = SoftmaxHeadLoss(features, labels, c)
         block = 4 * EVAL_ROWS * c * n * 8  # a few blocks' logits; all rows' would be 80 MB
         _, peak = self.traced_peak(lambda: averaged_class_probabilities(theta, features, c))
-        assert peak <= rows * (f + 1) * 8 + block  # the design matrix that the call builds
+        assert peak <= block  # each block appends its own bias column, with two blocks in flight
         _, peak = self.traced_peak(lambda: loss.loss(theta))
         assert peak <= rows * n * 8 + block  # the per-row losses, averaged in one reduction
 

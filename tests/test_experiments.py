@@ -24,11 +24,13 @@ from steinfed.experiments import (
     ExperimentConfig,
     MissingStateError,
     MixtureProblem,
+    UnlearnSettings,
     _classification_problem,
     _forgetting_achieved,
     _forgot_loss_plateaued,
     _load_pvi_state,
     _protocol_config,
+    _unlearn_should_stop,
     build_problem,
     config_from_dict,
     evaluate_snapshot,
@@ -779,6 +781,36 @@ class TestStopRules:
         assert _forgot_loss_plateaued(records, window=3)
         assert not _forgot_loss_plateaued(records, window=4)
 
+    CLASSIFICATION = ClassificationProblem(losses={}, shard_classes={}, forget_ids=(),
+                                           test_features=np.zeros((0, 1)),
+                                           test_labels=np.zeros(0, dtype=int), num_classes=4)
+
+    def test_stop_reason_accuracy_bar(self):
+        records = [self.rec(0, acc=0.9)] + [self.rec(i, acc=0.2, loss=float(i)) for i in range(1, 6)]
+        settings = UnlearnSettings(rounds=100, patience=5, margin=0.05)
+        assert _unlearn_should_stop(settings, self.CLASSIFICATION, records[:-1]) is None
+        assert _unlearn_should_stop(settings, self.CLASSIFICATION, records) == "accuracy_bar"
+        # The mixture has no accuracy: the same records run on.
+        assert _unlearn_should_stop(settings, MixtureProblem({}, ()), records) is None
+
+    def test_stop_reason_loss_plateau(self):
+        values = [1.0, 2.0, 3.0, 2.9, 2.95, 2.8]
+        records = [self.rec(0)] + [self.rec(i + 1, acc=0.9, loss=v) for i, v in enumerate(values)]
+        settings = UnlearnSettings(rounds=100, loss_window=3)
+        for problem in (MixtureProblem({}, ()), self.CLASSIFICATION):
+            assert _unlearn_should_stop(settings, problem, records[:-1]) is None
+            assert _unlearn_should_stop(settings, problem, records) == "loss_plateau"
+
+    def test_stop_reason_budget(self):
+        records = [self.rec(i, acc=0.2, loss=1.0) for i in range(4)]
+        for early_stop in (True, False):
+            settings = UnlearnSettings(rounds=3, early_stop=early_stop, patience=5)
+            assert _unlearn_should_stop(settings, self.CLASSIFICATION, records[:-1]) is None
+            assert _unlearn_should_stop(settings, self.CLASSIFICATION, records) == "budget"
+        # A streak below the bar ends nothing once early stopping is off.
+        settings = UnlearnSettings(rounds=100, early_stop=False, patience=2)
+        assert _unlearn_should_stop(settings, self.CLASSIFICATION, records) is None
+
     def test_increasing_loss_never_plateaus(self):
         records = [self.rec(i + 1, loss=float(i)) for i in range(10)]
         assert not _forgot_loss_plateaued(records, window=2)
@@ -1076,6 +1108,31 @@ class TestParticleRuns:
         run_experiment(cfg, "learn")
         result = run_experiment(cfg, "unlearn")
         assert result.rounds_run < 60
+        events = read_transcript(result.paths.transcript)
+        assert [e.get("stop_reason") for e in events] == [None] * result.rounds_run + ["loss_plateau"]
+
+    def test_unlearn_stop_reason_budget(self, tmp_path):
+        cfg = config_from_dict(mixture_dict(tmp_path / "runs"))  # three rounds, no early stop
+        learn = run_experiment(cfg, "learn")
+        result = run_experiment(cfg, "unlearn")
+        assert result.rounds_run == 3
+        events = read_transcript(result.paths.transcript)
+        assert [e.get("stop_reason") for e in events] == [None] * 3 + ["budget"]
+        assert all("stop_reason" not in e for e in read_transcript(learn.paths.transcript))
+
+    def test_unlearn_stop_reason_accuracy_bar(self, tmp_path):
+        # The shipped desk run, after 40 learn rounds: its forgotten classes fall below the bar
+        # for `patience` rounds.
+        data = json.loads((REPO_ROOT / "configs" / "classification_desk.json").read_text())
+        data["out_dir"] = str(tmp_path / "desk")
+        data["learn"]["rounds"] = 40
+        cfg = config_from_dict(data)
+        run_experiment(cfg, "learn")
+        result = run_experiment(cfg, "unlearn")
+        assert result.rounds_run < cfg.unlearn.rounds
+        events = read_transcript(result.paths.transcript)
+        assert events[-1]["stop_reason"] == "accuracy_bar"
+        assert all("stop_reason" not in e for e in events[:-1])
 
     def test_retrain_centralized_uses_retained_agents_only(self, tmp_path):
         cfg = config_from_dict(mixture_dict(tmp_path / "runs"))
