@@ -31,7 +31,7 @@ import numpy as np
 from . import federation as fed
 from . import pvi
 from .data import idx_source, make_synthetic_pair, pool_shards
-from .kernels import kde_log_density_1d
+from .kernels import kde_log_density
 from .metrics import (
     METRICS_COLUMNS,
     GridConfig,
@@ -666,7 +666,7 @@ def _measurement(cfg: ExperimentConfig, problem, phase: Phase, method: str) -> C
             if parametric:
                 log_q = lambda x: gaussian_log_density_moments(array[0], array[1], x)
             else:
-                log_q = lambda x: kde_log_density_1d(array, x, lam)
+                log_q = lambda x: kde_log_density(array, x[:, None], lam)
             return MetricRecord(round=round_index, phase=phase.name, wall_ms=wall_ms,
                                 kl=grid_kl(log_q, reference, grid),
                                 forgot_loss=forgot_loss(array)), {}

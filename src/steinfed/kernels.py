@@ -8,11 +8,11 @@ standard deviation, which turns a particle set into a differentiable
 log density so that particle-based distributions can appear inside other
 update targets.
 
-The transport kernel matrix, its median bandwidth and the KDE of any
+The transport kernel matrix, its median bandwidth and the KDE score of any
 dimension share one pairwise squared-distance helper written as a matrix
-product, so no ``(Q, N, d)`` difference tensor is ever formed.  The
-one-dimensional KDE that the mixture's KL grid evaluates has its own form,
-``kde_log_density_1d``: each row of logits is shifted by its nearest
+product, so no ``(Q, N, d)`` difference tensor is ever formed.  The KDE log
+density is evaluated only on the mixture's one-dimensional KL grid, so it
+takes ``(N, 1)`` particles: each row of logits is shifted by its nearest
 particle inside the GEMM that makes it, so no pass over the ``(Q, N)``
 logits finds or subtracts a row maximum.
 
@@ -38,7 +38,7 @@ import numpy as np
 
 BANDWIDTH_FLOOR = 1e-8
 
-# Points per block of ``kde_log_density_1d``: a (1024, 100) block of logits
+# Points per block of ``kde_log_density``: a (1024, 100) block of logits
 # is 0.8 MB and stays in a core's L2 cache.
 KDE_ROWS = 1024
 
@@ -66,25 +66,22 @@ def _logsumexp(logits: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(peak, axis=axis) + np.log(logits.sum(axis=axis))
 
 
-def median_bandwidth(particles: np.ndarray) -> float:
-    """Median-heuristic bandwidth: squared median pairwise distance over ln N.
+def median_bandwidth(sq_dists: np.ndarray) -> float:
+    """Median-heuristic bandwidth from the particles' (N, N) squared-distance matrix.
 
-    Distances are plain Euclidean distances (not squared); an even count of
-    pairs takes the mean of the two middle values.  The result is floored at
-    a small positive constant so degenerate particle sets stay usable.
-    """
-    theta = _as_particle_matrix(particles)
-    return _median_bandwidth(pairwise_sq_dists(theta, theta))
-
-
-def _median_bandwidth(sq_dists: np.ndarray) -> float:
-    """``median_bandwidth`` from the particles' (N, N) squared-distance matrix.
+    It is the squared median pairwise distance over ln N.  Distances are
+    plain Euclidean distances (not squared); an even count of pairs takes
+    the mean of the two middle values.  The result is floored at a small
+    positive constant so degenerate particle sets stay usable.
 
     The square root is monotone, so the middle distances are the roots of
     the middle squared distances; a pair of them is averaged as ``np.median``
     averages it.  One partition places the upper middle value, and the lower
     one of an even count is the largest value below it.
     """
+    sq_dists = np.asarray(sq_dists, dtype=float)
+    if sq_dists.ndim != 2 or sq_dists.shape[0] != sq_dists.shape[1]:
+        raise ValueError(f"expected an (N, N) squared-distance matrix, got shape {sq_dists.shape}")
     n = sq_dists.shape[0]
     if n < 2:
         raise ValueError("median bandwidth needs at least 2 particles")
@@ -132,53 +129,25 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray, row_norms: bool = True) -> n
     return sq
 
 
-def _kde_logits(theta: np.ndarray, q: np.ndarray, lam: float) -> np.ndarray:
-    """Log kernel weights of each query over the particles.
-
-    The weights lack the ||q_i||^2 / (2 lam^2) term; a softmax over a row
-    does not need it.
-    """
-    logits = pairwise_sq_dists(q, theta, row_norms=False)
-    logits /= -2.0 * lam * lam
-    return logits
-
-
 def kde_log_density(particles: np.ndarray, query: np.ndarray, lam: float) -> np.ndarray:
-    """Log density of an isotropic Gaussian KDE centred on the particles.
+    """Log density at the ``(Q, 1)`` query points of the Gaussian KDE of ``(N, 1)`` particles.
 
-    Each particle contributes a Gaussian with per-dimension standard
-    deviation ``lam``; mixture weights are uniform.  ``query`` is a
-    ``(Q, d)`` batch of points.
-    """
-    theta = _as_particle_matrix(particles)
-    n, d = theta.shape
-    q = _as_rows(query, d)
-    log_norm = 0.5 * d * np.log(2.0 * np.pi * lam * lam) + np.log(n)
-    out = _logsumexp(_kde_logits(theta, q, lam), axis=1)
-    out -= (q ** 2).sum(axis=1) / (2.0 * lam * lam) + log_norm
-    return out
-
-
-def kde_log_density_1d(particles: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
-    """``kde_log_density`` of ``(N, 1)`` particles at the points of the 1-D vector ``x``.
-
-    Each point's logits are shifted by its nearest particle, found by binary
-    search in the sorted particles, so the largest kernel weight of a row is
-    about ``exp(0)``: it cannot overflow, and its log stays finite for a
-    point far from every particle.  With ``c = 1 / (2 lam^2)`` and the shift
-    ``m = c min_j (x - theta_j)^2``, the shifted logit
-    ``m - c (x - theta_j)^2`` is the product of the row ``[x, 1, m - c x^2]``
-    and the column ``[2 c theta_j, -c theta_j^2, 1]``.  Blocks of ``KDE_ROWS``
-    points take one GEMM for their logits, one in-place ``exp`` and one GEMV
-    against a ones vector for the row sums.
+    Each particle contributes a Gaussian with standard deviation ``lam``;
+    mixture weights are uniform.  Each point's logits are shifted by its
+    nearest particle, found by binary search in the sorted particles, so the
+    largest kernel weight of a row is about ``exp(0)``: it cannot overflow,
+    and its log stays finite for a point far from every particle.  With
+    ``c = 1 / (2 lam^2)`` and the shift ``m = c min_j (x - theta_j)^2``, the
+    shifted logit ``m - c (x - theta_j)^2`` is the product of the row
+    ``[x, 1, m - c x^2]`` and the column ``[2 c theta_j, -c theta_j^2, 1]``.
+    Blocks of ``KDE_ROWS`` points take one GEMM for their logits, one
+    in-place ``exp`` and one GEMV against a ones vector for the row sums.
     """
     theta = _as_particle_matrix(particles)
     n, d = theta.shape
     if d != 1:
         raise ValueError(f"expected (N, 1) particles, got shape {theta.shape}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D vector of points, got shape {x.shape}")
+    x = _as_rows(query, 1)[:, 0]
     c = 1.0 / (2.0 * lam * lam)
     theta = theta[:, 0]
     ordered = np.sort(theta)
@@ -206,12 +175,15 @@ def kde_log_density_grad(particles: np.ndarray, query: np.ndarray, lam: float) -
     """Gradient of the KDE log density with respect to the ``(Q, d)`` query points.
 
     It is ``(W @ theta - q) / lam^2`` with ``W`` the row-normalised kernel
-    weights of each query over the particles.
+    weights of each query over the particles.  The log weights lack the
+    ||q_i||^2 / (2 lam^2) term; a softmax over a row does not need it.
     """
     theta = _as_particle_matrix(particles)
     d = theta.shape[1]
     q = _as_rows(query, d)
-    weights = _softmax(_kde_logits(theta, q, lam), axis=1)
+    logits = pairwise_sq_dists(q, theta, row_norms=False)
+    logits /= -2.0 * lam * lam
+    weights = _softmax(logits, axis=1)
     grad = weights @ theta
     grad -= q
     grad /= lam * lam

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import _as_particle_matrix, _median_bandwidth, pairwise_sq_dists
+from .kernels import _as_particle_matrix, median_bandwidth, pairwise_sq_dists
 
 # Row-wise score function: maps an (N, d) particle array to (N, d) gradients.
 TargetGradient = Callable[[np.ndarray], np.ndarray]
@@ -30,10 +30,11 @@ def svgd_direction(
     """Transport direction for every particle under the current target.
 
     ``bandwidth=None`` takes the median-heuristic bandwidth of the current
-    particles at every call; a positive float fixes it.  A single particle
-    has no interaction terms: the kernel value at zero distance is 1 and its
-    gradient vanishes, so the direction reduces to the particle's own score
-    regardless of bandwidth.
+    particles at every call: ``median_bandwidth`` of the squared-distance
+    matrix that the kernel matrix is made from.  A positive float fixes it.
+    A single particle has no interaction terms: the kernel value at zero
+    distance is 1 and its gradient vanishes, so the direction reduces to the
+    particle's own score regardless of bandwidth.
     """
     theta = _as_particle_matrix(particles)
     if bandwidth is not None and not bandwidth > 0:
@@ -50,7 +51,7 @@ def svgd_direction(
         return grads.copy()
 
     sq_dists = pairwise_sq_dists(theta, theta)
-    h = bandwidth if bandwidth is not None else _median_bandwidth(sq_dists)
+    h = bandwidth if bandwidth is not None else median_bandwidth(sq_dists)
     kmat = np.exp(np.divide(sq_dists, -h, out=sq_dists), out=sq_dists)
     # (attract + repulse) / n, with repulse = (2 / h) (theta * colsum(K) - K^T theta),
     # built in one array

@@ -134,7 +134,7 @@ def pairwise_sq_dists_allocating(x, y, row_norms=True):
 
 
 def median_bandwidth_sorted(sq_dists):
-    """``kernels._median_bandwidth`` by a full sort of the pairs and ``np.mean`` of the middle."""
+    """``kernels.median_bandwidth`` by a full sort of the pairs and ``np.mean`` of the middle."""
     n = sq_dists.shape[0]
     pairs = np.sort(sq_dists[np.triu_indices(n, 1)])
     mid = pairs.size // 2
@@ -143,22 +143,10 @@ def median_bandwidth_sorted(sq_dists):
     return max(med * med / np.log(n), 1e-8)
 
 
-def _kde_logits_allocating(theta, q, lam):
+def kde_log_density_grad_allocating(theta, q, lam):
     logits = pairwise_sq_dists_allocating(q, theta, row_norms=False)
     logits /= -2.0 * lam * lam
-    return logits
-
-
-def kde_log_density_allocating(theta, q, lam):
-    n, d = theta.shape
-    log_norm = 0.5 * d * np.log(2.0 * np.pi * lam * lam) + np.log(n)
-    out = _logsumexp_in_place(_kde_logits_allocating(theta, q, lam), axis=1)
-    out -= (q ** 2).sum(axis=1) / (2.0 * lam * lam) + log_norm
-    return out
-
-
-def kde_log_density_grad_allocating(theta, q, lam):
-    weights = _softmax_in_place(_kde_logits_allocating(theta, q, lam), axis=1)
+    weights = _softmax_in_place(logits, axis=1)
     return (weights @ theta - q) / (lam * lam)
 
 

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 import steinfed.federation as fed
-from helpers import fd_gradient, rbf_kernel, rbf_kernel_grad_first, relative_error
+from helpers import (
+    fd_gradient,
+    kde_log_density_broadcast,
+    rbf_kernel,
+    rbf_kernel_grad_first,
+    relative_error,
+)
 from steinfed.experiments import load_config, run_experiment, run_paths
 from steinfed.federation import (
     ParticleSet,
@@ -21,7 +27,7 @@ from steinfed.federation import (
     distill_target_grad,
     tilted_grad,
 )
-from steinfed.kernels import kde_log_density, kde_log_density_grad
+from steinfed.kernels import kde_log_density_grad
 from steinfed.metrics import GridConfig, grid_kl, read_metrics_csv
 from steinfed.models import (
     GaussianMixtureLoss,
@@ -133,7 +139,7 @@ class TestCriterion3:
         lam = 0.8
         results.append(self._suite(
             "kde-score",
-            lambda x: float(kde_log_density(particles, x[None, :], lam)[0]),
+            lambda x: float(kde_log_density_broadcast(particles, x[None, :], lam)[0]),
             lambda x: kde_log_density_grad(particles, x[None, :], lam)[0],
             rng, 3,
         ))
@@ -167,8 +173,8 @@ class TestCriterion3:
         tilt_unlearn = tilted_grad(server, agent, mixture, config, sign=-1.0)
 
         def tilted_scalar(x, sign):
-            val = float(kde_log_density(glob, x[None, :], 0.9)[0])
-            val -= float(kde_log_density(loc, x[None, :], 0.9)[0])
+            val = float(kde_log_density_broadcast(glob, x[None, :], 0.9)[0])
+            val -= float(kde_log_density_broadcast(loc, x[None, :], 0.9)[0])
             return val + sign * float(mixture.log_mixture_density(x[None, :])[0])
 
         results.append(self._suite(
@@ -188,9 +194,9 @@ class TestCriterion3:
         distill = distill_target_grad(new_glob, glob, loc, config.kde_lam)
 
         def distill_scalar(x):
-            val = float(kde_log_density(new_glob, x[None, :], 0.9)[0])
-            val -= float(kde_log_density(glob, x[None, :], 0.9)[0])
-            return val + float(kde_log_density(loc, x[None, :], 0.9)[0])
+            val = float(kde_log_density_broadcast(new_glob, x[None, :], 0.9)[0])
+            val -= float(kde_log_density_broadcast(glob, x[None, :], 0.9)[0])
+            return val + float(kde_log_density_broadcast(loc, x[None, :], 0.9)[0])
 
         results.append(self._suite(
             "distillation",

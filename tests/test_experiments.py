@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import kde_log_density_broadcast
 from steinfed.data import IdxFormatError, idx_source
 from steinfed.experiments import (
     PHASES,
@@ -42,6 +43,7 @@ from steinfed.experiments import (
 )
 import steinfed.experiments as experiments
 import steinfed.federation as fed
+import steinfed.svgd as svgd
 from steinfed.federation import (
     STREAM_UNLEARN,
     init_global_particles,
@@ -50,7 +52,6 @@ from steinfed.federation import (
     learning_round,
     schedule,
 )
-from steinfed.kernels import kde_log_density
 from steinfed.metrics import (
     GridError,
     MetricRecord,
@@ -1205,32 +1206,46 @@ def shipped_mixture_dict(out_dir, seed):
 
 
 class TestMixtureKl:
-    """The particle methods' grid KL, with the 1-D KDE as q, against the general-d KDE."""
+    """The particle methods' grid KL against the general-d broadcast KDE, and the kernel calls."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_particle_kl_matches_the_general_kde(self, tmp_path, monkeypatch, seed):
         cfg = config_from_dict(shipped_mixture_dict(tmp_path, seed))
-        seen, pairs = [], []
-        kde_1d = experiments.kde_log_density_1d
+        seen, pairs, bandwidths, directions = [], [], [], []
+        kde, median, direction = (experiments.kde_log_density, svgd.median_bandwidth,
+                                  svgd.svgd_direction)
 
-        def recording_kde_1d(particles, x, lam):
+        def recording_kde(particles, query, lam):
             seen.append((particles, lam))
-            return kde_1d(particles, x, lam)
+            return kde(particles, query, lam)
+
+        def recording_median(sq_dists):
+            bandwidths.append(sq_dists.shape)
+            return median(sq_dists)
+
+        def recording_direction(particles, target, bandwidth=None):
+            directions.append(bandwidth)
+            return direction(particles, target, bandwidth)
 
         def checked_grid_kl(log_q, reference, grid):
             new = grid_kl(log_q, reference, grid)
             particles, lam = seen[-1]
-            pairs.append((new, grid_kl(lambda x: kde_log_density(particles, x[:, None], lam),
-                                       reference, grid)))
+            pairs.append((new, grid_kl(
+                lambda x: kde_log_density_broadcast(particles, x[:, None], lam), reference, grid)))
             return new
 
-        monkeypatch.setattr(experiments, "kde_log_density_1d", recording_kde_1d)
+        monkeypatch.setattr(experiments, "kde_log_density", recording_kde)
         monkeypatch.setattr(experiments, "grid_kl", checked_grid_kl)
+        monkeypatch.setattr(svgd, "median_bandwidth", recording_median)
+        monkeypatch.setattr(svgd, "svgd_direction", recording_direction)
         for command in ("learn", "unlearn", "retrain"):
             before = len(pairs)
             result = run_experiment(cfg, command)
             assert [r.kl for r in result.records] == [new for new, _ in pairs[before:]]
-        assert len(pairs) == 31 + 2 + 31
+        # One log density per particle-method grid KL, one bandwidth per transport direction.
+        assert len(seen) == len(pairs) == 31 + 2 + 31
+        assert directions and set(directions) == {None}
+        assert bandwidths == [(cfg.particles, cfg.particles)] * len(directions)
         for new, old in pairs:
             assert abs(new - old) <= 1e-12 * abs(old)
 
@@ -1240,7 +1255,7 @@ class TestMixtureKl:
         problem = build_problem(cfg)
         particles = cfg.grid.hi + offset + np.random.default_rng(3).uniform(0.0, 1.0, (100, 1))
         with pytest.raises(GridError) as old:
-            grid_kl(lambda x: kde_log_density(particles, x[:, None], cfg.protocol.kde_lam),
+            grid_kl(lambda x: kde_log_density_broadcast(particles, x[:, None], cfg.protocol.kde_lam),
                     lambda x: -x * x, cfg.grid)
         assert re.fullmatch(r"grid too narrow for q: edge mass \S+ exceeds 1e-03", str(old.value))
         measure = experiments._measurement(cfg, problem, PHASES["learn"], "dsvgd")

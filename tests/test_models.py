@@ -493,11 +493,12 @@ class TestFeatureMap:
 
 _MIXTURE_3D = GaussianMixtureLoss([MixtureComponent(1.0, np.zeros(3), np.ones(3))])
 _HEAD_4D = SoftmaxHeadLoss(np.array([[1.0], [-1.0]]), np.array([0, 1]), num_classes=2)
+_PARTICLES_1D = np.arange(2.0).reshape(2, 1)
 _PARTICLES_3D = np.arange(6.0).reshape(2, 3)
 
 # (function of an (M, d) matrix, d, whether it returns one value per row)
 ROW_FUNCTIONS = {
-    "kde_log_density": (lambda x: kde_log_density(_PARTICLES_3D, x, 0.5), 3, True),
+    "kde_log_density": (lambda x: kde_log_density(_PARTICLES_1D, x, 0.5), 1, True),
     "kde_log_density_grad": (lambda x: kde_log_density_grad(_PARTICLES_3D, x, 0.5), 3, False),
     "UniformPrior.log_density": (UniformPrior(-1.0, 1.0).log_density, 3, True),
     "UniformPrior.score": (UniformPrior(-1.0, 1.0).score, 3, False),

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import rbf_kernel, rbf_kernel_grad_first
+from helpers import median_bandwidth_pdist, rbf_kernel, rbf_kernel_grad_first
 
-from steinfed.kernels import median_bandwidth
 from steinfed.svgd import adagrad_step, run_svgd, svgd_direction
 
 
@@ -41,7 +40,7 @@ class TestSvgdDirection:
             theta = rng.normal(size=(n, d))
             grads = rng.normal(size=(n, d))
             got = svgd_direction(theta, lambda t: grads)
-            want = brute_force_direction(theta, grads, median_bandwidth(theta))
+            want = brute_force_direction(theta, grads, median_bandwidth_pdist(theta))
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_single_particle_is_plain_gradient(self):
