@@ -23,17 +23,17 @@ MAX_WORKERS = 2
 _executor = None
 
 
-def blocks(n: int, size: int, align: int = 1, split: bool = True) -> list[slice]:
+def blocks(n: int, size: int, split: bool = True) -> list[slice]:
     """``ceil(n / size)`` consecutive slices of ``range(n)``, of near-equal length.
 
     Near-equal, so that no block is a sliver: a GEMM of one row runs as a
-    GEMV, which rounds differently.  Inner bounds are rounded up to multiples
-    of ``align``.  A caller whose rows make one block passes ``split=False``
-    for its other axes, so that a small call runs each product as one GEMM.
+    GEMV, which rounds differently.  A caller whose rows make one block
+    passes ``split=False`` for its other axes, so that a small call runs each
+    product as one GEMM.
     """
-    count = -(-n // size) if split else 1
-    bounds = [0, *(min(n, -(-(i * n // count) // align) * align) for i in range(1, count)), n]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a] or [slice(0, 0)]
+    count = max(1, -(-n // size)) if split else 1
+    bounds = [i * n // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def workers() -> int:

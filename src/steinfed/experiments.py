@@ -103,6 +103,7 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         at_least(2, self, "num_classes")
         at_least(1, self, "dim")
+        nonnegative(self, "center_scale", "noise")
         for name, count in (("n_train", self.n_train), ("n_test", self.n_test)):
             if count < self.num_classes:
                 raise FieldError(name, f"must be at least num_classes ({self.num_classes}), got {count}")

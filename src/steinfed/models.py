@@ -28,12 +28,12 @@ from .kernels import _as_particle_matrix, _as_rows, _logsumexp, _softmax
 from .rules import at_least, nonnegative, positive
 
 CLAMP_MARGIN = 1e-6
-# Rows per block of a head evaluation: see ``_eval_blocks``.
+# Rows per block of the head gradient.  The head loss and the evaluation run
+# up to HEAD_ROWS rows as one block and more in blocks of up to EVAL_ROWS: see
+# ``_eval_blocks``.  Desk's 200-row shards and 400-row test set are one block:
+# at its shapes a thread hand-off costs more than it saves.
+HEAD_ROWS = 512
 EVAL_ROWS = 256
-# Rows per worker's share of the head gradient and evaluation, a multiple of
-# EVAL_ROWS; fewer rows run inline.  Desk's 200-row shards and 400-row test
-# set are one share: at its shapes a thread hand-off costs more than it saves.
-HEAD_ROWS = 2 * EVAL_ROWS
 # Design columns per block of the head gradient's ``design.T @ resid``.
 HEAD_COLS = 51
 # Input rows per block of the feature map's layer, and input columns per block
@@ -197,21 +197,16 @@ def _logits(design: np.ndarray, laid: np.ndarray, num_classes: int) -> np.ndarra
     return logits.reshape(logits.shape[0], num_classes, -1)
 
 
-def _eval_blocks(n: int, fill) -> None:
-    """Call ``fill(rows)`` on each block of up to ``EVAL_ROWS`` of ``n`` rows.
+def _eval_blocks(n: int) -> list[slice]:
+    """One block of ``n <= HEAD_ROWS`` rows, or blocks of up to ``EVAL_ROWS`` rows.
 
     A per-row result filled block by block holds one block's logits per
-    worker instead of the ``(n, C, Q)`` array.  Each worker takes
-    ``HEAD_ROWS`` rows at a time.  Each row's logits keep their bits as long
-    as the BLAS gives a product's row the same bits however many rows share
-    the GEMM; ``tests/test_buffers.py`` checks it at the shipped shapes.
+    worker instead of the ``(n, C, Q)`` array.  Each row's logits keep their
+    bits as long as the BLAS gives a product's row the same bits however many
+    rows share the GEMM; ``tests/test_buffers.py`` checks it at the shipped
+    shapes.
     """
-
-    def share(span: slice) -> None:
-        for start in range(span.start, span.stop, EVAL_ROWS):
-            fill(slice(start, min(start + EVAL_ROWS, span.stop)))
-
-    run_blocks(share, blocks(n, HEAD_ROWS, align=EVAL_ROWS))
+    return blocks(n, EVAL_ROWS, split=n > HEAD_ROWS)
 
 
 class SoftmaxHeadLoss:
@@ -255,7 +250,7 @@ class SoftmaxHeadLoss:
             picked = logits[np.arange(logits.shape[0]), self.labels[rows], :]
             np.subtract(_logsumexp(logits, axis=1), picked, out=per_row[rows])
 
-        _eval_blocks(self.labels.size, fill)
+        run_blocks(fill, _eval_blocks(self.labels.size))
         return per_row.mean(axis=0)
 
     def neg_loss_grad(self, theta: np.ndarray, alpha: float = 1.0) -> np.ndarray:
@@ -308,7 +303,7 @@ def averaged_class_probabilities(
         logits = _logits(_with_bias(features[rows]), laid, num_classes)
         np.mean(_softmax(logits, axis=1), axis=2, out=probs[rows])
 
-    _eval_blocks(features.shape[0], fill)
+    run_blocks(fill, _eval_blocks(features.shape[0]))
     return probs
 
 
@@ -406,12 +401,10 @@ def pretrain_feature_map(
     The softmax head is discarded; only the hidden layer is returned, to be
     used as a frozen feature map.  The initial weights are drawn from ``rng``.
     """
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(labels).astype(np.int64)
-    if x.ndim != 2 or x.shape[0] == 0:
+    pool = Dataset(features, labels, num_classes)  # checks the shapes and the label range
+    x, y = pool.features, pool.labels
+    if x.shape[0] == 0:
         raise ValueError(f"expected nonempty (n, f) features, got shape {x.shape}")
-    if y.shape != (x.shape[0],):
-        raise ValueError(f"label count {y.shape} does not match feature count {x.shape[0]}")
 
     n, f = x.shape
     h = config.hidden_units

@@ -21,7 +21,7 @@ import steinfed.blocks as blocks_module
 from steinfed.blocks import MAX_WORKERS, blocks, run_blocks, workers
 from steinfed.experiments import _classification_problem, config_from_dict, run_experiment, run_paths
 from steinfed.metrics import read_metrics_csv
-from steinfed.models import EVAL_ROWS, HEAD_COLS, HEAD_ROWS, INPUT_COLS, INPUT_ROWS
+from steinfed.models import EVAL_ROWS, HEAD_COLS, HEAD_ROWS, INPUT_COLS, INPUT_ROWS, _eval_blocks
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -39,10 +39,12 @@ class TestPartition:
         lengths = [p.stop - p.start for p in parts]
         assert max(lengths) - min(lengths) <= 1  # no sliver: a one-row GEMM runs as a GEMV
 
-    def test_bounds_on_multiples_of_align(self):
-        # The evaluation's shares keep every EVAL_ROWS block where one pass over the rows puts it.
-        assert [p.start for p in blocks(2000, HEAD_ROWS, align=EVAL_ROWS)] == [0, 512, 1024, 1536]
-        assert blocks(1000, HEAD_ROWS, align=EVAL_ROWS) == [slice(0, 512), slice(512, 1000)]
+    def test_evaluation_blocks(self):
+        # The head loss and the evaluation: one block up to HEAD_ROWS rows, EVAL_ROWS blocks past it.
+        assert _eval_blocks(400) == [slice(0, 400)] and _eval_blocks(HEAD_ROWS) == [slice(0, 512)]
+        for rows, count in ((1000, 4), (2000, 8), (10_000, 40)):
+            assert _eval_blocks(rows) == blocks(rows, EVAL_ROWS) and len(_eval_blocks(rows)) == count
+        assert {p.stop - p.start for p in _eval_blocks(10_000)} == {250}
 
     def test_one_slice_when_not_split(self):
         assert blocks(784, INPUT_COLS, split=False) == [slice(0, 784)]
@@ -53,7 +55,7 @@ class TestPartition:
         assert len(blocks(2000, HEAD_ROWS)) == 4 and len(blocks(101, HEAD_COLS)) == 2
         # desk: a 400-row pool, 200-row shards and a 400-row test set are one block each.
         assert len(blocks(400, INPUT_ROWS)) == len(blocks(200, HEAD_ROWS)) == 1
-        assert len(blocks(400, HEAD_ROWS, align=EVAL_ROWS)) == 1
+        assert len(_eval_blocks(400)) == 1
 
 
 class TestRunBlocks:
@@ -156,8 +158,9 @@ def test_wide_shaped_run_has_blocks_on_every_path():
     assert len(blocks(pool_rows, INPUT_ROWS)) >= 2  # pretraining's rows
     assert len(blocks(synthetic["dim"], INPUT_COLS)) >= 2  # its first-layer gradient
     assert len(blocks(synthetic["n_test"], INPUT_ROWS)) >= 2  # the feature map of the test set
-    assert len(blocks(spec["examples_per_agent"], HEAD_ROWS)) >= 2  # the head gradient and loss
-    assert len(blocks(synthetic["n_test"], HEAD_ROWS, align=EVAL_ROWS)) >= 2  # the evaluation
+    assert len(blocks(spec["examples_per_agent"], HEAD_ROWS)) >= 2  # the head gradient
+    assert len(_eval_blocks(spec["examples_per_agent"])) >= 2  # the head loss
+    assert len(_eval_blocks(synthetic["n_test"])) >= 2  # the evaluation
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import collections
 import copy
 import dataclasses
+import importlib.util
 import inspect
 import json
 import os
@@ -396,6 +397,10 @@ CONFIG_ERRORS = [
      "config.experiment.synthetic.noise: expected a number, got str"),
     ("cls", EXP + ("synthetic", "dim"), 0,
      "config.experiment.synthetic.dim: must be at least 1, got 0"),
+    ("cls", EXP + ("synthetic", "center_scale"), -1.0,
+     "config.experiment.synthetic.center_scale: must be nonnegative, got -1.0"),
+    ("cls", EXP + ("synthetic", "noise"), -0.5,
+     "config.experiment.synthetic.noise: must be nonnegative, got -0.5"),
     ("cls", EXP + ("synthetic", "n_train"), 3,
      "config.experiment.synthetic.n_train: must be at least num_classes (4), got 3"),
     ("cls", EXP + ("synthetic", "n_test"), 1,
@@ -1425,6 +1430,22 @@ def _count_calls(monkeypatch, functions=ROUND_FUNCTIONS, everywhere=True) -> col
                     if value is original:
                         monkeypatch.setattr(module, key, counted)
     return counts
+
+
+def test_every_traced_layer_is_a_callable_of_the_package():
+    """``perfbench/tracer.py`` wraps its layers by name; a renamed or deleted one fails here."""
+    spec = importlib.util.spec_from_file_location("tracer", REPO_ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # loads the names only: no wrapper is installed
+    missing = []
+    for layer in tracer.LAYERS:
+        module_name, *path = layer.split(".")
+        owner = importlib.import_module(f"steinfed.{module_name}")
+        for attr in path:
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(layer)
+    assert len(tracer.LAYERS) > 0 and missing == []
 
 
 ROUND_CASES = [

@@ -490,6 +490,13 @@ class TestFeatureMap:
         with pytest.raises(ValueError):
             FeatureMapConfig(step_size=0.0)
 
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_labels_outside_the_classes_refused(self, label):
+        # -1 would index the last class's column of the one-hot targets and train as class 1.
+        with pytest.raises(ValueError, match=re.escape("labels outside [0, num_classes)")):
+            pretrain_feature_map(np.zeros((3, 2)), np.array([0, 1, label]), 2,
+                                 FeatureMapConfig(epochs=1), np.random.default_rng(0))
+
 
 _MIXTURE_3D = GaussianMixtureLoss([MixtureComponent(1.0, np.zeros(3), np.ones(3))])
 _HEAD_4D = SoftmaxHeadLoss(np.array([[1.0], [-1.0]]), np.array([0, 1]), num_classes=2)
