@@ -771,21 +771,20 @@ def _saved_snapshot(cfg: ExperimentConfig, method: str) -> tuple[np.ndarray, int
     if method not in PARAMETRIC_METHODS and array.shape[0] != cfg.particles:
         raise MissingStateError(
             f"{path}: holds {array.shape[0]} particles, not the run's {cfg.particles}")
+    if array.shape[1] != _width(cfg):
+        raise MissingStateError(
+            f"{path}: holds rows of width {array.shape[1]}, not the problem's width {_width(cfg)}")
     if not np.isfinite(array).all():
         raise MissingStateError(f"{path}: holds a value that is not finite")
     return array, round_index
 
 
-def _width(problem) -> int:
-    """The particle width ``d``, from any agent's loss: a retrain that retains none has one too."""
-    return next(iter(problem.losses.values())).dim
-
-
-def _check_width(cfg: ExperimentConfig, method: str, array: np.ndarray, problem) -> None:
-    """Refuse ``method``'s saved array when its rows are not of the built problem's width."""
-    if array.shape[1] != _width(problem):
-        raise MissingStateError(f"{run_paths(cfg, method).snapshot}: holds rows of width "
-                                f"{array.shape[1]}, not the problem's width {_width(problem)}")
+def _width(cfg: ExperimentConfig) -> int:
+    """The particle width ``d`` that ``cfg``'s problem will have, read without building it."""
+    spec = cfg.experiment
+    if isinstance(spec, MixtureSpec):
+        return spec.agents[0][0].mean.size
+    return (spec.feature_map.hidden_units + 1) * spec.num_classes
 
 
 def _run_particles(cfg: ExperimentConfig, phase: Phase, method: str, started: float) -> RunResult:
@@ -793,13 +792,11 @@ def _run_particles(cfg: ExperimentConfig, phase: Phase, method: str, started: fl
     learned = None  # None: the global particles are drawn from the prior
     if phase.start is not None:
         learned = _saved_snapshot(cfg, phase.start[0])[0]
-    problem = build_problem(cfg)  # after the start state, so that a bad one fails fast
-    if learned is not None:
-        _check_width(cfg, phase.start[0], learned, problem)
+    problem = build_problem(cfg)  # after every check of the start state: a bad one fails fast
     pcfg = _protocol_config(cfg, phase)
     eligible = phase.eligible(cfg)
     pooled = tuple(problem.losses[k] for k in eligible) if phase.pooled(cfg) else None
-    shape = (cfg.particles, _width(problem))
+    shape = (cfg.particles, _width(cfg))
     # A pooled phase schedules no agent, so it draws no local particles.
     start = fed.initialize_states(eligible if pooled is None else (), pcfg.prior, shape,
                                   cfg.seed, phase.local_stream, learned)
@@ -909,7 +906,6 @@ def evaluate_snapshot(cfg: ExperimentConfig, method: str) -> dict:
         raise ConfigError("config.method: parametric methods support the mixture experiment only")
     array, round_index = _saved_snapshot(cfg, method)
     problem = build_problem(cfg)
-    _check_width(cfg, method, array, problem)
     record, extra = _measurement(cfg, problem, phase, method)(array, round_index, 0.0)
     return {"method": method, "round": round_index, "seed": cfg.seed, **record.metrics(), **extra}
 

@@ -8,6 +8,7 @@ import inspect
 import json
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -621,6 +622,18 @@ class TestBuildProblem:
         assert all(loss.dim == (4 + 1) * 4 for loss in problem.losses.values())
         assert problem.test_features.shape == (80, 4)
 
+    @pytest.mark.parametrize("path", ["configs/mixture.json", "configs/classification_desk.json",
+                                      "perfbench/wide.json"])
+    def test_width_from_the_config_is_the_built_problems(self, path):
+        cfg = load_config(REPO_ROOT / path)
+        problem = build_problem(cfg)
+        assert {k: loss.dim for k, loss in problem.losses.items()} == {
+            k: experiments._width(cfg) for k in cfg.experiment.agent_ids}
+
+    def test_headline_width_is_read_without_a_build(self):
+        # The MNIST files are not in the repository: the width comes from the config alone.
+        assert experiments._width(load_config(REPO_ROOT / "configs" / "mnist_full.json")) == 1010
+
     @pytest.mark.parametrize("pair", ["train", "test"])
     @pytest.mark.parametrize("defect", ["image count", "label count", "magic", "dimension",
                                         "byte count"])
@@ -996,6 +1009,23 @@ class TestParticleRuns:
         assert {path: Path(path).read_bytes() for path in before} == before
         with pytest.raises(MissingStateError, match=refusal):
             evaluate_snapshot(narrow, "dsvgd")
+
+    def test_snapshot_of_another_width_is_refused_without_pretraining(self, tmp_path,
+                                                                      monkeypatch):
+        _classification_problem.cache_clear()  # a kept wider build would hide its pretraining
+        data = json.loads((REPO_ROOT / "configs" / "classification_desk.json").read_text())
+        data["out_dir"] = str(tmp_path / "runs")
+        snapshot = run_experiment(config_from_dict(data), "learn").paths.snapshot
+        data["experiment"]["feature_map"]["hidden_units"] = 26  # d = 4 * (26 + 1), not 4 * (25 + 1)
+        wider = config_from_dict(data)
+        counts = _count_calls(monkeypatch, {"models": ("pretrain_feature_map",)})
+        refusal = f"^{re.escape(snapshot)}: holds rows of width 104, not the problem's width 108$"
+        with pytest.raises(MissingStateError, match=refusal):
+            run_experiment(wider, "unlearn")
+        assert not counts
+        with pytest.raises(MissingStateError, match=refusal):
+            evaluate_snapshot(wider, "dsvgd")
+        assert not counts
 
     def test_snapshot_with_a_non_finite_value_is_refused_before_the_build(self, tmp_path,
                                                                           monkeypatch):
@@ -1568,6 +1598,20 @@ class TestParametricRuns:
         with pytest.raises(MissingStateError, match=refusal):
             evaluate_snapshot(cfg, "pvi")
 
+    def test_pvi_snapshot_of_another_width_is_refused_before_the_build(self, tmp_path,
+                                                                       monkeypatch):
+        cfg = config_from_dict(self.pvi_dict(tmp_path / "runs"))
+        snapshot = run_experiment(cfg, "learn").paths.snapshot
+        save_snapshot(snapshot, np.array([[0.0, 0.0], [1.0, 1.0]]), 4, cfg.seed)
+        counts = _count_calls(monkeypatch, {"experiments": ("build_problem",)})
+        refusal = f"^{re.escape(snapshot)}: holds rows of width 2, not the problem's width 1$"
+        with pytest.raises(MissingStateError, match=refusal):
+            run_experiment(cfg, "unlearn")
+        assert not [name for name in os.listdir(cfg.out_dir) if name.startswith("ulpvi_")]
+        with pytest.raises(MissingStateError, match=refusal):
+            evaluate_snapshot(cfg, "pvi")
+        assert not counts
+
     def test_pvi_unlearn_runs_from_saved_factors(self, tmp_path):
         cfg = config_from_dict(self.pvi_dict(tmp_path / "runs"))
         run_experiment(cfg, "learn")
@@ -1766,3 +1810,32 @@ class TestBlasThreadDeterminism:
             runs.append(run)
         assert all(record.kl is not None for _, records in runs[0].values() for record in records)
         assert runs[0] == runs[1]
+
+
+def test_a_killed_learn_leaves_the_earlier_snapshot_or_the_whole_new_one(tmp_path):
+    # A learn killed at any moment leaves the snapshot of the run before it or its own complete
+    # one; a leftover ``.tmp`` file beside it is allowed.
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+
+    def learn(seed, out_dir):
+        command = [sys.executable, "-m", "steinfed.cli", "learn", "--config",
+                   str(REPO_ROOT / "configs" / "mixture.json"), "--out", str(out_dir),
+                   "--seed", str(seed)]
+        return subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
+
+    assert learn(1, tmp_path / "runs").wait(timeout=60) == 0
+    assert learn(0, tmp_path / "whole").wait(timeout=60) == 0
+    snapshot = tmp_path / "runs" / "dsvgd_snapshot.txt"
+    earlier, whole = snapshot.read_bytes(), (tmp_path / "whole" / "dsvgd_snapshot.txt").read_bytes()
+    assert earlier != whole
+    codes = []
+    for delay in (0.2, 0.4, 0.6, 0.8, 1.0, 1.5):
+        snapshot.write_bytes(earlier)
+        child = learn(0, tmp_path / "runs")
+        try:
+            child.wait(timeout=delay)
+        except subprocess.TimeoutExpired:
+            child.send_signal(signal.SIGKILL)
+        codes.append(child.wait(timeout=60))
+        assert snapshot.read_bytes() in (earlier, whole), delay
+    assert -signal.SIGKILL in codes  # at least one child was killed partway
