@@ -8,13 +8,14 @@ standard deviation, which turns a particle set into a differentiable
 log density so that particle-based distributions can appear inside other
 update targets.
 
-The transport kernel matrix, its median bandwidth and the KDE score of any
-dimension share one pairwise squared-distance helper written as a matrix
-product, so no ``(Q, N, d)`` difference tensor is ever formed.  The KDE log
-density is evaluated only on the mixture's one-dimensional KL grid, so it
-takes ``(N, 1)`` particles: each row of logits is shifted by its nearest
-particle inside the GEMM that makes it, so no pass over the ``(Q, N)``
-logits finds or subtracts a row maximum.
+The transport kernel matrix and its median bandwidth come from one pairwise
+squared-distance helper written as a matrix product, and the KDE score of
+any dimension writes its log weights with one GEMM, so no ``(Q, N, d)``
+difference tensor is ever formed.  The KDE log density is evaluated only on
+the mixture's one-dimensional KL grid, so it takes ``(N, 1)`` particles:
+each row of logits is shifted by its nearest particle inside the GEMM that
+makes it, so no pass over the ``(Q, N)`` logits finds or subtracts a row
+maximum.
 
 One buffer per kernel call: each ``(Q, N)`` result is allocated once and
 finished with in-place steps, so a call never holds two large short-lived
@@ -37,6 +38,12 @@ import math
 import numpy as np
 
 BANDWIDTH_FLOOR = 1e-8
+
+# A row of the KDE score whose kernel weights sum below this is recomputed
+# with max-shifted logits.  Above it, a weight that underflows to a subnormal
+# or to zero is off by at most tiny * eps, so fewer than 1 / eps such
+# weights move the sum by less than one rounding.
+SCORE_SUM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 # Points per block of ``kde_log_density``: a (1024, 100) block of logits
 # is 0.8 MB and stays in a core's L2 cache.
@@ -112,20 +119,18 @@ def _as_rows(x: np.ndarray, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def pairwise_sq_dists(x: np.ndarray, y: np.ndarray, row_norms: bool = True) -> np.ndarray:
+def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared distances ||x_i - y_j||^2 between rows, in expanded-square GEMM form.
 
-    ``row_norms=False`` leaves out the ||x_i||^2 term, constant along each row;
-    otherwise round-off below zero is floored at 0.  ``np.dot`` writes the
-    product into the one ``(Q, N)`` buffer; unlike ``@`` it stays on BLAS at
-    inner dimension 1, where each entry is a single product either way.
+    Round-off below zero is floored at 0.  ``np.dot`` writes the product into
+    the one ``(Q, N)`` buffer; unlike ``@`` it stays on BLAS at inner
+    dimension 1, where each entry is a single product either way.
     """
     sq = np.dot(2.0 * x, y.T)
     y_norms = (y ** 2).sum(axis=1)
     np.subtract(y_norms, sq, out=sq)
-    if row_norms:
-        sq += (y_norms if x is y else (x ** 2).sum(axis=1))[:, None]
-        np.maximum(sq, 0.0, out=sq)
+    sq += (y_norms if x is y else (x ** 2).sum(axis=1))[:, None]
+    np.maximum(sq, 0.0, out=sq)
     return sq
 
 
@@ -175,16 +180,57 @@ def kde_log_density_grad(particles: np.ndarray, query: np.ndarray, lam: float) -
     """Gradient of the KDE log density with respect to the ``(Q, d)`` query points.
 
     It is ``(W @ theta - q) / lam^2`` with ``W`` the row-normalised kernel
-    weights of each query over the particles.  The log weights lack the
-    ||q_i||^2 / (2 lam^2) term; a softmax over a row does not need it.
+    weights of each query over the particles.  With ``c = 1 / (2 lam^2)``
+    the log weight ``-c ||q_i - theta_j||^2 <= 0`` is the product of the row
+    ``[2c q_i, -c ||q_i||^2, 1]`` and the column ``[theta_j; 1; -c ||theta_j||^2]``,
+    so one GEMM and one in-place ``exp`` give the weights, with no pass for a
+    row maximum.  From ``d = N`` on, copying ``theta`` into the columns costs
+    more than the ``(Q, N)`` weights, so the GEMM takes ``q`` and ``theta`` as
+    they are and the two norm terms are added to its result.  A GEMV gives
+    the row sums ``s``, and each row is divided by its sum on the smaller of
+    the ``(Q, N)`` weights and the ``(Q, d)`` product.  A row with
+    ``s < SCORE_SUM_FLOOR``, a query far from every particle, is recomputed
+    through the max-shifted softmax of its logits without ``-c ||q_i||^2``.
     """
     theta = _as_particle_matrix(particles)
-    d = theta.shape[1]
+    n, d = theta.shape
     q = _as_rows(query, d)
-    logits = pairwise_sq_dists(q, theta, row_norms=False)
-    logits /= -2.0 * lam * lam
-    weights = _softmax(logits, axis=1)
-    grad = weights @ theta
+    m = q.shape[0]
+    c = 1.0 / (2.0 * lam * lam)
+    row_norms = np.vecdot(q, q)
+    row_norms *= -c
+    col_norms = np.vecdot(theta, theta)
+    col_norms *= -c
+    if d < n:
+        operands = np.empty((m + n, d + 2))
+        rows, cols = operands[:m], operands[m:]
+        np.multiply(q, 2.0 * c, out=rows[:, :d])
+        rows[:, d] = row_norms
+        rows[:, d + 1] = 1.0
+        cols[:, :d] = theta
+        cols[:, d] = 1.0
+        cols[:, d + 1] = col_norms
+        weights = np.dot(rows, cols.T)
+    else:
+        weights = np.dot(q, theta.T)
+        weights *= 2.0 * c
+        weights += col_norms
+        weights += row_norms[:, None]
+    np.exp(weights, out=weights)
+    sums = weights @ np.ones(n)
+    if sums.min(initial=np.inf) < SCORE_SUM_FLOOR:
+        far = sums < SCORE_SUM_FLOOR
+        logits = np.dot(q[far], theta.T)
+        logits *= 2.0 * c
+        logits += col_norms
+        weights[far] = _softmax(logits, axis=1)
+        sums[far] = 1.0
+    if d < n:
+        grad = weights @ theta
+        grad /= sums[:, None]
+    else:
+        weights /= sums[:, None]
+        grad = weights @ theta
     grad -= q
-    grad /= lam * lam
+    grad *= 2.0 * c
     return grad

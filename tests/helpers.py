@@ -7,6 +7,7 @@ from scipy.spatial.distance import pdist
 from scipy.special import logsumexp, softmax
 
 from steinfed.federation import ParticleSet, distill_target_grad, tilted_grad
+from steinfed.kernels import SCORE_SUM_FLOOR
 from steinfed.svgd import run_svgd
 
 
@@ -106,9 +107,10 @@ def head_neg_loss_grad_einsum(heads, features, labels, num_classes):
 
 
 # --- allocating oracles -------------------------------------------------------
-# The expressions below are the allocating forms that the one-buffer code in
-# `steinfed` replaced, kept verbatim.  The new code must match them bit for
-# bit, so tests compare with `np.array_equal`, not a tolerance.
+# The expressions below are the allocating forms of the one-buffer code in
+# `steinfed`, most kept verbatim from the code that it replaced; the KDE score
+# is the plain expression of its GEMM form.  The new code must match them bit
+# for bit, so tests compare with `np.array_equal`, not a tolerance.
 
 
 def _logsumexp_in_place(logits, axis):
@@ -125,11 +127,10 @@ def _softmax_in_place(logits, axis):
     return logits
 
 
-def pairwise_sq_dists_allocating(x, y, row_norms=True):
+def pairwise_sq_dists_allocating(x, y):
     sq = (y ** 2).sum(axis=1) - 2.0 * x @ y.T
-    if row_norms:
-        sq += (x ** 2).sum(axis=1)[:, None]
-        np.maximum(sq, 0.0, out=sq)
+    sq += (x ** 2).sum(axis=1)[:, None]
+    np.maximum(sq, 0.0, out=sq)
     return sq
 
 
@@ -144,10 +145,30 @@ def median_bandwidth_sorted(sq_dists):
 
 
 def kde_log_density_grad_allocating(theta, q, lam):
-    logits = pairwise_sq_dists_allocating(q, theta, row_norms=False)
-    logits /= -2.0 * lam * lam
-    weights = _softmax_in_place(logits, axis=1)
-    return (weights @ theta - q) / (lam * lam)
+    """The KDE score from the rows ``[2c q, -c |q|^2, 1]`` and columns ``[theta; 1; -c |theta|^2]``.
+
+    From ``d = N`` on, the log weights are ``2c q.theta`` plus the two norm terms.
+    """
+    n, d = theta.shape
+    c = 1.0 / (2.0 * lam * lam)
+    row_norms = np.vecdot(q, q) * -c
+    col_norms = np.vecdot(theta, theta) * -c
+    if d < n:
+        rows = np.column_stack([2.0 * c * q, row_norms, np.ones(len(q))])
+        cols = np.column_stack([theta, np.ones(n), col_norms])
+        logits = np.dot(rows, cols.T)
+    else:
+        logits = 2.0 * c * np.dot(q, theta.T) + col_norms + row_norms[:, None]
+    weights = np.exp(logits)
+    sums = weights @ np.ones(n)
+    far = sums < SCORE_SUM_FLOOR
+    weights[far] = _softmax_in_place(2.0 * c * np.dot(q[far], theta.T) + col_norms, axis=1)
+    sums[far] = 1.0
+    if d < n:
+        grad = (weights @ theta) / sums[:, None]
+    else:
+        grad = (weights / sums[:, None]) @ theta
+    return (grad - q) * (2.0 * c)
 
 
 def svgd_direction_allocating(theta, grads, h):

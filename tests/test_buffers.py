@@ -141,16 +141,22 @@ def assert_bits(new, old):
 
 @pytest.mark.parametrize("q, n, d", KERNEL_SHAPES)
 class TestKernels:
-    @pytest.mark.parametrize("row_norms", [True, False])
-    def test_pairwise_sq_dists(self, q, n, d, row_norms):
+    # ``same_points`` takes the branch that reuses the column norms for the rows
+    @pytest.mark.parametrize("same_points", [True, False])
+    def test_pairwise_sq_dists(self, q, n, d, same_points):
         theta, query = kernel_inputs(q, n, d)
-        assert_bits(pairwise_sq_dists(query, theta, row_norms),
-                    pairwise_sq_dists_allocating(query, theta, row_norms))
-        assert_bits(pairwise_sq_dists(theta, theta, row_norms),
-                    pairwise_sq_dists_allocating(theta, theta, row_norms))
+        x = theta if same_points else query
+        assert_bits(pairwise_sq_dists(x, theta), pairwise_sq_dists_allocating(x, theta))
 
     def test_kde_log_density_grad(self, q, n, d):
         theta, query = kernel_inputs(q, n, d)
+        assert_bits(kde_log_density_grad(theta, query, LAM),
+                    kde_log_density_grad_allocating(theta, query, LAM))
+
+    def test_kde_log_density_grad_far_rows(self, q, n, d):
+        # every kernel weight of each third query underflows, so its row is recomputed
+        theta, query = kernel_inputs(q, n, d)
+        query = frozen(query + np.where(np.arange(q) % 3 == 1, 1e3, 0.0)[:, None])
         assert_bits(kde_log_density_grad(theta, query, LAM),
                     kde_log_density_grad_allocating(theta, query, LAM))
 
@@ -283,9 +289,9 @@ def test_inputs_keep_their_bytes():
     config = ProtocolConfig(kde_lam=LAM, include_prior_score=True,
                             prior=GaussianPrior(0.0, 4.0))
     pairwise_sq_dists(query, theta)
-    pairwise_sq_dists(query, theta, row_norms=False)
     kde_log_density(theta[:, :1], query[:, :1], LAM)
     kde_log_density_grad(theta, query, LAM)
+    kde_log_density_grad(theta[:, :1], query[:, :1], LAM)
     svgd_direction(theta, lambda t: phi)
     adagrad_step(np.zeros_like(theta), theta, phi, 0.05, 1e-6)
     tilted_grad(ParticleSet(theta), ParticleSet(query), loss, config, -1.0)(phi)

@@ -12,6 +12,9 @@ from helpers import (
     rbf_kernel_grad_first,
     relative_error,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from steinfed.federation import ProtocolConfig
 from steinfed.kernels import (
@@ -242,6 +245,22 @@ class TestKdeLogDensityGrad:
         singles = np.stack([kde_log_density_grad(particles, q[None], lam=0.8)[0] for q in queries])
         np.testing.assert_allclose(batch, singles, rtol=1e-14)
 
+    def test_no_queries_give_no_rows(self):
+        grad = kde_log_density_grad(np.ones((4, 3)), np.zeros((0, 3)), lam=0.8)
+        assert grad.shape == (0, 3)
+
+    @settings(max_examples=50, deadline=2000, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(1, 40), d=st.integers(1, 5),
+           lam=st.floats(0.3, 2.0))
+    def test_property_matches_finite_differences(self, data, n, d, lam):
+        coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+        particles = data.draw(hnp.arrays(float, (n, d), elements=coords))
+        query = data.draw(hnp.arrays(float, d, elements=coords))
+        grad = kde_log_density_grad(particles, query[None], lam)[0]
+        fd = fd_gradient(lambda x: kde_log_density_broadcast(particles, x[None], lam)[0], query)
+        # central differences of a log density of size up to ~200 carry ~1e-7 of round-off
+        np.testing.assert_array_less(np.abs(grad - fd), 1e-5 * (1.0 + np.abs(fd)))
+
 
 # The three shapes of the simulator: the 1-D mixture (its KL grid as the
 # queries), the desk classifier head and an MNIST-shaped head.  Queries other
@@ -296,6 +315,44 @@ class TestKdeMatchesBroadcastOracle:
         assert max_relative_deviation(
             grad, kde_log_density_grad_broadcast(particles, far, lam)
         ) < 1e-12
+
+    @staticmethod
+    def mixed_batch(name):
+        """Near queries alternating with far ones, at which every kernel weight underflows."""
+        particles, query, lam = north_star_case(name)
+        mean = particles.mean(axis=0)
+        near = query[::len(query) // 4][:4]
+        far = np.stack([mean + 1e3, mean - 1e3, mean + 1e2])
+        batch = np.empty((7, particles.shape[1]))
+        batch[0::2], batch[1::2] = near, far
+        return particles, batch, lam
+
+    @pytest.mark.parametrize("name", sorted(NORTH_STAR_SHAPES))
+    def test_near_and_far_queries_in_one_batch(self, name):
+        particles, batch, lam = self.mixed_batch(name)
+        grad = kde_log_density_grad(particles, batch, lam)
+        assert np.all(np.isfinite(grad))
+        want = kde_log_density_grad_broadcast(particles, batch, lam)
+        for row, exact in zip(grad, want):
+            assert max_relative_deviation(row, exact) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(NORTH_STAR_SHAPES))
+    def test_each_row_is_the_score_of_its_query_alone(self, name):
+        # a one-row product runs as a GEMV, which rounds differently from the GEMM
+        particles, batch, lam = self.mixed_batch(name)
+        grad = kde_log_density_grad(particles, batch, lam)
+        for row, point in zip(grad, batch):
+            alone = kde_log_density_grad(particles, point[None], lam)[0]
+            assert max_relative_deviation(row, alone) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(NORTH_STAR_SHAPES))
+    def test_particle_order_does_not_matter(self, name):
+        particles, batch, lam = self.mixed_batch(name)
+        order = np.random.default_rng(13).permutation(len(particles))
+        grad = kde_log_density_grad(particles, batch, lam)
+        permuted = kde_log_density_grad(particles[order], batch, lam)
+        for row, other in zip(grad, permuted):
+            assert max_relative_deviation(other, row) < 1e-12
 
 
 def grid_particles(n, offset=0.0):
