@@ -228,22 +228,46 @@ def write_atomic(path, text: str) -> None:
 # --- snapshots ------------------------------------------------------------------
 
 
+# Snapshot path -> (text, array) of the last save there, for this many recent paths.
+_KEPT_SNAPSHOTS = 4
+_kept_snapshots: dict[str, tuple[str, np.ndarray]] = {}
+
+
 def save_snapshot(path, particles: np.ndarray, round_index: int, seed: int) -> None:
     """Write particles as text: a ``N d round seed`` header, one row per line.
 
     Values use shortest round-trip formatting, so reloading reproduces the
-    array bit for bit.
+    array bit for bit.  The text and a copy of an all-finite array are kept
+    for ``load_snapshot``; a NaN's payload does not survive the text, so an
+    array holding one is not kept.
     """
     theta = _as_particle_matrix(particles)
+    key = str(path)
+    _kept_snapshots.pop(key, None)
     lines = [f"{theta.shape[0]} {theta.shape[1]} {round_index} {seed}"]
-    lines.extend(" ".join(repr(float(v)) for v in row) for row in theta)
-    write_atomic(path, "\n".join(lines) + "\n")
+    lines.extend(" ".join(map(repr, row)) for row in theta.tolist())
+    text = "\n".join(lines) + "\n"
+    write_atomic(path, text)
+    if np.isfinite(theta).all():
+        _kept_snapshots[key] = (text, theta.copy())
+        while len(_kept_snapshots) > _KEPT_SNAPSHOTS:
+            del _kept_snapshots[next(iter(_kept_snapshots))]
 
 
 def load_snapshot(path) -> tuple[np.ndarray, int, int]:
-    """Read a particle snapshot; returns (particles, round, seed)."""
+    """Read a particle snapshot; returns (particles, round, seed).
+
+    A file whose text is what this process last saved at ``path`` gives a
+    copy of the saved array, which is what parsing that text gives; any
+    other file is parsed.
+    """
     with open(str(path), encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
+        text = fh.read()
+    kept = _kept_snapshots.get(str(path))
+    if kept is not None and kept[0] == text:
+        round_index, seed = (int(v) for v in text[:text.index("\n")].split()[2:])
+        return kept[1].copy(), round_index, seed
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise SnapshotFormatError(f"{path}: empty snapshot")
     head = lines[0].split()

@@ -45,6 +45,7 @@ from steinfed.experiments import (
 )
 import steinfed.experiments as experiments
 import steinfed.federation as fed
+import steinfed.metrics as metrics
 import steinfed.svgd as svgd
 from steinfed.federation import (
     STREAM_UNLEARN,
@@ -1810,6 +1811,29 @@ class TestBlasThreadDeterminism:
             runs.append(run)
         assert all(record.kl is not None for _, records in runs[0].values() for record in records)
         assert runs[0] == runs[1]
+
+
+def test_unlearn_from_the_saved_array_equals_unlearn_from_the_parsed_file(tmp_path):
+    # learn then unlearn in one process reuse the array learn saved; a cleared
+    # store makes the second unlearn parse dsvgd_snapshot.txt, as a new process would
+    data = json.loads((REPO_ROOT / "configs" / "classification_desk.json").read_text())
+    data["out_dir"] = str(tmp_path)
+    cfg = config_from_dict(data)
+    learned = run_experiment(cfg, "learn")
+
+    def unlearn():
+        paths = run_experiment(cfg, "unlearn").paths
+        csv_cells = [line.rsplit(",", 1)[0] for line in Path(paths.metrics).read_text().splitlines()]
+        assert csv_cells[0].endswith(",forgot_loss")  # wall_ms is the last column
+        events = [{k: v for k, v in e.items() if not k.endswith("_ms")}
+                  for e in read_transcript(paths.transcript)]
+        return Path(paths.snapshot).read_bytes(), csv_cells, json.dumps(events)
+
+    assert learned.paths.snapshot in metrics._kept_snapshots
+    warm = unlearn()
+    metrics._kept_snapshots.clear()
+    cold = unlearn()
+    assert warm == cold
 
 
 def test_a_killed_learn_leaves_the_earlier_snapshot_or_the_whole_new_one(tmp_path):

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import steinfed.metrics as metrics
 from steinfed.metrics import (
     METRICS_COLUMNS,
     GridConfig,
@@ -141,13 +142,19 @@ class TestMetricsCsv:
             read_metrics_csv(p)
 
 
+def load_cold(path):
+    """``load_snapshot`` with no kept copy of any saved array, so the file is parsed."""
+    metrics._kept_snapshots.clear()
+    return load_snapshot(path)
+
+
 class TestSnapshots:
     def test_roundtrip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(8)
         particles = rng.normal(size=(7, 3)) * np.array([1.0, 1e-12, 1e12])
         p = tmp_path / "snap.txt"
         save_snapshot(p, particles, round_index=42, seed=9)
-        back, rnd, seed = load_snapshot(p)
+        back, rnd, seed = load_cold(p)
         assert np.array_equal(back, particles)
         assert back.tobytes() == particles.tobytes()
         assert (rnd, seed) == (42, 9)
@@ -156,8 +163,72 @@ class TestSnapshots:
         particles = np.array([[1e-308, -1e308], [np.pi, -0.0]])
         p = tmp_path / "snap.txt"
         save_snapshot(p, particles, 0, 0)
-        back, _, _ = load_snapshot(p)
+        back, _, _ = load_cold(p)
         assert back.tobytes() == particles.tobytes()
+
+    def test_wide_roundtrip_is_the_same_warm_and_cold(self, tmp_path):
+        rng = np.random.default_rng(3)
+        particles = rng.normal(size=(100, 1010)) * 10.0 ** rng.integers(-300, 300, (100, 1010))
+        particles[0, :5] = [-0.0, 5e-324, 1e16, 1e-05, 0.1]
+        p = tmp_path / "snap.txt"
+        save_snapshot(p, particles, 17, 4)
+        assert str(p) in metrics._kept_snapshots
+        warm = load_snapshot(p)
+        cold = load_cold(p)
+        for back in (warm, cold):
+            assert back[0].tobytes() == particles.tobytes()
+            assert back[0].flags.c_contiguous and back[0].flags.writeable
+            assert back[1:] == (17, 4)
+
+    def test_golden_bytes(self, tmp_path):
+        p = tmp_path / "snap.txt"
+        values = [-0.0, 1e16, 1e-05, 0.1, 123456789.0, 5e-324, 1.0, -2.5]
+        save_snapshot(p, np.array(values).reshape(2, 4), 6, 3)
+        assert p.read_bytes() == b"2 4 6 3\n-0.0 1e+16 1e-05 0.1\n123456789.0 5e-324 1.0 -2.5\n"
+
+    def test_a_file_rewritten_after_the_save_is_parsed(self, tmp_path):
+        p = tmp_path / "snap.txt"
+        save_snapshot(p, np.zeros((2, 2)), 1, 7)
+        p.write_text("2 2 5 8\n1.5 2.5\n3.5 -0.0\n")
+        back, rnd, seed = load_snapshot(p)
+        assert back.tobytes() == np.array([[1.5, 2.5], [3.5, -0.0]]).tobytes()
+        assert (rnd, seed) == (5, 8)
+        p.write_text("2 2 5 8\n1.5 2.5\n3.5\n")
+        with pytest.raises(SnapshotFormatError, match="row 1 has 1 values, expected 2"):
+            load_snapshot(p)
+
+    def test_a_returned_array_is_a_copy(self, tmp_path):
+        p = tmp_path / "snap.txt"
+        particles = np.arange(6.0).reshape(3, 2)
+        save_snapshot(p, particles, 0, 0)
+        particles[0, 0] = 99.0
+        first, _, _ = load_snapshot(p)
+        first[:] = -1.0
+        again, _, _ = load_snapshot(p)
+        assert again.tobytes() == np.arange(6.0).reshape(3, 2).tobytes()
+
+    def test_an_array_holding_nan_is_not_kept(self, tmp_path):
+        p = tmp_path / "snap.txt"
+        save_snapshot(p, np.ones((2, 2)), 0, 0)
+        assert str(p) in metrics._kept_snapshots
+        nan = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0]  # a NaN with a payload
+        save_snapshot(p, np.array([[nan, 1.0], [2.0, 3.0]]), 1, 0)
+        assert str(p) not in metrics._kept_snapshots
+        back, rnd, _ = load_snapshot(p)
+        assert np.isnan(back[0, 0]) and back[0, 1:].tolist() == [1.0] and rnd == 1
+        assert back.tobytes() == load_cold(p)[0].tobytes()
+
+    def test_kept_paths_never_exceed_the_limit(self, tmp_path):
+        metrics._kept_snapshots.clear()
+        paths = [tmp_path / f"snap{i}.txt" for i in range(2 * metrics._KEPT_SNAPSHOTS)]
+        for i, p in enumerate(paths):
+            save_snapshot(p, np.full((1, 1), float(i)), i, 0)
+            assert len(metrics._kept_snapshots) == min(i + 1, metrics._KEPT_SNAPSHOTS)
+        save_snapshot(paths[-1], np.ones((1, 1)), 0, 0)  # a resave keeps one entry for its path
+        assert len(metrics._kept_snapshots) == metrics._KEPT_SNAPSHOTS
+        assert list(metrics._kept_snapshots)[-1] == str(paths[-1])
+        for i, p in enumerate(paths[:-1]):
+            assert load_snapshot(p)[0].tolist() == [[float(i)]]
 
     def test_header_carries_shape(self, tmp_path):
         p = tmp_path / "snap.txt"
@@ -206,6 +277,9 @@ def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypat
             write_atomic(p, "3 2 2 7\n\ud800")
     assert p.read_bytes() == before
     assert os.listdir(tmp_path) == ["snap.txt"]
+    back, rnd, seed = load_snapshot(p)
+    assert back.tobytes() == np.arange(4.0).reshape(2, 2).tobytes()
+    assert (rnd, seed) == (1, 7)
 
 
 def test_writers_put_each_line_on_disk_before_close(tmp_path):
