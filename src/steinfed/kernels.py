@@ -2,20 +2,13 @@
 
 Two ingredients live here.  The first is the RBF kernel used by the
 transport direction, kappa(x, y) = exp(-||x - y||^2 / h), together with the
-median-heuristic bandwidth rule h = med^2 / ln N.  The second is an
+median-heuristic bandwidth rule h = med^2 / ln N, both from one pairwise
+squared-distance matrix written as a matrix product.  The second is an
 isotropic Gaussian kernel density estimate with a fixed per-dimension
 standard deviation, which turns a particle set into a differentiable
 log density so that particle-based distributions can appear inside other
-update targets.
-
-The transport kernel matrix and its median bandwidth come from one pairwise
-squared-distance helper written as a matrix product, and the KDE score of
-any dimension writes its log weights with one GEMM, so no ``(Q, N, d)``
-difference tensor is ever formed.  The KDE log density is evaluated only on
-the mixture's one-dimensional KL grid, so it takes ``(N, 1)`` particles:
-each row of logits is shifted by its nearest particle inside the GEMM that
-makes it, so no pass over the ``(Q, N)`` logits finds or subtracts a row
-maximum.
+update targets.  The KDE log density and its score take their log kernel
+weights from one GEMM, so no ``(Q, N, d)`` difference tensor is ever formed.
 
 One buffer per kernel call: each ``(Q, N)`` result is allocated once and
 finished with in-place steps, so a call never holds two large short-lived
@@ -39,15 +32,11 @@ import numpy as np
 
 BANDWIDTH_FLOOR = 1e-8
 
-# A row of the KDE score whose kernel weights sum below this is recomputed
-# with max-shifted logits.  Above it, a weight that underflows to a subnormal
-# or to zero is off by at most tiny * eps, so fewer than 1 / eps such
-# weights move the sum by less than one rounding.
+# A row of the KDE or its score whose kernel weights sum below this is
+# recomputed with max-shifted logits.  Above it, a weight that underflows to
+# a subnormal or to zero is off by at most tiny * eps, so fewer than 1 / eps
+# such weights move the sum by less than one rounding.
 SCORE_SUM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
-
-# Points per block of ``kde_log_density``: a (1024, 100) block of logits
-# is 0.8 MB and stays in a core's L2 cache.
-KDE_ROWS = 1024
 
 
 def _as_particle_matrix(particles: np.ndarray) -> np.ndarray:
@@ -119,84 +108,32 @@ def _as_rows(x: np.ndarray, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared distances ||x_i - y_j||^2 between rows, in expanded-square GEMM form.
+def pairwise_sq_dists(theta: np.ndarray) -> np.ndarray:
+    """Squared distances ||theta_i - theta_j||^2 between rows, in expanded-square GEMM form.
 
     Round-off below zero is floored at 0.  ``np.dot`` writes the product into
-    the one ``(Q, N)`` buffer; unlike ``@`` it stays on BLAS at inner
+    the one ``(N, N)`` buffer; unlike ``@`` it stays on BLAS at inner
     dimension 1, where each entry is a single product either way.
     """
-    sq = np.dot(2.0 * x, y.T)
-    y_norms = (y ** 2).sum(axis=1)
-    np.subtract(y_norms, sq, out=sq)
-    sq += (y_norms if x is y else (x ** 2).sum(axis=1))[:, None]
+    sq = np.dot(2.0 * theta, theta.T)
+    norms = (theta ** 2).sum(axis=1)
+    np.subtract(norms, sq, out=sq)
+    sq += norms[:, None]
     np.maximum(sq, 0.0, out=sq)
     return sq
 
 
-def kde_log_density(particles: np.ndarray, query: np.ndarray, lam: float) -> np.ndarray:
-    """Log density at the ``(Q, 1)`` query points of the Gaussian KDE of ``(N, 1)`` particles.
+def _log_weights(theta: np.ndarray, q: np.ndarray, c: float) -> np.ndarray:
+    """The ``(Q, N)`` log kernel weights ``-c ||q_i - theta_j||^2`` from one GEMM.
 
-    Each particle contributes a Gaussian with standard deviation ``lam``;
-    mixture weights are uniform.  Each point's logits are shifted by its
-    nearest particle, found by binary search in the sorted particles, so the
-    largest kernel weight of a row is about ``exp(0)``: it cannot overflow,
-    and its log stays finite for a point far from every particle.  With
-    ``c = 1 / (2 lam^2)`` and the shift ``m = c min_j (x - theta_j)^2``, the
-    shifted logit ``m - c (x - theta_j)^2`` is the product of the row
-    ``[x, 1, m - c x^2]`` and the column ``[2 c theta_j, -c theta_j^2, 1]``.
-    Blocks of ``KDE_ROWS`` points take one GEMM for their logits, one
-    in-place ``exp`` and one GEMV against a ones vector for the row sums.
+    Below ``d = N`` the GEMM multiplies the rows ``[2c q_i, -c ||q_i||^2, 1]``
+    by the columns ``[theta_j; 1; -c ||theta_j||^2]``.  From ``d = N`` on,
+    copying ``theta`` into the columns costs more than the ``(Q, N)`` result,
+    so the GEMM takes ``q`` and ``theta`` as they are and the two norm terms
+    are added to its result.
     """
-    theta = _as_particle_matrix(particles)
     n, d = theta.shape
-    if d != 1:
-        raise ValueError(f"expected (N, 1) particles, got shape {theta.shape}")
-    x = _as_rows(query, 1)[:, 0]
-    c = 1.0 / (2.0 * lam * lam)
-    theta = theta[:, 0]
-    ordered = np.sort(theta)
-    right = np.searchsorted(ordered, x).clip(max=n - 1)
-    shift = np.minimum((x - ordered[right - (right > 0)]) ** 2, (x - ordered[right]) ** 2)
-    shift *= c
-    rows = np.column_stack((x, np.ones_like(x), shift - c * x * x))
-    ones = np.ones(n)
-    cols = np.stack((2.0 * c * theta, -c * theta ** 2, ones))
-    sums = np.empty(x.size)
-    block = np.empty((min(KDE_ROWS, x.size), n))
-    for start in range(0, x.size, KDE_ROWS):
-        part = slice(start, start + KDE_ROWS)
-        logits = block[:sums[part].size]
-        np.dot(rows[part], cols, out=logits)
-        np.exp(logits, out=logits)
-        np.dot(logits, ones, out=sums[part])
-    out = np.log(sums, out=sums)
-    out -= shift
-    out -= 0.5 * np.log(2.0 * np.pi * lam * lam) + np.log(n)
-    return out
-
-
-def kde_log_density_grad(particles: np.ndarray, query: np.ndarray, lam: float) -> np.ndarray:
-    """Gradient of the KDE log density with respect to the ``(Q, d)`` query points.
-
-    It is ``(W @ theta - q) / lam^2`` with ``W`` the row-normalised kernel
-    weights of each query over the particles.  With ``c = 1 / (2 lam^2)``
-    the log weight ``-c ||q_i - theta_j||^2 <= 0`` is the product of the row
-    ``[2c q_i, -c ||q_i||^2, 1]`` and the column ``[theta_j; 1; -c ||theta_j||^2]``,
-    so one GEMM and one in-place ``exp`` give the weights, with no pass for a
-    row maximum.  From ``d = N`` on, copying ``theta`` into the columns costs
-    more than the ``(Q, N)`` weights, so the GEMM takes ``q`` and ``theta`` as
-    they are and the two norm terms are added to its result.  A GEMV gives
-    the row sums ``s``, and each row is divided by its sum on the smaller of
-    the ``(Q, N)`` weights and the ``(Q, d)`` product.  A row with
-    ``s < SCORE_SUM_FLOOR``, a query far from every particle, is recomputed
-    through the max-shifted softmax of its logits without ``-c ||q_i||^2``.
-    """
-    theta = _as_particle_matrix(particles)
-    n, d = theta.shape
-    q = _as_rows(query, d)
     m = q.shape[0]
-    c = 1.0 / (2.0 * lam * lam)
     row_norms = np.vecdot(q, q)
     row_norms *= -c
     col_norms = np.vecdot(theta, theta)
@@ -210,20 +147,71 @@ def kde_log_density_grad(particles: np.ndarray, query: np.ndarray, lam: float) -
         cols[:, :d] = theta
         cols[:, d] = 1.0
         cols[:, d + 1] = col_norms
-        weights = np.dot(rows, cols.T)
+        logits = np.dot(rows, cols.T)
     else:
-        weights = np.dot(q, theta.T)
-        weights *= 2.0 * c
-        weights += col_norms
-        weights += row_norms[:, None]
+        logits = np.dot(q, theta.T)
+        logits *= 2.0 * c
+        logits += col_norms
+        logits += row_norms[:, None]
+    return logits
+
+
+def _far_logits(theta: np.ndarray, q: np.ndarray, c: float) -> np.ndarray:
+    """The log kernel weights without ``-c ||q_i||^2``, for rows far from every particle."""
+    col_norms = np.vecdot(theta, theta)
+    col_norms *= -c
+    logits = np.dot(q, theta.T)
+    logits *= 2.0 * c
+    logits += col_norms
+    return logits
+
+
+def kde_log_density(particles: np.ndarray, query: np.ndarray, lam: float) -> np.ndarray:
+    """Log density at the ``(Q, d)`` query points of the Gaussian KDE of ``(N, d)`` particles.
+
+    Each particle contributes an isotropic Gaussian with standard deviation
+    ``lam``; mixture weights are uniform.  It is the log of the row sums
+    ``s`` of the kernel weights minus ``(d / 2) log(2 pi lam^2) + log N``.
+    A row with ``s < SCORE_SUM_FLOOR`` is recomputed as the max-shifted
+    log-sum-exp of its logits without ``-c ||q_i||^2``, plus that term.
+    """
+    theta = _as_particle_matrix(particles)
+    n, d = theta.shape
+    q = _as_rows(query, d)
+    c = 1.0 / (2.0 * lam * lam)
+    weights = _log_weights(theta, q, c)
+    np.exp(weights, out=weights)
+    sums = weights @ np.ones(n)
+    far = sums < SCORE_SUM_FLOOR
+    sums[far] = 1.0
+    out = np.log(sums, out=sums)
+    if far.any():
+        rows = q[far]
+        out[far] = _logsumexp(_far_logits(theta, rows, c), axis=1) - c * np.vecdot(rows, rows)
+    out -= 0.5 * d * np.log(2.0 * np.pi * lam * lam) + np.log(n)
+    return out
+
+
+def kde_log_density_grad(particles: np.ndarray, query: np.ndarray, lam: float) -> np.ndarray:
+    """Gradient of the KDE log density with respect to the ``(Q, d)`` query points.
+
+    It is ``(W @ theta - q) / lam^2`` with ``W`` the row-normalised kernel
+    weights of each query over the particles.  A GEMV gives the row sums
+    ``s``, and each row is divided by its sum on the smaller of the ``(Q, N)``
+    weights and the ``(Q, d)`` product.  A row with ``s < SCORE_SUM_FLOOR``
+    is recomputed through the max-shifted softmax of its logits without
+    ``-c ||q_i||^2``.
+    """
+    theta = _as_particle_matrix(particles)
+    n, d = theta.shape
+    q = _as_rows(query, d)
+    c = 1.0 / (2.0 * lam * lam)
+    weights = _log_weights(theta, q, c)
     np.exp(weights, out=weights)
     sums = weights @ np.ones(n)
     if sums.min(initial=np.inf) < SCORE_SUM_FLOOR:
         far = sums < SCORE_SUM_FLOOR
-        logits = np.dot(q[far], theta.T)
-        logits *= 2.0 * c
-        logits += col_norms
-        weights[far] = _softmax(logits, axis=1)
+        weights[far] = _softmax(_far_logits(theta, q[far], c), axis=1)
         sums[far] = 1.0
     if d < n:
         grad = weights @ theta

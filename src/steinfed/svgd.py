@@ -50,7 +50,7 @@ def svgd_direction(
     if n == 1:
         return grads.copy()
 
-    sq_dists = pairwise_sq_dists(theta, theta)
+    sq_dists = pairwise_sq_dists(theta)
     h = bandwidth if bandwidth is not None else median_bandwidth(sq_dists)
     kmat = np.exp(np.divide(sq_dists, -h, out=sq_dists), out=sq_dists)
     # (attract + repulse) / n, with repulse = (2 / h) (theta * colsum(K) - K^T theta),

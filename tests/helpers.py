@@ -127,9 +127,9 @@ def _softmax_in_place(logits, axis):
     return logits
 
 
-def pairwise_sq_dists_allocating(x, y):
-    sq = (y ** 2).sum(axis=1) - 2.0 * x @ y.T
-    sq += (x ** 2).sum(axis=1)[:, None]
+def pairwise_sq_dists_allocating(theta):
+    sq = (theta ** 2).sum(axis=1) - 2.0 * theta @ theta.T
+    sq += (theta ** 2).sum(axis=1)[:, None]
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -174,7 +174,7 @@ def kde_log_density_grad_allocating(theta, q, lam):
 def svgd_direction_allocating(theta, grads, h):
     """The transport direction for precomputed scores ``grads`` and bandwidth ``h``."""
     n = theta.shape[0]
-    sq_dists = pairwise_sq_dists_allocating(theta, theta)
+    sq_dists = pairwise_sq_dists_allocating(theta)
     kmat = np.exp(-sq_dists / h)
     attract = kmat.T @ grads
     repulse = (2.0 / h) * (theta * kmat.sum(axis=0)[:, None] - kmat.T @ theta)

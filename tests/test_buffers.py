@@ -141,13 +141,6 @@ def assert_bits(new, old):
 
 @pytest.mark.parametrize("q, n, d", KERNEL_SHAPES)
 class TestKernels:
-    # ``same_points`` takes the branch that reuses the column norms for the rows
-    @pytest.mark.parametrize("same_points", [True, False])
-    def test_pairwise_sq_dists(self, q, n, d, same_points):
-        theta, query = kernel_inputs(q, n, d)
-        x = theta if same_points else query
-        assert_bits(pairwise_sq_dists(x, theta), pairwise_sq_dists_allocating(x, theta))
-
     def test_kde_log_density_grad(self, q, n, d):
         theta, query = kernel_inputs(q, n, d)
         assert_bits(kde_log_density_grad(theta, query, LAM),
@@ -161,11 +154,17 @@ class TestKernels:
                     kde_log_density_grad_allocating(theta, query, LAM))
 
 
+@pytest.mark.parametrize("n, d", PARTICLE_SHAPES)
+def test_pairwise_sq_dists(n, d):
+    theta = points(np.random.default_rng(0), n, d)
+    assert_bits(pairwise_sq_dists(theta), pairwise_sq_dists_allocating(theta))
+
+
 # The particle shapes, and 7 particles: an odd count of pairs, whose median is one value.
 @pytest.mark.parametrize("n, d", [*PARTICLE_SHAPES, (7, 3)])
 def test_median_bandwidth(n, d):
     theta = points(np.random.default_rng(10), n, d)
-    sq_dists = frozen(pairwise_sq_dists(theta, theta))
+    sq_dists = frozen(pairwise_sq_dists(theta))
     assert median_bandwidth(sq_dists) == median_bandwidth_sorted(sq_dists)
 
 
@@ -176,7 +175,7 @@ class TestTransport:
         rng = np.random.default_rng(1)
         theta, grads = points(rng, n, d), points(rng, n, d)
         h = fixed if fixed is not None else median_bandwidth(
-            pairwise_sq_dists_allocating(theta, theta))
+            pairwise_sq_dists_allocating(theta))
         assert_bits(svgd_direction(theta, lambda t: grads, fixed),
                     svgd_direction_allocating(theta, grads, h))
 
@@ -288,7 +287,8 @@ def test_inputs_keep_their_bytes():
     before = [a.tobytes() for a in inputs]
     config = ProtocolConfig(kde_lam=LAM, include_prior_score=True,
                             prior=GaussianPrior(0.0, 4.0))
-    pairwise_sq_dists(query, theta)
+    pairwise_sq_dists(theta)
+    kde_log_density(theta, query, LAM)
     kde_log_density(theta[:, :1], query[:, :1], LAM)
     kde_log_density_grad(theta, query, LAM)
     kde_log_density_grad(theta[:, :1], query[:, :1], LAM)

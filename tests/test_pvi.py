@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from steinfed.federation import ProtocolConfig, schedule
 from steinfed.models import GaussianMixtureLoss, MixtureComponent
 from steinfed.pvi import (
     PviConfig,
@@ -175,6 +178,14 @@ class ExplodingLoss:
         return 1e30 * np.asarray(theta, dtype=float)
 
 
+# The shipped mixture's two agents and a third one-component agent.
+MIXTURE_AGENTS = {
+    1: GaussianMixtureLoss([MixtureComponent(1.0, 1.0, 4.0)]),
+    2: GaussianMixtureLoss([MixtureComponent(0.5, -3.0, 1.0), MixtureComponent(0.5, 3.0, 2.0)]),
+    3: GaussianMixtureLoss([MixtureComponent(1.0, -1.0, 2.0)]),
+}
+
+
 class TestPviRounds:
     def test_telescoping_identity_exact(self):
         rng = np.random.default_rng(4)
@@ -200,6 +211,27 @@ class TestPviRounds:
             ident = prior + locals_[1] + locals_[2]
             assert np.max(np.abs(ident[0] - global_nat[0])) < 1e-10
             assert np.max(np.abs(ident[1] - global_nat[1])) < 1e-10
+
+    @settings(max_examples=50, deadline=2000, derandomize=True, database=None)
+    @given(data=st.data(), agents=st.integers(2, 3), local_iters=st.integers(1, 3),
+           mc_samples=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    def test_property_telescoping_under_random_schedules(self, data, agents, local_iters,
+                                                         mc_samples, seed):
+        # each entry is (agent, learns): a PVI round, or an ULPVI round when learns is False
+        plays = data.draw(st.lists(st.tuples(st.integers(1, agents), st.booleans()),
+                                   min_size=1, max_size=8))
+        protocol = ProtocolConfig(schedule="fixed_sequence", sequence=[k for k, _ in plays])
+        config = PviConfig(local_iters=local_iters, mc_samples=mc_samples)
+        prior = moment_to_nat(config.prior_mean, config.prior_variance)
+        factors = {k: np.zeros_like(prior) for k in range(1, agents + 1)}
+        global_nat = prior
+        rng = np.random.default_rng(seed)
+        for r, (_, learns) in enumerate(plays):
+            k = schedule(protocol, r, factors)
+            play = pvi_round if learns else ulpvi_round
+            global_nat, factors[k] = play(global_nat, factors[k], MIXTURE_AGENTS[k], config, rng)
+            np.testing.assert_allclose(global_nat, prior + sum(factors.values()),
+                                       rtol=1e-12, atol=1e-12)
 
     def test_zero_iters_is_identity(self):
         global_nat = moment_to_nat(0.5, 2.0)

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import median_bandwidth_pdist, rbf_kernel, rbf_kernel_grad_first
 
+from steinfed.kernels import median_bandwidth, pairwise_sq_dists
 from steinfed.svgd import adagrad_step, run_svgd, svgd_direction
 
 
@@ -96,6 +100,19 @@ class TestSvgdDirection:
     def test_rejects_nonpositive_fixed_bandwidth(self, n, h):
         with pytest.raises(ValueError, match="fixed bandwidth must be positive"):
             svgd_direction(np.zeros((n, 1)), lambda t: np.zeros_like(t), h)
+
+    @settings(max_examples=50, deadline=2000, derandomize=True, database=None)
+    @given(data=st.data(), n=st.integers(2, 12), d=st.integers(1, 5))
+    def test_property_permutation_equivariant(self, data, n, d):
+        coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+        theta = data.draw(hnp.arrays(float, (n, d), elements=coords))
+        grads = data.draw(hnp.arrays(float, (n, d), elements=coords))
+        order = np.array(data.draw(st.permutations(range(n))))
+        assert median_bandwidth(pairwise_sq_dists(theta[order])) == \
+            median_bandwidth(pairwise_sq_dists(theta))
+        phi = svgd_direction(theta, lambda t: grads)
+        np.testing.assert_allclose(svgd_direction(theta[order], lambda t: grads[order]),
+                                   phi[order], rtol=1e-10)
 
 
 class TestAdaGradStep:
