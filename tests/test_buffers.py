@@ -141,6 +141,13 @@ def assert_bits(new, old):
 
 @pytest.mark.parametrize("q, n, d", KERNEL_SHAPES)
 class TestKernels:
+    # ``of_particles`` False takes the queries as the particles: a second count and spread
+    @pytest.mark.parametrize("of_particles", [True, False])
+    def test_pairwise_sq_dists(self, q, n, d, of_particles):
+        theta, query = kernel_inputs(q, n, d)
+        x = theta if of_particles else query
+        assert_bits(pairwise_sq_dists(x), pairwise_sq_dists_allocating(x))
+
     def test_kde_log_density_grad(self, q, n, d):
         theta, query = kernel_inputs(q, n, d)
         assert_bits(kde_log_density_grad(theta, query, LAM),
@@ -152,12 +159,6 @@ class TestKernels:
         query = frozen(query + np.where(np.arange(q) % 3 == 1, 1e3, 0.0)[:, None])
         assert_bits(kde_log_density_grad(theta, query, LAM),
                     kde_log_density_grad_allocating(theta, query, LAM))
-
-
-@pytest.mark.parametrize("n, d", PARTICLE_SHAPES)
-def test_pairwise_sq_dists(n, d):
-    theta = points(np.random.default_rng(0), n, d)
-    assert_bits(pairwise_sq_dists(theta), pairwise_sq_dists_allocating(theta))
 
 
 # The particle shapes, and 7 particles: an odd count of pairs, whose median is one value.
